@@ -1,10 +1,10 @@
 """Deterministic simulator and analysis toolkit for grid resource discovery.
 
 Subpackages by responsibility: ``domain`` (resources, queries, summaries),
-``registry`` (the DNS-style repository tree), ``simkern`` (event engine,
-RNG, latency model), ``scenarios`` (the measured architectures),
-``stats`` (mean-difference testing), ``harness``/``config``/``cli``
-(experiments, files, command line).
+``registry`` (the DNS-style repository tree), ``simkern`` (splitmix64
+RNG, jitter kernel, latency model), ``scenarios`` (the measured
+architectures, computed in closed form), ``stats`` (mean-difference
+testing), ``harness``/``config``/``cli`` (experiments, files, command line).
 """
 
 from .config import Config, load_config
@@ -19,16 +19,13 @@ from .domain import (
 from .harness import ObservationRow, SweepKind, SweepSpec, analyze, plot_data, run_sweep
 from .registry import ResolutionPolicy, Topology, TopologySpec, build_topology
 from .scenarios import RunResult, ScenarioConfig, ScenarioKind, run_scenario
-from .simkern import Engine, Event, EventKind, LatencyModel, Rng, mix64
+from .simkern import LatencyModel, Rng, mix64
 from .stats import MeanDifferenceTest, Verdict, test_from_summary, unpaired_t_test
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Config",
-    "Engine",
-    "Event",
-    "EventKind",
     "FinderRecord",
     "LatencyModel",
     "MeanDifferenceTest",

@@ -18,10 +18,11 @@ Keys::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .registry import ResolutionPolicy, TopologySpec
+from .registry import MalformedTopology, ResolutionPolicy, TopologySpec, check_tree_size
 from .simkern import LatencyModel
 
 
@@ -55,6 +56,8 @@ def _parse_float(key: str, raw: str, minimum: float | None = None) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
     if minimum is not None and value < minimum:
         raise ConfigError(f"key {key!r}: {value} is out of range (must be >= {minimum})")
     return value
@@ -118,7 +121,13 @@ def parse_config(text: str) -> Config:
     if topo_kwargs:
         if "zones" in topo_kwargs and ("depth" in topo_kwargs or "branching" in topo_kwargs):
             raise ConfigError("give either topology.depth/branching or topology.zones, not both")
-        cfg = replace(cfg, topology=TopologySpec(**topo_kwargs))
+        spec = TopologySpec(**topo_kwargs)
+        if spec.depth is not None:
+            try:
+                check_tree_size(spec.depth, spec.branching if spec.branching is not None else 1)
+            except MalformedTopology as exc:
+                raise ConfigError(str(exc)) from None
+        cfg = replace(cfg, topology=spec)
     return cfg
 
 

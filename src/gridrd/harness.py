@@ -133,8 +133,9 @@ def _cell_config(scenario: ScenarioKind, users: int, resources: int, seed: int,
 def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[ObservationRow]:
     """Run every (scenario, point, replication) cell of the sweep.
 
-    ``workers > 1`` runs cells on a thread pool; each cell owns its engine
-    and RNG, and rows come back in deterministic cell order either way.
+    ``workers > 1`` runs cells on a thread pool; cells share no state (each
+    derives its own seed), and rows come back in deterministic cell order
+    either way.
     """
     if ScenarioKind.DISTRIBUTED in spec.scenarios and config.topology is None:
         raise ConfigError("distributed sweeps need topology.depth/branching or topology.zones")

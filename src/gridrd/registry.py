@@ -305,6 +305,32 @@ def _zone_node_id(zone: ZoneName) -> str:
     return str(zone)
 
 
+# Largest uniform tree build_topology will allocate.
+MAX_REPOSITORIES = 1_000_000
+
+
+def check_tree_size(depth: int, branching: int) -> None:
+    """Reject a uniform tree of more than MAX_REPOSITORIES nodes.
+
+    The count ``(b^d - 1)/(b - 1)`` is summed level by level and stops as
+    soon as it passes the limit, so a huge depth costs nothing to check.
+    """
+    if branching == 1:
+        total = depth
+    else:
+        total, level = 0, 1
+        for _ in range(depth):
+            total += level
+            if total > MAX_REPOSITORIES:
+                break
+            level *= branching
+    if total > MAX_REPOSITORIES:
+        raise MalformedTopology(
+            f"a tree of depth {depth} and branching {branching} has more than "
+            f"{MAX_REPOSITORIES} repositories"
+        )
+
+
 def build_topology(spec: TopologySpec) -> Topology:
     """Construct a repository tree from a TopologySpec.
 
@@ -322,6 +348,7 @@ def build_topology(spec: TopologySpec) -> Topology:
     branching = spec.branching if spec.branching is not None else 1
     if branching < 1:
         raise MalformedTopology(f"branching must be >= 1, got {branching}")
+    check_tree_size(spec.depth, branching)
 
     width = max(2, len(str(branching - 1)))
     labels = [f"z{i:0{width}d}" for i in range(branching)]

@@ -15,8 +15,9 @@ stacks its own constant overhead on top:
 
 Per-user jitter draws are keyed by (run seed, user index) only, so two
 scenarios run with the same seed see identical jitter and their per-user
-differences are exactly the configured overheads.  Events exist for trace
-accounting; the reported times come from the latency model itself.
+differences are exactly the configured overheads.  A run is computed in
+closed form: the overhead table below is the list above, and the trace
+summary counts what each discovery would contact.
 """
 
 from __future__ import annotations
@@ -38,16 +39,7 @@ from .domain import (
     summarize,
 )
 from .registry import NotFound, ResolutionPolicy, Topology, TopologySpec, build_topology
-from .simkern import (
-    Engine,
-    Event,
-    EventKind,
-    LatencyModel,
-    Rng,
-    mix64,
-    sample_jitter,
-    trace_counts,
-)
+from .simkern import LatencyModel, jitter_vector, mix64
 
 _JITTER_STREAM = 0x4A49_5454  # tags the per-user jitter substream
 
@@ -84,6 +76,8 @@ class ScenarioConfig:
     policy: ResolutionPolicy = ResolutionPolicy()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ScenarioKind):
+            raise ConfigMismatch(f"unknown scenario kind {self.kind!r}")
         if self.n_users < 1 or self.n_resources < 1:
             raise ConfigMismatch("a run needs at least one user and one resource")
 
@@ -97,9 +91,16 @@ class RunResult:
     failed_users: tuple[int, ...] = ()
 
 
-def _user_jitter(cfg: ScenarioConfig, user: int) -> float:
-    rng = Rng(mix64(cfg.seed, _JITTER_STREAM, user))
-    return sample_jitter(rng, cfg.latency, cfg.n_users, cfg.n_resources)
+# The overheads each user pays on top of the jittered base time, added in
+# this order (float addition is not associative); each overhead is one
+# traced event per discovery.
+_OVERHEADS: dict[ScenarioKind, tuple[str, ...]] = {
+    ScenarioKind.BASELINE: (),
+    ScenarioKind.DIRECT: ("t_ws",),
+    ScenarioKind.CENTRALIZED: ("t_ws", "t_registry"),
+    ScenarioKind.DISTRIBUTED: ("t_ws", "t_registry"),
+}
+_EVENT_OF = {"t_ws": "service_call", "t_registry": "registry_lookup"}
 
 
 def _base_time(cfg: ScenarioConfig) -> float:
@@ -107,116 +108,71 @@ def _base_time(cfg: ScenarioConfig) -> float:
     return lat.t_base + lat.t_reg * cfg.n_resources + lat.t_user * cfg.n_users
 
 
-def _require_kind(cfg: ScenarioConfig, kind: ScenarioKind) -> None:
-    if cfg.kind is not kind:
-        raise ConfigMismatch(f"config is for {cfg.kind.value!r}, not {kind.value!r}")
+def run_scenario(cfg: ScenarioConfig) -> RunResult:
+    """One run: per user, base time x jitter, plus the kind's overheads.
 
-
-def _run(cfg: ScenarioConfig, on_user_query) -> RunResult:
-    """Shared event choreography: registrations, then one query per user."""
+    ``distributed`` adds ``t_hop`` per repository contacted beyond the
+    first; see ``_resolve_users``.  Every user query fires once all
+    resources are registered, so the trace counts are arithmetic:
+    ``n_resources`` registrations, ``n_users`` queries, and per user one
+    event for each overhead, except that a user whose resolution failed
+    makes no service call.  Event kinds with a zero count are left out.
+    """
     lat = cfg.latency
-    engine = Engine()
-    for i in range(cfg.n_resources):
-        engine.schedule(Event(fire_at=lat.t_reg * (i + 1), kind=EventKind.RESOURCE_REGISTER, payload=i))
-    queries_start = lat.t_reg * cfg.n_resources
-    for j in range(cfg.n_users):
-        engine.schedule(Event(fire_at=queries_start, kind=EventKind.USER_QUERY, payload=j))
+    hops, failed = (_resolve_users(cfg) if cfg.kind is ScenarioKind.DISTRIBUTED
+                    else (None, ()))
+    base = _base_time(cfg)
+    jitter = jitter_vector(mix64(cfg.seed, _JITTER_STREAM), lat, cfg.n_users, cfg.n_resources)
+    times = [base * j for j in jitter]
+    for name in _OVERHEADS[cfg.kind]:
+        term = getattr(lat, name)
+        times = [t + term for t in times]
+    if hops is not None:
+        times = [t + hop for t, hop in zip(times, hops)]
 
-    times: list[float] = [0.0] * cfg.n_users
-    failed: list[int] = []
-
-    def handler(eng: Engine, event: Event) -> None:
-        if event.kind is EventKind.USER_QUERY:
-            on_user_query(eng, event.payload, times, failed)
-
-    trace = engine.run(handler)
+    counts = {"resource_register": cfg.n_resources, "user_query": cfg.n_users}
+    for name in _OVERHEADS[cfg.kind]:
+        counts[_EVENT_OF[name]] = cfg.n_users - len(failed) if name == "t_ws" else cfg.n_users
     times_tuple = tuple(times)
     return RunResult(
         config=cfg,
         per_user_times=times_tuple,
         mean_time=stats.mean(times_tuple),
-        trace_summary=dict(sorted(trace_counts(trace).items())),
-        failed_users=tuple(failed),
+        trace_summary={kind: n for kind, n in sorted(counts.items()) if n},
+        failed_users=failed,
     )
 
 
-def run_baseline(cfg: ScenarioConfig) -> RunResult:
-    """No service layer: discovery cost is the raw simulated grid time."""
-    _require_kind(cfg, ScenarioKind.BASELINE)
-    base = _base_time(cfg)
+def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
+    """Tree-wide resolution for a distributed run: each user's hop cost.
 
-    def on_query(eng: Engine, user: int, times: list[float], failed: list[int]) -> None:
-        times[user] = base * _user_jitter(cfg, user)
-
-    return _run(cfg, on_query)
-
-
-def run_direct(cfg: ScenarioConfig) -> RunResult:
-    """Known endpoint: baseline plus one web-service invocation per user."""
-    _require_kind(cfg, ScenarioKind.DIRECT)
-    base = _base_time(cfg)
-    lat = cfg.latency
-
-    def on_query(eng: Engine, user: int, times: list[float], failed: list[int]) -> None:
-        times[user] = base * _user_jitter(cfg, user) + lat.t_ws
-        eng.schedule(Event(fire_at=eng.now + lat.t_ws, kind=EventKind.SERVICE_CALL, payload=user))
-
-    return _run(cfg, on_query)
-
-
-def run_centralized(cfg: ScenarioConfig) -> RunResult:
-    """Registry-first: direct cost plus one registry lookup per user."""
-    _require_kind(cfg, ScenarioKind.CENTRALIZED)
-    base = _base_time(cfg)
-    lat = cfg.latency
-
-    def on_query(eng: Engine, user: int, times: list[float], failed: list[int]) -> None:
-        times[user] = base * _user_jitter(cfg, user) + lat.t_ws + lat.t_registry
-        lookup_done = eng.now + lat.t_registry
-        eng.schedule(Event(fire_at=lookup_done, kind=EventKind.REGISTRY_LOOKUP, payload=user))
-        eng.schedule(Event(fire_at=lookup_done + lat.t_ws, kind=EventKind.SERVICE_CALL, payload=user))
-
-    return _run(cfg, on_query)
-
-
-def run_distributed(cfg: ScenarioConfig) -> RunResult:
-    """Tree-wide resolution: centralized cost plus per-hop cost beyond the
-    first repository.  Users are dealt round-robin onto leaf repositories
-    in user order; each query resolves live against the shared topology, so
-    earlier resolutions warm the caches later users hit.  A user whose
-    query nothing in the tree satisfies is flagged in ``failed_users`` and
-    pays only the centralized cost."""
-    _require_kind(cfg, ScenarioKind.DISTRIBUTED)
+    Users are dealt round-robin onto leaf repositories in user order; each
+    query resolves live against the shared topology at the instant all
+    resources are registered, so earlier resolutions warm the caches later
+    users hit.  A user's hop cost is ``t_hop`` per repository contacted
+    beyond the first.  A user whose query nothing in the tree satisfies is
+    listed as failed and pays no hop cost, only the centralized one.
+    """
     if cfg.topology is None:
         raise ConfigMismatch("distributed runs need a topology spec")
     if cfg.query is None:
         raise ConfigMismatch("distributed runs need a resource query")
-    base = _base_time(cfg)
     lat = cfg.latency
-
     topology = build_topology(cfg.topology)
     _populate_finders(topology, cfg)
     leaves = topology.leaves()
-
-    def on_query(eng: Engine, user: int, times: list[float], failed: list[int]) -> None:
-        origin = leaves[user % len(leaves)]
-        times[user] = base * _user_jitter(cfg, user) + lat.t_ws + lat.t_registry
-        lookup_cost = lat.t_registry
-        ok = True
+    now = lat.t_reg * cfg.n_resources
+    hops: list[float] = []
+    failed: list[int] = []
+    for user in range(cfg.n_users):
         try:
-            result = topology.resolve(origin, cfg.query, eng.now, cfg.policy)
-            extra = lat.t_hop * (result.hop_count - 1)
-            times[user] += extra
-            lookup_cost += extra
+            result = topology.resolve(leaves[user % len(leaves)], cfg.query, now, cfg.policy)
         except NotFound:
-            ok = False
+            hops.append(0.0)  # adding 0.0 leaves a (non-negative) time unchanged
             failed.append(user)
-        lookup_done = eng.now + lookup_cost
-        eng.schedule(Event(fire_at=lookup_done, kind=EventKind.REGISTRY_LOOKUP, payload=user))
-        if ok:
-            eng.schedule(Event(fire_at=lookup_done + lat.t_ws, kind=EventKind.SERVICE_CALL, payload=user))
-
-    return _run(cfg, on_query)
+        else:
+            hops.append(lat.t_hop * (result.hop_count - 1))
+    return hops, tuple(failed)
 
 
 def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
@@ -253,14 +209,3 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
         )
         topology.register_finder(site, record)
 
-
-_RUNNERS = {
-    ScenarioKind.BASELINE: run_baseline,
-    ScenarioKind.DIRECT: run_direct,
-    ScenarioKind.CENTRALIZED: run_centralized,
-    ScenarioKind.DISTRIBUTED: run_distributed,
-}
-
-
-def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    return _RUNNERS[cfg.kind](cfg)

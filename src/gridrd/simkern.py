@@ -1,42 +1,32 @@
-"""Deterministic discrete-event kernel and the parametric latency model.
+"""Deterministic randomness and the parametric latency model.
 
-The engine is a plain priority queue over (fire_at, seq): ties in virtual
-time are broken by scheduling order, never by anything platform-dependent.
 Randomness comes from splitmix64 (Steele, Lea & Flood, "Fast splittable
 pseudorandom number generators", OOPSLA 2014): a 64-bit counter-based
 generator whose integer stream is reproducible on any platform.  The same
 finalizer doubles as the seed-mixing hash used everywhere a derived seed is
 needed, so every random draw in the system traces back to one base seed.
+
+``jitter_vector`` draws a whole run's per-user jitter in one loop.  ``Rng``
+and ``sample_jitter`` are the one-draw-at-a-time definition it must match
+bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import Any, Callable, Iterable
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-class SimulationError(Exception):
-    pass
-
-
-class SchedulingInPast(SimulationError):
-    pass
-
-
-class HandlerError(SimulationError):
-    """An event handler raised; the run is aborted with event context."""
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_UNIT53 = 2.0**-53
 
 
 def _splitmix64_finalize(z: int) -> int:
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -65,14 +55,14 @@ class Rng:
 
     def random(self) -> float:
         """Uniform draw in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return (self.next_u64() >> 11) * _UNIT53
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; consumes exactly two uniforms."""
         u1 = self.random()
         u2 = self.random()
         if u1 <= 0.0:
-            u1 = 2.0**-53
+            u1 = _UNIT53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def lognormal_unit_mean(self, rel_sd: float) -> float:
@@ -81,61 +71,6 @@ class Rng:
             return 1.0
         s2 = math.log(1.0 + rel_sd * rel_sd)
         return math.exp(-0.5 * s2 + math.sqrt(s2) * self.normal())
-
-
-class EventKind(str, Enum):
-    RESOURCE_REGISTER = "resource_register"
-    USER_QUERY = "user_query"
-    SERVICE_CALL = "service_call"
-    REGISTRY_LOOKUP = "registry_lookup"
-    CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
-class Event:
-    fire_at: float
-    kind: EventKind
-    payload: Any = None
-    seq: int = -1  # assigned by the engine at schedule time
-
-
-class Engine:
-    """Single-threaded discrete-event loop with a virtual clock."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
-        self._next_seq = 0
-
-    def schedule(self, event: Event) -> Event:
-        """Enqueue an event at or after the current virtual time."""
-        if event.fire_at < self.now:
-            raise SchedulingInPast(
-                f"cannot schedule {event.kind.value} at t={event.fire_at} (now={self.now})"
-            )
-        stamped = replace(event, seq=self._next_seq)
-        self._next_seq += 1
-        heapq.heappush(self._queue, (stamped.fire_at, stamped.seq, stamped))
-        return stamped
-
-    def run(self, handler: Callable[["Engine", Event], None]) -> list[Event]:
-        """Drain the queue in (fire_at, seq) order, returning the trace.
-
-        The handler may schedule further events.  Handler exceptions abort
-        the run, wrapped with the offending event for diagnosis.
-        """
-        trace: list[Event] = []
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            self.now = event.fire_at
-            trace.append(event)
-            try:
-                handler(self, event)
-            except Exception as exc:
-                raise HandlerError(
-                    f"handler failed on {event.kind.value} (seq={event.seq}) at t={self.now}"
-                ) from exc
-        return trace
 
 
 @dataclass(frozen=True)
@@ -162,8 +97,9 @@ class LatencyModel:
     def __post_init__(self) -> None:
         for name in ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
                      "jitter_sigma0", "jitter_gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
     def without_jitter(self) -> "LatencyModel":
         return replace(self, jitter_enabled=False)
@@ -189,9 +125,44 @@ def sample_jitter(rng: Rng, model: LatencyModel, n_users: int, n_resources: int)
     return rng.lognormal_unit_mean(jitter_relative_sd(model, n_users, n_resources))
 
 
-def trace_counts(trace: Iterable[Event]) -> dict[str, int]:
-    """Event counts by kind, for run summaries."""
-    counts: dict[str, int] = {}
-    for event in trace:
-        counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-    return counts
+
+def jitter_vector(stream: int, model: LatencyModel, n_users: int, n_resources: int) -> list[float]:
+    """Every user's jitter draw for one run, in user order.
+
+    ``stream`` is ``mix64(*parts)`` for the run's jitter substream; element
+    ``u`` equals ``sample_jitter(Rng(mix64(*parts, u)), model, n_users,
+    n_resources)`` bit for bit.  The three splitmix64 finalizations per user
+    (seed derivation, then two uniforms for Box-Muller) are inlined, and
+    everything that depends only on the run is computed once.
+    """
+    if n_users < 1 or n_resources < 1:
+        raise ValueError("jitter needs at least one user and one resource")
+    if not model.jitter_enabled:
+        return [1.0] * n_users
+    rel_sd = jitter_relative_sd(model, n_users, n_resources)
+    if rel_sd <= 0.0:
+        return [1.0] * n_users
+    s2 = math.log(1.0 + rel_sd * rel_sd)
+    shift, scale = -0.5 * s2, math.sqrt(s2)
+    two_pi = 2.0 * math.pi
+    log, sqrt, cos, exp = math.log, math.sqrt, math.cos, math.exp
+    mask, golden, mix1, mix2, unit = _MASK64, _GOLDEN, _MIX1, _MIX2, _UNIT53
+    start, twice = stream + golden, 2 * golden
+    draws = []
+    for user in range(n_users):
+        z = (start + user) & mask
+        z = ((z ^ (z >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        seed = z ^ (z >> 31)
+        z = (seed + golden) & mask
+        z = ((z ^ (z >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        u1 = ((z ^ (z >> 31)) >> 11) * unit
+        z = (seed + twice) & mask
+        z = ((z ^ (z >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        u2 = ((z ^ (z >> 31)) >> 11) * unit
+        if u1 <= 0.0:
+            u1 = unit
+        draws.append(exp(shift + scale * (sqrt(-2.0 * log(u1)) * cos(two_pi * u2))))
+    return draws

@@ -9,14 +9,7 @@ from gridrd.config import Config
 from gridrd.domain import ResourceQuery
 from gridrd.harness import SweepSpec, analyze, format_observations, run_sweep
 from gridrd.registry import NotFound, ResolutionPolicy, TopologySpec
-from gridrd.scenarios import (
-    ScenarioConfig,
-    ScenarioKind,
-    run_baseline,
-    run_centralized,
-    run_direct,
-    run_distributed,
-)
+from gridrd.scenarios import ScenarioConfig, ScenarioKind, run_scenario
 from gridrd.simkern import LatencyModel
 from gridrd.special import t_cdf, t_quantile
 from gridrd.stats import Verdict, test_from_summary
@@ -75,13 +68,13 @@ def test_criterion_1_reference_table_reproduction():
 
 def test_criterion_2_calibration_anchors():
     with criterion("criterion 2: zero-jitter anchors at (100, 100)"):
-        base = run_baseline(
+        base = run_scenario(
             ScenarioConfig(ScenarioKind.BASELINE, 100, 100, QUIET, seed=0)
         ).mean_time
-        direct = run_direct(
+        direct = run_scenario(
             ScenarioConfig(ScenarioKind.DIRECT, 100, 100, QUIET, seed=0)
         ).mean_time
-        central = run_centralized(
+        central = run_scenario(
             ScenarioConfig(ScenarioKind.CENTRALIZED, 100, 100, QUIET, seed=0)
         ).mean_time
         assert abs(base - 12.012) <= 0.02
@@ -96,9 +89,9 @@ def test_criterion_3_additivity_and_monotonicity():
         grid = [(u, r) for u in (20, 40, 60, 80, 100) for r in (20, 40, 60, 80, 100)]
         means = {}
         for u, r in grid:
-            b = run_baseline(ScenarioConfig(ScenarioKind.BASELINE, u, r, QUIET, 0)).mean_time
-            d = run_direct(ScenarioConfig(ScenarioKind.DIRECT, u, r, QUIET, 0)).mean_time
-            c = run_centralized(ScenarioConfig(ScenarioKind.CENTRALIZED, u, r, QUIET, 0)).mean_time
+            b = run_scenario(ScenarioConfig(ScenarioKind.BASELINE, u, r, QUIET, 0)).mean_time
+            d = run_scenario(ScenarioConfig(ScenarioKind.DIRECT, u, r, QUIET, 0)).mean_time
+            c = run_scenario(ScenarioConfig(ScenarioKind.CENTRALIZED, u, r, QUIET, 0)).mean_time
             assert abs((d - b) - QUIET.t_ws) <= 1e-12
             assert abs((c - d) - QUIET.t_registry) <= 1e-12
             means[(u, r)] = (b, d, c)
@@ -169,14 +162,14 @@ def test_criterion_6_distributed_best_case_equality():
         for latency in (QUIET, LatencyModel()):
             for seed in (0, 1, 2):
                 for depth, branching in ((2, 2), (3, 2), (3, 3)):
-                    dist = run_distributed(
+                    dist = run_scenario(
                         ScenarioConfig(
                             ScenarioKind.DISTRIBUTED, 12, 12, latency, seed,
                             topology=TopologySpec(depth=depth, branching=branching),
                             query=ResourceQuery(),
                         )
                     )
-                    central = run_centralized(
+                    central = run_scenario(
                         ScenarioConfig(ScenarioKind.CENTRALIZED, 12, 12, latency, seed)
                     )
                     assert dist.per_user_times == central.per_user_times

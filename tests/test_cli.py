@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gridrd.cli import main
@@ -70,6 +72,26 @@ def test_config_error_exits_two(tmp_path, capsys):
     cfg.write_text("t_ws = -1\n", encoding="utf-8")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["t_reg = nan", "ttl = nan", "t_ws = inf"])
+def test_non_finite_config_exits_two(tmp_path, capsys, line):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--users", "3", "--resources", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "mean_time_s" not in captured.out
+
+
+def test_oversized_topology_exits_two_quickly(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("topology.depth = 30\ntopology.branching = 2\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["run", "--scenario", "distributed", "--users", "2", "--resources", "2",
+                 "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "repositories" in capsys.readouterr().err
 
 
 def test_missing_input_exits_three(tmp_path, capsys):

@@ -41,6 +41,18 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("ttl = 0")
 
+    @pytest.mark.parametrize("key", ["t_reg", "t_ws", "jitter_sigma0", "ttl"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_numbers_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(f"{key} = {raw}")
+
+    def test_oversized_topology_rejected(self):
+        with pytest.raises(ConfigError, match="repositories"):
+            parse_config("topology.depth = 30\ntopology.branching = 2\n")
+        with pytest.raises(ConfigError, match="repositories"):
+            parse_config("topology.depth = 1000001\n")
+
     def test_topology_shapes(self):
         cfg = parse_config("topology.depth = 3\ntopology.branching = 2\n")
         assert cfg.topology == TopologySpec(depth=3, branching=2)

@@ -1,5 +1,6 @@
 import copy
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from gridrd.domain import (
     summary_may_satisfy,
 )
 from gridrd.registry import (
+    MAX_REPOSITORIES,
     CacheEntry,
     MalformedTopology,
     NotFound,
@@ -22,6 +24,7 @@ from gridrd.registry import (
     UnknownNode,
     ZoneMismatch,
     build_topology,
+    check_tree_size,
 )
 
 _TAGS = ("x86", "arm", "linux", "bsd")
@@ -124,6 +127,26 @@ class TestBuildTopology:
             build_topology(TopologySpec())
         with pytest.raises(MalformedTopology):
             build_topology(TopologySpec(depth=2, zones=("a",)))
+
+    def test_oversized_tree_rejected_before_building(self):
+        # ~1e9 and 2**1000 nodes: only an arithmetic check can answer quickly
+        start = time.perf_counter()
+        for spec in (TopologySpec(depth=30, branching=2), TopologySpec(depth=1000, branching=2),
+                     TopologySpec(depth=10**9, branching=1)):
+            with pytest.raises(MalformedTopology, match="repositories"):
+                build_topology(spec)
+        assert time.perf_counter() - start < 1.0
+
+    def test_tree_size_limit_is_exact(self):
+        check_tree_size(MAX_REPOSITORIES, 1)
+        check_tree_size(2, MAX_REPOSITORIES - 1)  # root plus its children
+        with pytest.raises(MalformedTopology):
+            check_tree_size(MAX_REPOSITORIES + 1, 1)
+        with pytest.raises(MalformedTopology):
+            check_tree_size(2, MAX_REPOSITORIES)
+        with pytest.raises(MalformedTopology):
+            check_tree_size(20, 2)  # 2**20 - 1 = 1048575 nodes
+        check_tree_size(19, 2)
 
 
 # -- register / local_lookup / evict -------------------------------------------

@@ -9,10 +9,6 @@ from gridrd.scenarios import (
     RunResult,
     ScenarioConfig,
     ScenarioKind,
-    run_baseline,
-    run_centralized,
-    run_direct,
-    run_distributed,
     run_scenario,
 )
 from gridrd.simkern import LatencyModel
@@ -28,51 +24,47 @@ def _cfg(kind, users=100, resources=100, latency=QUIET, seed=0, **kwargs):
 
 class TestCalibrationAnchors:
     def test_baseline_anchor(self):
-        r = run_baseline(_cfg(ScenarioKind.BASELINE))
+        r = run_scenario(_cfg(ScenarioKind.BASELINE))
         assert r.mean_time == pytest.approx(12.012, abs=0.02)
 
     def test_direct_anchor(self):
-        r = run_direct(_cfg(ScenarioKind.DIRECT))
+        r = run_scenario(_cfg(ScenarioKind.DIRECT))
         assert r.mean_time == pytest.approx(13.902, abs=0.02)
 
     def test_centralized_anchor(self):
-        r = run_centralized(_cfg(ScenarioKind.CENTRALIZED))
+        r = run_scenario(_cfg(ScenarioKind.CENTRALIZED))
         assert r.mean_time == pytest.approx(15.618, abs=0.02)
 
     def test_anchor_differences_are_exact(self):
-        base = run_baseline(_cfg(ScenarioKind.BASELINE)).mean_time
-        direct = run_direct(_cfg(ScenarioKind.DIRECT)).mean_time
-        central = run_centralized(_cfg(ScenarioKind.CENTRALIZED)).mean_time
+        base = run_scenario(_cfg(ScenarioKind.BASELINE)).mean_time
+        direct = run_scenario(_cfg(ScenarioKind.DIRECT)).mean_time
+        central = run_scenario(_cfg(ScenarioKind.CENTRALIZED)).mean_time
         assert direct - base == pytest.approx(1.890, abs=1e-12)
         assert central - base == pytest.approx(3.606, abs=1e-12)
 
     def test_zero_model_zero_time(self):
         lat = LatencyModel(t_reg=0, t_user=0, t_ws=0, t_registry=0, t_hop=0,
                            jitter_enabled=False)
-        r = run_baseline(_cfg(ScenarioKind.BASELINE, users=1, resources=1, latency=lat))
+        r = run_scenario(_cfg(ScenarioKind.BASELINE, users=1, resources=1, latency=lat))
         assert r.mean_time == 0.0
 
 
 class TestAdditivityAndMonotonicity:
     def test_direct_minus_baseline_is_t_ws_everywhere(self):
         for u, r in GRID:
-            base = run_baseline(_cfg(ScenarioKind.BASELINE, u, r)).mean_time
-            direct = run_direct(_cfg(ScenarioKind.DIRECT, u, r)).mean_time
+            base = run_scenario(_cfg(ScenarioKind.BASELINE, u, r)).mean_time
+            direct = run_scenario(_cfg(ScenarioKind.DIRECT, u, r)).mean_time
             assert direct - base == pytest.approx(QUIET.t_ws, abs=1e-12)
 
     def test_centralized_minus_direct_is_t_registry_everywhere(self):
         for u, r in GRID:
-            direct = run_direct(_cfg(ScenarioKind.DIRECT, u, r)).mean_time
-            central = run_centralized(_cfg(ScenarioKind.CENTRALIZED, u, r)).mean_time
+            direct = run_scenario(_cfg(ScenarioKind.DIRECT, u, r)).mean_time
+            central = run_scenario(_cfg(ScenarioKind.CENTRALIZED, u, r)).mean_time
             assert central - direct == pytest.approx(QUIET.t_registry, abs=1e-12)
 
     def test_means_strictly_increase_along_both_axes(self):
-        for runner, kind in (
-            (run_baseline, ScenarioKind.BASELINE),
-            (run_direct, ScenarioKind.DIRECT),
-            (run_centralized, ScenarioKind.CENTRALIZED),
-        ):
-            means = {(u, r): runner(_cfg(kind, u, r)).mean_time for u, r in GRID}
+        for kind in (ScenarioKind.BASELINE, ScenarioKind.DIRECT, ScenarioKind.CENTRALIZED):
+            means = {(u, r): run_scenario(_cfg(kind, u, r)).mean_time for u, r in GRID}
             for u, r in GRID:
                 if (u + 20, r) in means:
                     assert means[(u + 20, r)] > means[(u, r)]
@@ -82,9 +74,9 @@ class TestAdditivityAndMonotonicity:
     def test_scenario_ordering_with_shared_seed_and_jitter(self):
         lat = LatencyModel()  # jitter on
         for seed in (1, 2, 3):
-            base = run_baseline(_cfg(ScenarioKind.BASELINE, 30, 30, lat, seed))
-            direct = run_direct(_cfg(ScenarioKind.DIRECT, 30, 30, lat, seed))
-            central = run_centralized(_cfg(ScenarioKind.CENTRALIZED, 30, 30, lat, seed))
+            base = run_scenario(_cfg(ScenarioKind.BASELINE, 30, 30, lat, seed))
+            direct = run_scenario(_cfg(ScenarioKind.DIRECT, 30, 30, lat, seed))
+            central = run_scenario(_cfg(ScenarioKind.CENTRALIZED, 30, 30, lat, seed))
             assert central.mean_time >= direct.mean_time >= base.mean_time
             # equal seeds share the per-user jitter stream, so paired
             # differences are the configured constants exactly
@@ -96,26 +88,44 @@ class TestAdditivityAndMonotonicity:
 
 class TestRunResultShape:
     def test_mean_equals_stats_mean_exactly(self):
-        r = run_direct(_cfg(ScenarioKind.DIRECT, 17, 5, LatencyModel(), seed=9))
+        r = run_scenario(_cfg(ScenarioKind.DIRECT, 17, 5, LatencyModel(), seed=9))
         assert r.mean_time == stats.mean(r.per_user_times)
 
     def test_trace_counts(self):
-        r = run_centralized(_cfg(ScenarioKind.CENTRALIZED, 7, 11))
-        assert r.trace_summary == {
-            "registry_lookup": 7,
-            "resource_register": 11,
-            "service_call": 7,
-            "user_query": 7,
+        tree = {"topology": TopologySpec(depth=2, branching=2), "query": ResourceQuery()}
+        expected = {
+            ScenarioKind.BASELINE: {"resource_register": 11, "user_query": 7},
+            ScenarioKind.DIRECT: {"resource_register": 11, "service_call": 7, "user_query": 7},
+            ScenarioKind.CENTRALIZED: {
+                "registry_lookup": 7,
+                "resource_register": 11,
+                "service_call": 7,
+                "user_query": 7,
+            },
+            ScenarioKind.DISTRIBUTED: {
+                "registry_lookup": 7,
+                "resource_register": 11,
+                "service_call": 7,
+                "user_query": 7,
+            },
         }
+        for kind, counts in expected.items():
+            extra = tree if kind is ScenarioKind.DISTRIBUTED else {}
+            r = run_scenario(_cfg(kind, 7, 11, **extra))
+            assert r.trace_summary == counts
+            # keys come out sorted, as the events.* lines of `gridrd run` print them
+            assert list(r.trace_summary) == sorted(counts)
 
     def test_determinism(self):
-        a = run_direct(_cfg(ScenarioKind.DIRECT, 13, 29, LatencyModel(), seed=31))
-        b = run_direct(_cfg(ScenarioKind.DIRECT, 13, 29, LatencyModel(), seed=31))
+        a = run_scenario(_cfg(ScenarioKind.DIRECT, 13, 29, LatencyModel(), seed=31))
+        b = run_scenario(_cfg(ScenarioKind.DIRECT, 13, 29, LatencyModel(), seed=31))
         assert a == b
 
     def test_kind_is_checked(self):
+        # a plain string would hash like its enum member and quietly run the
+        # wrong overheads, so only ScenarioKind members are accepted
         with pytest.raises(ConfigMismatch):
-            run_baseline(_cfg(ScenarioKind.DIRECT))
+            _cfg("distributed")
 
     def test_counts_validated(self):
         with pytest.raises(ConfigMismatch):
@@ -131,18 +141,18 @@ class TestDistributed:
 
     def test_requires_topology_and_query(self):
         with pytest.raises(ConfigMismatch):
-            run_distributed(_cfg(ScenarioKind.DISTRIBUTED, 4, 4))
+            run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 4, 4))
         with pytest.raises(ConfigMismatch):
-            run_distributed(_cfg(ScenarioKind.DISTRIBUTED, 4, 4, topology=self.TREE))
+            run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 4, 4, topology=self.TREE))
 
     def test_best_case_equals_centralized(self):
         # a finder at every leaf answers locally: no extra hops anywhere
         for seed in (0, 5):
-            dist = run_distributed(
+            dist = run_scenario(
                 _cfg(ScenarioKind.DISTRIBUTED, 8, 8, QUIET, seed,
                      topology=self.TREE, query=ResourceQuery())
             )
-            central = run_centralized(_cfg(ScenarioKind.CENTRALIZED, 8, 8, QUIET, seed))
+            central = run_scenario(_cfg(ScenarioKind.CENTRALIZED, 8, 8, QUIET, seed))
             assert dist.per_user_times == central.per_user_times
             assert dist.mean_time == central.mean_time
             assert dist.trace_summary == central.trace_summary
@@ -150,22 +160,22 @@ class TestDistributed:
 
     def test_best_case_equality_holds_with_jitter(self):
         lat = LatencyModel()
-        dist = run_distributed(
+        dist = run_scenario(
             _cfg(ScenarioKind.DISTRIBUTED, 8, 8, lat, 3,
                  topology=self.TREE, query=ResourceQuery())
         )
-        central = run_centralized(_cfg(ScenarioKind.CENTRALIZED, 8, 8, lat, 3))
+        central = run_scenario(_cfg(ScenarioKind.CENTRALIZED, 8, 8, lat, 3))
         assert dist.per_user_times == central.per_user_times
 
     def test_remote_finder_first_user_pays_then_cache_takes_over(self):
         # root; region a; region b with the only finder at svc.b;
         # users 0 and 2 sit at leaf a, user 1 at leaf svc.b
         tree = TopologySpec(zones=("a", "b", "svc.b"))
-        dist = run_distributed(
+        dist = run_scenario(
             _cfg(ScenarioKind.DISTRIBUTED, 3, 4, QUIET, 0,
                  topology=tree, query=ResourceQuery(), finder_zones=("svc.b",))
         )
-        central = run_centralized(_cfg(ScenarioKind.CENTRALIZED, 3, 4, QUIET, 0))
+        central = run_scenario(_cfg(ScenarioKind.CENTRALIZED, 3, 4, QUIET, 0))
         extras = [d - c for d, c in zip(dist.per_user_times, central.per_user_times)]
         # user 0 walks a -> root -> b -> svc.b (4 contacts, 3 extra hops)
         assert extras[0] == pytest.approx(3 * QUIET.t_hop, abs=1e-12)
@@ -175,15 +185,15 @@ class TestDistributed:
     def test_zero_hop_cost_collapses_to_centralized(self):
         lat = LatencyModel(t_hop=0.0, jitter_enabled=False)
         tree = TopologySpec(zones=("a", "b", "svc.b"))
-        dist = run_distributed(
+        dist = run_scenario(
             _cfg(ScenarioKind.DISTRIBUTED, 6, 6, lat, 0,
                  topology=tree, query=ResourceQuery(), finder_zones=("svc.b",))
         )
-        central = run_centralized(_cfg(ScenarioKind.CENTRALIZED, 6, 6, lat, 0))
+        central = run_scenario(_cfg(ScenarioKind.CENTRALIZED, 6, 6, lat, 0))
         assert dist.per_user_times == central.per_user_times
 
     def test_unsatisfiable_query_flags_every_user(self):
-        dist = run_distributed(
+        dist = run_scenario(
             _cfg(ScenarioKind.DISTRIBUTED, 5, 5, QUIET, 0,
                  topology=self.TREE,
                  query=ResourceQuery(numeric_mins={"pe_count": 1e9}))

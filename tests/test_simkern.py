@@ -1,96 +1,17 @@
 import math
-import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridrd.simkern import (
-    Engine,
-    Event,
-    EventKind,
-    HandlerError,
     LatencyModel,
     Rng,
-    SchedulingInPast,
     jitter_relative_sd,
+    jitter_vector,
     mix64,
     sample_jitter,
-    trace_counts,
 )
-
-
-class TestEngine:
-    def test_immediate_event_runs(self):
-        eng = Engine()
-        eng.schedule(Event(0.0, EventKind.CUSTOM, "x"))
-        trace = eng.run(lambda e, ev: None)
-        assert [ev.payload for ev in trace] == ["x"]
-
-    def test_equal_times_run_in_schedule_order(self):
-        eng = Engine()
-        for name in ("first", "second", "third"):
-            eng.schedule(Event(1.0, EventKind.CUSTOM, name))
-        trace = eng.run(lambda e, ev: None)
-        assert [ev.payload for ev in trace] == ["first", "second", "third"]
-
-    def test_order_equals_sort_by_time_then_seq(self):
-        rng = random.Random(42)
-        eng = Engine()
-        scheduled = [
-            eng.schedule(Event(rng.choice([0.0, 1.0, 2.5, 2.5, 7.0]), EventKind.CUSTOM, i))
-            for i in range(1000)
-        ]
-        trace = eng.run(lambda e, ev: None)
-        assert trace == sorted(scheduled, key=lambda ev: (ev.fire_at, ev.seq))
-
-    def test_empty_queue_empty_trace(self):
-        assert Engine().run(lambda e, ev: None) == []
-
-    def test_chain_of_successors_advances_clock(self):
-        eng = Engine()
-        eng.schedule(Event(0.0, EventKind.CUSTOM, 0))
-
-        def handler(e: Engine, ev: Event) -> None:
-            if ev.payload < 5:
-                e.schedule(Event(e.now + 1.0, EventKind.CUSTOM, ev.payload + 1))
-
-        trace = eng.run(handler)
-        assert eng.now == 5.0
-        assert len(trace) == 6
-
-    def test_clock_never_decreases(self):
-        rng = random.Random(7)
-        eng = Engine()
-        for i in range(200):
-            eng.schedule(Event(rng.uniform(0, 50), EventKind.CUSTOM, i))
-
-        def handler(e: Engine, ev: Event) -> None:
-            if rng.random() < 0.3:
-                e.schedule(Event(e.now + rng.uniform(0, 10), EventKind.CUSTOM, None))
-
-        trace = eng.run(handler)
-        times = [ev.fire_at for ev in trace]
-        assert times == sorted(times)
-
-    def test_scheduling_in_the_past_rejected(self):
-        eng = Engine()
-        eng.schedule(Event(5.0, EventKind.CUSTOM, None))
-
-        def handler(e: Engine, ev: Event) -> None:
-            e.schedule(Event(1.0, EventKind.CUSTOM, None))
-
-        with pytest.raises(HandlerError) as exc_info:
-            eng.run(handler)
-        assert isinstance(exc_info.value.__cause__, SchedulingInPast)
-
-    def test_identical_runs_produce_identical_traces(self):
-        def build():
-            eng = Engine()
-            rng = Rng(99)
-            for i in range(100):
-                eng.schedule(Event(rng.random() * 10, EventKind.CUSTOM, i))
-            return eng.run(lambda e, ev: None)
-
-        assert build() == build()
 
 
 class TestRng:
@@ -157,11 +78,41 @@ class TestJitter:
         with pytest.raises(ValueError):
             LatencyModel(t_ws=-1.0)
 
+    @pytest.mark.parametrize("name", ["t_reg", "t_ws", "t_hop", "jitter_sigma0", "jitter_gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            LatencyModel(**{name: value})
 
-def test_trace_counts():
-    events = [
-        Event(0.0, EventKind.USER_QUERY),
-        Event(0.0, EventKind.USER_QUERY),
-        Event(1.0, EventKind.SERVICE_CALL),
-    ]
-    assert trace_counts(events) == {"user_query": 2, "service_call": 1}
+
+class TestJitterVector:
+    """The fused per-run kernel against the one-draw-at-a-time definition."""
+
+    STREAM = 0x4A49_5454
+
+    @given(
+        seed=st.integers(min_value=-(2**63), max_value=2**64 - 1),
+        n_users=st.integers(min_value=1, max_value=60),
+        n_resources=st.integers(min_value=1, max_value=200),
+        sigma0=st.sampled_from([0.0, 1e-6, 0.5, 4.0]),
+        gamma=st.floats(min_value=0.0, max_value=2.0),
+        enabled=st.booleans(),
+    )
+    def test_equals_per_user_reference_bit_for_bit(self, seed, n_users, n_resources,
+                                                   sigma0, gamma, enabled):
+        model = LatencyModel(jitter_sigma0=sigma0, jitter_gamma=gamma, jitter_enabled=enabled)
+        fused = jitter_vector(mix64(seed, self.STREAM), model, n_users, n_resources)
+        reference = [
+            sample_jitter(Rng(mix64(seed, self.STREAM, user)), model, n_users, n_resources)
+            for user in range(n_users)
+        ]
+        assert [x.hex() for x in fused] == [x.hex() for x in reference]
+
+    def test_disabled_is_all_ones(self):
+        model = LatencyModel(jitter_enabled=False)
+        assert jitter_vector(mix64(1), model, 5, 5) == [1.0] * 5
+
+    def test_counts_validated(self):
+        with pytest.raises(ValueError):
+            jitter_vector(mix64(1), LatencyModel(), 3, 0)
+
