@@ -19,7 +19,7 @@ Keys::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .registry import MalformedTopology, ResolutionPolicy, TopologySpec, check_tree_size
@@ -137,31 +137,3 @@ def load_config(path: str | Path) -> Config:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
-
-
-def dump_config(cfg: Config) -> str:
-    """Serialize so that parse_config(dump_config(c)) == c."""
-    lines = []
-    for f in fields(LatencyModel):
-        value = getattr(cfg.latency, f.name)
-        lines.append(f"{f.name} = {_format(value)}")
-    lines.append(f"ttl = {_format(cfg.ttl)}")
-    lines.append(f"summary_pruning = {_format(cfg.summary_pruning)}")
-    lines.append(f"cache_capacity = {_format(cfg.cache_capacity)}")
-    if cfg.topology is not None:
-        if cfg.topology.zones is not None:
-            lines.append(f"topology.zones = {', '.join(cfg.topology.zones)}")
-        else:
-            if cfg.topology.depth is not None:
-                lines.append(f"topology.depth = {cfg.topology.depth}")
-            if cfg.topology.branching is not None:
-                lines.append(f"topology.branching = {cfg.topology.branching}")
-    return "\n".join(lines) + "\n"
-
-
-def _format(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    return repr(value)

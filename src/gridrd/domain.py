@@ -197,10 +197,3 @@ def summary_may_satisfy(query: ResourceQuery, summary: MetadataSummary) -> bool:
         if values is None or required not in values:
             return False
     return True
-
-
-def select_resources(catalog: MetadataCatalog, query: ResourceQuery) -> list[ResourceSpec]:
-    """All matching entries, sorted by resource_id for reproducible output."""
-    chosen = [entry for entry in catalog.entries if matches(query, entry)]
-    chosen.sort(key=lambda entry: entry.resource_id)
-    return chosen

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -195,24 +196,30 @@ def parse_observations(text: str, source: str = "<string>") -> list[ObservationR
     if header != OBSERVATION_HEADER.split(","):
         raise ParseError(f"{source}:1: bad header {','.join(header)!r}")
     rows = []
+    first_seen: dict[tuple, int] = {}
     for lineno, record in enumerate(reader, start=2):
         if not record:
             continue
         if len(record) != 6:
             raise ParseError(f"{source}:{lineno}: expected 6 fields, got {len(record)}")
         try:
-            rows.append(
-                ObservationRow(
-                    scenario=ScenarioKind(record[0]),
-                    users=int(record[1]),
-                    resources=int(record[2]),
-                    replication=int(record[3]),
-                    seed=int(record[4]),
-                    discovery_time_s=float(record[5]),
-                )
+            row = ObservationRow(
+                scenario=ScenarioKind(record[0]),
+                users=int(record[1]),
+                resources=int(record[2]),
+                replication=int(record[3]),
+                seed=int(record[4]),
+                discovery_time_s=float(record[5]),
             )
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
+        if not math.isfinite(row.discovery_time_s):
+            raise ParseError(f"{source}:{lineno}: discovery_time_s {record[5]!r} is not finite")
+        key = (row.scenario, row.users, row.resources, row.replication)
+        if key in first_seen:
+            raise ParseError(f"{source}:{lineno}: duplicate of the row on line {first_seen[key]}")
+        first_seen[key] = lineno
+        rows.append(row)
     if not rows:
         raise ParseError(f"{source}: no observation rows")
     return rows

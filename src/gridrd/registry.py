@@ -16,6 +16,7 @@ root means the whole tree has been searched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .domain import FinderRecord, ResourceQuery, ZoneName, summary_may_satisfy
@@ -64,6 +65,12 @@ class ResolutionPolicy:
     ttl: float = 3600.0
     summary_pruning: bool = True
     cache_capacity: int | None = None
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.ttl) or self.ttl <= 0:
+            raise ValueError(f"ttl must be a finite number > 0, got {self.ttl}")
+        if self.cache_capacity is not None and self.cache_capacity < 0:
+            raise ValueError(f"cache_capacity must be None or >= 0, got {self.cache_capacity}")
 
 
 @dataclass(frozen=True)
@@ -153,11 +160,6 @@ class Topology:
             if summary_may_satisfy(query, record.summary)
         )
         return hits
-
-    def evict_expired(self, node_id: str, now: float) -> None:
-        """Drop every cache entry with inserted_at + ttl <= now."""
-        node = self.node(node_id)
-        node.cache = [entry for entry in node.cache if entry.is_fresh(now)]
 
     def resolve(
         self,
@@ -249,7 +251,8 @@ class Topology:
         path: list[str] = []
         pruned_any = False
 
-        def descend(node_id: str):
+        def visit(node_id: str, skip: str | None = None):
+            """Answer locally, else search the child subtrees except ``skip``."""
             nonlocal pruned_any
             path.append(node_id)
             record, from_cache = self._answer_at(node_id, query, now)
@@ -257,39 +260,24 @@ class Topology:
                 return record, from_cache
             node = self.nodes[node_id]
             for _, child_id in sorted(node.delegations.items()):
-                if pruning:
-                    verdict = self._subtree_may_hold(node, child_id, query, now)
-                    if verdict is False:
-                        pruned_any = True
-                        continue
-                found = descend(child_id)
+                if child_id == skip:
+                    continue
+                if pruning and self._subtree_may_hold(node, child_id, query, now) is False:
+                    pruned_any = True
+                    continue
+                found = visit(child_id)
                 if found is not None:
                     return found
             return None
 
-        # The origin's own subtree first, then up one level at a time. Each
-        # ancestor answers locally before its other children are explored.
-        came_from: str | None = None
-        current: str | None = origin
+        # The origin's own subtree first, then up one level at a time,
+        # never re-entering the subtree just ascended from.
+        came_from, current = None, origin
         while current is not None:
-            path.append(current)
-            record, from_cache = self._answer_at(current, query, now)
-            if record is not None:
-                return _SearchOutcome(record, from_cache, path, pruned_any)
-            node = self.nodes[current]
-            for _, child_id in sorted(node.delegations.items()):
-                if child_id == came_from:
-                    continue
-                if pruning:
-                    verdict = self._subtree_may_hold(node, child_id, query, now)
-                    if verdict is False:
-                        pruned_any = True
-                        continue
-                found = descend(child_id)
-                if found is not None:
-                    return _SearchOutcome(found[0], found[1], path, pruned_any)
-            came_from = current
-            current = node.parent
+            found = visit(current, skip=came_from)
+            if found is not None:
+                return _SearchOutcome(found[0], found[1], path, pruned_any)
+            came_from, current = current, self.nodes[current].parent
         return _SearchOutcome(None, False, path, pruned_any)
 
 
@@ -299,10 +287,6 @@ class _SearchOutcome:
     from_cache: bool
     path: list[str]
     pruned_any: bool
-
-
-def _zone_node_id(zone: ZoneName) -> str:
-    return str(zone)
 
 
 # Largest uniform tree build_topology will allocate.
@@ -335,60 +319,47 @@ def build_topology(spec: TopologySpec) -> Topology:
     """Construct a repository tree from a TopologySpec.
 
     Node ids are the zone names themselves (the root is ``"."``), so a
-    given spec always yields the same ids.
+    given spec always yields the same ids.  A uniform spec is expanded
+    level by level into its zone list and built like an explicit one.
     """
     if spec.zones is not None:
         if spec.depth is not None or spec.branching is not None:
             raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
-        return _build_from_zones(spec.zones)
-    if spec.depth is None:
-        raise MalformedTopology("topology spec needs a depth or a zone list")
-    if spec.depth < 1:
-        raise MalformedTopology(f"depth must be >= 1, got {spec.depth}")
-    branching = spec.branching if spec.branching is not None else 1
-    if branching < 1:
-        raise MalformedTopology(f"branching must be >= 1, got {branching}")
-    check_tree_size(spec.depth, branching)
+        zones = [ZoneName.parse(text) for text in spec.zones]
+    else:
+        if spec.depth is None:
+            raise MalformedTopology("topology spec needs a depth or a zone list")
+        if spec.depth < 1:
+            raise MalformedTopology(f"depth must be >= 1, got {spec.depth}")
+        branching = spec.branching if spec.branching is not None else 1
+        if branching < 1:
+            raise MalformedTopology(f"branching must be >= 1, got {branching}")
+        check_tree_size(spec.depth, branching)
+        width = max(2, len(str(branching - 1)))
+        labels = [f"z{i:0{width}d}" for i in range(branching)]
+        zones, level = [], [ZoneName()]
+        for _ in range(spec.depth - 1):
+            level = [zone.child(label) for zone in level for label in labels]
+            zones += level
 
-    width = max(2, len(str(branching - 1)))
-    labels = [f"z{i:0{width}d}" for i in range(branching)]
-
-    nodes: dict[str, RepositoryNode] = {}
-    root = RepositoryNode(node_id=_zone_node_id(ZoneName()), zone=ZoneName())
-    nodes[root.node_id] = root
-    frontier = [root]
-    for _ in range(spec.depth - 1):
-        next_frontier = []
-        for parent in frontier:
-            for label in labels:
-                zone = parent.zone.child(label)
-                child = RepositoryNode(node_id=_zone_node_id(zone), zone=zone, parent=parent.node_id)
-                parent.delegations[label] = child.node_id
-                nodes[child.node_id] = child
-                next_frontier.append(child)
-        frontier = next_frontier
-    return Topology(nodes, root.node_id)
-
-
-def _build_from_zones(zone_texts: tuple[str, ...]) -> Topology:
-    zones = [ZoneName.parse(text) for text in zone_texts]
-    by_labels = {zone.labels: zone for zone in zones}
-    if len(by_labels) != len(zones):
-        raise MalformedTopology("duplicate zone in topology spec")
-    by_labels.setdefault((), ZoneName())
+    node_at: dict[tuple[str, ...], RepositoryNode] = {}
+    for zone in zones:
+        if zone.labels in node_at:
+            raise MalformedTopology("duplicate zone in topology spec")
+        node_at[zone.labels] = RepositoryNode(node_id=str(zone), zone=zone)
+    node_at.setdefault((), RepositoryNode(node_id=".", zone=ZoneName()))
 
     nodes: dict[str, RepositoryNode] = {}
-    for labels in sorted(by_labels, key=len):
-        zone = by_labels[labels]
-        node = RepositoryNode(node_id=_zone_node_id(zone), zone=zone)
-        if not zone.is_root:
-            parent_zone = zone.parent()
-            if parent_zone.labels not in by_labels:
+    for labels in sorted(node_at, key=len):
+        node = node_at[labels]
+        if labels:
+            parent = node_at.get(labels[1:])
+            if parent is None:
                 raise MalformedTopology(
-                    f"zone {zone} has no parent {parent_zone} in the spec; list every ancestor"
+                    f"zone {node.zone} has no parent {node.zone.parent()} in the spec; "
+                    "list every ancestor"
                 )
-            parent_node = nodes[_zone_node_id(parent_zone)]
-            node.parent = parent_node.node_id
-            parent_node.delegations[zone.labels[0]] = node.node_id
+            node.parent = parent.node_id
+            parent.delegations[labels[0]] = node.node_id
         nodes[node.node_id] = node
-    return Topology(nodes, _zone_node_id(ZoneName()))
+    return Topology(nodes, ".")

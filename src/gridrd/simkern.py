@@ -111,9 +111,22 @@ JITTER_ANCHOR_LOAD = 400.0
 
 
 def jitter_relative_sd(model: LatencyModel, n_users: int, n_resources: int) -> float:
-    """The load-dependent relative std dev of the jitter factor."""
+    """The load-dependent relative std dev of the jitter factor.
+
+    Raises ValueError when the spread is too large for a float draw: the
+    log-normal draw needs ``rel_sd**2`` finite, or every time is NaN.
+    """
     load = (n_users * n_resources) / JITTER_ANCHOR_LOAD
-    return model.jitter_sigma0 * load**model.jitter_gamma
+    try:
+        rel_sd = model.jitter_sigma0 * load**model.jitter_gamma
+    except OverflowError:
+        rel_sd = math.inf
+    if not math.isfinite(rel_sd * rel_sd):
+        raise ValueError(
+            f"jitter spread overflows at {n_users} users x {n_resources} resources "
+            f"(jitter_sigma0 = {model.jitter_sigma0!r}, jitter_gamma = {model.jitter_gamma!r})"
+        )
+    return rel_sd
 
 
 def sample_jitter(rng: Rng, model: LatencyModel, n_users: int, n_resources: int) -> float:

@@ -17,7 +17,7 @@ _LENTZ_EPS = 1e-16
 _LENTZ_TINY = 1e-300
 
 
-def log_beta(a: float, b: float) -> float:
+def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
@@ -68,7 +68,7 @@ def betainc(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b

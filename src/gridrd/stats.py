@@ -27,14 +27,13 @@ __all__ = [
     "InsufficientData",
     "InvalidAlpha",
     "MeanDifferenceTest",
-    "SummaryStats",
+    "StatsError",
     "Verdict",
     "degrees_of_freedom",
     "mean",
     "mean_difference",
     "se_mean_difference",
     "stddev",
-    "summarize_sample",
     "t_cdf",
     "t_quantile",
     "test_from_summary",
@@ -64,13 +63,6 @@ class Verdict(str, Enum):
 
     DIFFERENT = "Different"
     INSIGNIFICANT = "Insignificant"
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    n: int
-    mean: float
-    stddev: float
 
 
 @dataclass(frozen=True)
@@ -111,10 +103,6 @@ def stddev(sample: Sequence[float]) -> float:
     return math.sqrt(ss / (n - 1))
 
 
-def summarize_sample(sample: Sequence[float]) -> SummaryStats:
-    return SummaryStats(n=len(sample), mean=mean(sample), stddev=stddev(sample))
-
-
 def mean_difference(a: Sequence[float], b: Sequence[float]) -> float:
     return mean(a) - mean(b)
 
@@ -144,6 +132,9 @@ def welch_degrees_of_freedom(a: Sequence[float], b: Sequence[float]) -> float:
 
 def _assemble(mean_diff: float, se: float, df: float, alpha: float,
               degenerate: bool) -> MeanDifferenceTest:
+    if not (math.isfinite(mean_diff) and math.isfinite(se) and math.isfinite(df)):
+        raise StatsError(f"mean difference {mean_diff}, standard error {se} and degrees of "
+                         f"freedom {df} must be finite")
     if degenerate:
         if mean_diff == 0.0:
             t_score, p_value = 0.0, 1.0

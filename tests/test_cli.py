@@ -1,6 +1,12 @@
+import contextlib
+import io
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from gridrd.cli import main
 from gridrd.harness import read_observations
@@ -92,6 +98,110 @@ def test_oversized_topology_exits_two_quickly(tmp_path, capsys):
                  "--config", str(cfg)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "repositories" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["jitter_sigma0 = 1e200", "jitter_gamma = 1e6"])
+def test_jitter_overflow_exits_three(tmp_path, capsys, line):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--users", "30", "--resources", "30"]) == 3
+    captured = capsys.readouterr()
+    assert "jitter spread overflows" in captured.err
+    assert "mean_time_s" not in captured.out
+
+
+HEADER = "scenario,users,resources,replication,seed,discovery_time_s\n"
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("direct,20,20,2,9,nan", ":4: discovery_time_s 'nan' is not finite"),
+    ("direct,20,20,0,9,3.5", ":4: duplicate of the row on line 2"),
+], ids=["nan-time", "duplicate-row"])
+def test_rejected_observations_exit_three(tmp_path, capsys, bad_row, message):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(HEADER + "direct,20,20,0,1,3.9\ndirect,20,20,1,2,4.1\n" + bad_row + "\n",
+                 encoding="utf-8")
+    b.write_text(HEADER + "baseline,20,20,0,1,2.0\nbaseline,20,20,1,2,2.1\n"
+                 "baseline,20,20,2,9,2.2\n", encoding="utf-8")
+    assert main(["analyze", str(a), str(b)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def _run_main(argv: list[str]) -> tuple[int, str]:
+    """``gridrd argv`` in-process: (exit code, stdout); stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+_NUMBERS = st.sampled_from(["0", "1", "0.5", "-1", "2.5e-3", "1e6", "1e200", "1e308", "nan",
+                            "inf", "-inf", "x", ""])
+_INTS = st.sampled_from(["-1", "0", "1", "2", "3", "30", "1000001", "none", "2.5", ""])
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(["t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
+                               "jitter_sigma0", "jitter_gamma", "ttl"]), _NUMBERS),
+    st.tuples(st.sampled_from(["jitter_enabled", "summary_pruning"]),
+              st.sampled_from(["true", "false", "maybe"])),
+    st.tuples(st.sampled_from(["cache_capacity", "topology.depth", "topology.branching"]), _INTS),
+    st.tuples(st.just("topology.zones"),
+              st.sampled_from(["a, b, x.a", "x.a", "a, a", "A", "a,,b", "."])),
+    st.tuples(st.sampled_from(["bogus", ""]), _NUMBERS),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+
+@given(lines=st.lists(st.one_of(_CONFIG_LINES, st.sampled_from(["# note", "no equals sign"])),
+                      max_size=6),
+       scenario=st.sampled_from(["baseline", "direct", "centralized", "distributed"]),
+       users=st.integers(1, 30), resources=st.integers(1, 30))
+def test_fuzzed_config_ends_in_a_documented_exit(lines, scenario, users, resources):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "fuzz.cfg")
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out = _run_main(["run", "--config", str(cfg), "--scenario", scenario,
+                               "--users", str(users), "--resources", str(resources)])
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert "nan" not in out
+
+
+_KINDS = st.sampled_from(["direct", "baseline", "centralized"])
+# At most one defect per case; a bad token replaces the first time of the first file.
+_DEFECTS = st.sampled_from([None] * 8 + ["header", "warp", "mixed", "drop", "dup",
+                            "nan", "inf", "-inf", "1e200", "1e308", "-1e308", "x", "-1"])
+
+
+@given(points=st.lists(st.sampled_from([20, 40, 60]), min_size=1, max_size=3, unique=True),
+       reps=st.integers(1, 4),
+       times=st.lists(st.floats(0.0, 100.0), min_size=24, max_size=24),
+       kinds=st.tuples(_KINDS, _KINDS), defect=_DEFECTS,
+       alpha=st.sampled_from(["0.05", "0.05", "0.5", "1e-300"]))
+def test_fuzzed_observations_end_in_a_documented_exit(points, reps, times, kinds, defect, alpha):
+    keys = [(point, point, rep) for point in points for rep in range(reps)]
+    rows_a = [[kinds[0], *key, 7, repr(t)] for key, t in zip(keys, times)]
+    rows_b = [[kinds[1], *key, 7, repr(t)] for key, t in zip(keys, times[12:])]
+    header = "scenario,users\n" if defect == "header" else HEADER
+    if defect == "warp":
+        rows_a[0][0] = "warp"
+    elif defect == "mixed":
+        rows_a[0][0] = "direct" if kinds[0] == "baseline" else "baseline"
+    elif defect == "drop":
+        rows_b.pop()
+    elif defect == "dup":
+        rows_a.append(rows_a[0])
+    elif defect is not None:
+        rows_a[0][-1] = defect
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, "a.csv"), Path(tmp, "b.csv")]
+        for path, rows in zip(paths, (rows_a, rows_b)):
+            path.write_text(header + "".join(",".join(map(str, row)) + "\n" for row in rows),
+                            encoding="utf-8")
+        code, out = _run_main(["analyze", *map(str, paths), "--alpha", alpha])
+    event(f"exit {code}")
+    assert code in (0, 3)
+    assert "nan" not in out
 
 
 def test_missing_input_exits_three(tmp_path, capsys):

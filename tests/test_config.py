@@ -1,6 +1,6 @@
 import pytest
 
-from gridrd.config import Config, ConfigError, dump_config, load_config, parse_config
+from gridrd.config import Config, ConfigError, load_config, parse_config
 from gridrd.registry import TopologySpec
 from gridrd.simkern import LatencyModel
 
@@ -72,20 +72,28 @@ class TestParse:
         assert cfg.policy.ttl == 60.0
         assert not cfg.policy.summary_pruning
 
+    @pytest.mark.parametrize(
+        "text, cfg",
+        [
+            ("t_reg = 0.06006\nt_user = 0.06006\nt_ws = 1.89\nt_registry = 1.716\n"
+             "t_hop = 0.5\nt_base = 0.0\njitter_sigma0 = 0.5\njitter_gamma = 1.07\n"
+             "jitter_enabled = true\nttl = 3600.0\nsummary_pruning = true\n"
+             "cache_capacity = none\n",
+             Config()),
+            ("t_ws = 2.25\njitter_enabled = false\nttl = 12.5\n",
+             Config(latency=LatencyModel(t_ws=2.25, jitter_enabled=False), ttl=12.5)),
+            ("cache_capacity = 7\ntopology.depth = 4\ntopology.branching = 3\n",
+             Config(topology=TopologySpec(depth=4, branching=3), cache_capacity=7)),
+            ("topology.zones = grid, ca.grid\n",
+             Config(topology=TopologySpec(zones=("grid", "ca.grid")))),
+        ],
+        ids=["defaults", "latency-and-ttl", "uniform-tree", "zone-list"],
+    )
+    def test_literal_text_parses_to_config(self, text, cfg):
+        assert parse_config(text) == cfg
+
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            Config(),
-            Config(latency=LatencyModel(t_ws=2.25, jitter_enabled=False), ttl=12.5),
-            Config(topology=TopologySpec(depth=4, branching=3), cache_capacity=7),
-            Config(topology=TopologySpec(zones=("grid", "ca.grid"))),
-        ],
-    )
-    def test_dump_then_parse_is_identity(self, cfg):
-        assert parse_config(dump_config(cfg)) == cfg
-
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("t_hop = 0.25\n", encoding="utf-8")

@@ -11,7 +11,6 @@ from gridrd.domain import (
     ResourceSpec,
     ZoneName,
     matches,
-    select_resources,
     summarize,
     summary_may_satisfy,
 )
@@ -208,39 +207,7 @@ class TestSummaryMaySatisfy:
                 assert summary_may_satisfy(query, summarize(cat))
 
 
-# -- select_resources -----------------------------------------------------------
-
-
-class TestSelectResources:
-    def test_single_match(self):
-        cat = MetadataCatalog(
-            "f",
-            (
-                ResourceSpec("a", {"pe_count": 2.0}),
-                ResourceSpec("b", {"pe_count": 8.0}),
-                ResourceSpec("c", {"pe_count": 1.0}),
-            ),
-        )
-        out = select_resources(cat, ResourceQuery(numeric_mins={"pe_count": 4}))
-        assert [e.resource_id for e in out] == ["b"]
-
-    def test_no_matches(self):
-        cat = MetadataCatalog("f", (ResourceSpec("a", {"pe_count": 2.0}),))
-        assert select_resources(cat, ResourceQuery(numeric_mins={"pe_count": 4})) == []
-
-    def test_equals_brute_force_filter_sorted(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            cat = _random_catalog(rng, rng.randint(0, 20))
-            query = ResourceQuery(
-                numeric_mins={"pe_count": rng.uniform(0, 60)} if rng.random() < 0.7 else {},
-                required_tags={"os": rng.choice(_TAG_VALUES)} if rng.random() < 0.5 else {},
-            )
-            expected = sorted(
-                (e for e in cat.entries if matches(query, e)), key=lambda e: e.resource_id
-            )
-            assert select_resources(cat, query) == expected
-
+class TestResourceQuery:
     def test_query_count_validated(self):
         with pytest.raises(ValueError):
             ResourceQuery(count=0)

@@ -127,6 +127,22 @@ class TestObservationCsv:
         with pytest.raises(ParseError, match=":1:"):
             parse_observations("a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_time_reports_line(self, value):
+        text = ("scenario,users,resources,replication,seed,discovery_time_s\n"
+                "baseline,20,20,0,1,1.5\n"
+                f"baseline,20,20,1,1,{value}\n")
+        with pytest.raises(ParseError, match=":3: discovery_time_s .* is not finite"):
+            parse_observations(text)
+
+    def test_duplicate_row_reports_both_lines(self):
+        text = ("scenario,users,resources,replication,seed,discovery_time_s\n"
+                "baseline,20,20,0,1,1.5\n"
+                "baseline,20,20,1,1,1.5\n"
+                "baseline,20,20,0,2,2.5\n")
+        with pytest.raises(ParseError, match=":4: duplicate of the row on line 2"):
+            parse_observations(text)
+
     def test_bad_value_reports_line(self):
         text = ("scenario,users,resources,replication,seed,discovery_time_s\n"
                 "baseline,20,20,0,1,1.5\n"

@@ -1,8 +1,11 @@
 import copy
+import math
 import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridrd.domain import (
     FinderRecord,
@@ -81,6 +84,37 @@ def cache_snapshot(topo: Topology):
     return {nid: list(node.cache) for nid, node in topo.nodes.items()}
 
 
+def reference_order(zones: set[tuple[str, ...]], origin: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The module docstring's search order over label tuples (the root is ``()``).
+
+    The origin's own subtree depth-first, then each ancestor in turn: the
+    ancestor itself, then its child subtrees other than the one just left,
+    children in label order.
+    """
+    def subtree(zone, skip=None):
+        children = sorted(c for c in zones if len(c) == len(zone) + 1 and c[1:] == zone)
+        return [zone] + [z for child in children if child != skip for z in subtree(child)]
+
+    order, came_from = [], None
+    for k in range(len(origin) + 1):
+        order += subtree(origin[k:], came_from)
+        came_from = origin[k:]
+    return order
+
+
+@st.composite
+def zone_trees(draw):
+    """Label tuples of a random tree, root first, every parent before its children."""
+    zones = [()]
+    for pick, label in draw(st.lists(st.tuples(st.integers(0, 999),
+                                               st.sampled_from(("a", "ab", "b", "b-2", "z9"))),
+                                     max_size=25)):
+        child = (label,) + zones[pick % len(zones)]
+        if child not in zones:
+            zones.append(child)
+    return zones
+
+
 # -- build_topology -----------------------------------------------------------
 
 
@@ -109,6 +143,22 @@ class TestBuildTopology:
                     child = topo.nodes[child_id]
                     assert child.zone.labels == (label,) + node.zone.labels
                     assert child.parent == node.node_id
+
+    @pytest.mark.parametrize("depth, branching", [(1, 1), (4, 1), (2, 4), (3, 3), (4, 2), (3, 11)])
+    def test_uniform_spec_equals_its_zone_list(self, depth, branching):
+        labels = [f"z{i:02d}" for i in range(branching)]
+        level, zones = ["."], []
+        for _ in range(depth - 1):
+            level = [label if parent == "." else f"{label}.{parent}"
+                     for parent in level for label in labels]
+            zones += level
+        uniform = build_topology(TopologySpec(depth=depth, branching=branching))
+        explicit = build_topology(TopologySpec(zones=tuple(zones)))
+        assert list(uniform.nodes) == ["."] + zones
+        assert list(explicit.nodes.items()) == list(uniform.nodes.items())
+        assert ([list(n.delegations) for n in explicit.nodes.values()]
+                == [list(n.delegations) for n in uniform.nodes.values()])
+        assert explicit.root_id == uniform.root_id == "."
 
     def test_zone_list_requires_ancestors(self):
         with pytest.raises(MalformedTopology):
@@ -149,7 +199,7 @@ class TestBuildTopology:
         check_tree_size(19, 2)
 
 
-# -- register / local_lookup / evict -------------------------------------------
+# -- register / local_lookup -------------------------------------------------
 
 
 class TestNodeOperations:
@@ -184,8 +234,6 @@ class TestNodeOperations:
         with pytest.raises(UnknownNode):
             topo.local_lookup("nowhere", ResourceQuery(), now=0.0)
         with pytest.raises(UnknownNode):
-            topo.evict_expired("nowhere", now=0.0)
-        with pytest.raises(UnknownNode):
             topo.resolve("nowhere", ResourceQuery(), now=0.0)
 
     def test_freshness_boundary_is_exclusive(self):
@@ -197,25 +245,6 @@ class TestNodeOperations:
         topo.nodes["."].cache.append(CacheEntry(rec, inserted_at=0.0, ttl=100.0))
         assert topo.local_lookup(".", ResourceQuery(), now=99.999)
         assert topo.local_lookup(".", ResourceQuery(), now=100.0) == []
-
-    def test_evict_boundary_matches_lookup(self):
-        topo = self._one_node()
-        rec = _record("f1", ZoneName(("elsewhere",)), random.Random(3))
-        topo.nodes["."].cache.append(CacheEntry(rec, inserted_at=0.0, ttl=100.0))
-        topo.evict_expired(".", now=100.0)
-        assert topo.nodes["."].cache == []
-
-    def test_evict_keeps_fresh_entries(self):
-        topo = self._one_node()
-        rng = random.Random(17)
-        node = topo.nodes["."]
-        for i in range(40):
-            rec = _record(f"f{i}", ZoneName(("elsewhere",)), rng)
-            node.cache.append(CacheEntry(rec, inserted_at=rng.uniform(0, 50), ttl=rng.uniform(0, 50)))
-        now = 60.0
-        survivors = [e for e in node.cache if now < e.inserted_at + e.ttl]
-        topo.evict_expired(".", now=now)
-        assert node.cache == survivors
 
     def test_lookup_equals_brute_force_over_auth_and_fresh_cache(self):
         rng = random.Random(23)
@@ -248,7 +277,35 @@ class TestNodeOperations:
 # -- resolve --------------------------------------------------------------------
 
 
+class TestResolutionPolicy:
+    @pytest.mark.parametrize("kwargs", [
+        {"ttl": math.nan}, {"ttl": math.inf}, {"ttl": 0.0}, {"ttl": -1.0},
+        {"cache_capacity": -3}, {"ttl": math.nan, "cache_capacity": -3},
+    ])
+    def test_invalid_fields_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ResolutionPolicy(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        assert ResolutionPolicy(ttl=1e-9, cache_capacity=0).cache_capacity == 0
+        assert ResolutionPolicy(cache_capacity=None).cache_capacity is None
+
+
 class TestResolve:
+    @given(zones=zone_trees(), data=st.data())
+    def test_path_follows_the_documented_search_order(self, zones, data):
+        # one finder, empty caches: nothing can be pruned, so the path is
+        # exactly the search order up to the finder's home repository
+        origin = data.draw(st.sampled_from(zones))
+        home = ZoneName(data.draw(st.sampled_from(zones)))
+        texts = data.draw(st.permutations([str(ZoneName(z)) for z in zones[1:]]))
+        topo = build_topology(TopologySpec(zones=tuple(texts)))
+        cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, home),))
+        topo.register_finder(str(home), FinderRecord("f1", "svc://1", home, summarize(cat)))
+        order = reference_order(set(zones), origin)
+        expected = tuple(str(ZoneName(z)) for z in order[:order.index(home.labels) + 1])
+        assert topo.resolve(str(ZoneName(origin)), ResourceQuery(), now=0.0).path == expected
+
     def test_authoritative_at_origin_is_one_hop(self):
         topo = build_topology(TopologySpec(depth=2, branching=2))
         zone = topo.nodes["z00"].zone

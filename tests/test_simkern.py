@@ -78,6 +78,14 @@ class TestJitter:
         with pytest.raises(ValueError):
             LatencyModel(t_ws=-1.0)
 
+    @pytest.mark.parametrize("params", [{"jitter_sigma0": 1e200}, {"jitter_gamma": 1e6}])
+    def test_spread_overflow_rejected(self, params):
+        model = LatencyModel(**params)
+        for draw in (lambda: sample_jitter(Rng(1), model, 30, 30),
+                     lambda: jitter_vector(mix64(1), model, 30, 30)):
+            with pytest.raises(ValueError, match="jitter spread overflows"):
+                draw()
+
     @pytest.mark.parametrize("name", ["t_reg", "t_ws", "t_hop", "jitter_sigma0", "jitter_gamma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, name, value):

@@ -10,13 +10,13 @@ from gridrd.stats import (
     EmptySample,
     InsufficientData,
     InvalidAlpha,
+    StatsError,
     Verdict,
     degrees_of_freedom,
     mean,
     mean_difference,
     se_mean_difference,
     stddev,
-    summarize_sample,
     test_from_summary,
     unpaired_t_test,
     welch_degrees_of_freedom,
@@ -70,11 +70,6 @@ class TestMoments:
     def test_stddev_needs_two(self):
         with pytest.raises(InsufficientData):
             stddev([1.0])
-
-    def test_summarize_sample(self):
-        s = summarize_sample([2.0, 4.0])
-        assert (s.n, s.mean) == (2, 3.0)
-        assert s.stddev == pytest.approx(math.sqrt(2.0))
 
 
 class TestDifferenceStats:
@@ -254,6 +249,14 @@ class TestFromSummary:
     def test_rejects_nonpositive_se(self):
         with pytest.raises(InsufficientData):
             test_from_summary(1.0, 0.0, 18)
+
+    @pytest.mark.parametrize("mean_diff, se, df", [
+        (1.0, math.nan, 18), (1.0, math.inf, 18), (math.nan, 1.0, 18), (math.inf, 1.0, 18),
+        (-math.inf, 1.0, 18), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+    ])
+    def test_rejects_non_finite(self, mean_diff, se, df):
+        with pytest.raises(StatsError, match="finite"):
+            test_from_summary(mean_diff, se, df)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(InvalidAlpha):
