@@ -258,7 +258,7 @@ def analyze(rows_a: list[ObservationRow], rows_b: list[ObservationRow],
     """Pointwise unpaired comparison: mean(a) - mean(b) at each grid point.
 
     Both inputs must cover the same (users, resources, replication) grid;
-    row order is irrelevant.
+    row order is irrelevant.  A StatsError names the point it arose at.
     """
     kind_a = _single_scenario(rows_a, "first input")
     kind_b = _single_scenario(rows_b, "second input")
@@ -275,11 +275,16 @@ def analyze(rows_a: list[ObservationRow], rows_b: list[ObservationRow],
         reps_b = [r.replication for r in cell_b]
         if reps_a != reps_b:
             raise GridMismatch(f"replication sets differ at point {point}")
-        test = unpaired_t_test(
-            [r.discovery_time_s for r in cell_a],
-            [r.discovery_time_s for r in cell_b],
-            alpha=alpha,
-        )
+        try:
+            test = unpaired_t_test(
+                [r.discovery_time_s for r in cell_a],
+                [r.discovery_time_s for r in cell_b],
+                alpha=alpha,
+            )
+        except stats.InvalidAlpha:
+            raise
+        except stats.StatsError as exc:
+            raise type(exc)(f"at (users, resources) = {point}: {exc}") from None
         out.append(AnalysisRow(users=point[0], resources=point[1], pair=pair, test=test))
     return out
 

@@ -22,6 +22,7 @@ summary counts what each discovery would contact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -117,6 +118,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     ``n_resources`` registrations, ``n_users`` queries, and per user one
     event for each overhead, except that a user whose resolution failed
     makes no service call.  Event kinds with a zero count are left out.
+    Latencies so large that the times overflow raise ScenarioError.
     """
     lat = cfg.latency
     hops, failed = (_resolve_users(cfg) if cfg.kind is ScenarioKind.DISTRIBUTED
@@ -134,10 +136,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     for name in _OVERHEADS[cfg.kind]:
         counts[_EVENT_OF[name]] = cfg.n_users - len(failed) if name == "t_ws" else cfg.n_users
     times_tuple = tuple(times)
+    try:
+        mean_time = stats.mean(times_tuple)
+    except stats.StatsError:  # the sum overflowed
+        mean_time = math.inf
+    if not math.isfinite(mean_time):
+        raise ScenarioError(f"latency overflows: the discovery times of {cfg.n_users} users "
+                            f"over {cfg.n_resources} resources are not finite")
     return RunResult(
         config=cfg,
         per_user_times=times_tuple,
-        mean_time=stats.mean(times_tuple),
+        mean_time=mean_time,
         trace_summary={kind: n for kind, n in sorted(counts.items()) if n},
         failed_users=failed,
     )

@@ -15,6 +15,7 @@ exceeds alpha.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -90,7 +91,10 @@ def mean(sample: Sequence[float]) -> float:
     """Arithmetic mean, accumulated with compensated summation."""
     if len(sample) == 0:
         raise EmptySample("mean of an empty sample")
-    return math.fsum(sample) / len(sample)
+    try:
+        return math.fsum(sample) / len(sample)
+    except OverflowError:
+        raise StatsError("the sum of the sample overflows") from None
 
 
 def stddev(sample: Sequence[float]) -> float:
@@ -99,7 +103,10 @@ def stddev(sample: Sequence[float]) -> float:
     if n < 2:
         raise InsufficientData(f"standard deviation needs n >= 2, got {n}")
     center = mean(sample)
-    ss = math.fsum((x - center) ** 2 for x in sample)
+    try:
+        ss = math.fsum((x - center) ** 2 for x in sample)
+    except OverflowError:
+        raise StatsError("the spread of the sample overflows") from None
     return math.sqrt(ss / (n - 1))
 
 
@@ -130,6 +137,17 @@ def welch_degrees_of_freedom(a: Sequence[float], b: Sequence[float]) -> float:
     return (va + vb) ** 2 / (va * va / (len(a) - 1) + vb * vb / (len(b) - 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _critical_value(alpha: float, df: float) -> float:
+    """The two-sided critical value t_{1-alpha/2, df}.
+
+    Every point of an analysis shares (alpha, df), so it is cached;
+    t_quantile is pure, so a cached value is the float a fresh call gives.
+    The cache is bounded because Welch df differ from point to point.
+    """
+    return t_quantile(1.0 - alpha / 2.0, df)
+
+
 def _assemble(mean_diff: float, se: float, df: float, alpha: float,
               degenerate: bool) -> MeanDifferenceTest:
     if not (math.isfinite(mean_diff) and math.isfinite(se) and math.isfinite(df)):
@@ -145,7 +163,7 @@ def _assemble(mean_diff: float, se: float, df: float, alpha: float,
     else:
         t_score = mean_diff / se
         p_value = 2.0 * (1.0 - t_cdf(abs(t_score), df))
-        half_width = t_quantile(1.0 - alpha / 2.0, df) * se
+        half_width = _critical_value(alpha, df) * se
         ci_low, ci_high = mean_diff - half_width, mean_diff + half_width
     insignificant = (ci_low <= 0.0 <= ci_high) or p_value > alpha
     return MeanDifferenceTest(
@@ -165,6 +183,8 @@ def _assemble(mean_diff: float, se: float, df: float, alpha: float,
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise InvalidAlpha(f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1.0")
 
 
 def unpaired_t_test(a: Sequence[float], b: Sequence[float], alpha: float = 0.05,

@@ -110,7 +110,41 @@ def test_jitter_overflow_exits_three(tmp_path, capsys, line):
     assert "mean_time_s" not in captured.out
 
 
+def test_latency_overflow_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("t_reg = 1e307\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--users", "3", "--resources", "30"]) == 3
+    captured = capsys.readouterr()
+    assert "latency overflows" in captured.err
+    assert "mean_time_s" not in captured.out
+
+
 HEADER = "scenario,users,resources,replication,seed,discovery_time_s\n"
+
+
+def _observation_pair(tmp_path, times_a):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(HEADER + "".join(f"direct,20,40,{i},1,{t}\n" for i, t in enumerate(times_a)),
+                 encoding="utf-8")
+    b.write_text(HEADER + "".join(f"baseline,20,40,{i},1,{i + 2.0}\n"
+                                  for i in range(len(times_a))), encoding="utf-8")
+    return a, b
+
+
+def test_too_small_alpha_exits_three(tmp_path, capsys):
+    a, b = _observation_pair(tmp_path, [3.9, 4.1, 4.4])
+    assert main(["analyze", str(a), str(b), "--alpha", "1e-300"]) == 3
+    captured = capsys.readouterr()
+    assert "alpha 1e-300 is too small" in captured.err
+    assert captured.out == ""
+
+
+def test_overflowing_times_exit_three(tmp_path, capsys):
+    a, b = _observation_pair(tmp_path, [1e200, 3e200, 2e200])
+    assert main(["analyze", str(a), str(b)]) == 3
+    captured = capsys.readouterr()
+    assert "at (users, resources) = (20, 40): the spread of the sample overflows" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("bad_row, message", [
@@ -164,7 +198,7 @@ def test_fuzzed_config_ends_in_a_documented_exit(lines, scenario, users, resourc
                                "--users", str(users), "--resources", str(resources)])
     event(f"exit {code}")
     assert code in (0, 2, 3)
-    assert "nan" not in out
+    assert "nan" not in out and "inf" not in out
 
 
 _KINDS = st.sampled_from(["direct", "baseline", "centralized"])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gridrd import stats
 from gridrd.config import Config, ConfigError, parse_config
 from gridrd.harness import (
     GridMismatch,
@@ -24,7 +25,7 @@ from gridrd.harness import (
 )
 from gridrd.scenarios import ScenarioKind
 from gridrd.simkern import LatencyModel
-from gridrd.stats import Verdict
+from gridrd.stats import StatsError, Verdict
 from tests.conftest import engineered_sample
 
 QUIET_CONFIG = Config(latency=LatencyModel(jitter_enabled=False))
@@ -218,6 +219,30 @@ class TestAnalyze:
         assert "Different" in lines[1]
         csv_text = format_analysis_csv(t)
         assert csv_text.startswith("users,resources,pair,")
+
+    def test_overflowing_spread_names_the_point(self):
+        a = _rows(ScenarioKind.DIRECT, [1e200, 3e200, 2e200], users=40, resources=60)
+        b = _rows(ScenarioKind.BASELINE, [1.0, 2.0, 3.0], users=40, resources=60)
+        with pytest.raises(StatsError, match=r"at \(users, resources\) = \(40, 60\): "
+                                             "the spread of the sample overflows"):
+            analyze(a, b)
+
+    def test_bytes_do_not_depend_on_earlier_analyses(self):
+        # The critical value is cached per (alpha, df); an analysis must give
+        # the same bytes on a cold cache and after others filled it.
+        rng = random.Random(44)
+        cases = []
+        for alpha, reps in [(0.05, 10), (0.01, 10), (0.2, 3), (0.05, 7), (0.01, 4)]:
+            rows = [_rows(kind, [rng.uniform(1, 9) for _ in range(reps)], users=u, resources=r)
+                    for kind in (ScenarioKind.DIRECT, ScenarioKind.BASELINE)
+                    for u, r in [(20, 20), (20, 60)]]
+            cases.append((rows[0] + rows[1], rows[2] + rows[3], alpha))
+        cold = []
+        for a, b, alpha in cases:
+            stats._critical_value.cache_clear()
+            cold.append(format_analysis_csv(analyze(a, b, alpha=alpha)))
+        warm = [format_analysis_csv(analyze(a, b, alpha=alpha)) for a, b, alpha in reversed(cases)]
+        assert warm[::-1] == cold
 
     def test_tiny_p_prints_as_less_than(self):
         sd = 0.01 * math.sqrt(5)

@@ -8,6 +8,7 @@ from gridrd.scenarios import (
     ConfigMismatch,
     RunResult,
     ScenarioConfig,
+    ScenarioError,
     ScenarioKind,
     run_scenario,
 )
@@ -134,6 +135,15 @@ class TestRunResultShape:
     def test_dispatcher(self):
         r = run_scenario(_cfg(ScenarioKind.BASELINE, 3, 3))
         assert isinstance(r, RunResult)
+
+    # a time that overflows to inf, and finite times whose sum overflows
+    @pytest.mark.parametrize("latency, resources", [
+        (LatencyModel(t_reg=1e307), 30),
+        (LatencyModel(t_reg=1e307, jitter_enabled=False), 10),
+    ], ids=["inf-time", "sum-overflow"])
+    def test_latency_overflow_rejected(self, latency, resources):
+        with pytest.raises(ScenarioError, match="latency overflows"):
+            run_scenario(_cfg(ScenarioKind.BASELINE, 3, resources, latency))
 
 
 class TestDistributed:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridrd import stats
+from gridrd.special import t_quantile
 from gridrd.stats import (
     EmptySample,
     InsufficientData,
@@ -70,6 +72,14 @@ class TestMoments:
     def test_stddev_needs_two(self):
         with pytest.raises(InsufficientData):
             stddev([1.0])
+
+    def test_overflowing_spread_rejected(self):
+        with pytest.raises(StatsError, match="spread of the sample overflows"):
+            stddev([1e200, 3e200, 2e200])
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(StatsError, match="sum of the sample overflows"):
+            mean([1.7e308, 1.7e308])
 
 
 class TestDifferenceStats:
@@ -261,3 +271,32 @@ class TestFromSummary:
     def test_rejects_bad_alpha(self):
         with pytest.raises(InvalidAlpha):
             test_from_summary(1.0, 1.0, 18, alpha=0.0)
+
+
+class TestCriticalValue:
+    # Pooled dfs are integers; Welch-Satterthwaite dfs are fractional.
+    _dfs = st.one_of(st.integers(1, 200).map(float), st.floats(1.0, 300.0))
+    _alphas = st.one_of(st.sampled_from([0.05, 0.01, 0.2]), st.floats(1e-6, 0.999))
+
+    @given(calls=st.lists(st.tuples(_alphas, _dfs), min_size=1, max_size=12).flatmap(
+        lambda pairs: st.lists(st.sampled_from(pairs), min_size=len(pairs),
+                               max_size=2 * len(pairs))))
+    def test_cached_value_is_a_fresh_quantile_bit_for_bit(self, calls):
+        for alpha, df in calls:
+            assert stats._critical_value(alpha, df).hex() == t_quantile(1.0 - alpha / 2.0, df).hex()
+
+    def test_cache_is_bounded(self):
+        maxsize = stats._critical_value.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324, 2.0 ** -53])
+    def test_alpha_too_small_for_a_quantile_rejected(self, alpha):
+        with pytest.raises(InvalidAlpha, match=f"alpha {alpha} is too small"):
+            unpaired_t_test([1.0, 2.0], [3.0, 5.0], alpha=alpha)
+        with pytest.raises(InvalidAlpha, match="too small"):
+            test_from_summary(1.0, 1.0, 18, alpha=alpha)
+
+    def test_smallest_alpha_accepted(self):
+        alpha = math.nextafter(2.0 ** -53, 1.0)
+        t = test_from_summary(1.0, 1.0, 18, alpha=alpha)
+        assert t.ci_low < 0.0 < t.ci_high
