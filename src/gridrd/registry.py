@@ -16,6 +16,7 @@ root means the whole tree has been searched.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +60,8 @@ class ResolutionPolicy:
     """Knobs for resolve: cache TTL, summary pruning, optional cache cap.
 
     ``cache_capacity`` of None means unbounded; otherwise the oldest-inserted
-    entries are evicted first once a node's cache exceeds the cap.
+    entries are evicted first once a node's cache exceeds the cap, and a cap
+    of 0 stores nothing.
     """
 
     ttl: float = 3600.0
@@ -69,8 +71,9 @@ class ResolutionPolicy:
     def __post_init__(self) -> None:
         if not math.isfinite(self.ttl) or self.ttl <= 0:
             raise ValueError(f"ttl must be a finite number > 0, got {self.ttl}")
-        if self.cache_capacity is not None and self.cache_capacity < 0:
-            raise ValueError(f"cache_capacity must be None or >= 0, got {self.cache_capacity}")
+        cap = self.cache_capacity
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+            raise ValueError(f"cache_capacity must be None or an integer >= 0, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,17 @@ class TopologySpec:
 
     Either a uniform tree (``depth`` levels, ``branching`` children per
     node; depth 1 is a lone root) or an explicit list of zone names whose
-    parents must all be present (the root is always implicit).
+    parents must all be present (the root is always implicit).  A zone
+    list given as any iterable is stored as a tuple, so specs hash.
     """
 
     depth: int | None = None
     branching: int | None = None
     zones: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.zones is not None:
+            object.__setattr__(self, "zones", tuple(self.zones))
 
 
 class Topology:
@@ -144,6 +152,8 @@ class Topology:
         same finder is dropped.
         """
         node = self.node(node_id)
+        if not node.authoritative and not node.cache:
+            return []
         hits = [
             record
             for _, record in sorted(node.authoritative.items())
@@ -216,11 +226,17 @@ class Topology:
     def _cache_insert(
         self, node: RepositoryNode, record: FinderRecord, now: float, policy: ResolutionPolicy
     ) -> None:
-        node.cache = [e for e in node.cache if e.record.finder_id != record.finder_id]
-        node.cache.append(CacheEntry(record=record, inserted_at=now, ttl=policy.ttl))
-        if policy.cache_capacity is not None:
-            while len(node.cache) > policy.cache_capacity:
-                node.cache.pop(0)
+        """Insert or refresh one record, keeping the newest cache_capacity entries."""
+        cap = policy.cache_capacity
+        if cap == 0:
+            if node.cache:
+                node.cache = []
+            return
+        cache = [e for e in node.cache if e.record.finder_id != record.finder_id]
+        cache.append(CacheEntry(record=record, inserted_at=now, ttl=policy.ttl))
+        if cap is not None and len(cache) > cap:
+            del cache[:-cap]
+        node.cache = cache
 
     def _answer_at(self, node_id: str, query: ResourceQuery, now: float):
         """(record, from_cache) at one node, or (None, False)."""
@@ -237,6 +253,8 @@ class Topology:
         Returns None when the node knows nothing about the subtree (must
         descend), else whether any known record there may satisfy the query.
         """
+        if not node.cache:
+            return None
         child_zone = self.nodes[child_id].zone
         known = [
             entry.record
@@ -319,8 +337,27 @@ def build_topology(spec: TopologySpec) -> Topology:
     """Construct a repository tree from a TopologySpec.
 
     Node ids are the zone names themselves (the root is ``"."``), so a
-    given spec always yields the same ids.  A uniform spec is expanded
-    level by level into its zone list and built like an explicit one.
+    given spec always yields the same ids.  The shape comes from
+    ``_tree_shape``; the nodes, with their records, delegations and caches,
+    are new on every call, so no state passes from one tree to the next.
+    """
+    nodes = {
+        node_id: RepositoryNode(node_id=node_id, zone=zone, delegations=dict(delegations),
+                                parent=parent)
+        for node_id, zone, parent, delegations in _tree_shape(spec)
+    }
+    return Topology(nodes, ".")
+
+
+@functools.lru_cache(maxsize=4)
+def _tree_shape(spec: TopologySpec) -> tuple:
+    """(node id, zone, parent id, delegation pairs) per repository, parents first.
+
+    A uniform spec is expanded level by level into its zone list and built
+    like an explicit one.  A spec always has the same shape, so it is
+    validated and built once per process; the cache is small because a shape
+    holds a ZoneName per repository.  lru_cache keeps no exceptions, so a
+    malformed spec raises on every call.
     """
     if spec.zones is not None:
         if spec.depth is not None or spec.branching is not None:
@@ -329,11 +366,12 @@ def build_topology(spec: TopologySpec) -> Topology:
     else:
         if spec.depth is None:
             raise MalformedTopology("topology spec needs a depth or a zone list")
-        if spec.depth < 1:
-            raise MalformedTopology(f"depth must be >= 1, got {spec.depth}")
         branching = spec.branching if spec.branching is not None else 1
-        if branching < 1:
-            raise MalformedTopology(f"branching must be >= 1, got {branching}")
+        for name, value in (("depth", spec.depth), ("branching", branching)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise MalformedTopology(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise MalformedTopology(f"{name} must be >= 1, got {value}")
         check_tree_size(spec.depth, branching)
         width = max(2, len(str(branching - 1)))
         labels = [f"z{i:0{width}d}" for i in range(branching)]
@@ -342,24 +380,25 @@ def build_topology(spec: TopologySpec) -> Topology:
             level = [zone.child(label) for zone in level for label in labels]
             zones += level
 
-    node_at: dict[tuple[str, ...], RepositoryNode] = {}
+    zone_at: dict[tuple[str, ...], ZoneName] = {}
     for zone in zones:
-        if zone.labels in node_at:
+        if zone.labels in zone_at:
             raise MalformedTopology("duplicate zone in topology spec")
-        node_at[zone.labels] = RepositoryNode(node_id=str(zone), zone=zone)
-    node_at.setdefault((), RepositoryNode(node_id=".", zone=ZoneName()))
+        zone_at[zone.labels] = zone
+    zone_at.setdefault((), ZoneName())
 
-    nodes: dict[str, RepositoryNode] = {}
-    for labels in sorted(node_at, key=len):
-        node = node_at[labels]
-        if labels:
-            parent = node_at.get(labels[1:])
-            if parent is None:
-                raise MalformedTopology(
-                    f"zone {node.zone} has no parent {node.zone.parent()} in the spec; "
-                    "list every ancestor"
-                )
-            node.parent = parent.node_id
-            parent.delegations[labels[0]] = node.node_id
-        nodes[node.node_id] = node
-    return Topology(nodes, ".")
+    order = sorted(zone_at, key=len)
+    children: dict[tuple[str, ...], list[tuple[str, str]]] = {labels: [] for labels in order}
+    for labels in order[1:]:
+        siblings = children.get(labels[1:])
+        if siblings is None:
+            zone = zone_at[labels]
+            raise MalformedTopology(
+                f"zone {zone} has no parent {zone.parent()} in the spec; list every ancestor"
+            )
+        siblings.append((labels[0], str(zone_at[labels])))
+    return tuple(
+        (str(zone_at[labels]), zone_at[labels], str(zone_at[labels[1:]]) if labels else None,
+         tuple(children[labels]))
+        for labels in order
+    )

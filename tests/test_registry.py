@@ -178,6 +178,56 @@ class TestBuildTopology:
         with pytest.raises(MalformedTopology):
             build_topology(TopologySpec(depth=2, zones=("a",)))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"depth": 2.5}, {"depth": 3.0}, {"depth": True}, {"depth": "3"},
+        {"depth": 2, "branching": 1.5}, {"depth": 2, "branching": False},
+    ])
+    def test_non_integer_shape_rejected(self, kwargs):
+        with pytest.raises(MalformedTopology, match="must be an integer"):
+            build_topology(TopologySpec(**kwargs))
+
+    def test_zone_list_may_be_a_list(self):
+        spec = TopologySpec(zones=["a", "b.a"])
+        assert spec == TopologySpec(zones=("a", "b.a"))
+        assert hash(spec) == hash(TopologySpec(zones=("a", "b.a")))
+        assert list(build_topology(spec).nodes) == [".", "a", "b.a"]
+
+    def test_builds_share_no_state(self):
+        spec = TopologySpec(depth=3, branching=2)
+        first, second = build_topology(spec), build_topology(spec)
+        for node_id, node in first.nodes.items():
+            other = second.nodes[node_id]
+            assert node is not other
+            assert node.delegations is not other.delegations
+            assert node.authoritative is not other.authoritative
+            assert node.cache is not other.cache
+        clean = copy.deepcopy(second)
+
+        # a run's worth of state, plus direct edits, on both earlier trees
+        for topo in (first, second):
+            zone = topo.nodes["z01.z01"].zone
+            cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
+            topo.register_finder("z01.z01", FinderRecord("f1", "svc://1", zone, summarize(cat)))
+            assert topo.resolve("z00.z00", ResourceQuery(), now=0.0).caches_populated
+            topo.nodes["."].delegations["extra"] = "nowhere"
+            topo.nodes["z00"].parent = "elsewhere"
+
+        third = build_topology(spec)
+        assert list(third.nodes) == list(clean.nodes)
+        for node_id, node in third.nodes.items():
+            assert node == clean.nodes[node_id]
+            assert list(node.delegations) == list(clean.nodes[node_id].delegations)
+            assert node.authoritative == {} and node.cache == []
+
+    @pytest.mark.parametrize("spec", [
+        TopologySpec(depth=0), TopologySpec(depth=2.5), TopologySpec(zones=("ca.grid",)),
+        TopologySpec(zones=("grid", "grid")), TopologySpec(depth=30, branching=2),
+    ])
+    def test_malformed_spec_raises_on_every_call(self, spec):
+        for _ in range(3):
+            with pytest.raises(MalformedTopology):
+                build_topology(spec)
+
     def test_oversized_tree_rejected_before_building(self):
         # ~1e9 and 2**1000 nodes: only an arithmetic check can answer quickly
         start = time.perf_counter()
@@ -281,6 +331,8 @@ class TestResolutionPolicy:
     @pytest.mark.parametrize("kwargs", [
         {"ttl": math.nan}, {"ttl": math.inf}, {"ttl": 0.0}, {"ttl": -1.0},
         {"cache_capacity": -3}, {"ttl": math.nan, "cache_capacity": -3},
+        {"cache_capacity": 2.5}, {"cache_capacity": 2.0}, {"cache_capacity": True},
+        {"cache_capacity": False}, {"cache_capacity": "3"},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -476,3 +528,58 @@ class TestResolve:
         topo.resolve("a", ResourceQuery(), now=1.0, policy=policy)
         assert len(topo.nodes["a"].cache) <= 1
         assert first == ["f-b"]
+
+
+class TestCacheCapacity:
+    @given(zones=zone_trees(), data=st.data())
+    def test_cache_keeps_the_newest_insertions(self, zones, data):
+        # a model of every node's cache, replayed from caches_populated:
+        # a re-insert moves the finder to the newest end, the oldest go first
+        cap = data.draw(st.sampled_from((0, 1, 2, None)), label="cap")
+        policy = ResolutionPolicy(ttl=data.draw(st.sampled_from((0.5, 3.0, 3600.0))),
+                                  summary_pruning=data.draw(st.booleans()), cache_capacity=cap)
+        topo = build_topology(TopologySpec(zones=tuple(str(ZoneName(z)) for z in zones[1:])))
+        homes = data.draw(st.lists(st.sampled_from(zones), min_size=1, max_size=4), label="homes")
+        for i, labels in enumerate(homes):
+            zone = ZoneName(labels)
+            cat = MetadataCatalog(f"f{i}", (ResourceSpec("r", {"pe_count": 2.0 ** (2 * i + 1)},
+                                                         {}, zone),))
+            topo.register_finder(str(zone), FinderRecord(f"f{i}", "svc://x", zone, summarize(cat)))
+        model = {node_id: [] for node_id in topo.nodes}
+        now = 0.0
+        steps = data.draw(st.lists(st.tuples(st.sampled_from(zones), st.sampled_from((0, 4, 16, 64)),
+                                             st.sampled_from((0.0, 0.25, 1.0))),
+                                   min_size=1, max_size=12), label="steps")
+        for origin, need, tick in steps:
+            now += tick
+            try:
+                result = topo.resolve(str(ZoneName(origin)),
+                                      ResourceQuery(numeric_mins={"pe_count": need}), now, policy)
+            except NotFound:
+                pass
+            else:
+                unique_path = list(dict.fromkeys(result.path))
+                assert list(result.caches_populated) == [
+                    nid for nid in unique_path
+                    if result.record.finder_id not in topo.nodes[nid].authoritative]
+                for node_id in result.caches_populated:
+                    entries = [e for e in model[node_id] if e[0] != result.record.finder_id]
+                    entries.append((result.record.finder_id, now))
+                    model[node_id] = entries if cap is None else entries[len(entries) - cap:]
+            for node_id, node in topo.nodes.items():
+                ids = [e.record.finder_id for e in node.cache]
+                assert cap is None or len(ids) <= cap
+                assert len(set(ids)) == len(ids)
+                assert [(e.record.finder_id, e.inserted_at) for e in node.cache] == model[node_id]
+                assert all(e.ttl == policy.ttl for e in node.cache)
+
+    def test_capacity_zero_empties_a_warm_cache(self):
+        topo = build_topology(TopologySpec(zones=("a", "b")))
+        zone = topo.nodes["b"].zone
+        cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
+        topo.register_finder("b", FinderRecord("f1", "svc://1", zone, summarize(cat)))
+        assert topo.resolve("a", ResourceQuery(), now=0.0).caches_populated == ("a", ".")
+        assert topo.nodes["a"].cache and topo.nodes["."].cache
+        result = topo.resolve("a", ResourceQuery(), now=1.0, policy=ResolutionPolicy(cache_capacity=0))
+        assert result.cache_hit and result.caches_populated == ("a",)
+        assert topo.nodes["a"].cache == [] and topo.nodes["."].cache

@@ -1,9 +1,12 @@
 
+import json
+from pathlib import Path
+
 import pytest
 
 from gridrd import stats
 from gridrd.domain import ResourceQuery
-from gridrd.registry import TopologySpec
+from gridrd.registry import ResolutionPolicy, TopologySpec
 from gridrd.scenarios import (
     ConfigMismatch,
     RunResult,
@@ -212,3 +215,63 @@ class TestDistributed:
         # failed lookups still cost the registry round-trip, never a service call
         assert dist.trace_summary["registry_lookup"] == 5
         assert "service_call" not in dist.trace_summary
+
+
+# Distributed runs whose exact bytes are frozen in golden/distributed_runs.json:
+# cache capacities 0, 1, 2 and none, pruning on and off, default and explicit
+# finder sites, and a query no finder satisfies.  Within one run every user
+# searches the same authoritative records, so a query fails for all users or
+# for none.
+_TREE = TopologySpec(depth=4, branching=3)
+_REGIONS = TopologySpec(zones=("eu", "us", "de.eu", "fr.eu", "east.us", "west.us", "ny.east.us"))
+_FAR_LEAVES = ("z00.z01.z02", "z02.z02.z00")
+GOLDEN_RUNS = {
+    "cap-none": _cfg(ScenarioKind.DISTRIBUTED, 48, 40, LatencyModel(), 11, topology=_TREE,
+                     query=ResourceQuery(), finder_zones=_FAR_LEAVES),
+    "cap-0": _cfg(ScenarioKind.DISTRIBUTED, 48, 40, LatencyModel(), 11, topology=_TREE,
+                  query=ResourceQuery(), finder_zones=_FAR_LEAVES,
+                  policy=ResolutionPolicy(cache_capacity=0)),
+    "cap-1-unpruned": _cfg(ScenarioKind.DISTRIBUTED, 30, 17, LatencyModel(), 5, topology=_TREE,
+                           query=ResourceQuery(numeric_mins={"pe_count": 2.0}),
+                           finder_zones=("z01.z00.z00", "z02", "z00.z02.z01"),
+                           policy=ResolutionPolicy(cache_capacity=1, summary_pruning=False)),
+    "cap-2-regions": _cfg(ScenarioKind.DISTRIBUTED, 25, 9, QUIET, 3, topology=_REGIONS,
+                          query=ResourceQuery(required_tags={"os": "linux"}),
+                          finder_zones=("fr.eu", "ny.east.us", "us"),
+                          policy=ResolutionPolicy(ttl=60.0, cache_capacity=2)),
+    "every-leaf-unpruned": _cfg(ScenarioKind.DISTRIBUTED, 20, 6, LatencyModel(), 8,
+                                topology=_REGIONS, query=ResourceQuery(),
+                                policy=ResolutionPolicy(summary_pruning=False)),
+    "unsatisfiable": _cfg(ScenarioKind.DISTRIBUTED, 12, 10, LatencyModel(), 2, topology=_TREE,
+                          query=ResourceQuery(numeric_mins={"pe_count": 1e9}),
+                          finder_zones=_FAR_LEAVES, policy=ResolutionPolicy(cache_capacity=1)),
+}
+
+
+def golden_record(result: RunResult) -> dict:
+    """A run's outputs as JSON-ready values, floats as float.hex."""
+    return {
+        "per_user_times": [t.hex() for t in result.per_user_times],
+        "mean_time": result.mean_time.hex(),
+        "failed_users": list(result.failed_users),
+        "trace_summary": dict(result.trace_summary),
+    }
+
+
+class TestDistributedGolden:
+    def test_repeated_runs_are_equal_across_other_specs(self):
+        configs = [GOLDEN_RUNS["cap-none"], GOLDEN_RUNS["cap-2-regions"], GOLDEN_RUNS["cap-0"]]
+        first = [run_scenario(cfg) for cfg in configs]
+        assert [run_scenario(cfg) for cfg in reversed(configs)] == first[::-1]
+        # four more tree shapes, as many as build_topology keeps, so the
+        # shapes above are evicted and rebuilt before the last repeat
+        for depth in (1, 2, 3, 5):
+            run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 6, 6, QUIET, 0, query=ResourceQuery(),
+                              topology=TopologySpec(depth=depth, branching=3)))
+        assert [run_scenario(cfg) for cfg in configs] == first
+
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_run_matches_golden(self, name):
+        golden = json.loads((Path(__file__).parent / "golden" / "distributed_runs.json").read_text())
+        assert golden_record(run_scenario(GOLDEN_RUNS[name])) == golden[name]
