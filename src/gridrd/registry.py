@@ -151,25 +151,7 @@ class Topology:
         returned; a cached copy shadowed by an authoritative record of the
         same finder is dropped.
         """
-        node = self.node(node_id)
-        if not node.authoritative and not node.cache:
-            return []
-        hits = [
-            record
-            for _, record in sorted(node.authoritative.items())
-            if summary_may_satisfy(query, record.summary)
-        ]
-        cached = {
-            entry.record.finder_id: entry.record
-            for entry in node.cache
-            if entry.is_fresh(now) and entry.record.finder_id not in node.authoritative
-        }
-        hits.extend(
-            record
-            for _, record in sorted(cached.items())
-            if summary_may_satisfy(query, record.summary)
-        )
-        return hits
+        return list(self._hits(self.node(node_id), query, now))
 
     def resolve(
         self,
@@ -190,34 +172,26 @@ class Topology:
         policy = policy or ResolutionPolicy()
         self.node(origin_node_id)
 
-        found = self._search(origin_node_id, query, now, policy.summary_pruning)
-        if found.record is None and found.pruned_any and policy.summary_pruning:
-            retry = self._search(origin_node_id, query, now, False)
-            found = _SearchOutcome(
-                record=retry.record,
-                from_cache=retry.from_cache,
-                path=found.path + retry.path,
-                pruned_any=False,
-            )
-        if found.record is None:
-            raise NotFound(f"no finder satisfies the query (searched {len(found.path)} repositories)")
+        record, from_cache, path, pruned_any = self._search(origin_node_id, query, now,
+                                                            policy.summary_pruning)
+        if record is None and pruned_any:
+            record, from_cache, retry_path, _ = self._search(origin_node_id, query, now, False)
+            path += retry_path
+        if record is None:
+            raise NotFound(f"no finder satisfies the query (searched {len(path)} repositories)")
 
-        populated = []
-        seen: set[str] = set()
-        for node_id in found.path:
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            node = self.nodes[node_id]
-            if found.record.finder_id in node.authoritative:
-                continue
-            self._cache_insert(node, found.record, now, policy)
-            populated.append(node_id)
+        nodes, finder_id = self.nodes, record.finder_id
+        populated = [node_id for node_id in dict.fromkeys(path)
+                     if finder_id not in nodes[node_id].authoritative]
+        stores = policy.cache_capacity != 0
+        for node_id in populated:
+            if stores or nodes[node_id].cache:
+                self._cache_insert(nodes[node_id], record, now, policy)
         return ResolutionResult(
-            record=found.record,
-            path=tuple(found.path),
-            hop_count=len(found.path),
-            cache_hit=found.from_cache,
+            record=record,
+            path=tuple(path),
+            hop_count=len(path),
+            cache_hit=from_cache,
             caches_populated=tuple(populated),
         )
 
@@ -226,26 +200,39 @@ class Topology:
     def _cache_insert(
         self, node: RepositoryNode, record: FinderRecord, now: float, policy: ResolutionPolicy
     ) -> None:
-        """Insert or refresh one record, keeping the newest cache_capacity entries."""
+        """Insert or refresh one record, keeping the newest cache_capacity entries.
+
+        Nothing changes when the newest entry already holds this very record
+        with the same times and is its finder's only entry within the cap.
+        """
         cap = policy.cache_capacity
-        if cap == 0:
-            if node.cache:
-                node.cache = []
+        if cap == 0:  # resolve calls this at capacity 0 only to empty a cache
+            node.cache = []
             return
-        cache = [e for e in node.cache if e.record.finder_id != record.finder_id]
+        cache = node.cache
+        if (cache and cache[-1].record is record and cache[-1].inserted_at == now
+                and cache[-1].ttl == policy.ttl and (cap is None or len(cache) <= cap)
+                and all(e.record.finder_id != record.finder_id for e in cache[:-1])):
+            return
+        cache = [e for e in cache if e.record.finder_id != record.finder_id]
         cache.append(CacheEntry(record=record, inserted_at=now, ttl=policy.ttl))
         if cap is not None and len(cache) > cap:
             del cache[:-cap]
         node.cache = cache
 
-    def _answer_at(self, node_id: str, query: ResourceQuery, now: float):
-        """(record, from_cache) at one node, or (None, False)."""
-        hits = self.local_lookup(node_id, query, now)
-        if not hits:
-            return None, False
-        record = hits[0]
-        node = self.nodes[node_id]
-        return record, record.finder_id not in node.authoritative
+    def _hits(self, node: RepositoryNode, query: ResourceQuery, now: float):
+        """local_lookup's records in its order, lazily, so a search stops at the first."""
+        for _, record in sorted(node.authoritative.items()):
+            if summary_may_satisfy(query, record.summary):
+                yield record
+        cached = {
+            entry.record.finder_id: entry.record
+            for entry in node.cache
+            if entry.is_fresh(now) and entry.record.finder_id not in node.authoritative
+        }
+        for _, record in sorted(cached.items()):
+            if summary_may_satisfy(query, record.summary):
+                yield record
 
     def _subtree_may_hold(self, node: RepositoryNode, child_id: str, query: ResourceQuery, now: float) -> bool | None:
         """What the node's fresh cache says about a child subtree.
@@ -253,8 +240,6 @@ class Topology:
         Returns None when the node knows nothing about the subtree (must
         descend), else whether any known record there may satisfy the query.
         """
-        if not node.cache:
-            return None
         child_zone = self.nodes[child_id].zone
         known = [
             entry.record
@@ -265,22 +250,27 @@ class Topology:
             return None
         return any(summary_may_satisfy(query, record.summary) for record in known)
 
-    def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> "_SearchOutcome":
-        path: list[str] = []
+    def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> tuple:
+        """(record or None, from_cache, path, pruned_any) of one search in the documented order."""
+        nodes, path = self.nodes, []
         pruned_any = False
 
         def visit(node_id: str, skip: str | None = None):
             """Answer locally, else search the child subtrees except ``skip``."""
             nonlocal pruned_any
             path.append(node_id)
-            record, from_cache = self._answer_at(node_id, query, now)
-            if record is not None:
-                return record, from_cache
-            node = self.nodes[node_id]
+            node = nodes[node_id]
+            if node.authoritative or node.cache:
+                record = next(self._hits(node, query, now), None)
+                if record is not None:
+                    return record, record.finder_id not in node.authoritative
+            if not node.delegations:
+                return None
             for _, child_id in sorted(node.delegations.items()):
                 if child_id == skip:
                     continue
-                if pruning and self._subtree_may_hold(node, child_id, query, now) is False:
+                if (pruning and node.cache
+                        and self._subtree_may_hold(node, child_id, query, now) is False):
                     pruned_any = True
                     continue
                 found = visit(child_id)
@@ -290,21 +280,18 @@ class Topology:
 
         # The origin's own subtree first, then up one level at a time,
         # never re-entering the subtree just ascended from.
-        came_from, current = None, origin
-        while current is not None:
-            found = visit(current, skip=came_from)
-            if found is not None:
-                return _SearchOutcome(found[0], found[1], path, pruned_any)
-            came_from, current = current, self.nodes[current].parent
-        return _SearchOutcome(None, False, path, pruned_any)
-
-
-@dataclass
-class _SearchOutcome:
-    record: FinderRecord | None
-    from_cache: bool
-    path: list[str]
-    pruned_any: bool
+        try:
+            came_from, current = None, origin
+            while current is not None:
+                found = visit(current, skip=came_from)
+                if found is not None:
+                    return found[0], found[1], path, pruned_any
+                came_from, current = current, nodes[current].parent
+            return None, False, path, pruned_any
+        finally:
+            # visit refers to itself through its closure; breaking that cycle
+            # frees the search at once instead of in the cycle collector
+            del visit
 
 
 # Largest uniform tree build_topology will allocate.

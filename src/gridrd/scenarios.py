@@ -23,7 +23,7 @@ summary counts what each discovery would contact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
@@ -189,32 +189,33 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
 
     One finder per site; by default every leaf repository hosts one, which
     is the architecture's best case.  ``finder_zones`` narrows the sites to
-    model regions without local finders.
+    model regions without local finders.  Every resource of the pool has
+    the same attributes, so a site's summary is that of one resource with
+    the site's pool size as its entry count; an empty pool summarizes an
+    empty catalog.
     """
     sites = list(cfg.finder_zones) if cfg.finder_zones is not None else topology.leaves()
     if not sites:
         raise ConfigMismatch("distributed runs need at least one finder site")
-    pools: dict[str, list[ResourceSpec]] = {site: [] for site in sites}
-    for i in range(cfg.n_resources):
-        site = sites[i % len(sites)]
-        zone = topology.node(site).zone
-        pools[site].append(
-            ResourceSpec(
-                resource_id=f"res-{i:04d}",
-                numeric_attrs={ATTR_PE_COUNT: 4.0, ATTR_MIPS_PER_PE: 1000.0},
-                tag_attrs={ATTR_ARCH: "x86", ATTR_OS: "linux"},
-                home_zone=zone,
-            )
-        )
+    resource = ResourceSpec(
+        resource_id="res-0000",
+        numeric_attrs={ATTR_PE_COUNT: 4.0, ATTR_MIPS_PER_PE: 1000.0},
+        tag_attrs={ATTR_ARCH: "x86", ATTR_OS: "linux"},
+    )
+    one = summarize(MetadataCatalog(finder_id="pool", entries=(resource,)))
+    rounds, extra = divmod(cfg.n_resources, len(sites))
+    sizes = dict.fromkeys(sites, 0)
+    for i, site in enumerate(sites):
+        sizes[site] += rounds + (i < extra)
     for site in sites:
         node = topology.node(site)
         finder_id = f"fnd-{site}"
-        catalog = MetadataCatalog(finder_id=finder_id, entries=tuple(pools[site]))
+        summary = (replace(one, entry_count=sizes[site]) if sizes[site]
+                   else summarize(MetadataCatalog(finder_id=finder_id)))
         record = FinderRecord(
             finder_id=finder_id,
             endpoint=f"svc://{site}/finder",
             home_zone=node.zone,
-            summary=summarize(catalog),
+            summary=summary,
         )
         topology.register_finder(site, record)
-

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import gc
 import math
 import random
 import time
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from gridrd.domain import (
     FinderRecord,
     MetadataCatalog,
+    MetadataSummary,
     ResourceQuery,
     ResourceSpec,
     ZoneName,
@@ -100,6 +103,31 @@ def reference_order(zones: set[tuple[str, ...]], origin: tuple[str, ...]) -> lis
         order += subtree(origin[k:], came_from)
         came_from = origin[k:]
     return order
+
+
+def reference_lookup(node, query: ResourceQuery, now: float) -> list[FinderRecord]:
+    """local_lookup as documented: satisfying authoritative records by id, then
+    fresh cached ones by id; of two cache entries for one finder the later
+    fresh one counts, and a finder with an authoritative record is never
+    taken from the cache."""
+    cached = {}
+    for entry in node.cache:
+        if now < entry.inserted_at + entry.ttl and entry.record.finder_id not in node.authoritative:
+            cached[entry.record.finder_id] = entry.record
+    return [record
+            for group in (node.authoritative, cached)
+            for _, record in sorted(group.items())
+            if summary_may_satisfy(query, record.summary)]
+
+
+@st.composite
+def summaries(draw):
+    """Summaries that some queries fail: small pe_count ranges, one tag, maybe empty."""
+    return MetadataSummary(
+        numeric_ranges={"pe_count": (0.0, draw(st.sampled_from((1.0, 4.0, 16.0))))},
+        tag_values={"os": frozenset({draw(st.sampled_from(("linux", "bsd")))})},
+        entry_count=draw(st.sampled_from((0, 1, 3))),
+    )
 
 
 @st.composite
@@ -324,6 +352,45 @@ class TestNodeOperations:
             assert [h.finder_id for h in hits] == expected_auth + expected_cached
 
 
+class TestFirstHit:
+    @given(zones=zone_trees(), data=st.data())
+    def test_search_stops_at_the_first_local_hit(self, zones, data):
+        # at every node: the search's lookup is local_lookup's first record
+        # (or nothing), and a resolve from there answers with it in one hop
+        topo = build_topology(TopologySpec(zones=tuple(str(ZoneName(z)) for z in zones[1:])))
+        ids = ("f0", "f1", "f2", "f3", "f4")
+        for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=4), label="auth"):
+            zone = ZoneName(data.draw(st.sampled_from(zones)))
+            topo.register_finder(str(zone), FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
+        # cache entries appended directly: stale or fresh, possibly two for
+        # one finder, possibly shadowed by the node's authoritative record
+        for _ in range(data.draw(st.integers(0, 10), label="cached")):
+            node = topo.nodes[str(ZoneName(data.draw(st.sampled_from(zones))))]
+            record = FinderRecord(data.draw(st.sampled_from(ids)), "svc://c", ZoneName(("far",)),
+                                  data.draw(summaries()))
+            node.cache.append(CacheEntry(record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
+                                         ttl=data.draw(st.sampled_from((1.0, 10.0)))))
+        tags = data.draw(st.sampled_from(({}, {"os": "linux"})))
+        query = ResourceQuery({"pe_count": data.draw(st.sampled_from((0.0, 2.0, 8.0)))}, tags)
+        now = data.draw(st.sampled_from((0.0, 4.0, 9.0)), label="now")
+        for node_id, node in topo.nodes.items():
+            hits = topo.local_lookup(node_id, query, now)
+            expected = reference_lookup(node, query, now)
+            assert len(hits) == len(expected) and all(a is b for a, b in zip(hits, expected))
+            first = hits[0] if hits else None
+            assert next(topo._hits(node, query, now), None) is first
+            try:
+                result = copy.deepcopy(topo).resolve(node_id, query, now)
+            except NotFound:
+                assert first is None
+                continue
+            if first is None:
+                assert result.path[0] == node_id and len(result.path) > 1
+            else:
+                assert result.path == (node_id,) and result.record == first
+                assert result.cache_hit == (first.finder_id not in node.authoritative)
+
+
 # -- resolve --------------------------------------------------------------------
 
 
@@ -357,6 +424,26 @@ class TestResolve:
         order = reference_order(set(zones), origin)
         expected = tuple(str(ZoneName(z)) for z in order[:order.index(home.labels) + 1])
         assert topo.resolve(str(ZoneName(origin)), ResourceQuery(), now=0.0).path == expected
+
+    def test_search_leaves_no_reference_cycles(self):
+        # found, found after a pruned miss and its retry, and not found
+        topo = build_topology(TopologySpec(zones=("a", "b", "x.b", "y.b")))
+        for node_id, pe in (("x.b", 2.0), ("y.b", 32.0)):
+            zone = topo.nodes[node_id].zone
+            cat = MetadataCatalog(f"f-{node_id}", (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
+            topo.register_finder(node_id, FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
+        gc.collect()
+        gc.disable()
+        try:
+            for need in (1, 16, 64):
+                try:
+                    topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": need}), now=1.0)
+                except NotFound:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_authoritative_at_origin_is_one_hop(self):
         topo = build_topology(TopologySpec(depth=2, branching=2))
@@ -583,3 +670,74 @@ class TestCacheCapacity:
         result = topo.resolve("a", ResourceQuery(), now=1.0, policy=ResolutionPolicy(cache_capacity=0))
         assert result.cache_hit and result.caches_populated == ("a",)
         assert topo.nodes["a"].cache == [] and topo.nodes["."].cache
+
+
+
+class TestCacheRefresh:
+    """Re-inserting the newest entry unchanged is a no-op; anything else is not."""
+
+    def _two_finders(self):
+        # f-b at b satisfies pe_count >= 1, f-c at c also pe_count >= 16
+        topo = build_topology(TopologySpec(zones=("a", "b", "c")))
+        for node_id, pe in (("b", 2.0), ("c", 32.0)):
+            zone = topo.nodes[node_id].zone
+            cat = MetadataCatalog(f"f-{node_id}", (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
+            topo.register_finder(node_id, FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
+        return topo
+
+    def _entries(self, node):
+        return [(e.record.finder_id, e.inserted_at, e.ttl) for e in node.cache]
+
+    def test_reinsert_trims_a_cache_over_a_lowered_capacity(self):
+        topo = self._two_finders()
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=0.0)
+        assert self._entries(topo.nodes["a"]) == [("f-b", 0.0, 3600.0), ("f-c", 0.0, 3600.0)]
+        # f-c is already the newest entry at a, with the same times
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=0.0,
+                              policy=ResolutionPolicy(cache_capacity=1))
+        assert result.cache_hit and result.caches_populated == ("a",)
+        assert self._entries(topo.nodes["a"]) == [("f-c", 0.0, 3600.0)]
+
+    def test_reinsert_at_a_later_time_or_with_another_ttl_refreshes(self):
+        topo = self._two_finders()
+        query = ResourceQuery(numeric_mins={"pe_count": 1})
+        topo.resolve("a", query, now=0.0)
+        topo.resolve("a", query, now=0.0)
+        assert self._entries(topo.nodes["a"]) == [("f-b", 0.0, 3600.0)]
+        topo.resolve("a", query, now=7.0)
+        assert self._entries(topo.nodes["a"]) == [("f-b", 7.0, 3600.0)]
+        topo.resolve("a", query, now=7.0, policy=ResolutionPolicy(ttl=60.0))
+        assert self._entries(topo.nodes["a"]) == [("f-b", 7.0, 60.0)]
+
+    def test_equal_but_distinct_record_replaces_the_stored_one(self):
+        topo = self._two_finders()
+        policy = ResolutionPolicy()
+        stored = topo.nodes["b"].authoritative["f-b"]
+        node = topo.nodes["a"]
+        topo._cache_insert(node, stored, 0.0, policy)
+        twin = dataclasses.replace(stored)
+        assert twin == stored and twin is not stored
+        topo._cache_insert(node, twin, 0.0, policy)
+        assert len(node.cache) == 1 and node.cache[0].record is twin
+        topo._cache_insert(node, twin, 0.0, policy)
+        assert len(node.cache) == 1 and node.cache[0].record is twin
+
+    def test_reinsert_drops_a_second_entry_of_the_finder(self):
+        topo = self._two_finders()
+        stored = topo.nodes["b"].authoritative["f-b"]
+        node = topo.nodes["a"]
+        node.cache += [CacheEntry(stored, 0.0, 3600.0), CacheEntry(stored, 0.0, 3600.0)]
+        topo._cache_insert(node, stored, 0.0, ResolutionPolicy())
+        assert self._entries(node) == [("f-b", 0.0, 3600.0)]
+
+    @pytest.mark.parametrize("home, path", [("x.n", ("m", ".", "x.n")),
+                                            ("n", ("m", ".", "x.n", "n"))])
+    def test_delegation_added_after_the_build_is_searched_in_label_order(self, home, path):
+        topo = build_topology(TopologySpec(zones=("m", "n", "x.n")))
+        zone = topo.nodes[home].zone
+        cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
+        topo.register_finder(home, FinderRecord("f1", "svc://x", zone, summarize(cat)))
+        # "a" sorts before "m" and "n" but is inserted after them
+        topo.nodes["."].delegations["a"] = "x.n"
+        assert topo.resolve("m", ResourceQuery(), now=0.0).path == path

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from gridrd import stats
-from gridrd.domain import ResourceQuery
-from gridrd.registry import ResolutionPolicy, TopologySpec
+from gridrd import scenarios, stats
+from gridrd.domain import MetadataCatalog, ResourceQuery, ResourceSpec, summarize
+from gridrd.registry import ResolutionPolicy, TopologySpec, UnknownNode, build_topology
 from gridrd.scenarios import (
     ConfigMismatch,
     RunResult,
@@ -215,6 +215,53 @@ class TestDistributed:
         # failed lookups still cost the registry round-trip, never a service call
         assert dist.trace_summary["registry_lookup"] == 5
         assert "service_call" not in dist.trace_summary
+
+
+def pooled_summaries(topology, cfg) -> dict:
+    """Each finder site's summary from its full catalog: the synthetic pool
+    dealt round-robin over the sites, one ResourceSpec per resource."""
+    sites = list(cfg.finder_zones) if cfg.finder_zones is not None else topology.leaves()
+    pools = {site: [] for site in sites}
+    for i in range(cfg.n_resources):
+        site = sites[i % len(sites)]
+        pools[site].append(ResourceSpec(
+            resource_id=f"res-{i:04d}",
+            numeric_attrs={"pe_count": 4.0, "mips_per_pe": 1000.0},
+            tag_attrs={"arch": "x86", "os": "linux"},
+            home_zone=topology.node(site).zone,
+        ))
+    return {site: summarize(MetadataCatalog(f"fnd-{site}", tuple(pool)))
+            for site, pool in pools.items()}
+
+
+class TestFinderSummaries:
+    TREE = TopologySpec(depth=3, branching=3)  # nine leaves
+
+    @pytest.mark.parametrize("resources", [1, 4, 9, 10, 23])
+    @pytest.mark.parametrize("sites", [None, ("z00", "z01.z02", "z02.z02", "z01"),
+                                       ("z00.z00", "z01", "z00.z00")])
+    def test_summaries_equal_those_of_the_full_catalogs(self, resources, sites):
+        cfg = _cfg(ScenarioKind.DISTRIBUTED, 3, resources, topology=self.TREE,
+                   query=ResourceQuery(), finder_zones=sites)
+        topology = build_topology(self.TREE)
+        scenarios._populate_finders(topology, cfg)
+        expected = pooled_summaries(build_topology(self.TREE), cfg)
+        registered = {node_id: node.authoritative for node_id, node in topology.nodes.items()
+                      if node.authoritative}
+        assert sorted(registered) == sorted(expected)
+        for site, summary in expected.items():
+            record = registered[site][f"fnd-{site}"]
+            assert record.summary == summary
+            assert repr(record.summary) == repr(summary)
+            assert record.endpoint == f"svc://{site}/finder"
+            assert record.home_zone == topology.nodes[site].zone
+
+    @pytest.mark.parametrize("sites, resources", [(("nowhere",), 4), (("z00", "nowhere"), 1),
+                                                  (("z00", "nowhere"), 5)])
+    def test_unknown_site_rejected(self, sites, resources):
+        with pytest.raises(UnknownNode, match="nowhere"):
+            run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 3, resources, topology=self.TREE,
+                              query=ResourceQuery(), finder_zones=sites))
 
 
 # Distributed runs whose exact bytes are frozen in golden/distributed_runs.json:
