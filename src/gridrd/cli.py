@@ -48,6 +48,12 @@ def _scenario(name: str) -> ScenarioKind:
         raise argparse.ArgumentTypeError(f"unknown scenario {name!r} (choose from {names})")
 
 
+def _worker_count(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gridrd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="diagonal points (users = resources)")
     p_sweep.add_argument("--replications", type=int, default=10)
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_worker_count, default=1)
     p_sweep.add_argument("--out", type=Path, required=True, help="observations CSV path")
 
     p_an = sub.add_parser("analyze", help="pointwise mean-difference tests of two sweeps")

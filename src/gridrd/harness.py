@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -164,6 +163,7 @@ def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[Observa
     if workers <= 1:
         rows = [run_cell(cell) for cell in cells]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # with logging: slow to import
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_cell, cells))
     rows.sort(key=lambda r: (r.scenario.ordinal, r.users, r.resources, r.replication))

@@ -4,14 +4,16 @@ Repositories form a rooted tree of zones.  A finder record is authoritative
 at exactly one repository (its home zone); every other repository can only
 learn it through resolution, which caches the answer with a TTL at each
 repository it crossed.  Resolution is recursive in the DNS sense: the answer
-propagates back along the contact path, so the whole path learns it.
+propagates back along the contact path, so the whole path learns it, as one
+frozen CacheEntry that every repository it populates shares.
 
 The search order is fixed so that identical inputs always produce identical
 results: from the origin, search the origin's own subtree depth-first, then
 ascend one level at a time, at each ancestor doing a local lookup and then
 searching its remaining child subtrees (children in lexicographic label
 order, never re-entering the subtree just ascended from).  Exhausting the
-root means the whole tree has been searched.
+root means the whole tree has been searched.  The search is one loop over an
+explicit stack, so no tree is too deep for Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -181,56 +183,51 @@ class Topology:
             raise NotFound(f"no finder satisfies the query (searched {len(path)} repositories)")
 
         nodes, finder_id = self.nodes, record.finder_id
-        populated = [node_id for node_id in dict.fromkeys(path)
+        populated = [node_id for node_id in (path if len(path) == 1 else dict.fromkeys(path))
                      if finder_id not in nodes[node_id].authoritative]
-        stores = policy.cache_capacity != 0
-        for node_id in populated:
-            if stores or nodes[node_id].cache:
-                self._cache_insert(nodes[node_id], record, now, policy)
-        return ResolutionResult(
-            record=record,
-            path=tuple(path),
-            hop_count=len(path),
-            cache_hit=from_cache,
-            caches_populated=tuple(populated),
-        )
+        cap = policy.cache_capacity
+        if cap != 0:
+            # frozen, so every populated repository can hold the same entry
+            entry = CacheEntry(record, now, policy.ttl)
+            for node_id in populated:
+                self._cache_insert(nodes[node_id], entry, cap)
+        else:  # stores nothing, but empties a cache filled under a larger cap
+            for node_id in populated:
+                if nodes[node_id].cache:
+                    nodes[node_id].cache = []
+        return ResolutionResult(record, tuple(path), len(path), from_cache, tuple(populated))
 
     # -- internals ---------------------------------------------------------
 
-    def _cache_insert(
-        self, node: RepositoryNode, record: FinderRecord, now: float, policy: ResolutionPolicy
-    ) -> None:
-        """Insert or refresh one record, keeping the newest cache_capacity entries.
+    def _cache_insert(self, node: RepositoryNode, entry: CacheEntry, cap: int | None) -> None:
+        """Insert or refresh one entry, keeping the newest ``cap`` entries (None: all).
 
         Nothing changes when the newest entry already holds this very record
         with the same times and is its finder's only entry within the cap.
         """
-        cap = policy.cache_capacity
-        if cap == 0:  # resolve calls this at capacity 0 only to empty a cache
-            node.cache = []
-            return
-        cache = node.cache
-        if (cache and cache[-1].record is record and cache[-1].inserted_at == now
-                and cache[-1].ttl == policy.ttl and (cap is None or len(cache) <= cap)
-                and all(e.record.finder_id != record.finder_id for e in cache[:-1])):
+        record, cache = entry.record, node.cache
+        if (cache and cache[-1].record is record and cache[-1].inserted_at == entry.inserted_at
+                and cache[-1].ttl == entry.ttl and (cap is None or len(cache) <= cap)
+                and (len(cache) == 1 or all(e.record.finder_id != record.finder_id for e in cache[:-1]))):
             return
         cache = [e for e in cache if e.record.finder_id != record.finder_id]
-        cache.append(CacheEntry(record=record, inserted_at=now, ttl=policy.ttl))
+        cache.append(entry)
         if cap is not None and len(cache) > cap:
             del cache[:-cap]
         node.cache = cache
 
     def _hits(self, node: RepositoryNode, query: ResourceQuery, now: float):
         """local_lookup's records in its order, lazily, so a search stops at the first."""
-        for _, record in sorted(node.authoritative.items()):
+        authoritative = node.authoritative
+        for _, record in sorted(authoritative.items()) if len(authoritative) > 1 else authoritative.items():
             if summary_may_satisfy(query, record.summary):
                 yield record
-        cached = {
-            entry.record.finder_id: entry.record
-            for entry in node.cache
-            if entry.is_fresh(now) and entry.record.finder_id not in node.authoritative
-        }
-        for _, record in sorted(cached.items()):
+        cached = {}  # the last fresh entry of a finder wins
+        for entry in node.cache:
+            record = entry.record
+            if now < entry.inserted_at + entry.ttl and record.finder_id not in authoritative:
+                cached[record.finder_id] = record
+        for _, record in sorted(cached.items()) if len(cached) > 1 else cached.items():
             if summary_may_satisfy(query, record.summary):
                 yield record
 
@@ -251,47 +248,40 @@ class Topology:
         return any(summary_may_satisfy(query, record.summary) for record in known)
 
     def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> tuple:
-        """(record or None, from_cache, path, pruned_any) of one search in the documented order."""
-        nodes, path = self.nodes, []
-        pruned_any = False
+        """(record or None, from_cache, path, pruned_any) of one search in the documented order.
 
-        def visit(node_id: str, skip: str | None = None):
-            """Answer locally, else search the child subtrees except ``skip``."""
-            nonlocal pruned_any
-            path.append(node_id)
-            node = nodes[node_id]
-            if node.authoritative or node.cache:
-                record = next(self._hits(node, query, now), None)
-                if record is not None:
-                    return record, record.finder_id not in node.authoritative
-            if not node.delegations:
-                return None
-            for _, child_id in sorted(node.delegations.items()):
-                if child_id == skip:
-                    continue
-                if (pruning and node.cache
-                        and self._subtree_may_hold(node, child_id, query, now) is False):
-                    pruned_any = True
-                    continue
-                found = visit(child_id)
-                if found is not None:
-                    return found
-            return None
-
-        # The origin's own subtree first, then up one level at a time,
-        # never re-entering the subtree just ascended from.
-        try:
-            came_from, current = None, origin
-            while current is not None:
-                found = visit(current, skip=came_from)
-                if found is not None:
-                    return found[0], found[1], path, pruned_any
-                came_from, current = current, nodes[current].parent
-            return None, False, path, pruned_any
-        finally:
-            # visit refers to itself through its closure; breaking that cycle
-            # frees the search at once instead of in the cycle collector
-            del visit
+        A frame is a repository and an iterator over its (label, child id) pairs; an ancestor
+        sits alone in a frame whose repository is None.  A child's pruning check runs only
+        when the search reaches it, after its earlier siblings' subtrees.
+        """
+        nodes, path, pruned_any = self.nodes, [], False
+        # The origin's own subtree first, then up one level at a time.
+        came_from, current = None, origin
+        while current is not None:
+            stack = [(None, iter(((None, current),)))]
+            while stack:
+                parent, children = stack[-1]
+                for _, node_id in children:
+                    if (pruning and parent is not None and parent.cache
+                            and self._subtree_may_hold(parent, node_id, query, now) is False):
+                        pruned_any = True
+                        continue
+                    path.append(node_id)
+                    node = nodes[node_id]
+                    if node.authoritative or node.cache:
+                        record = next(self._hits(node, query, now), None)
+                        if record is not None:
+                            return record, record.finder_id not in node.authoritative, path, pruned_any
+                    if node.delegations:
+                        pairs = sorted(node.delegations.items())
+                        if parent is None:  # an ancestor skips the subtree just ascended from
+                            pairs = [pair for pair in pairs if pair[1] != came_from]
+                        stack.append((node, iter(pairs)))
+                        break
+                else:
+                    stack.pop()
+            came_from, current = current, nodes[current].parent
+        return None, False, path, pruned_any
 
 
 # Largest uniform tree build_topology will allocate.

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
+import gridrd
 from gridrd.cli import main
 from gridrd.harness import read_observations
 from gridrd.scenarios import ScenarioKind
@@ -59,6 +63,27 @@ def test_sweep_determinism_across_invocations(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b), "--workers", "4"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "-7", "two"])
+def test_bad_worker_count_is_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "obs.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sweep", "--points", "20", "--workers", workers, "--out", str(out)])
+    assert exc_info.value.code == 1
+    assert "worker count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    # only sweep --workers 2 or more needs concurrent.futures (and logging)
+    src = str(Path(gridrd.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, gridrd.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_usage_error_exits_one(capsys):
@@ -255,6 +280,16 @@ def test_distributed_run_via_config(tmp_path, capsys):
                  "--config", str(cfg), "--no-jitter"]) == 0
     out = capsys.readouterr().out
     assert "events.registry_lookup = 4" in out
+
+
+def test_distributed_run_over_a_deep_zone_chain(tmp_path, capsys):
+    # the user at z has an empty pool, so its search descends the whole chain
+    chain = [".".join(["a"] * k) for k in range(1, sys.getrecursionlimit() + 201)]
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("topology.zones = " + ", ".join(["z"] + chain) + "\n", encoding="utf-8")
+    assert main(["run", "--scenario", "distributed", "--users", "2", "--resources", "1",
+                 "--config", str(cfg)]) == 0
+    assert "events.registry_lookup = 2" in capsys.readouterr().out
 
 
 def test_distributed_without_topology_exits_three(capsys):

@@ -3,10 +3,11 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from gridrd.domain import (
@@ -118,6 +119,65 @@ def reference_lookup(node, query: ResourceQuery, now: float) -> list[FinderRecor
             for group in (node.authoritative, cached)
             for _, record in sorted(group.items())
             if summary_may_satisfy(query, record.summary)]
+
+
+def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: float,
+                      policy: ResolutionPolicy):
+    """resolve as the module and method docstrings describe it, searched recursively.
+
+    Returns (record, path, cache_hit, caches_populated, pruned_any, retried),
+    or None where resolve raises NotFound, and applies the cache updates to
+    ``topo``'s nodes: every populated repository drops its entry for the
+    finder, appends a new one and keeps its newest ``cache_capacity``.
+    """
+    nodes, path, pruned = topo.nodes, [], []
+
+    def may_hold(node, child_id):
+        known = [e.record for e in node.cache if now < e.inserted_at + e.ttl
+                 and nodes[child_id].zone.is_ancestor_of(e.record.home_zone)]
+        return any(summary_may_satisfy(query, r.summary) for r in known) if known else None
+
+    def visit(node_id, skip, pruning):
+        path.append(node_id)
+        node = nodes[node_id]
+        hits = reference_lookup(node, query, now)
+        if hits:
+            return hits[0], hits[0].finder_id not in node.authoritative
+        for _, child_id in sorted(node.delegations.items()):
+            if child_id == skip:
+                continue
+            if pruning and may_hold(node, child_id) is False:
+                pruned.append(child_id)
+                continue
+            found = visit(child_id, None, pruning)
+            if found is not None:
+                return found
+        return None
+
+    def search(pruning):
+        came_from, current = None, origin
+        while current is not None:
+            found = visit(current, came_from, pruning)
+            if found is not None:
+                return found
+            came_from, current = current, nodes[current].parent
+        return None
+
+    found = search(policy.summary_pruning)
+    retried = found is None and bool(pruned)
+    if retried:
+        found = search(False)
+    if found is None:
+        return None
+    record, cache_hit = found
+    populated = [n for n in dict.fromkeys(path) if record.finder_id not in nodes[n].authoritative]
+    cap = policy.cache_capacity
+    for node_id in populated:
+        node = nodes[node_id]
+        entries = [e for e in node.cache if e.record.finder_id != record.finder_id]
+        entries.append(CacheEntry(record, now, policy.ttl))
+        node.cache = entries if cap is None else entries[len(entries) - cap:] if cap else []
+    return record, tuple(path), cache_hit, tuple(populated), bool(pruned), retried
 
 
 @st.composite
@@ -391,6 +451,55 @@ class TestFirstHit:
                 assert result.cache_hit == (first.finder_id not in node.authoritative)
 
 
+class TestSearchOracle:
+    @given(zones=zone_trees(), data=st.data())
+    def test_resolve_matches_a_recursive_reference(self, zones, data):
+        # authoritative records and pre-filled caches, fresh or stale, about
+        # any subtree (siblings too), so that pruning and its retry happen
+        topo = build_topology(TopologySpec(zones=tuple(str(ZoneName(z)) for z in zones[1:])))
+        ids = ("f0", "f1", "f2", "f3", "f4")
+        for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=5), label="auth"):
+            zone = ZoneName(data.draw(st.sampled_from(zones)))
+            topo.register_finder(str(zone), FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
+        for _ in range(data.draw(st.integers(0, 12), label="cached")):
+            home = data.draw(st.sampled_from(zones))
+            # at an ancestor of the record's home, or at any repository
+            at = data.draw(st.one_of(st.integers(0, len(home)).map(lambda k: home[k:]),
+                                     st.sampled_from(zones)))
+            node, home = topo.nodes[str(ZoneName(at))], ZoneName(home)
+            record = FinderRecord(data.draw(st.sampled_from(ids + ("c0", "c1"))), "svc://c", home,
+                                  data.draw(summaries()))
+            node.cache.append(CacheEntry(record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
+                                         ttl=data.draw(st.sampled_from((1.0, 10.0)))))
+        policy = ResolutionPolicy(ttl=data.draw(st.sampled_from((1.0, 10.0, 3600.0))),
+                                  cache_capacity=data.draw(st.sampled_from((None, 0, 1, 2))))
+        reference = copy.deepcopy(topo)
+        steps = data.draw(st.lists(st.tuples(st.sampled_from(zones),
+                                             st.sampled_from((0.0, 2.0, 8.0)),
+                                             st.sampled_from(({}, {"os": "linux"})),
+                                             st.sampled_from((0.0, 5.0, 9.0))),
+                                   min_size=1, max_size=4), label="steps")
+        for origin, need, tags, now in steps:
+            origin = str(ZoneName(origin))
+            query = ResourceQuery({"pe_count": need}, tags)
+            expected = reference_resolve(reference, origin, query, now, policy)
+            if expected is None:
+                with pytest.raises(NotFound):
+                    topo.resolve(origin, query, now, policy)
+                event("not found")
+            else:
+                result = topo.resolve(origin, query, now, policy)
+                record, path, cache_hit, populated, pruned_any, retried = expected
+                assert result.record == record
+                assert (result.path, result.cache_hit, result.caches_populated) == (
+                    path, cache_hit, populated)
+                assert result.hop_count == len(path)
+                event("found after a retry" if retried else "found, pruned" if pruned_any
+                      else "found")
+            for node_id, node in topo.nodes.items():
+                assert node.cache == reference.nodes[node_id].cache
+
+
 # -- resolve --------------------------------------------------------------------
 
 
@@ -444,6 +553,23 @@ class TestResolve:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_a_chain_deeper_than_the_recursion_limit_resolves(self):
+        # the origin z has nothing, so the search goes down the whole chain
+        depth = sys.getrecursionlimit() + 200
+        chain = tuple(".".join(["a"] * k) for k in range(1, depth + 1))
+        topo = build_topology(TopologySpec(zones=("z",) + chain))
+        zone = topo.nodes[chain[-1]].zone
+        cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
+        topo.register_finder(chain[-1], FinderRecord("f1", "svc://1", zone, summarize(cat)))
+        result = topo.resolve("z", ResourceQuery(), now=0.0)
+        assert result.path == ("z", ".") + chain
+        assert result.caches_populated == ("z", ".") + chain[:-1]
+        # one frozen entry, shared by every repository it populated
+        assert len({id(topo.nodes[n].cache[-1]) for n in result.caches_populated}) == 1
+        assert topo.resolve("a", ResourceQuery(), now=1.0).path == ("a",)
+        with pytest.raises(NotFound):
+            topo.resolve("z", ResourceQuery(numeric_mins={"pe_count": 99}), now=2.0)
 
     def test_authoritative_at_origin_is_one_hop(self):
         topo = build_topology(TopologySpec(depth=2, branching=2))
@@ -715,12 +841,12 @@ class TestCacheRefresh:
         policy = ResolutionPolicy()
         stored = topo.nodes["b"].authoritative["f-b"]
         node = topo.nodes["a"]
-        topo._cache_insert(node, stored, 0.0, policy)
+        topo._cache_insert(node, CacheEntry(stored, 0.0, policy.ttl), policy.cache_capacity)
         twin = dataclasses.replace(stored)
         assert twin == stored and twin is not stored
-        topo._cache_insert(node, twin, 0.0, policy)
+        topo._cache_insert(node, CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
         assert len(node.cache) == 1 and node.cache[0].record is twin
-        topo._cache_insert(node, twin, 0.0, policy)
+        topo._cache_insert(node, CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
         assert len(node.cache) == 1 and node.cache[0].record is twin
 
     def test_reinsert_drops_a_second_entry_of_the_finder(self):
@@ -728,7 +854,8 @@ class TestCacheRefresh:
         stored = topo.nodes["b"].authoritative["f-b"]
         node = topo.nodes["a"]
         node.cache += [CacheEntry(stored, 0.0, 3600.0), CacheEntry(stored, 0.0, 3600.0)]
-        topo._cache_insert(node, stored, 0.0, ResolutionPolicy())
+        policy = ResolutionPolicy()
+        topo._cache_insert(node, CacheEntry(stored, 0.0, policy.ttl), policy.cache_capacity)
         assert self._entries(node) == [("f-b", 0.0, 3600.0)]
 
     @pytest.mark.parametrize("home, path", [("x.n", ("m", ".", "x.n")),
