@@ -12,7 +12,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import Config, ConfigError, load_config
-from .domain import ResourceQuery
 from .harness import (
     SweepKind,
     SweepSpec,
@@ -21,10 +20,11 @@ from .harness import (
     plot_data,
     read_observations,
     run_sweep,
+    scenario_config,
     write_analysis,
     write_observations,
 )
-from .scenarios import ScenarioConfig, ScenarioKind, run_scenario
+from .scenarios import ScenarioKind, run_scenario
 
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
@@ -108,18 +108,8 @@ def _load(args: argparse.Namespace) -> Config:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    scenario_cfg = ScenarioConfig(
-        kind=args.scenario,
-        n_users=args.users,
-        n_resources=args.resources,
-        latency=cfg.latency,
-        seed=args.seed,
-        topology=cfg.topology if args.scenario is ScenarioKind.DISTRIBUTED else None,
-        query=ResourceQuery() if args.scenario is ScenarioKind.DISTRIBUTED else None,
-        policy=cfg.policy,
-    )
-    result = run_scenario(scenario_cfg)
+    result = run_scenario(scenario_config(_load(args), args.scenario, args.users,
+                                          args.resources, args.seed))
     print(f"scenario = {args.scenario.value}")
     print(f"users = {args.users}")
     print(f"resources = {args.resources}")

@@ -2,7 +2,10 @@
 
 Format: UTF-8 ``key = value`` lines, ``#`` comments, blank lines ignored.
 Every key is optional and defaults to the calibrated values below; unknown
-keys are hard errors so typos cannot silently fall back to defaults.
+keys are hard errors so typos cannot silently fall back to defaults.  The
+parser only turns text into values; ``LatencyModel``, ``ResolutionPolicy``
+and ``TopologySpec`` enforce the limits, and their errors become
+ConfigError.
 
 Keys::
 
@@ -18,11 +21,10 @@ Keys::
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from .registry import MalformedTopology, ResolutionPolicy, TopologySpec, check_tree_size
+from .registry import MalformedTopology, ResolutionPolicy, TopologySpec
 from .simkern import LatencyModel
 
 
@@ -32,61 +34,46 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Config:
+    """The settings of a run; each value type checks its own limits."""
+
     latency: LatencyModel = LatencyModel()
-    ttl: float = 3600.0
-    summary_pruning: bool = True
-    cache_capacity: int | None = None
+    policy: ResolutionPolicy = ResolutionPolicy()
     topology: TopologySpec | None = None
 
-    @property
-    def policy(self) -> ResolutionPolicy:
-        return ResolutionPolicy(
-            ttl=self.ttl,
-            summary_pruning=self.summary_pruning,
-            cache_capacity=self.cache_capacity,
-        )
 
-
-_LATENCY_KEYS = ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
-                 "jitter_sigma0", "jitter_gamma")
-
-
-def _parse_float(key: str, raw: str, minimum: float | None = None) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"key {key!r}: {value} is out of range (must be >= {minimum})")
-    return value
-
-
-def _parse_bool(key: str, raw: str) -> bool:
+def _boolean(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"key {key!r}: {raw!r} is not a boolean")
+    raise ValueError(raw)
 
 
-def _parse_int(key: str, raw: str, minimum: int) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: {raw!r} is not an integer") from None
-    if value < minimum:
-        raise ConfigError(f"key {key!r}: {value} is out of range (must be >= {minimum})")
-    return value
+def _integer_or_none(raw: str) -> int | None:
+    return None if raw.lower() == "none" else int(raw)
+
+
+def _zone_list(raw: str) -> tuple[str, ...]:
+    return tuple(z.strip() for z in raw.split(",") if z.strip())
+
+
+# key -> (the value type it feeds, text to value, what the value must be)
+_KEYS = {
+    **dict.fromkeys(("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
+                     "jitter_sigma0", "jitter_gamma"), ("latency", float, "a number")),
+    "jitter_enabled": ("latency", _boolean, "a boolean"),
+    "ttl": ("policy", float, "a number"),
+    "summary_pruning": ("policy", _boolean, "a boolean"),
+    "cache_capacity": ("policy", _integer_or_none, "an integer or none"),
+    "topology.depth": ("topology", int, "an integer"),
+    "topology.branching": ("topology", int, "an integer"),
+    "topology.zones": ("topology", _zone_list, "a zone list"),
+}
 
 
 def parse_config(text: str) -> Config:
-    latency_kwargs: dict[str, object] = {}
-    cfg_kwargs: dict[str, object] = {}
-    topo_kwargs: dict[str, object] = {}
-
+    fields: dict[str, dict[str, object]] = {"latency": {}, "policy": {}, "topology": {}}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -94,41 +81,21 @@ def parse_config(text: str) -> Config:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-
-        if key in _LATENCY_KEYS:
-            latency_kwargs[key] = _parse_float(key, raw, minimum=0.0)
-        elif key == "jitter_enabled":
-            latency_kwargs[key] = _parse_bool(key, raw)
-        elif key == "ttl":
-            value = _parse_float(key, raw)
-            if value <= 0:
-                raise ConfigError(f"key 'ttl': {value} is out of range (must be > 0)")
-            cfg_kwargs["ttl"] = value
-        elif key == "summary_pruning":
-            cfg_kwargs["summary_pruning"] = _parse_bool(key, raw)
-        elif key == "cache_capacity":
-            cfg_kwargs["cache_capacity"] = None if raw.lower() == "none" else _parse_int(key, raw, 0)
-        elif key == "topology.depth":
-            topo_kwargs["depth"] = _parse_int(key, raw, 1)
-        elif key == "topology.branching":
-            topo_kwargs["branching"] = _parse_int(key, raw, 1)
-        elif key == "topology.zones":
-            topo_kwargs["zones"] = tuple(z.strip() for z in raw.split(",") if z.strip())
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-
-    cfg = Config(latency=LatencyModel(**latency_kwargs), **cfg_kwargs)
-    if topo_kwargs:
-        if "zones" in topo_kwargs and ("depth" in topo_kwargs or "branching" in topo_kwargs):
-            raise ConfigError("give either topology.depth/branching or topology.zones, not both")
-        spec = TopologySpec(**topo_kwargs)
-        if spec.depth is not None:
-            try:
-                check_tree_size(spec.depth, spec.branching if spec.branching is not None else 1)
-            except MalformedTopology as exc:
-                raise ConfigError(str(exc)) from None
-        cfg = replace(cfg, topology=spec)
-    return cfg
+        group, convert, kind = _KEYS[key]
+        try:
+            fields[group][key.removeprefix("topology.")] = convert(raw)
+        except ValueError:
+            raise ConfigError(f"key {key!r}: {raw!r} is not {kind}") from None
+    try:
+        return Config(
+            latency=LatencyModel(**fields["latency"]),
+            policy=ResolutionPolicy(**fields["policy"]),
+            topology=TopologySpec(**fields["topology"]) if fields["topology"] else None,
+        )
+    except (ValueError, MalformedTopology) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str | Path) -> Config:

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from . import stats
 from .config import Config, ConfigError
-from .domain import ResourceQuery
 from .scenarios import RunResult, ScenarioConfig, ScenarioKind, run_scenario
 from .simkern import mix64
 from .stats import MeanDifferenceTest, unpaired_t_test
@@ -115,48 +114,40 @@ def cell_seed(base_seed: int, scenario: ScenarioKind, users: int, resources: int
     return mix64(base_seed, scenario.ordinal, users, resources, replication)
 
 
-def _cell_config(scenario: ScenarioKind, users: int, resources: int, seed: int,
-                 config: Config) -> ScenarioConfig:
-    kwargs = {}
-    if scenario is ScenarioKind.DISTRIBUTED:
-        kwargs = {"topology": config.topology, "query": ResourceQuery(), "policy": config.policy}
-    return ScenarioConfig(
-        kind=scenario,
-        n_users=users,
-        n_resources=resources,
-        latency=config.latency,
-        seed=seed,
-        **kwargs,
-    )
+def scenario_config(config: Config, kind: ScenarioKind, users: int, resources: int,
+                    seed: int) -> ScenarioConfig:
+    """The ScenarioConfig of one run under ``config``, for ``gridrd run`` and every sweep cell."""
+    if kind is ScenarioKind.DISTRIBUTED and config.topology is None:
+        raise ConfigError("distributed runs need topology.depth/branching or topology.zones")
+    return ScenarioConfig(kind, users, resources, config.latency, seed,
+                          topology=config.topology, policy=config.policy)
 
 
 def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[ObservationRow]:
     """Run every (scenario, point, replication) cell of the sweep.
 
-    ``workers > 1`` runs cells on a thread pool; cells share no state (each
-    derives its own seed), and rows come back in deterministic cell order
-    either way.
+    Every cell's run is configured before any runs.  ``workers > 1`` runs
+    cells on a thread pool; cells share no state (each derives its own
+    seed), and rows come back in deterministic cell order either way.
     """
-    if ScenarioKind.DISTRIBUTED in spec.scenarios and config.topology is None:
-        raise ConfigError("distributed sweeps need topology.depth/branching or topology.zones")
     points = spec.points()
     cells = [
-        (scenario, users, resources, rep)
+        (rep, scenario_config(config, scenario, users, resources,
+                              cell_seed(spec.base_seed, scenario, users, resources, rep)))
         for scenario in sorted(spec.scenarios, key=lambda s: s.ordinal)
         for (users, resources) in points
         for rep in range(spec.replications)
     ]
 
-    def run_cell(cell: tuple[ScenarioKind, int, int, int]) -> ObservationRow:
-        scenario, users, resources, rep = cell
-        seed = cell_seed(spec.base_seed, scenario, users, resources, rep)
-        result: RunResult = run_scenario(_cell_config(scenario, users, resources, seed, config))
+    def run_cell(cell: tuple[int, ScenarioConfig]) -> ObservationRow:
+        rep, cfg = cell
+        result: RunResult = run_scenario(cfg)
         return ObservationRow(
-            scenario=scenario,
-            users=users,
-            resources=resources,
+            scenario=cfg.kind,
+            users=cfg.n_users,
+            resources=cfg.n_resources,
             replication=rep,
-            seed=seed,
+            seed=cfg.seed,
             discovery_time_s=result.mean_time,
         )
 

@@ -106,7 +106,11 @@ class TopologySpec:
     Either a uniform tree (``depth`` levels, ``branching`` children per
     node; depth 1 is a lone root) or an explicit list of zone names whose
     parents must all be present (the root is always implicit).  A zone
-    list given as any iterable is stored as a tuple, so specs hash.
+    list given as any iterable is stored as a tuple, so specs hash.  A spec
+    that describes no valid tree raises MalformedTopology (ValueError for a
+    bad zone label) when it is made: a uniform tree's size is checked by
+    arithmetic, a zone list by building its shape, which build_topology
+    then reuses.
     """
 
     depth: int | None = None
@@ -116,6 +120,19 @@ class TopologySpec:
     def __post_init__(self) -> None:
         if self.zones is not None:
             object.__setattr__(self, "zones", tuple(self.zones))
+            if self.depth is not None or self.branching is not None:
+                raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
+            _tree_shape(self)
+            return
+        if self.depth is None:
+            raise MalformedTopology("topology spec needs a depth or a zone list")
+        branching = 1 if self.branching is None else self.branching
+        for name, value in (("depth", self.depth), ("branching", branching)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise MalformedTopology(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise MalformedTopology(f"{name} must be >= 1, got {value}")
+        check_tree_size(self.depth, branching)
 
 
 class Topology:
@@ -331,25 +348,15 @@ def _tree_shape(spec: TopologySpec) -> tuple:
     """(node id, zone, parent id, delegation pairs) per repository, parents first.
 
     A uniform spec is expanded level by level into its zone list and built
-    like an explicit one.  A spec always has the same shape, so it is
-    validated and built once per process; the cache is small because a shape
-    holds a ZoneName per repository.  lru_cache keeps no exceptions, so a
-    malformed spec raises on every call.
+    like an explicit one; a duplicate or orphaned zone in a zone list shows
+    up while building.  A spec always has the same shape, so it is built
+    once per process; the cache is small because a shape holds a ZoneName
+    per repository.
     """
     if spec.zones is not None:
-        if spec.depth is not None or spec.branching is not None:
-            raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
         zones = [ZoneName.parse(text) for text in spec.zones]
     else:
-        if spec.depth is None:
-            raise MalformedTopology("topology spec needs a depth or a zone list")
-        branching = spec.branching if spec.branching is not None else 1
-        for name, value in (("depth", spec.depth), ("branching", branching)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise MalformedTopology(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise MalformedTopology(f"{name} must be >= 1, got {value}")
-        check_tree_size(spec.depth, branching)
+        branching = 1 if spec.branching is None else spec.branching
         width = max(2, len(str(branching - 1)))
         labels = [f"z{i:0{width}d}" for i in range(branching)]
         zones, level = [], [ZoneName()]

@@ -34,10 +34,8 @@ from .domain import (
     ATTR_OS,
     ATTR_PE_COUNT,
     FinderRecord,
-    MetadataCatalog,
+    MetadataSummary,
     ResourceQuery,
-    ResourceSpec,
-    summarize,
 )
 from .registry import NotFound, ResolutionPolicy, Topology, TopologySpec, build_topology
 from .simkern import LatencyModel, jitter_vector, mix64
@@ -72,7 +70,7 @@ class ScenarioConfig:
     latency: LatencyModel = LatencyModel()
     seed: int = 0
     topology: TopologySpec | None = None
-    query: ResourceQuery | None = None
+    query: ResourceQuery = ResourceQuery()
     finder_zones: tuple[str, ...] | None = None
     policy: ResolutionPolicy = ResolutionPolicy()
 
@@ -164,8 +162,6 @@ def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
     """
     if cfg.topology is None:
         raise ConfigMismatch("distributed runs need a topology spec")
-    if cfg.query is None:
-        raise ConfigMismatch("distributed runs need a resource query")
     lat = cfg.latency
     topology = build_topology(cfg.topology)
     _populate_finders(topology, cfg)
@@ -184,6 +180,14 @@ def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
     return hops, tuple(failed)
 
 
+# The summary of one pool resource: 4 PEs of 1000 MIPS, x86, linux.
+_POOL_SUMMARY = MetadataSummary(
+    numeric_ranges={ATTR_PE_COUNT: (4.0, 4.0), ATTR_MIPS_PER_PE: (1000.0, 1000.0)},
+    tag_values={ATTR_ARCH: frozenset({"x86"}), ATTR_OS: frozenset({"linux"})},
+    entry_count=1,
+)
+
+
 def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
     """Deal the synthetic resource pool round-robin over finder sites.
 
@@ -191,18 +195,11 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
     is the architecture's best case.  ``finder_zones`` narrows the sites to
     model regions without local finders.  Every resource of the pool has
     the same attributes, so a site's summary is that of one resource with
-    the site's pool size as its entry count; an empty pool summarizes an
-    empty catalog.
+    the site's pool size as its entry count; an empty pool's is empty.
     """
     sites = list(cfg.finder_zones) if cfg.finder_zones is not None else topology.leaves()
     if not sites:
         raise ConfigMismatch("distributed runs need at least one finder site")
-    resource = ResourceSpec(
-        resource_id="res-0000",
-        numeric_attrs={ATTR_PE_COUNT: 4.0, ATTR_MIPS_PER_PE: 1000.0},
-        tag_attrs={ATTR_ARCH: "x86", ATTR_OS: "linux"},
-    )
-    one = summarize(MetadataCatalog(finder_id="pool", entries=(resource,)))
     rounds, extra = divmod(cfg.n_resources, len(sites))
     sizes = dict.fromkeys(sites, 0)
     for i, site in enumerate(sites):
@@ -210,8 +207,8 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
     for site in sites:
         node = topology.node(site)
         finder_id = f"fnd-{site}"
-        summary = (replace(one, entry_count=sizes[site]) if sizes[site]
-                   else summarize(MetadataCatalog(finder_id=finder_id)))
+        summary = (replace(_POOL_SUMMARY, entry_count=sizes[site]) if sizes[site]
+                   else MetadataSummary())
         record = FinderRecord(
             finder_id=finder_id,
             endpoint=f"svc://{site}/finder",

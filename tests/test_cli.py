@@ -199,7 +199,8 @@ def _run_main(argv: list[str]) -> tuple[int, str]:
 _NUMBERS = st.sampled_from(["0", "1", "0.5", "-1", "2.5e-3", "1e6", "1e200", "1e308", "nan",
                             "inf", "-inf", "x", ""])
 _INTS = st.sampled_from(["-1", "0", "1", "2", "3", "30", "1000001", "none", "2.5", ""])
-_CONFIG_LINES = st.one_of(
+# (key, value) pairs of config lines; test_config checks the parser against them too
+CONFIG_PAIRS = st.one_of(
     st.tuples(st.sampled_from(["t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
                                "jitter_sigma0", "jitter_gamma", "ttl"]), _NUMBERS),
     st.tuples(st.sampled_from(["jitter_enabled", "summary_pruning"]),
@@ -208,7 +209,8 @@ _CONFIG_LINES = st.one_of(
     st.tuples(st.just("topology.zones"),
               st.sampled_from(["a, b, x.a", "x.a", "a, a", "A", "a,,b", "."])),
     st.tuples(st.sampled_from(["bogus", ""]), _NUMBERS),
-).map(lambda kv: f"{kv[0]} = {kv[1]}")
+)
+_CONFIG_LINES = CONFIG_PAIRS.map(lambda kv: f"{kv[0]} = {kv[1]}")
 
 
 @given(lines=st.lists(st.one_of(_CONFIG_LINES, st.sampled_from(["# note", "no equals sign"])),
@@ -292,6 +294,18 @@ def test_distributed_run_over_a_deep_zone_chain(tmp_path, capsys):
     assert "events.registry_lookup = 2" in capsys.readouterr().out
 
 
-def test_distributed_without_topology_exits_three(capsys):
+def test_distributed_without_topology_exits_two(capsys):
     assert main(["run", "--scenario", "distributed", "--users", "2",
-                 "--resources", "2"]) == 3
+                 "--resources", "2"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["topology.branching = 2", "topology.zones = a.b",
+                                  "topology.zones = A", "topology.zones = a, a"])
+def test_malformed_tree_exits_two_for_a_baseline_run(tmp_path, capsys, line):
+    cfg = tmp_path / "tree.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["run", "--scenario", "baseline", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert captured.out == ""

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gridrd.config import Config, ConfigError, load_config, parse_config
-from gridrd.registry import TopologySpec
+from gridrd.registry import MalformedTopology, ResolutionPolicy, TopologySpec
 from gridrd.simkern import LatencyModel
+from tests.test_cli import CONFIG_PAIRS
 
 
 class TestParse:
@@ -14,7 +17,7 @@ class TestParse:
         assert cfg.latency.t_ws == 1.890
         assert cfg.latency.t_registry == 1.716
         assert cfg.latency.t_hop == 0.5
-        assert cfg.ttl == 3600.0
+        assert cfg.policy.ttl == 3600.0
         assert cfg.latency.jitter_enabled
 
     def test_comments_and_blanks_ignored(self):
@@ -61,9 +64,17 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("topology.depth = 2\ntopology.zones = a\n")
 
+    @pytest.mark.parametrize("text", [
+        "topology.branching = 2", "topology.zones = a.b", "topology.zones = A",
+        "topology.zones = a, a",
+    ], ids=["branching-alone", "orphan-zone", "bad-label", "duplicate-zone"])
+    def test_malformed_tree_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text + "\n")
+
     def test_cache_capacity(self):
-        assert parse_config("cache_capacity = none").cache_capacity is None
-        assert parse_config("cache_capacity = 5").cache_capacity == 5
+        assert parse_config("cache_capacity = none").policy.cache_capacity is None
+        assert parse_config("cache_capacity = 5").policy.cache_capacity == 5
         with pytest.raises(ConfigError):
             parse_config("cache_capacity = -1")
 
@@ -81,9 +92,11 @@ class TestParse:
              "cache_capacity = none\n",
              Config()),
             ("t_ws = 2.25\njitter_enabled = false\nttl = 12.5\n",
-             Config(latency=LatencyModel(t_ws=2.25, jitter_enabled=False), ttl=12.5)),
+             Config(latency=LatencyModel(t_ws=2.25, jitter_enabled=False),
+                    policy=ResolutionPolicy(ttl=12.5))),
             ("cache_capacity = 7\ntopology.depth = 4\ntopology.branching = 3\n",
-             Config(topology=TopologySpec(depth=4, branching=3), cache_capacity=7)),
+             Config(topology=TopologySpec(depth=4, branching=3),
+                    policy=ResolutionPolicy(cache_capacity=7))),
             ("topology.zones = grid, ca.grid\n",
              Config(topology=TopologySpec(zones=("grid", "ca.grid")))),
         ],
@@ -91,6 +104,61 @@ class TestParse:
     )
     def test_literal_text_parses_to_config(self, text, cfg):
         assert parse_config(text) == cfg
+
+
+def test_config_values_validate_themselves():
+    with pytest.raises(ValueError):
+        Config(policy=ResolutionPolicy(ttl=float("nan"), cache_capacity=-3))
+    with pytest.raises(ValueError):
+        Config(latency=LatencyModel(t_ws=-1.0))
+    with pytest.raises(MalformedTopology):
+        Config(topology=TopologySpec(branching=2))
+
+
+_LATENCY_KEYS = ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
+                 "jitter_sigma0", "jitter_gamma", "jitter_enabled")
+_POLICY_KEYS = ("ttl", "summary_pruning", "cache_capacity")
+
+
+def _typed(key: str, raw: str) -> object:
+    """What a config value means, written apart from the parser; ValueError if nothing."""
+    if key in ("jitter_enabled", "summary_pruning"):
+        if raw not in ("true", "false"):
+            raise ValueError(raw)
+        return raw == "true"
+    if key == "topology.zones":
+        return tuple(zone.strip() for zone in raw.split(",") if zone.strip())
+    if key == "cache_capacity" and raw == "none":
+        return None
+    if key in ("cache_capacity", "topology.depth", "topology.branching"):
+        return int(raw)
+    return float(raw)
+
+
+@settings(max_examples=500)  # most texts are rejected; this many accept about 70
+@given(pairs=st.lists(CONFIG_PAIRS, max_size=6))
+def test_parser_agrees_with_the_value_types(pairs):
+    text = "".join(f"{key} = {raw}\n" for key, raw in pairs)
+    latency, policy, topology = {}, {}, {}
+    try:
+        for key, raw in pairs:
+            if key in _LATENCY_KEYS:
+                latency[key] = _typed(key, raw)
+            elif key in _POLICY_KEYS:
+                policy[key] = _typed(key, raw)
+            elif key.startswith("topology."):
+                topology[key.removeprefix("topology.")] = _typed(key, raw)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        expected = Config(LatencyModel(**latency), ResolutionPolicy(**policy),
+                          TopologySpec(**topology) if topology else None)
+    except (ValueError, MalformedTopology):
+        event("rejected")
+        with pytest.raises(ConfigError):
+            parse_config(text)
+    else:
+        event("accepted")
+        assert parse_config(text) == expected
 
 
 class TestRoundTrip:

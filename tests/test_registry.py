@@ -307,22 +307,22 @@ class TestBuildTopology:
             assert list(node.delegations) == list(clean.nodes[node_id].delegations)
             assert node.authoritative == {} and node.cache == []
 
-    @pytest.mark.parametrize("spec", [
-        TopologySpec(depth=0), TopologySpec(depth=2.5), TopologySpec(zones=("ca.grid",)),
-        TopologySpec(zones=("grid", "grid")), TopologySpec(depth=30, branching=2),
+    @pytest.mark.parametrize("spec", [  # the fields of a spec
+        {"depth": 0}, {"depth": 2.5}, {"zones": ("ca.grid",)},
+        {"zones": ("grid", "grid")}, {"depth": 30, "branching": 2},
     ])
     def test_malformed_spec_raises_on_every_call(self, spec):
         for _ in range(3):
             with pytest.raises(MalformedTopology):
-                build_topology(spec)
+                build_topology(TopologySpec(**spec))
 
     def test_oversized_tree_rejected_before_building(self):
         # ~1e9 and 2**1000 nodes: only an arithmetic check can answer quickly
         start = time.perf_counter()
-        for spec in (TopologySpec(depth=30, branching=2), TopologySpec(depth=1000, branching=2),
-                     TopologySpec(depth=10**9, branching=1)):
+        for kwargs in ({"depth": 30, "branching": 2}, {"depth": 1000, "branching": 2},
+                       {"depth": 10**9, "branching": 1}):
             with pytest.raises(MalformedTopology, match="repositories"):
-                build_topology(spec)
+                build_topology(TopologySpec(**kwargs))
         assert time.perf_counter() - start < 1.0
 
     def test_tree_size_limit_is_exact(self):

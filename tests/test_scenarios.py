@@ -155,8 +155,8 @@ class TestDistributed:
     def test_requires_topology_and_query(self):
         with pytest.raises(ConfigMismatch):
             run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 4, 4))
-        with pytest.raises(ConfigMismatch):
-            run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 4, 4, topology=self.TREE))
+        # the query defaults to ResourceQuery(), which every finder satisfies
+        assert run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 4, 4, topology=self.TREE)).failed_users == ()
 
     def test_best_case_equals_centralized(self):
         # a finder at every leaf answers locally: no extra hops anywhere
