@@ -1,8 +1,8 @@
 """Deterministic simulator and analysis toolkit for grid resource discovery.
 
 Subpackages by responsibility: ``domain`` (resources, queries, summaries),
-``registry`` (the DNS-style repository tree), ``simkern`` (splitmix64
-RNG, jitter kernel, latency model), ``scenarios`` (the measured
+``registry`` (the DNS-style repository tree), ``simkern`` (splitmix64 seed
+hash, lane-packed jitter kernel, latency model), ``scenarios`` (the measured
 architectures, computed in closed form), ``stats`` (mean-difference
 testing), ``harness``/``config``/``cli`` (experiments, files, command line).
 """
@@ -19,7 +19,7 @@ from .domain import (
 from .harness import ObservationRow, SweepKind, SweepSpec, analyze, plot_data, run_sweep
 from .registry import ResolutionPolicy, Topology, TopologySpec, build_topology
 from .scenarios import RunResult, ScenarioConfig, ScenarioKind, run_scenario
-from .simkern import LatencyModel, Rng, mix64
+from .simkern import LatencyModel, mix64
 from .stats import MeanDifferenceTest, Verdict, test_from_summary, unpaired_t_test
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "ResolutionPolicy",
     "ResourceQuery",
     "ResourceSpec",
-    "Rng",
     "RunResult",
     "ScenarioConfig",
     "ScenarioKind",

@@ -48,10 +48,27 @@ def _scenario(name: str) -> ScenarioKind:
         raise argparse.ArgumentTypeError(f"unknown scenario {name!r} (choose from {names})")
 
 
-def _worker_count(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
-    return int(text)
+def _count(what: str):
+    """An argparse type: an integer of at least 1, else a usage error naming ``what``."""
+
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= 1, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+def _range(text: str) -> tuple[int, int, int]:
+    """``START:STOP:STEP`` as integers, with START >= 1, STEP >= 1 and STOP >= START."""
+    try:
+        start, stop, step = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"wants integers START:STOP:STEP, got {text!r}") from None
+    if start < 1 or step < 1 or stop < start:
+        raise argparse.ArgumentTypeError(
+            f"wants START >= 1, STEP >= 1 and STOP >= START, got {text!r}")
+    return start, stop, step
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[], help="run one scenario once")
     common(p_run)
     p_run.add_argument("--scenario", type=_scenario, default=ScenarioKind.BASELINE)
-    p_run.add_argument("--users", type=int, default=100)
-    p_run.add_argument("--resources", type=int, default=100)
+    p_run.add_argument("--users", type=_count("user count"), default=100)
+    p_run.add_argument("--resources", type=_count("resource count"), default=100)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", type=Path, default=None, help="write per-user times CSV")
 
@@ -76,13 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=list(SweepKind))
     p_sweep.add_argument("--scenario", type=_scenario, action="append", default=None,
                          help="repeatable; default: baseline, direct, centralized")
-    p_sweep.add_argument("--fixed-values", type=int, nargs="+", default=None)
-    p_sweep.add_argument("--range", dest="varying", default=None, metavar="START:STOP:STEP")
-    p_sweep.add_argument("--points", type=int, nargs="+", default=None,
+    p_sweep.add_argument("--fixed-values", type=_count("fixed value"), nargs="+", default=None)
+    p_sweep.add_argument("--range", dest="varying", type=_range, default=None,
+                         metavar="START:STOP:STEP")
+    p_sweep.add_argument("--points", type=_count("diagonal point"), nargs="+", default=None,
                          help="diagonal points (users = resources)")
-    p_sweep.add_argument("--replications", type=int, default=10)
+    p_sweep.add_argument("--replications", type=_count("replication count"), default=10)
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed")
-    p_sweep.add_argument("--workers", type=_worker_count, default=1)
+    p_sweep.add_argument("--workers", type=_count("worker count"), default=1)
     p_sweep.add_argument("--out", type=Path, required=True, help="observations CSV path")
 
     p_an = sub.add_parser("analyze", help="pointwise mean-difference tests of two sweeps")
@@ -126,23 +144,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_range(raw: str) -> tuple[int, int, int]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--range wants START:STOP:STEP, got {raw!r}")
-    try:
-        return tuple(int(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise ConfigError(f"--range wants integers, got {raw!r}") from None
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     kwargs = {}
     if args.fixed_values is not None:
         kwargs["fixed_values"] = tuple(args.fixed_values)
     if args.varying is not None:
-        start, stop, step = _parse_range(args.varying)
+        start, stop, step = args.varying
         kwargs.update(varying_start=start, varying_stop=stop, varying_step=step)
     if args.points is not None:
         kwargs["diagonal_points"] = tuple(args.points)

@@ -6,14 +6,17 @@ generator whose integer stream is reproducible on any platform.  The same
 finalizer doubles as the seed-mixing hash used everywhere a derived seed is
 needed, so every random draw in the system traces back to one base seed.
 
-``jitter_vector`` draws a whole run's per-user jitter in one loop.  ``Rng``
-and ``sample_jitter`` are the one-draw-at-a-time definition it must match
-bit for bit.
+``jitter_vector`` draws a whole run's per-user jitter.  Its integer half is
+lane-packed: a block of users' 64-bit states shares one Python int, 128 bits
+per user, so each splitmix64 step runs once per block.  The bytes are
+unpacked little-endian, so the draws are the same on every platform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass, replace
 
 _MASK64 = (1 << 64) - 1
@@ -40,37 +43,6 @@ def mix64(*parts: int) -> int:
     for part in parts:
         h = _splitmix64_finalize((h + _GOLDEN + (part & _MASK64)) & _MASK64)
     return h
-
-
-class Rng:
-    """splitmix64 stream: identical seed, identical draws, any platform."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _splitmix64_finalize(self._state)
-
-    def random(self) -> float:
-        """Uniform draw in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * _UNIT53
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; consumes exactly two uniforms."""
-        u1 = self.random()
-        u2 = self.random()
-        if u1 <= 0.0:
-            u1 = _UNIT53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def lognormal_unit_mean(self, rel_sd: float) -> float:
-        """Positive draw with mean exactly 1 and relative std dev ``rel_sd``."""
-        if rel_sd <= 0.0:
-            return 1.0
-        s2 = math.log(1.0 + rel_sd * rel_sd)
-        return math.exp(-0.5 * s2 + math.sqrt(s2) * self.normal())
 
 
 @dataclass(frozen=True)
@@ -129,24 +101,57 @@ def jitter_relative_sd(model: LatencyModel, n_users: int, n_resources: int) -> f
     return rel_sd
 
 
-def sample_jitter(rng: Rng, model: LatencyModel, n_users: int, n_resources: int) -> float:
-    """One multiplicative jitter draw: positive, mean 1; exactly 1 when disabled."""
-    if n_users < 1 or n_resources < 1:
-        raise ValueError("jitter needs at least one user and one resource")
-    if not model.jitter_enabled:
-        return 1.0
-    return rng.lognormal_unit_mean(jitter_relative_sd(model, n_users, n_resources))
+# Users per lane-packed pass: bounds the kernel's scratch memory to a few
+# hundred kilobytes whatever the run's size.
+_BLOCK = 1024
 
+
+@functools.lru_cache(maxsize=8)
+def _lanes(n: int) -> tuple[int, int, int, int, struct.Struct]:
+    """For ``n`` 128-bit lanes: 1, the lane index, the 64- and 53-bit masks in
+    every lane, and the unpacker of each lane's two little-endian halves."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    index = int.from_bytes(b"".join(u.to_bytes(16, "little") for u in range(n)), "little")
+    return ones, index, ones * _MASK64, ones * ((1 << 53) - 1), struct.Struct(f"<{2 * n}Q")
+
+
+def _uniform_pairs(start: int, n: int) -> tuple[int, ...]:
+    """``(a0, b0, a1, b1, ...)``: the two 53-bit uniforms of each of the ``n``
+    users whose seeds finalize ``start``, ``start + 1``, ... (mod 2**64).
+
+    User ``u``'s 64-bit state sits at bit ``128*u`` of one int, so each
+    splitmix64 step runs once per block (SIMD within a register).  A lane
+    holds a full 64x64-bit product, and masking every lane to 64 bits after
+    a right shift drops the bits pulled in from the next lane: each lane's
+    arithmetic is exact.
+    """
+    ones, index, m64, m53, unpack = _lanes(n)
+
+    def finalize(z: int) -> int:
+        z = ((z ^ (z >> 30)) & m64) * _MIX1 & m64
+        z = ((z ^ (z >> 27)) & m64) * _MIX2 & m64
+        return z ^ ((z >> 31) & m64)
+
+    seeds = finalize((ones * (start & _MASK64) + index) & m64)
+    first = finalize((seeds + ones * _GOLDEN) & m64) >> 11 & m53
+    second = finalize((seeds + ones * (2 * _GOLDEN)) & m64) >> 11 & m53
+    return unpack.unpack((first | second << 64).to_bytes(16 * n, "little"))
 
 
 def jitter_vector(stream: int, model: LatencyModel, n_users: int, n_resources: int) -> list[float]:
     """Every user's jitter draw for one run, in user order.
 
-    ``stream`` is ``mix64(*parts)`` for the run's jitter substream; element
-    ``u`` equals ``sample_jitter(Rng(mix64(*parts, u)), model, n_users,
-    n_resources)`` bit for bit.  The three splitmix64 finalizations per user
-    (seed derivation, then two uniforms for Box-Muller) are inlined, and
-    everything that depends only on the run is computed once.
+    ``stream`` is ``mix64(*parts)`` for the run's jitter substream.  With
+    ``f`` the splitmix64 finalizer and every sum taken mod 2**64, user ``u``
+    has the seed ``s = f(stream + golden + u)``, which is ``mix64(*parts,
+    u)``, and the uniforms ``u1 = (f(s + golden) >> 11) * 2**-53`` (2**-53
+    if that is 0) and ``u2 = (f(s + 2*golden) >> 11) * 2**-53``.  Its draw is
+    ``exp(-s2/2 + sqrt(s2) * (sqrt(-2*log(u1)) * cos(2*pi*u2)))`` with
+    ``s2 = log(1 + rel_sd**2)``: Box-Muller, then a log-normal of mean 1.
+    Disabled jitter or a zero spread gives exactly 1.0 for every user.
+
+    The integers are drawn lane-packed, a block of users at a time (see
+    ``_uniform_pairs``); the float step runs per user in the order above.
     """
     if n_users < 1 or n_resources < 1:
         raise ValueError("jitter needs at least one user and one resource")
@@ -158,24 +163,10 @@ def jitter_vector(stream: int, model: LatencyModel, n_users: int, n_resources: i
     s2 = math.log(1.0 + rel_sd * rel_sd)
     shift, scale = -0.5 * s2, math.sqrt(s2)
     two_pi = 2.0 * math.pi
-    log, sqrt, cos, exp = math.log, math.sqrt, math.cos, math.exp
-    mask, golden, mix1, mix2, unit = _MASK64, _GOLDEN, _MIX1, _MIX2, _UNIT53
-    start, twice = stream + golden, 2 * golden
+    log, sqrt, cos, exp, unit = math.log, math.sqrt, math.cos, math.exp, _UNIT53
     draws = []
-    for user in range(n_users):
-        z = (start + user) & mask
-        z = ((z ^ (z >> 30)) * mix1) & mask
-        z = ((z ^ (z >> 27)) * mix2) & mask
-        seed = z ^ (z >> 31)
-        z = (seed + golden) & mask
-        z = ((z ^ (z >> 30)) * mix1) & mask
-        z = ((z ^ (z >> 27)) * mix2) & mask
-        u1 = ((z ^ (z >> 31)) >> 11) * unit
-        z = (seed + twice) & mask
-        z = ((z ^ (z >> 30)) * mix1) & mask
-        z = ((z ^ (z >> 27)) * mix2) & mask
-        u2 = ((z ^ (z >> 31)) >> 11) * unit
-        if u1 <= 0.0:
-            u1 = unit
-        draws.append(exp(shift + scale * (sqrt(-2.0 * log(u1)) * cos(two_pi * u2))))
+    for lo in range(0, n_users, _BLOCK):
+        pairs = iter(_uniform_pairs(stream + _GOLDEN + lo, min(_BLOCK, n_users - lo)))
+        draws += [exp(shift + scale * (sqrt(-2.0 * log((a or 1) * unit)) * cos(two_pi * (b * unit))))
+                  for a, b in zip(pairs, pairs)]
     return draws

@@ -75,6 +75,37 @@ def test_bad_worker_count_is_usage_error(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["run", "--users", "0"], "--users"),
+    (["run", "--users", "ten"], "--users"),
+    (["run", "--resources", "-3"], "--resources"),
+    (["sweep", "--points", "20", "0"], "--points"),
+    (["sweep", "--sweep-kind", "fixed-users", "--fixed-values", "0"], "--fixed-values"),
+    (["sweep", "--replications", "0"], "--replications"),
+    (["sweep", "--sweep-kind", "fixed-users", "--range", "0:40:20"], "--range"),
+    (["sweep", "--sweep-kind", "fixed-users", "--range", "20:40:0"], "--range"),
+    (["sweep", "--sweep-kind", "fixed-users", "--range", "40:20:5"], "--range"),
+    (["sweep", "--sweep-kind", "fixed-users", "--range", "a:b"], "--range"),
+    (["sweep", "--sweep-kind", "fixed-users", "--range", "20:40"], "--range"),
+])
+def test_bad_count_or_range_is_usage_error(tmp_path, capsys, argv, option):
+    out = tmp_path / "obs.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + (["--out", str(out)] if argv[0] == "sweep" else []))
+    assert exc_info.value.code == 1
+    assert f"argument {option}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_range_sweep_covers_start_to_stop(tmp_path, capsys):
+    out = tmp_path / "obs.csv"
+    assert main(["sweep", "--sweep-kind", "fixed-users", "--fixed-values", "20",
+                 "--range", "20:40:20", "--replications", "2", "--out", str(out)]) == 0
+    rows = read_observations(out)
+    assert sorted({(r.users, r.resources) for r in rows}) == [(20, 20), (20, 40)]
+    assert len(rows) == 2 * 2 * 3
+
+
 def test_cli_import_leaves_the_thread_pool_out():
     # only sweep --workers 2 or more needs concurrent.futures (and logging)
     src = str(Path(gridrd.__file__).resolve().parent.parent)

@@ -1,17 +1,74 @@
 import math
+import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gridrd.simkern import (
-    LatencyModel,
-    Rng,
-    jitter_relative_sd,
-    jitter_vector,
-    mix64,
-    sample_jitter,
-)
+from gridrd.simkern import _BLOCK, LatencyModel, jitter_relative_sd, jitter_vector, mix64
+
+# The scalar reference the lane-packed kernel must match bit for bit: the
+# published splitmix64 stream, one draw at a time.
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalize(z: int) -> int:
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class Rng:
+    """splitmix64 stream: identical seed, identical draws, any platform."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GOLDEN) & MASK64
+        return splitmix64_finalize(self._state)
+
+    def random(self) -> float:
+        """Uniform draw in [0, 1) with 53 bits of precision."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def normal(self) -> float:
+        """Standard normal via Box-Muller; consumes exactly two uniforms."""
+        u1 = self.random()
+        u2 = self.random()
+        if u1 <= 0.0:
+            u1 = 2.0**-53
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def lognormal_unit_mean(self, rel_sd: float) -> float:
+        """Positive draw with mean exactly 1 and relative std dev ``rel_sd``."""
+        if rel_sd <= 0.0:
+            return 1.0
+        s2 = math.log(1.0 + rel_sd * rel_sd)
+        return math.exp(-0.5 * s2 + math.sqrt(s2) * self.normal())
+
+
+def sample_jitter(rng: Rng, model: LatencyModel, n_users: int, n_resources: int) -> float:
+    """One multiplicative jitter draw: positive, mean 1; exactly 1 when disabled."""
+    if n_users < 1 or n_resources < 1:
+        raise ValueError("jitter needs at least one user and one resource")
+    if not model.jitter_enabled:
+        return 1.0
+    return rng.lognormal_unit_mean(jitter_relative_sd(model, n_users, n_resources))
+
+
+def reference_vector(stream: int, model: LatencyModel, n_users: int, n_resources: int):
+    """``jitter_vector`` by its definition: user u's seed finalizes stream + golden + u."""
+    return [sample_jitter(Rng(splitmix64_finalize(stream + GOLDEN + user)), model, n_users,
+                          n_resources)
+            for user in range(n_users)]
+
+
+def hexes(draws: list[float]) -> list[str]:
+    return [x.hex() for x in draws]
 
 
 class TestRng:
@@ -37,6 +94,10 @@ class TestRng:
         assert mix64(1, 2, 3) == mix64(1, 2, 3)
         assert mix64(1, 2, 3) != mix64(3, 2, 1)
         assert mix64(0) != mix64(0, 0)
+
+    def test_mix64_folds_with_the_reference_finalizer(self):
+        assert mix64(7) == splitmix64_finalize(GOLDEN + 7)
+        assert mix64(7, 3) == splitmix64_finalize(mix64(7) + GOLDEN + 3)
 
 
 class TestJitter:
@@ -94,9 +155,10 @@ class TestJitter:
 
 
 class TestJitterVector:
-    """The fused per-run kernel against the one-draw-at-a-time definition."""
+    """The lane-packed per-run kernel against the one-draw-at-a-time definition."""
 
     STREAM = 0x4A49_5454
+    WRAPS_MID_BLOCK = 2**64 - GOLDEN - _BLOCK // 2  # user _BLOCK // 2 sums to 2**64
 
     @given(
         seed=st.integers(min_value=-(2**63), max_value=2**64 - 1),
@@ -114,7 +176,42 @@ class TestJitterVector:
             sample_jitter(Rng(mix64(seed, self.STREAM, user)), model, n_users, n_resources)
             for user in range(n_users)
         ]
-        assert [x.hex() for x in fused] == [x.hex() for x in reference]
+        assert hexes(fused) == hexes(reference)
+
+    @given(
+        n_users=st.one_of(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+                          st.integers(min_value=1, max_value=3000)),
+        stream=st.one_of(
+            st.integers(min_value=0, max_value=2**64 - 1),
+            # stream + golden + u wraps at 2**64 inside or near a block
+            st.integers(min_value=-3 * _BLOCK, max_value=3 * _BLOCK).map(
+                lambda d: 2**64 - GOLDEN + d),
+            st.integers(min_value=2**64 - 3 * _BLOCK, max_value=2**64 - 1),
+        ),
+        sigma0=st.sampled_from([0.0, 0.5, 4.0]),
+        enabled=st.booleans(),
+    )
+    @example(n_users=_BLOCK - 1, stream=WRAPS_MID_BLOCK, sigma0=0.5, enabled=True)
+    @example(n_users=_BLOCK, stream=WRAPS_MID_BLOCK, sigma0=0.5, enabled=True)
+    @example(n_users=_BLOCK + 1, stream=WRAPS_MID_BLOCK, sigma0=0.5, enabled=True)
+    @example(n_users=2 * _BLOCK + 3, stream=WRAPS_MID_BLOCK, sigma0=0.5, enabled=True)
+    def test_equals_reference_across_blocks(self, n_users, stream, sigma0, enabled):
+        model = LatencyModel(jitter_sigma0=sigma0, jitter_enabled=enabled)
+        assert hexes(jitter_vector(stream, model, n_users, 50)) == \
+            hexes(reference_vector(stream, model, n_users, 50))
+
+    def test_scratch_memory_stays_below_a_quarter_of_the_result(self):
+        # blocks bound the packed integers and unpacked tuples to a few
+        # hundred kilobytes; one pass over all users would need about 6x
+        model, n_users = LatencyModel(), 200_000
+        tracemalloc.start()
+        try:
+            draws = jitter_vector(mix64(11), model, n_users, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result_bytes = sys.getsizeof(draws) + sum(map(sys.getsizeof, draws))
+        assert peak < 1.25 * result_bytes
 
     def test_disabled_is_all_ones(self):
         model = LatencyModel(jitter_enabled=False)
