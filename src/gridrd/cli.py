@@ -144,6 +144,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_sweep_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """A usage error for an option that the chosen sweep kind would ignore."""
+    if args.sweep_kind is SweepKind.DIAGONAL:
+        ignored = {"--fixed-values": args.fixed_values, "--range": args.varying}
+    else:
+        ignored = {"--points": args.points}
+    for option, value in ignored.items():
+        if value is not None:
+            parser.error(f"argument {option}: a {args.sweep_kind.value} sweep does not use it")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     kwargs = {}
@@ -195,6 +206,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep":
+        _check_sweep_options(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

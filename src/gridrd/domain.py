@@ -147,21 +147,6 @@ class FinderRecord:
             raise ValueError("finder endpoint must be non-empty")
 
 
-def matches(query: ResourceQuery, spec: ResourceSpec) -> bool:
-    """True iff ``spec`` satisfies every predicate in ``query``.
-
-    Missing attributes fail the predicate; an empty query matches anything.
-    """
-    for name, minimum in query.numeric_mins.items():
-        value = spec.numeric_attrs.get(name)
-        if value is None or value < minimum:
-            return False
-    for name, required in query.required_tags.items():
-        if spec.tag_attrs.get(name) != required:
-            return False
-    return True
-
-
 def summarize(catalog: MetadataCatalog) -> MetadataSummary:
     """Collapse a catalog to per-attribute min/max ranges and tag-value sets."""
     ranges: dict[str, tuple[float, float]] = {}

@@ -124,17 +124,19 @@ def scenario_config(config: Config, kind: ScenarioKind, users: int, resources: i
 
 
 def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[ObservationRow]:
-    """Run every (scenario, point, replication) cell of the sweep.
+    """Run every distinct (scenario, point, replication) cell of the sweep once.
 
-    Every cell's run is configured before any runs.  ``workers > 1`` runs
+    Every cell's run is configured before any runs.  Cells run in row order:
+    scenario ordinal, then (users, resources), then replication, so a
+    repeated scenario or point adds no duplicate row.  ``workers > 1`` runs
     cells on a thread pool; cells share no state (each derives its own
-    seed), and rows come back in deterministic cell order either way.
+    seed), and rows come back in cell order either way.
     """
-    points = spec.points()
+    points = sorted(set(spec.points()))
     cells = [
         (rep, scenario_config(config, scenario, users, resources,
                               cell_seed(spec.base_seed, scenario, users, resources, rep)))
-        for scenario in sorted(spec.scenarios, key=lambda s: s.ordinal)
+        for scenario in sorted(set(spec.scenarios), key=lambda s: s.ordinal)
         for (users, resources) in points
         for rep in range(spec.replications)
     ]
@@ -152,13 +154,10 @@ def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[Observa
         )
 
     if workers <= 1:
-        rows = [run_cell(cell) for cell in cells]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # with logging: slow to import
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    rows.sort(key=lambda r: (r.scenario.ordinal, r.users, r.resources, r.replication))
-    return rows
+        return [run_cell(cell) for cell in cells]
+    from concurrent.futures import ThreadPoolExecutor  # with logging: slow to import
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_cell, cells))
 
 
 # -- observation CSV ---------------------------------------------------------

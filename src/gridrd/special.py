@@ -34,28 +34,19 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _LENTZ_EPS:
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _LENTZ_TINY:
+                d = _LENTZ_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _LENTZ_TINY:
+                c = _LENTZ_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _LENTZ_EPS:  # tested after the odd step only
             return h
     return h  # converged to float precision in practice long before this
 

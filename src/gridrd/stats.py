@@ -7,8 +7,7 @@ The test combines an unequal-variance standard error,
 with POOLED degrees of freedom df = n_a + n_b - 2.  That hybrid is not the
 textbook Welch test (whose Satterthwaite df would differ); it is the
 combination the toolkit's built-in comparison series are calibrated
-against, so it is the default on purpose.  A standards-compliant Welch df
-is available behind ``welch_df=True``.  The verdict rule is: a difference
+against, so it is the rule on purpose.  The verdict rule is: a difference
 is insignificant iff the confidence interval contains 0 or the p-value
 exceeds alpha.
 """
@@ -30,16 +29,12 @@ __all__ = [
     "MeanDifferenceTest",
     "StatsError",
     "Verdict",
-    "degrees_of_freedom",
     "mean",
-    "mean_difference",
-    "se_mean_difference",
     "stddev",
     "t_cdf",
     "t_quantile",
     "test_from_summary",
     "unpaired_t_test",
-    "welch_degrees_of_freedom",
 ]
 
 
@@ -110,49 +105,21 @@ def stddev(sample: Sequence[float]) -> float:
     return math.sqrt(ss / (n - 1))
 
 
-def mean_difference(a: Sequence[float], b: Sequence[float]) -> float:
-    return mean(a) - mean(b)
-
-
-def se_mean_difference(a: Sequence[float], b: Sequence[float]) -> float:
-    """Standard error of the mean difference: sqrt(s_a^2/n_a + s_b^2/n_b)."""
-    sa, sb = stddev(a), stddev(b)
-    return math.sqrt(sa * sa / len(a) + sb * sb / len(b))
-
-
-def degrees_of_freedom(a: Sequence[float], b: Sequence[float]) -> int:
-    """Pooled two-sample degrees of freedom, n_a + n_b - 2."""
-    total = len(a) + len(b)
-    if total < 3:
-        raise InsufficientData(f"pooled df needs n_a + n_b >= 3, got {total}")
-    return total - 2
-
-
-def welch_degrees_of_freedom(a: Sequence[float], b: Sequence[float]) -> float:
-    """Welch-Satterthwaite df; the standards-compliant alternative."""
-    va = stddev(a) ** 2 / len(a)
-    vb = stddev(b) ** 2 / len(b)
-    if va + vb == 0.0:
-        return float(degrees_of_freedom(a, b))
-    return (va + vb) ** 2 / (va * va / (len(a) - 1) + vb * vb / (len(b) - 1))
-
-
 @functools.lru_cache(maxsize=64)
 def _critical_value(alpha: float, df: float) -> float:
     """The two-sided critical value t_{1-alpha/2, df}.
 
     Every point of an analysis shares (alpha, df), so it is cached;
     t_quantile is pure, so a cached value is the float a fresh call gives.
-    The cache is bounded because Welch df differ from point to point.
     """
     return t_quantile(1.0 - alpha / 2.0, df)
 
 
-def _assemble(mean_diff: float, se: float, df: float, alpha: float,
-              degenerate: bool) -> MeanDifferenceTest:
+def _assemble(mean_diff: float, se: float, df: float, alpha: float) -> MeanDifferenceTest:
     if not (math.isfinite(mean_diff) and math.isfinite(se) and math.isfinite(df)):
         raise StatsError(f"mean difference {mean_diff}, standard error {se} and degrees of "
                          f"freedom {df} must be finite")
+    degenerate = se == 0.0
     if degenerate:
         if mean_diff == 0.0:
             t_score, p_value = 0.0, 1.0
@@ -187,18 +154,15 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1.0")
 
 
-def unpaired_t_test(a: Sequence[float], b: Sequence[float], alpha: float = 0.05,
-                    welch_df: bool = False) -> MeanDifferenceTest:
+def unpaired_t_test(a: Sequence[float], b: Sequence[float], alpha: float = 0.05) -> MeanDifferenceTest:
     """Two-independent-sample test of the mean difference mean(a) - mean(b)."""
     _check_alpha(alpha)
     if len(a) < 2 or len(b) < 2:
         raise InsufficientData("both samples need n >= 2")
-    diff = mean_difference(a, b)
-    se = se_mean_difference(a, b)
-    df = welch_degrees_of_freedom(a, b) if welch_df else float(degrees_of_freedom(a, b))
-    if se == 0.0:
-        return _assemble(diff, se, df, alpha, degenerate=True)
-    return _assemble(diff, se, df, alpha, degenerate=False)
+    diff = mean(a) - mean(b)
+    sa, sb = stddev(a), stddev(b)
+    se = math.sqrt(sa * sa / len(a) + sb * sb / len(b))
+    return _assemble(diff, se, float(len(a) + len(b) - 2), alpha)
 
 
 def test_from_summary(mean_diff: float, se: float, df: float,
@@ -209,7 +173,7 @@ def test_from_summary(mean_diff: float, se: float, df: float,
         raise InsufficientData(f"summary standard error must be positive, got {se}")
     if df < 1:
         raise InsufficientData(f"degrees of freedom must be >= 1, got {df}")
-    return _assemble(mean_diff, se, df, alpha, degenerate=False)
+    return _assemble(mean_diff, se, df, alpha)
 
 
 test_from_summary.__test__ = False  # a library function, not a pytest case

@@ -12,6 +12,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 import gridrd
+import gridrd.stats
 from gridrd.cli import main
 from gridrd.harness import read_observations
 from gridrd.scenarios import ScenarioKind
@@ -87,6 +88,11 @@ def test_bad_worker_count_is_usage_error(tmp_path, capsys, workers):
     (["sweep", "--sweep-kind", "fixed-users", "--range", "40:20:5"], "--range"),
     (["sweep", "--sweep-kind", "fixed-users", "--range", "a:b"], "--range"),
     (["sweep", "--sweep-kind", "fixed-users", "--range", "20:40"], "--range"),
+    # options the chosen sweep kind would ignore
+    (["sweep", "--sweep-kind", "fixed-users", "--points", "7"], "--points"),
+    (["sweep", "--sweep-kind", "fixed-resources", "--points", "7"], "--points"),
+    (["sweep", "--fixed-values", "5", "--range", "1:3:1"], "--fixed-values"),
+    (["sweep", "--sweep-kind", "diagonal", "--range", "1:3:1"], "--range"),
 ])
 def test_bad_count_or_range_is_usage_error(tmp_path, capsys, argv, option):
     out = tmp_path / "obs.csv"
@@ -95,6 +101,23 @@ def test_bad_count_or_range_is_usage_error(tmp_path, capsys, argv, option):
     assert exc_info.value.code == 1
     assert f"argument {option}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("repeat", [
+    ["--scenario", "baseline", "--points", "20", "20"],
+    ["--scenario", "baseline", "--scenario", "baseline", "--points", "20"],
+    ["--scenario", "baseline", "--sweep-kind", "fixed-users", "--fixed-values", "20", "20",
+     "--range", "20:20:1"],
+])
+def test_repeated_sweep_values_run_once_and_analyze(tmp_path, capsys, repeat):
+    obs, other = tmp_path / "obs.csv", tmp_path / "other.csv"
+    assert main(["sweep", *repeat, "--replications", "2", "--out", str(obs)]) == 0
+    assert len(read_observations(obs)) == 2
+    assert main(["sweep", "--scenario", "direct", "--points", "20", "--replications", "2",
+                 "--out", str(other)]) == 0
+    assert main(["analyze", str(obs), str(other)]) == 0
+    assert main(["plot-data", str(obs), "--group-by", "users",
+                 "--out-dir", str(tmp_path / "plots")]) == 0
 
 
 def test_range_sweep_covers_start_to_stop(tmp_path, capsys):
@@ -115,6 +138,12 @@ def test_cli_import_leaves_the_thread_pool_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", [gridrd, gridrd.stats], ids=lambda m: m.__name__)
+def test_public_surface_resolves(module):
+    # a stale name in __all__ makes `from module import *` raise AttributeError
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_usage_error_exits_one(capsys):

@@ -10,7 +10,6 @@ from gridrd.domain import (
     ResourceQuery,
     ResourceSpec,
     ZoneName,
-    matches,
     summarize,
     summary_may_satisfy,
 )
@@ -80,6 +79,22 @@ class TestZoneName:
 
 
 # -- matches ------------------------------------------------------------------
+
+
+def matches(query: ResourceQuery, spec: ResourceSpec) -> bool:
+    """True iff ``spec`` satisfies every predicate in ``query``.
+
+    Missing attributes fail the predicate; an empty query matches anything.
+    The oracle of the soundness test of ``summary_may_satisfy``.
+    """
+    for name, minimum in query.numeric_mins.items():
+        value = spec.numeric_attrs.get(name)
+        if value is None or value < minimum:
+            return False
+    for name, required in query.required_tags.items():
+        if spec.tag_attrs.get(name) != required:
+            return False
+    return True
 
 
 class TestMatches:

@@ -14,14 +14,10 @@ from gridrd.stats import (
     InvalidAlpha,
     StatsError,
     Verdict,
-    degrees_of_freedom,
     mean,
-    mean_difference,
-    se_mean_difference,
     stddev,
     test_from_summary,
     unpaired_t_test,
-    welch_degrees_of_freedom,
 )
 from tests.conftest import engineered_sample
 
@@ -85,42 +81,33 @@ class TestMoments:
 class TestDifferenceStats:
     def test_identical_samples_zero_difference(self):
         a = [1.0, 5.0, 9.0]
-        assert mean_difference(a, a) == 0.0
+        assert unpaired_t_test(a, a).mean_diff == 0.0
 
     def test_reference_difference(self):
         a = engineered_sample(13.902, 1.0)
         b = engineered_sample(12.012, 1.0)
-        assert mean_difference(a, b) == pytest.approx(1.890, abs=1e-12)
+        assert unpaired_t_test(a, b).mean_diff == pytest.approx(1.890, abs=1e-12)
 
     def test_se_of_constant_samples_is_zero(self):
-        assert se_mean_difference([2.0] * 5, [7.0] * 5) == 0.0
+        assert unpaired_t_test([2.0] * 5, [7.0] * 5).se == 0.0
 
     def test_se_symmetric_closed_form(self):
         a = engineered_sample(0.0, 3.0, n=10)
         b = engineered_sample(5.0, 3.0, n=10)
-        assert se_mean_difference(a, b) == pytest.approx(3.0 * math.sqrt(1 / 5), rel=1e-12)
+        assert unpaired_t_test(a, b).se == pytest.approx(3.0 * math.sqrt(1 / 5), rel=1e-12)
 
     def test_se_matches_exact_oracle(self):
         rng = random.Random(88)
         a = [rng.uniform(0, 50) for _ in range(12)]
         b = [rng.uniform(0, 50) for _ in range(7)]
         expected = math.sqrt(exact_stddev(a) ** 2 / 12 + exact_stddev(b) ** 2 / 7)
-        assert se_mean_difference(a, b) == pytest.approx(expected, rel=1e-10)
+        assert unpaired_t_test(a, b).se == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize(
         "na,nb,expected", [(10, 10, 18), (2, 2, 2), (3, 7, 8)]
     )
     def test_pooled_df(self, na, nb, expected):
-        assert degrees_of_freedom([0.0] * na, [0.0] * nb) == expected
-
-    def test_df_needs_three_total(self):
-        with pytest.raises(InsufficientData):
-            degrees_of_freedom([1.0], [2.0])
-
-    def test_welch_df_equal_variances(self):
-        a = engineered_sample(0.0, 2.0, n=10)
-        b = engineered_sample(9.0, 2.0, n=10)
-        assert welch_degrees_of_freedom(a, b) == pytest.approx(18.0, rel=1e-9)
+        assert unpaired_t_test([0.0] * na, [0.0] * nb).df == expected
 
 
 class TestUnpairedTTest:
@@ -274,7 +261,7 @@ class TestFromSummary:
 
 
 class TestCriticalValue:
-    # Pooled dfs are integers; Welch-Satterthwaite dfs are fractional.
+    # Pooled dfs are integers; test_from_summary also takes fractional dfs.
     _dfs = st.one_of(st.integers(1, 200).map(float), st.floats(1.0, 300.0))
     _alphas = st.one_of(st.sampled_from([0.05, 0.01, 0.2]), st.floats(1e-6, 0.999))
 
