@@ -14,13 +14,20 @@ searching its remaining child subtrees (children in lexicographic label
 order, never re-entering the subtree just ascended from).  Exhausting the
 root means the whole tree has been searched.  The search is one loop over an
 explicit stack, so no tree is too deep for Python's recursion limit.
+
+Delegations are zone data that resolution never changes (RFC 1034 §4.2).  So
+a tree's shape (zones, parents, children sorted by label) is built once per
+spec as read-only tables that every run shares, and a run owns only its
+authoritative records and caches.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .domain import FinderRecord, ResourceQuery, ZoneName, summary_may_satisfy
 
@@ -53,9 +60,6 @@ class CacheEntry:
     inserted_at: float
     ttl: float
 
-    def is_fresh(self, now: float) -> bool:
-        return now < self.inserted_at + self.ttl
-
 
 @dataclass(frozen=True)
 class ResolutionPolicy:
@@ -85,18 +89,6 @@ class ResolutionResult:
     hop_count: int
     cache_hit: bool
     caches_populated: tuple[str, ...]
-
-
-@dataclass
-class RepositoryNode:
-    """One repository: authoritative records, delegations to children, cache."""
-
-    node_id: str
-    zone: ZoneName
-    authoritative: dict[str, FinderRecord] = field(default_factory=dict)
-    delegations: dict[str, str] = field(default_factory=dict)
-    parent: str | None = None
-    cache: list[CacheEntry] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -135,50 +127,63 @@ class TopologySpec:
         check_tree_size(self.depth, branching)
 
 
-class Topology:
-    """A mutable repository tree, driven single-threaded within one run."""
+@dataclass(frozen=True)
+class TreeShape:
+    """A tree's frozen shape, shared by every Topology built from one spec.
 
-    def __init__(self, nodes: dict[str, RepositoryNode], root_id: str):
-        self.nodes = nodes
-        self.root_id = root_id
+    Read-only tables keyed by node id, parents before children: ``zone``,
+    ``parent`` (None at the root) and ``children``, the (label, child id)
+    pairs sorted by label.  ``leaves`` holds the childless ids, sorted.
+    Nothing in it changes, so a deep copy is the shape itself.
+    """
 
-    def node(self, node_id: str) -> RepositoryNode:
+    zone: Mapping[str, ZoneName]
+    parent: Mapping[str, str | None]
+    children: Mapping[str, tuple[tuple[str, str], ...]]
+    leaves: tuple[str, ...]
+
+    def __deepcopy__(self, memo: dict) -> TreeShape:
+        return self
+
+    def zone_of(self, node_id: str) -> ZoneName:
         try:
-            return self.nodes[node_id]
+            return self.zone[node_id]
         except KeyError:
             raise UnknownNode(f"no repository named {node_id!r}") from None
 
-    def leaves(self) -> list[str]:
+
+class Topology:
+    """One run's repository tree: a shared shape plus the run's own state.
+
+    ``records`` maps a node id to its authoritative records by finder id,
+    and ``caches`` maps it to its cache entries, oldest first.  A node gets
+    an entry on its first write, so a new tree allocates nothing per
+    repository.  Driven single-threaded within one run.
+    """
+
+    root_id = "."
+
+    def __init__(self, shape: TreeShape):
+        self.shape = shape
+        self.records: dict[str, dict[str, FinderRecord]] = {}
+        self.caches: dict[str, list[CacheEntry]] = {}
+
+    def leaves(self) -> tuple[str, ...]:
         """Node ids of childless repositories, in sorted order."""
-        return sorted(nid for nid, node in self.nodes.items() if not node.delegations)
+        return self.shape.leaves
 
     def register_finder(self, node_id: str, record: FinderRecord) -> None:
         """Install (or replace) an authoritative record at its home repository."""
-        node = self.node(node_id)
-        if record.home_zone != node.zone:
+        zone = self.shape.zone_of(node_id)
+        if record.home_zone != zone:
             raise ZoneMismatch(
                 f"finder {record.finder_id!r} is homed in {record.home_zone} "
-                f"but {node_id!r} serves {node.zone}"
+                f"but {node_id!r} serves {zone}"
             )
-        node.authoritative[record.finder_id] = record
+        self.records.setdefault(node_id, {})[record.finder_id] = record
 
-    def local_lookup(self, node_id: str, query: ResourceQuery, now: float) -> list[FinderRecord]:
-        """Records at one repository whose summaries may satisfy the query.
-
-        Authoritative records come first, then fresh cached ones, each group
-        in ascending finder_id order.  Stale cache entries are never
-        returned; a cached copy shadowed by an authoritative record of the
-        same finder is dropped.
-        """
-        return list(self._hits(self.node(node_id), query, now))
-
-    def resolve(
-        self,
-        origin_node_id: str,
-        query: ResourceQuery,
-        now: float,
-        policy: ResolutionPolicy | None = None,
-    ) -> ResolutionResult:
+    def resolve(self, origin_node_id: str, query: ResourceQuery, now: float,
+                policy: ResolutionPolicy | None = None) -> ResolutionResult:
         """Find a finder for the query, caching the answer along the path.
 
         Raises NotFound only when no repository in the whole tree holds a
@@ -189,7 +194,7 @@ class Topology:
         is raised.  A failed resolution never touches any cache.
         """
         policy = policy or ResolutionPolicy()
-        self.node(origin_node_id)
+        self.shape.zone_of(origin_node_id)
 
         record, from_cache, path, pruned_any = self._search(origin_node_id, query, now,
                                                             policy.summary_pruning)
@@ -197,32 +202,31 @@ class Topology:
             record, from_cache, retry_path, _ = self._search(origin_node_id, query, now, False)
             path += retry_path
         if record is None:
-            raise NotFound(f"no finder satisfies the query (searched {len(path)} repositories)")
+            raise NotFound(f"no finder satisfies the query (searched {len(set(path))} repositories)")
 
-        nodes, finder_id = self.nodes, record.finder_id
+        records, finder_id = self.records, record.finder_id
         populated = [node_id for node_id in (path if len(path) == 1 else dict.fromkeys(path))
-                     if finder_id not in nodes[node_id].authoritative]
+                     if finder_id not in records.get(node_id, ())]
         cap = policy.cache_capacity
         if cap != 0:
             # frozen, so every populated repository can hold the same entry
             entry = CacheEntry(record, now, policy.ttl)
             for node_id in populated:
-                self._cache_insert(nodes[node_id], entry, cap)
+                self._cache_insert(node_id, entry, cap)
         else:  # stores nothing, but empties a cache filled under a larger cap
             for node_id in populated:
-                if nodes[node_id].cache:
-                    nodes[node_id].cache = []
+                self.caches.pop(node_id, None)
         return ResolutionResult(record, tuple(path), len(path), from_cache, tuple(populated))
 
     # -- internals ---------------------------------------------------------
 
-    def _cache_insert(self, node: RepositoryNode, entry: CacheEntry, cap: int | None) -> None:
+    def _cache_insert(self, node_id: str, entry: CacheEntry, cap: int | None) -> None:
         """Insert or refresh one entry, keeping the newest ``cap`` entries (None: all).
 
         Nothing changes when the newest entry already holds this very record
         with the same times and is its finder's only entry within the cap.
         """
-        record, cache = entry.record, node.cache
+        record, cache = entry.record, self.caches.get(node_id, ())
         if (cache and cache[-1].record is record and cache[-1].inserted_at == entry.inserted_at
                 and cache[-1].ttl == entry.ttl and (cap is None or len(cache) <= cap)
                 and (len(cache) == 1 or all(e.record.finder_id != record.finder_id for e in cache[:-1]))):
@@ -231,16 +235,20 @@ class Topology:
         cache.append(entry)
         if cap is not None and len(cache) > cap:
             del cache[:-cap]
-        node.cache = cache
+        self.caches[node_id] = cache
 
-    def _hits(self, node: RepositoryNode, query: ResourceQuery, now: float):
-        """local_lookup's records in its order, lazily, so a search stops at the first."""
-        authoritative = node.authoritative
+    def _hits(self, node_id: str, query: ResourceQuery, now: float):
+        """A repository's records that may satisfy the query, lazily, so a search stops at the first.
+
+        Authoritative records, then fresh cached ones, each by finder_id; a
+        cached copy of a finder with an authoritative record here is dropped.
+        """
+        authoritative = self.records.get(node_id, {})
         for _, record in sorted(authoritative.items()) if len(authoritative) > 1 else authoritative.items():
             if summary_may_satisfy(query, record.summary):
                 yield record
         cached = {}  # the last fresh entry of a finder wins
-        for entry in node.cache:
+        for entry in self.caches.get(node_id, ()):
             record = entry.record
             if now < entry.inserted_at + entry.ttl and record.finder_id not in authoritative:
                 cached[record.finder_id] = record
@@ -248,30 +256,26 @@ class Topology:
             if summary_may_satisfy(query, record.summary):
                 yield record
 
-    def _subtree_may_hold(self, node: RepositoryNode, child_id: str, query: ResourceQuery, now: float) -> bool | None:
+    def _subtree_may_hold(self, node_id: str, child_id: str, query: ResourceQuery, now: float) -> bool | None:
         """What the node's fresh cache says about a child subtree.
 
         Returns None when the node knows nothing about the subtree (must
         descend), else whether any known record there may satisfy the query.
         """
-        child_zone = self.nodes[child_id].zone
-        known = [
-            entry.record
-            for entry in node.cache
-            if entry.is_fresh(now) and child_zone.is_ancestor_of(entry.record.home_zone)
-        ]
-        if not known:
-            return None
-        return any(summary_may_satisfy(query, record.summary) for record in known)
+        child_zone = self.shape.zone[child_id]
+        known = [entry.record for entry in self.caches.get(node_id, ())
+                 if now < entry.inserted_at + entry.ttl and child_zone.is_ancestor_of(entry.record.home_zone)]
+        return any(summary_may_satisfy(query, record.summary) for record in known) if known else None
 
     def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> tuple:
         """(record or None, from_cache, path, pruned_any) of one search in the documented order.
 
-        A frame is a repository and an iterator over its (label, child id) pairs; an ancestor
-        sits alone in a frame whose repository is None.  A child's pruning check runs only
-        when the search reaches it, after its earlier siblings' subtrees.
+        A frame is a repository's id and an iterator over its (label, child id) pairs; an
+        ancestor sits alone in a frame whose repository is None.  A child's pruning check runs
+        only when the search reaches it, after its earlier siblings' subtrees.
         """
-        nodes, path, pruned_any = self.nodes, [], False
+        records, caches, children_of = self.records, self.caches, self.shape.children
+        path, pruned_any = [], False
         # The origin's own subtree first, then up one level at a time.
         came_from, current = None, origin
         while current is not None:
@@ -279,25 +283,24 @@ class Topology:
             while stack:
                 parent, children = stack[-1]
                 for _, node_id in children:
-                    if (pruning and parent is not None and parent.cache
+                    if (pruning and parent in caches
                             and self._subtree_may_hold(parent, node_id, query, now) is False):
                         pruned_any = True
                         continue
                     path.append(node_id)
-                    node = nodes[node_id]
-                    if node.authoritative or node.cache:
-                        record = next(self._hits(node, query, now), None)
+                    if node_id in records or node_id in caches:
+                        record = next(self._hits(node_id, query, now), None)
                         if record is not None:
-                            return record, record.finder_id not in node.authoritative, path, pruned_any
-                    if node.delegations:
-                        pairs = sorted(node.delegations.items())
+                            return record, record.finder_id not in records.get(node_id, ()), path, pruned_any
+                    pairs = children_of[node_id]
+                    if pairs:
                         if parent is None:  # an ancestor skips the subtree just ascended from
                             pairs = [pair for pair in pairs if pair[1] != came_from]
-                        stack.append((node, iter(pairs)))
+                        stack.append((node_id, iter(pairs)))
                         break
                 else:
                     stack.pop()
-            came_from, current = current, nodes[current].parent
+            came_from, current = current, self.shape.parent[current]
         return None, False, path, pruned_any
 
 
@@ -331,21 +334,16 @@ def build_topology(spec: TopologySpec) -> Topology:
     """Construct a repository tree from a TopologySpec.
 
     Node ids are the zone names themselves (the root is ``"."``), so a
-    given spec always yields the same ids.  The shape comes from
-    ``_tree_shape``; the nodes, with their records, delegations and caches,
-    are new on every call, so no state passes from one tree to the next.
+    given spec always yields the same ids.  Every tree of one spec shares
+    the shape from ``_tree_shape``; its records and caches start empty, so
+    no state passes from one tree to the next.
     """
-    nodes = {
-        node_id: RepositoryNode(node_id=node_id, zone=zone, delegations=dict(delegations),
-                                parent=parent)
-        for node_id, zone, parent, delegations in _tree_shape(spec)
-    }
-    return Topology(nodes, ".")
+    return Topology(_tree_shape(spec))
 
 
 @functools.lru_cache(maxsize=4)
-def _tree_shape(spec: TopologySpec) -> tuple:
-    """(node id, zone, parent id, delegation pairs) per repository, parents first.
+def _tree_shape(spec: TopologySpec) -> TreeShape:
+    """The frozen shape of a spec's tree.
 
     A uniform spec is expanded level by level into its zone list and built
     like an explicit one; a duplicate or orphaned zone in a zone list shows
@@ -364,25 +362,22 @@ def _tree_shape(spec: TopologySpec) -> tuple:
             level = [zone.child(label) for zone in level for label in labels]
             zones += level
 
-    zone_at: dict[tuple[str, ...], ZoneName] = {}
+    zone_at: dict[str, ZoneName] = {}
     for zone in zones:
-        if zone.labels in zone_at:
+        if zone_at.setdefault(str(zone), zone) is not zone:
             raise MalformedTopology("duplicate zone in topology spec")
-        zone_at[zone.labels] = zone
-    zone_at.setdefault((), ZoneName())
-
-    order = sorted(zone_at, key=len)
-    children: dict[tuple[str, ...], list[tuple[str, str]]] = {labels: [] for labels in order}
-    for labels in order[1:]:
-        siblings = children.get(labels[1:])
+    zone_at.setdefault(".", ZoneName())
+    zone_at = dict(sorted(zone_at.items(), key=lambda item: len(item[1].labels)))  # parents first
+    # labels hold no dots, so a parent's id is the id after its first label
+    parent_of = {node_id: (node_id.partition(".")[2] or ".") if zone.labels else None
+                 for node_id, zone in zone_at.items()}
+    children: dict[str, list[tuple[str, str]]] = {node_id: [] for node_id in zone_at}
+    for node_id, zone in list(zone_at.items())[1:]:
+        siblings = children.get(parent_of[node_id])
         if siblings is None:
-            zone = zone_at[labels]
             raise MalformedTopology(
-                f"zone {zone} has no parent {zone.parent()} in the spec; list every ancestor"
-            )
-        siblings.append((labels[0], str(zone_at[labels])))
-    return tuple(
-        (str(zone_at[labels]), zone_at[labels], str(zone_at[labels[1:]]) if labels else None,
-         tuple(children[labels]))
-        for labels in order
-    )
+                f"zone {zone} has no parent {zone.parent()} in the spec; list every ancestor")
+        siblings.append((zone.labels[0], node_id))
+    pairs = {node_id: tuple(sorted(below)) for node_id, below in children.items()}
+    return TreeShape(MappingProxyType(zone_at), MappingProxyType(parent_of), MappingProxyType(pairs),
+                     tuple(sorted(node_id for node_id, below in pairs.items() if not below)))

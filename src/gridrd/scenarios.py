@@ -205,14 +205,13 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
     for i, site in enumerate(sites):
         sizes[site] += rounds + (i < extra)
     for site in sites:
-        node = topology.node(site)
         finder_id = f"fnd-{site}"
         summary = (replace(_POOL_SUMMARY, entry_count=sizes[site]) if sizes[site]
                    else MetadataSummary())
         record = FinderRecord(
             finder_id=finder_id,
             endpoint=f"svc://{site}/finder",
-            home_zone=node.zone,
+            home_zone=topology.shape.zone_of(site),
             summary=summary,
         )
         topology.register_finder(site, record)

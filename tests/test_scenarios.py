@@ -228,7 +228,7 @@ def pooled_summaries(topology, cfg) -> dict:
             resource_id=f"res-{i:04d}",
             numeric_attrs={"pe_count": 4.0, "mips_per_pe": 1000.0},
             tag_attrs={"arch": "x86", "os": "linux"},
-            home_zone=topology.node(site).zone,
+            home_zone=topology.shape.zone_of(site),
         ))
     return {site: summarize(MetadataCatalog(f"fnd-{site}", tuple(pool)))
             for site, pool in pools.items()}
@@ -246,15 +246,14 @@ class TestFinderSummaries:
         topology = build_topology(self.TREE)
         scenarios._populate_finders(topology, cfg)
         expected = pooled_summaries(build_topology(self.TREE), cfg)
-        registered = {node_id: node.authoritative for node_id, node in topology.nodes.items()
-                      if node.authoritative}
+        registered = {node_id: records for node_id, records in topology.records.items() if records}
         assert sorted(registered) == sorted(expected)
         for site, summary in expected.items():
             record = registered[site][f"fnd-{site}"]
             assert record.summary == summary
             assert repr(record.summary) == repr(summary)
             assert record.endpoint == f"svc://{site}/finder"
-            assert record.home_zone == topology.nodes[site].zone
+            assert record.home_zone == topology.shape.zone[site]
 
     @pytest.mark.parametrize("sites, resources", [(("nowhere",), 4), (("z00", "nowhere"), 1),
                                                   (("z00", "nowhere"), 5)])
