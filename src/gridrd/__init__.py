@@ -1,21 +1,15 @@
 """Deterministic simulator and analysis toolkit for grid resource discovery.
 
-Subpackages by responsibility: ``domain`` (resources, queries, summaries),
-``registry`` (the DNS-style repository tree), ``simkern`` (splitmix64 seed
-hash, lane-packed jitter kernel, latency model), ``scenarios`` (the measured
-architectures, computed in closed form), ``stats`` (mean-difference
-testing), ``harness``/``config``/``cli`` (experiments, files, command line).
+Subpackages by responsibility: ``domain`` (queries, finder summaries, zone
+names), ``registry`` (the DNS-style repository tree, its repositories named
+by their zones), ``simkern`` (splitmix64 seed hash, lane-packed jitter
+kernel, latency model), ``scenarios`` (the measured architectures, computed
+in closed form), ``stats`` (mean-difference testing),
+``harness``/``config``/``cli`` (experiments, files, command line).
 """
 
 from .config import Config, load_config
-from .domain import (
-    FinderRecord,
-    MetadataCatalog,
-    MetadataSummary,
-    ResourceQuery,
-    ResourceSpec,
-    ZoneName,
-)
+from .domain import FinderRecord, MetadataSummary, ResourceQuery
 from .harness import ObservationRow, SweepKind, SweepSpec, analyze, plot_data, run_sweep
 from .registry import ResolutionPolicy, Topology, TopologySpec, build_topology
 from .scenarios import RunResult, ScenarioConfig, ScenarioKind, run_scenario
@@ -29,12 +23,10 @@ __all__ = [
     "FinderRecord",
     "LatencyModel",
     "MeanDifferenceTest",
-    "MetadataCatalog",
     "MetadataSummary",
     "ObservationRow",
     "ResolutionPolicy",
     "ResourceQuery",
-    "ResourceSpec",
     "RunResult",
     "ScenarioConfig",
     "ScenarioKind",
@@ -43,7 +35,6 @@ __all__ = [
     "Topology",
     "TopologySpec",
     "Verdict",
-    "ZoneName",
     "analyze",
     "build_topology",
     "load_config",

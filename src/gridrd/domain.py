@@ -1,10 +1,12 @@
 """Core vocabulary for grid resource discovery.
 
-Resources carry numeric and tag attributes; clients express conjunctive
-queries over them (numeric lower bounds plus exact-match tags); resource
-finders publish catalogs that registries see only through coarse summaries.
-Everything here is an immutable value, and every operation is a pure
-function, so instances can be shared freely across simulation runs.
+Clients express conjunctive queries over resource attributes (numeric
+lower bounds plus exact-match tags); resource finders publish their
+catalogs to registries only as coarse summaries, and each finder is homed
+in one zone.  A zone is its dotted name, most-specific label first, as in
+DNS (RFC 1034 §3.1): ``"ca.north-america.grid"``, with ``"."`` for the
+root.  Everything here is an immutable value or a pure function, so
+instances can be shared freely across simulation runs.
 """
 
 from __future__ import annotations
@@ -23,71 +25,26 @@ ATTR_ARCH = "arch"
 ATTR_OS = "os"
 
 
-@dataclass(frozen=True)
-class ZoneName:
-    """A node of the hierarchical namespace, most-specific label first.
+def check_zone(text: str) -> str:
+    """Validate and normalise a zone name: ``"ca.grid"``, or ``"."``/``""`` for the root."""
+    text = text.strip()
+    if text in (".", ""):
+        return "."
+    for label in text.split("."):
+        if not label or not _LABEL_RE.match(label):
+            raise ValueError(
+                f"invalid zone label {label!r}: labels must be non-empty "
+                "lowercase alphanumerics or hyphens"
+            )
+    return text
 
-    ``ZoneName(("ca", "north-america", "grid"))`` reads like the DNS name
-    ``ca.north-america.grid``; the root zone has no labels and prints as
-    ``"."``.  A zone is an ancestor of another iff its labels are a suffix
-    of the other's.
+
+def in_zone(name: str, zone: str) -> bool:
+    """True iff zone ``name`` lies in ``zone``: ``zone``'s labels are a suffix of ``name``'s.
+
+    Every zone lies in itself, and every zone in the root.
     """
-
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        for label in self.labels:
-            if not label or not _LABEL_RE.match(label):
-                raise ValueError(
-                    f"invalid zone label {label!r}: labels must be non-empty "
-                    "lowercase alphanumerics or hyphens"
-                )
-
-    @classmethod
-    def parse(cls, text: str) -> "ZoneName":
-        """Parse ``"ca.grid"`` (or ``"."``/``""`` for the root)."""
-        text = text.strip()
-        if text in (".", ""):
-            return cls(())
-        return cls(tuple(text.split(".")))
-
-    @property
-    def is_root(self) -> bool:
-        return not self.labels
-
-    def parent(self) -> "ZoneName":
-        if self.is_root:
-            raise ValueError("the root zone has no parent")
-        return ZoneName(self.labels[1:])
-
-    def child(self, label: str) -> "ZoneName":
-        return ZoneName((label,) + self.labels)
-
-    def is_ancestor_of(self, other: "ZoneName") -> bool:
-        """True iff this zone's labels are a suffix of ``other``'s.
-
-        Every zone is an ancestor of itself; the root is an ancestor of all.
-        """
-        n = len(self.labels)
-        return n <= len(other.labels) and (other.labels[len(other.labels) - n:] == self.labels)
-
-    def __str__(self) -> str:
-        return ".".join(self.labels) if self.labels else "."
-
-
-@dataclass(frozen=True)
-class ResourceSpec:
-    """One grid resource: identity, attributes, and the zone it lives in."""
-
-    resource_id: str
-    numeric_attrs: Mapping[str, float] = field(default_factory=dict)
-    tag_attrs: Mapping[str, str] = field(default_factory=dict)
-    home_zone: ZoneName = ZoneName()
-
-    def __post_init__(self) -> None:
-        for name, value in self.numeric_attrs.items():
-            if value < 0:
-                raise ValueError(f"numeric attribute {name!r} must be >= 0, got {value}")
+    return zone == "." or name == zone or name.endswith("." + zone)
 
 
 @dataclass(frozen=True)
@@ -95,33 +52,12 @@ class ResourceQuery:
     """A client's conjunctive search criteria.
 
     Numeric attributes are constrained from below (``pe_count >= 4``), tags
-    must match exactly (``os == "linux"``).  A spec missing a queried
-    attribute never matches.  ``count`` is how many resources the user
-    ultimately needs; matching itself is per-resource.
+    must match exactly (``os == "linux"``).  A resource missing a queried
+    attribute never matches.
     """
 
     numeric_mins: Mapping[str, float] = field(default_factory=dict)
     required_tags: Mapping[str, str] = field(default_factory=dict)
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"query count must be >= 1, got {self.count}")
-
-
-@dataclass(frozen=True)
-class MetadataCatalog:
-    """The full per-resource metadata held by one resource finder."""
-
-    finder_id: str
-    entries: tuple[ResourceSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for entry in self.entries:
-            if entry.resource_id in seen:
-                raise ValueError(f"duplicate resource_id {entry.resource_id!r} in catalog")
-            seen.add(entry.resource_id)
 
 
 @dataclass(frozen=True)
@@ -135,33 +71,16 @@ class MetadataSummary:
 
 @dataclass(frozen=True)
 class FinderRecord:
-    """A resource finder's registry entry: identity, endpoint, and summary."""
+    """A resource finder's registry entry: identity, endpoint, home zone, and summary."""
 
     finder_id: str
     endpoint: str
-    home_zone: ZoneName
+    home_zone: str
     summary: MetadataSummary
 
     def __post_init__(self) -> None:
         if not self.endpoint:
             raise ValueError("finder endpoint must be non-empty")
-
-
-def summarize(catalog: MetadataCatalog) -> MetadataSummary:
-    """Collapse a catalog to per-attribute min/max ranges and tag-value sets."""
-    ranges: dict[str, tuple[float, float]] = {}
-    tags: dict[str, set[str]] = {}
-    for entry in catalog.entries:
-        for name, value in entry.numeric_attrs.items():
-            lo, hi = ranges.get(name, (value, value))
-            ranges[name] = (min(lo, value), max(hi, value))
-        for name, value in entry.tag_attrs.items():
-            tags.setdefault(name, set()).add(value)
-    return MetadataSummary(
-        numeric_ranges=ranges,
-        tag_values={name: frozenset(vals) for name, vals in tags.items()},
-        entry_count=len(catalog.entries),
-    )
 
 
 def summary_may_satisfy(query: ResourceQuery, summary: MetadataSummary) -> bool:

@@ -15,9 +15,10 @@ order, never re-entering the subtree just ascended from).  Exhausting the
 root means the whole tree has been searched.  The search is one loop over an
 explicit stack, so no tree is too deep for Python's recursion limit.
 
-Delegations are zone data that resolution never changes (RFC 1034 §4.2).  So
-a tree's shape (zones, parents, children sorted by label) is built once per
-spec as read-only tables that every run shares, and a run owns only its
+A repository's id is the name of the zone it serves (``"ca.grid"``, the root
+``"."``).  Delegations are zone data that resolution never changes (RFC 1034
+§4.2).  So a tree's shape (parents, children sorted by label) is built once
+per spec as read-only tables that every run shares, and a run owns only its
 authoritative records and caches.
 """
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .domain import FinderRecord, ResourceQuery, ZoneName, summary_may_satisfy
+from .domain import FinderRecord, ResourceQuery, check_zone, in_zone, summary_may_satisfy
 
 
 class RegistryError(Exception):
@@ -98,11 +99,11 @@ class TopologySpec:
     Either a uniform tree (``depth`` levels, ``branching`` children per
     node; depth 1 is a lone root) or an explicit list of zone names whose
     parents must all be present (the root is always implicit).  A zone
-    list given as any iterable is stored as a tuple, so specs hash.  A spec
-    that describes no valid tree raises MalformedTopology (ValueError for a
-    bad zone label) when it is made: a uniform tree's size is checked by
-    arithmetic, a zone list by building its shape, which build_topology
-    then reuses.
+    list given as any iterable but a string is stored as a tuple, so specs
+    hash.  A spec that describes no valid tree raises MalformedTopology
+    (ValueError for a bad zone label) when it is made: a uniform tree's size
+    is checked by arithmetic, a zone list by building its shape, which
+    build_topology then reuses.
     """
 
     depth: int | None = None
@@ -111,6 +112,9 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         if self.zones is not None:
+            if isinstance(self.zones, str):
+                raise MalformedTopology(
+                    f"zones must be a list of zone names, not the string {self.zones!r}")
             object.__setattr__(self, "zones", tuple(self.zones))
             if self.depth is not None or self.branching is not None:
                 raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
@@ -131,13 +135,12 @@ class TopologySpec:
 class TreeShape:
     """A tree's frozen shape, shared by every Topology built from one spec.
 
-    Read-only tables keyed by node id, parents before children: ``zone``,
-    ``parent`` (None at the root) and ``children``, the (label, child id)
-    pairs sorted by label.  ``leaves`` holds the childless ids, sorted.
-    Nothing in it changes, so a deep copy is the shape itself.
+    Read-only tables keyed by node id, parents before children: ``parent``
+    (None at the root) and ``children``, the (label, child id) pairs sorted
+    by label.  ``leaves`` holds the childless ids, sorted.  Nothing in it
+    changes, so a deep copy is the shape itself.
     """
 
-    zone: Mapping[str, ZoneName]
     parent: Mapping[str, str | None]
     children: Mapping[str, tuple[tuple[str, str], ...]]
     leaves: tuple[str, ...]
@@ -145,11 +148,11 @@ class TreeShape:
     def __deepcopy__(self, memo: dict) -> TreeShape:
         return self
 
-    def zone_of(self, node_id: str) -> ZoneName:
-        try:
-            return self.zone[node_id]
-        except KeyError:
-            raise UnknownNode(f"no repository named {node_id!r}") from None
+    def zone_of(self, node_id: str) -> str:
+        """The zone a repository serves, which is its id; UnknownNode for an id outside the tree."""
+        if node_id not in self.parent:
+            raise UnknownNode(f"no repository named {node_id!r}")
+        return node_id
 
 
 class Topology:
@@ -262,9 +265,8 @@ class Topology:
         Returns None when the node knows nothing about the subtree (must
         descend), else whether any known record there may satisfy the query.
         """
-        child_zone = self.shape.zone[child_id]
         known = [entry.record for entry in self.caches.get(node_id, ())
-                 if now < entry.inserted_at + entry.ttl and child_zone.is_ancestor_of(entry.record.home_zone)]
+                 if now < entry.inserted_at + entry.ttl and in_zone(entry.record.home_zone, child_id)]
         return any(summary_may_satisfy(query, record.summary) for record in known) if known else None
 
     def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> tuple:
@@ -345,39 +347,38 @@ def build_topology(spec: TopologySpec) -> Topology:
 def _tree_shape(spec: TopologySpec) -> TreeShape:
     """The frozen shape of a spec's tree.
 
-    A uniform spec is expanded level by level into its zone list and built
-    like an explicit one; a duplicate or orphaned zone in a zone list shows
+    A uniform spec is expanded level by level into its zone list, from
+    labels that are valid by construction, and built like an explicit one,
+    whose names are each checked once; a duplicate or orphaned zone shows
     up while building.  A spec always has the same shape, so it is built
-    once per process; the cache is small because a shape holds a ZoneName
-    per repository.
+    once per process; the cache is small because a shape holds tables the
+    size of its tree.
     """
     if spec.zones is not None:
-        zones = [ZoneName.parse(text) for text in spec.zones]
+        zones = [check_zone(text) for text in spec.zones]
     else:
         branching = 1 if spec.branching is None else spec.branching
         width = max(2, len(str(branching - 1)))
         labels = [f"z{i:0{width}d}" for i in range(branching)]
-        zones, level = [], [ZoneName()]
+        zones, level = [], ["."]
         for _ in range(spec.depth - 1):
-            level = [zone.child(label) for zone in level for label in labels]
+            level = [label if zone == "." else f"{label}.{zone}" for zone in level for label in labels]
             zones += level
 
-    zone_at: dict[str, ZoneName] = {}
-    for zone in zones:
-        if zone_at.setdefault(str(zone), zone) is not zone:
-            raise MalformedTopology("duplicate zone in topology spec")
-    zone_at.setdefault(".", ZoneName())
-    zone_at = dict(sorted(zone_at.items(), key=lambda item: len(item[1].labels)))  # parents first
+    distinct = dict.fromkeys(zones)
+    if len(distinct) < len(zones):
+        raise MalformedTopology("duplicate zone in topology spec")
+    distinct.pop(".", None)
+    ids = ["."] + sorted(distinct, key=lambda node_id: node_id.count("."))  # parents first
     # labels hold no dots, so a parent's id is the id after its first label
-    parent_of = {node_id: (node_id.partition(".")[2] or ".") if zone.labels else None
-                 for node_id, zone in zone_at.items()}
-    children: dict[str, list[tuple[str, str]]] = {node_id: [] for node_id in zone_at}
-    for node_id, zone in list(zone_at.items())[1:]:
+    parent_of = {node_id: (node_id.partition(".")[2] or ".") if node_id != "." else None for node_id in ids}
+    children: dict[str, list[tuple[str, str]]] = {node_id: [] for node_id in ids}
+    for node_id in ids[1:]:
         siblings = children.get(parent_of[node_id])
         if siblings is None:
             raise MalformedTopology(
-                f"zone {zone} has no parent {zone.parent()} in the spec; list every ancestor")
-        siblings.append((zone.labels[0], node_id))
+                f"zone {node_id} has no parent {parent_of[node_id]} in the spec; list every ancestor")
+        siblings.append((node_id.partition(".")[0], node_id))
     pairs = {node_id: tuple(sorted(below)) for node_id, below in children.items()}
-    return TreeShape(MappingProxyType(zone_at), MappingProxyType(parent_of), MappingProxyType(pairs),
+    return TreeShape(MappingProxyType(parent_of), MappingProxyType(pairs),
                      tuple(sorted(node_id for node_id, below in pairs.items() if not below)))

@@ -211,7 +211,7 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
         record = FinderRecord(
             finder_id=finder_id,
             endpoint=f"svc://{site}/finder",
-            home_zone=topology.shape.zone_of(site),
+            home_zone=site,
             summary=summary,
         )
         topology.register_finder(site, record)

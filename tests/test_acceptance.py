@@ -137,7 +137,7 @@ def test_criterion_5_resolver_against_brute_force():
         for _ in range(1000):
             topo, records = random_topology(rng, max_nodes=50)
             query = random_query(rng)
-            origin = rng.choice(sorted(topo.shape.zone))
+            origin = rng.choice(sorted(topo.shape.parent))
             candidates = brute_force_candidates(records, query)
             before = cache_snapshot(topo)
             try:

