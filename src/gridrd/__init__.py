@@ -10,7 +10,7 @@ in closed form), ``stats`` (mean-difference testing),
 
 from .config import Config, load_config
 from .domain import FinderRecord, MetadataSummary, ResourceQuery
-from .harness import ObservationRow, SweepKind, SweepSpec, analyze, plot_data, run_sweep
+from .harness import ObservationRow, SweepSpec, analyze, plot_data, run_sweep
 from .registry import ResolutionPolicy, Topology, TopologySpec, build_topology
 from .scenarios import RunResult, ScenarioConfig, ScenarioKind, run_scenario
 from .simkern import LatencyModel, mix64
@@ -30,7 +30,6 @@ __all__ = [
     "RunResult",
     "ScenarioConfig",
     "ScenarioKind",
-    "SweepKind",
     "SweepSpec",
     "Topology",
     "TopologySpec",

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .config import Config, ConfigError, load_config
 from .harness import (
-    SweepKind,
     SweepSpec,
     analyze,
     format_analysis_table,
@@ -89,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep with replications")
     common(p_sweep)
-    p_sweep.add_argument("--sweep-kind", type=SweepKind, default=SweepKind.DIAGONAL,
-                         choices=list(SweepKind))
+    p_sweep.add_argument("--sweep-kind", default="diagonal",
+                         choices=("fixed-users", "fixed-resources", "diagonal"))
     p_sweep.add_argument("--scenario", type=_scenario, action="append", default=None,
                          help="repeatable; default: baseline, direct, centralized")
     p_sweep.add_argument("--fixed-values", type=_count("fixed value"), nargs="+", default=None)
@@ -144,34 +143,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_sweep_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """A usage error for an option that the chosen sweep kind would ignore."""
-    if args.sweep_kind is SweepKind.DIAGONAL:
-        ignored = {"--fixed-values": args.fixed_values, "--range": args.varying}
-    else:
-        ignored = {"--points": args.points}
+def _sweep_points(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple:
+    """The chosen sweep kind's (users, resources) points, or a usage error for an option it ignores."""
+    kind = args.sweep_kind
+    ignored = ({"--fixed-values": args.fixed_values, "--range": args.varying} if kind == "diagonal"
+               else {"--points": args.points})
     for option, value in ignored.items():
         if value is not None:
-            parser.error(f"argument {option}: a {args.sweep_kind.value} sweep does not use it")
+            parser.error(f"argument {option}: a {kind} sweep does not use it")
+    if kind == "diagonal":
+        return SweepSpec.points if args.points is None else tuple((d, d) for d in args.points)
+    start, stop, step = args.varying or (20, 100, 20)
+    varying = range(start, stop + 1, step)
+    fixed = args.fixed_values or (20, 60, 100)
+    if kind == "fixed-users":
+        return tuple((u, r) for u in fixed for r in varying)
+    return tuple((u, r) for r in fixed for u in varying)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    kwargs = {}
-    if args.fixed_values is not None:
-        kwargs["fixed_values"] = tuple(args.fixed_values)
-    if args.varying is not None:
-        start, stop, step = args.varying
-        kwargs.update(varying_start=start, varying_stop=stop, varying_step=step)
-    if args.points is not None:
-        kwargs["diagonal_points"] = tuple(args.points)
-    if args.scenario is not None:
-        kwargs["scenarios"] = tuple(args.scenario)
     spec = SweepSpec(
-        kind=args.sweep_kind,
+        points=args.grid,
         replications=args.replications,
         base_seed=args.seed,
-        **kwargs,
+        scenarios=tuple(args.scenario or SweepSpec.scenarios),
     )
     rows = run_sweep(spec, cfg, workers=args.workers)
     write_observations(rows, args.out)
@@ -207,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "sweep":
-        _check_sweep_options(parser, args)
+        args.grid = _sweep_points(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

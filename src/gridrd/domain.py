@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-_LABEL_RE = re.compile(r"^[a-z0-9-]+$")
+_LABEL_RE = re.compile(r"[a-z0-9-]+")
 
 # Canonical attribute keys used by the synthetic resource pools. The maps
 # are open: any attribute name works, these are just the conventional ones.
@@ -31,7 +31,7 @@ def check_zone(text: str) -> str:
     if text in (".", ""):
         return "."
     for label in text.split("."):
-        if not label or not _LABEL_RE.match(label):
+        if not label or not _LABEL_RE.fullmatch(label):
             raise ValueError(
                 f"invalid zone label {label!r}: labels must be non-empty "
                 "lowercase alphanumerics or hyphens"

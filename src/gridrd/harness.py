@@ -1,7 +1,7 @@
 """Experiment orchestration: sweeps, observation CSVs, analysis reports.
 
-Every output byte is determined by (sweep spec, config, base seed).  Each
-sweep cell derives its own seed as
+A sweep spec is plain data, its (users, resources) points listed; every
+output byte follows from it and the config.  Each sweep cell's seed is
 
     mix64(base_seed, scenario_ordinal, users, resources, replication)
 
@@ -22,7 +22,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from . import stats
@@ -47,20 +46,11 @@ class GridMismatch(HarnessError):
     pass
 
 
-class SweepKind(str, Enum):
-    FIXED_USERS = "fixed-users"
-    FIXED_RESOURCES = "fixed-resources"
-    DIAGONAL = "diagonal"
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    kind: SweepKind = SweepKind.DIAGONAL
-    fixed_values: tuple[int, ...] = (20, 60, 100)
-    varying_start: int = 20
-    varying_stop: int = 100
-    varying_step: int = 20
-    diagonal_points: tuple[int, ...] = (20, 40, 60, 80, 100)
+    """A sweep: every (users, resources) point of ``points``, run ``replications`` times per scenario."""
+
+    points: tuple[tuple[int, int], ...] = tuple((d, d) for d in range(20, 101, 20))
     replications: int = 10
     base_seed: int = 0
     scenarios: tuple[ScenarioKind, ...] = (
@@ -69,22 +59,9 @@ class SweepSpec:
         ScenarioKind.CENTRALIZED,
     )
 
-    def points(self) -> list[tuple[int, int]]:
-        """(users, resources) grid points in emission order."""
-        if self.kind is SweepKind.DIAGONAL:
-            if not self.diagonal_points:
-                raise ConfigError("diagonal sweep needs diagonal_points")
-            return [(d, d) for d in self.diagonal_points]
-        if self.varying_step <= 0:
-            raise ConfigError("varying_step must be > 0")
-        varying = list(range(self.varying_start, self.varying_stop + 1, self.varying_step))
-        if not varying or not self.fixed_values:
-            raise ConfigError("sweep ranges must be non-empty")
-        if self.kind is SweepKind.FIXED_USERS:
-            return [(u, r) for u in self.fixed_values for r in varying]
-        return [(u, r) for r in self.fixed_values for u in varying]
-
     def __post_init__(self) -> None:
+        if not self.points:
+            raise ConfigError("sweep needs at least one grid point")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.scenarios:
@@ -132,7 +109,7 @@ def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[Observa
     cells on a thread pool; cells share no state (each derives its own
     seed), and rows come back in cell order either way.
     """
-    points = sorted(set(spec.points()))
+    points = sorted(set(spec.points))
     cells = [
         (rep, scenario_config(config, scenario, users, resources,
                               cell_seed(spec.base_seed, scenario, users, resources, rep)))

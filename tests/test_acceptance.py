@@ -112,7 +112,7 @@ def test_criterion_4_significance_pattern():
             sweeps = {}
             for kind in (ScenarioKind.BASELINE, ScenarioKind.DIRECT):
                 spec = SweepSpec(
-                    diagonal_points=(20, 100),
+                    points=((20, 20), (100, 100)),
                     replications=10,
                     base_seed=base_seed,
                     scenarios=(kind,),
@@ -199,7 +199,7 @@ def test_criterion_7_special_function_accuracy():
 def test_criterion_8_byte_identical_sweeps():
     with criterion("criterion 8: byte-identical sweeps, serial and parallel"):
         spec = SweepSpec(
-            diagonal_points=(20, 40, 60),
+            points=((20, 20), (40, 40), (60, 60)),
             replications=5,
             base_seed=123,
             scenarios=(ScenarioKind.BASELINE, ScenarioKind.DIRECT, ScenarioKind.CENTRALIZED),

@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -129,6 +131,28 @@ def test_range_sweep_covers_start_to_stop(tmp_path, capsys):
     assert len(rows) == 2 * 2 * 3
 
 
+_GRID = [(u, r) for u in (20, 60, 100) for r in range(20, 101, 20)]
+
+
+@pytest.mark.parametrize("argv, grid, digest", [
+    (["--sweep-kind", "fixed-users", "--replications", "2"], _GRID,
+     "732c4da9fde5df143fd13c293d91762cba111e433d8223a1bce2b3d8f8a519bd"),
+    (["--sweep-kind", "fixed-resources", "--replications", "2"], sorted((r, u) for u, r in _GRID),
+     "2bf51e5ec3379edceb1f09b3c3b4a26269ffc4fed9f133f73d8d25595ca9faad"),
+    (["--sweep-kind", "fixed-resources", "--fixed-values", "20", "60", "--range", "20:80:30",
+      "--replications", "3", "--scenario", "direct"],
+     [(u, r) for u in (20, 50, 80) for r in (20, 60)],
+     "fa44336bc7c0b264bb9b2a95751e3b73a4737c05724f23b77d52d1c66bcbe02e"),
+    (["--replications", "2"], [(d, d) for d in (20, 40, 60, 80, 100)],
+     "b2ea24485a77e96ad0d4fc29e6fcf3f4f7de12ff80356ffa038e8e69d729f8da"),
+])
+def test_sweep_kinds_expand_to_their_frozen_grids(tmp_path, capsys, argv, grid, digest):
+    out = tmp_path / "obs.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert sorted({(r.users, r.resources) for r in read_observations(out)}) == grid
+
+
 def test_cli_import_leaves_the_thread_pool_out():
     # only sweep --workers 2 or more needs concurrent.futures (and logging)
     src = str(Path(gridrd.__file__).resolve().parent.parent)
@@ -150,6 +174,11 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["sweep", "--sweep-kind", "sideways", "--out", "x.csv"])
     assert exc_info.value.code == 1
+    err = capsys.readouterr().err
+    assert "[--sweep-kind {fixed-users,fixed-resources,diagonal}]" in err
+    # newer argparse releases list the choices without quotes
+    assert re.search(r"invalid choice: 'sideways' \(choose from "
+                     r"'?fixed-users'?, '?fixed-resources'?, '?diagonal'?\)", err)
 
 
 def test_unknown_scenario_is_usage_error(capsys):

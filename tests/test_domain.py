@@ -151,7 +151,7 @@ class TestZoneName:
         shape = build_topology(TopologySpec(zones=("grid", "ca.grid"))).shape
         assert shape.children["grid"] == (("ca", "ca.grid"),)
 
-    @pytest.mark.parametrize("label", ["", "UPPER", "sp ace", "dot."])
+    @pytest.mark.parametrize("label", ["", "UPPER", "sp ace", "dot.", "a\n"])
     def test_rejects_bad_labels(self, label):
         with pytest.raises(ValueError, match=_LABEL_MESSAGE):
             check_zone(f"ca.{label}.grid")

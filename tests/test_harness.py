@@ -10,7 +10,6 @@ from gridrd.harness import (
     GridMismatch,
     ObservationRow,
     ParseError,
-    SweepKind,
     SweepSpec,
     analyze,
     cell_seed,
@@ -42,15 +41,14 @@ def _rows(scenario, point_values, users=20, resources=20):
 
 class TestSweep:
     def test_diagonal_baseline_counts_and_anchor(self):
-        spec = SweepSpec(kind=SweepKind.DIAGONAL, replications=1,
-                         scenarios=(ScenarioKind.BASELINE,))
+        spec = SweepSpec(replications=1, scenarios=(ScenarioKind.BASELINE,))
         rows = run_sweep(spec, QUIET_CONFIG)
         assert len(rows) == 5
         anchor = [r for r in rows if r.users == 100][0]
         assert anchor.discovery_time_s == pytest.approx(12.012, abs=0.02)
 
     def test_fixed_users_grid_size(self):
-        spec = SweepSpec(kind=SweepKind.FIXED_USERS, fixed_values=(20,),
+        spec = SweepSpec(points=tuple((20, r) for r in range(20, 101, 20)),
                          replications=3, scenarios=(ScenarioKind.BASELINE,))
         rows = run_sweep(spec, QUIET_CONFIG)
         assert len(rows) == 5 * 3
@@ -65,14 +63,14 @@ class TestSweep:
 
     def test_parallel_execution_does_not_change_bytes(self):
         spec = SweepSpec(replications=3, base_seed=5,
-                         diagonal_points=(20, 60), scenarios=(ScenarioKind.BASELINE,
-                                                              ScenarioKind.DIRECT))
+                         points=((20, 20), (60, 60)),
+                         scenarios=(ScenarioKind.BASELINE, ScenarioKind.DIRECT))
         serial = format_observations(run_sweep(spec, Config(), workers=1))
         parallel = format_observations(run_sweep(spec, Config(), workers=4))
         assert serial == parallel
 
     def test_rows_sorted_by_scenario_point_replication(self):
-        spec = SweepSpec(replications=2, diagonal_points=(40, 20))
+        spec = SweepSpec(replications=2, points=((40, 40), (20, 20)))
         rows = run_sweep(spec, QUIET_CONFIG)
         keys = [(r.scenario.ordinal, r.users, r.resources, r.replication) for r in rows]
         assert keys == sorted(keys)
@@ -93,19 +91,20 @@ class TestSweep:
 
     def test_distributed_sweep_runs_with_topology(self):
         cfg = parse_config("topology.depth = 2\ntopology.branching = 2\njitter_enabled = false\n")
-        spec = SweepSpec(diagonal_points=(20,), replications=2,
+        spec = SweepSpec(points=((20, 20),), replications=2,
                          scenarios=(ScenarioKind.DISTRIBUTED,))
         rows = run_sweep(spec, cfg)
         assert len(rows) == 2
 
     def test_replications_validated(self):
-        with pytest.raises(ConfigError):
-            SweepSpec(replications=0)
+        for bad in ({"replications": 0}, {"points": ()}, {"scenarios": ()}):
+            with pytest.raises(ConfigError):
+                SweepSpec(**bad)
 
 
 class TestObservationCsv:
     def test_roundtrip(self):
-        spec = SweepSpec(replications=2, diagonal_points=(20, 40))
+        spec = SweepSpec(replications=2, points=((20, 20), (40, 40)))
         rows = run_sweep(spec, Config())
         parsed = parse_observations(format_observations(rows))
         assert parsed == rows
@@ -195,9 +194,9 @@ class TestAnalyze:
             analyze(a, b)
 
     def test_pipeline_closure_without_jitter(self):
-        spec_b = SweepSpec(diagonal_points=(20, 60), replications=3,
+        spec_b = SweepSpec(points=((20, 20), (60, 60)), replications=3,
                            scenarios=(ScenarioKind.BASELINE,))
-        spec_d = SweepSpec(diagonal_points=(20, 60), replications=3,
+        spec_d = SweepSpec(points=((20, 20), (60, 60)), replications=3,
                            scenarios=(ScenarioKind.DIRECT,))
         rows_b = run_sweep(spec_b, QUIET_CONFIG)
         rows_d = run_sweep(spec_d, QUIET_CONFIG)
@@ -255,7 +254,7 @@ class TestAnalyze:
 
 class TestPlotData:
     def _sweep_rows(self):
-        spec = SweepSpec(kind=SweepKind.FIXED_USERS, fixed_values=(20, 60, 100),
+        spec = SweepSpec(points=tuple((u, r) for u in (20, 60, 100) for r in range(20, 101, 20)),
                          replications=2)
         return run_sweep(spec, QUIET_CONFIG)
 
@@ -300,7 +299,7 @@ class TestJitterCalibration:
         for base_seed in range(n_seeds):
             sweeps = {}
             for kind in (ScenarioKind.BASELINE, ScenarioKind.DIRECT):
-                spec = SweepSpec(diagonal_points=(20, 100), replications=10,
+                spec = SweepSpec(points=((20, 20), (100, 100)), replications=10,
                                  base_seed=base_seed, scenarios=(kind,))
                 sweeps[kind] = run_sweep(spec, Config())
             for row in analyze(sweeps[ScenarioKind.DIRECT], sweeps[ScenarioKind.BASELINE]):
@@ -313,7 +312,7 @@ class TestJitterCalibration:
 class TestGoldenFiles:
     """Freeze the output formats byte for byte."""
 
-    SPEC = SweepSpec(diagonal_points=(20, 60), replications=3, base_seed=42,
+    SPEC = SweepSpec(points=((20, 20), (60, 60)), replications=3, base_seed=42,
                      scenarios=(ScenarioKind.BASELINE, ScenarioKind.DIRECT))
 
     def _observations(self):

@@ -349,6 +349,10 @@ class TestBuildTopology:
             with pytest.raises(MalformedTopology):
                 build_topology(TopologySpec(**spec))
 
+    def test_a_label_may_not_end_in_a_newline(self):
+        with pytest.raises(ValueError, match=r"invalid zone label 'a\\n'"):
+            TopologySpec(zones=("b", "a\n.b"))
+
     @pytest.mark.parametrize("zones", ["grid", "a", ""])
     def test_a_string_is_not_a_zone_list(self, zones):
         # tuple("grid") would be the four zones g, r, i and d
@@ -360,9 +364,9 @@ class TestBuildTopology:
         label_re, checked = domain._LABEL_RE, []
 
         class CountingPattern:
-            def match(self, text):
+            def fullmatch(self, text):
                 checked.append(text)
-                return label_re.match(text)
+                return label_re.fullmatch(text)
 
         monkeypatch.setattr(domain, "_LABEL_RE", CountingPattern())
         registry._tree_shape.cache_clear()
