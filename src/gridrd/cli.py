@@ -101,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed")
     p_sweep.add_argument("--workers", type=_count("worker count"), default=1)
     p_sweep.add_argument("--out", type=Path, required=True, help="observations CSV path")
+    p_sweep.set_defaults(grid=lambda args: _sweep_points(p_sweep, args))
 
     p_an = sub.add_parser("analyze", help="pointwise mean-difference tests of two sweeps")
     p_an.add_argument("csv_a", type=Path)
@@ -162,9 +163,10 @@ def _sweep_points(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    points = args.grid(args)  # a usage error exits before the config is read
     cfg = _load(args)
     spec = SweepSpec(
-        points=args.grid,
+        points=points,
         replications=args.replications,
         base_seed=args.seed,
         scenarios=tuple(args.scenario or SweepSpec.scenarios),
@@ -202,8 +204,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        args.grid = _sweep_points(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

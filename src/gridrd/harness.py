@@ -48,7 +48,10 @@ class GridMismatch(HarnessError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep: every (users, resources) point of ``points``, run ``replications`` times per scenario."""
+    """A sweep: every (users, resources) point of ``points``, run ``replications`` times per scenario.
+
+    ``points`` is stored as a tuple of (users, resources) tuples, so specs hash.
+    """
 
     points: tuple[tuple[int, int], ...] = tuple((d, d) for d in range(20, 101, 20))
     replications: int = 10
@@ -60,12 +63,22 @@ class SweepSpec:
     )
 
     def __post_init__(self) -> None:
+        if isinstance(self.points, str):
+            raise ConfigError(f"points must be (users, resources) pairs, not the string {self.points!r}")
+        object.__setattr__(self, "points", tuple(map(_grid_point, self.points)))
         if not self.points:
             raise ConfigError("sweep needs at least one grid point")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.scenarios:
             raise ConfigError("sweep needs at least one scenario")
+
+
+def _grid_point(point) -> tuple[int, int]:
+    pair = tuple(point) if isinstance(point, (tuple, list)) else ()
+    if len(pair) != 2 or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in pair):
+        raise ConfigError(f"a sweep point must be a (users, resources) pair of integers >= 1, got {point!r}")
+    return pair
 
 
 @dataclass(frozen=True)

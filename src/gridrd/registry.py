@@ -5,7 +5,8 @@ at exactly one repository (its home zone); every other repository can only
 learn it through resolution, which caches the answer with a TTL at each
 repository it crossed.  Resolution is recursive in the DNS sense: the answer
 propagates back along the contact path, so the whole path learns it, as one
-frozen CacheEntry that every repository it populates shares.
+frozen CacheEntry that every repository it populates shares; like an RRSet
+(RFC 2181 §5.4.1) it replaces the finder's entry there, so a cache holds one.
 
 The search order is fixed so that identical inputs always produce identical
 results: from the origin, search the origin's own subtree depth-first, then
@@ -66,9 +67,9 @@ class CacheEntry:
 class ResolutionPolicy:
     """Knobs for resolve: cache TTL, summary pruning, optional cache cap.
 
-    ``cache_capacity`` of None means unbounded; otherwise the oldest-inserted
-    entries are evicted first once a node's cache exceeds the cap, and a cap
-    of 0 stores nothing.
+    ``cache_capacity`` of None means unbounded; otherwise the entries least
+    recently inserted or replaced are evicted first once a node's cache
+    exceeds the cap, and a cap of 0 stores nothing.
     """
 
     ttl: float = 3600.0
@@ -159,9 +160,9 @@ class Topology:
     """One run's repository tree: a shared shape plus the run's own state.
 
     ``records`` maps a node id to its authoritative records by finder id,
-    and ``caches`` maps it to its cache entries, oldest first.  A node gets
-    an entry on its first write, so a new tree allocates nothing per
-    repository.  Driven single-threaded within one run.
+    and ``caches`` maps it to its cache entries by finder id, oldest first.
+    A node gets an entry on its first write and never holds an empty one,
+    so a new tree allocates nothing per repository.  Driven single-threaded.
     """
 
     root_id = "."
@@ -169,7 +170,7 @@ class Topology:
     def __init__(self, shape: TreeShape):
         self.shape = shape
         self.records: dict[str, dict[str, FinderRecord]] = {}
-        self.caches: dict[str, list[CacheEntry]] = {}
+        self.caches: dict[str, dict[str, CacheEntry]] = {}
 
     def leaves(self) -> tuple[str, ...]:
         """Node ids of childless repositories, in sorted order."""
@@ -224,21 +225,12 @@ class Topology:
     # -- internals ---------------------------------------------------------
 
     def _cache_insert(self, node_id: str, entry: CacheEntry, cap: int | None) -> None:
-        """Insert or refresh one entry, keeping the newest ``cap`` entries (None: all).
-
-        Nothing changes when the newest entry already holds this very record
-        with the same times and is its finder's only entry within the cap.
-        """
-        record, cache = entry.record, self.caches.get(node_id, ())
-        if (cache and cache[-1].record is record and cache[-1].inserted_at == entry.inserted_at
-                and cache[-1].ttl == entry.ttl and (cap is None or len(cache) <= cap)
-                and (len(cache) == 1 or all(e.record.finder_id != record.finder_id for e in cache[:-1]))):
-            return
-        cache = [e for e in cache if e.record.finder_id != record.finder_id]
-        cache.append(entry)
-        if cap is not None and len(cache) > cap:
-            del cache[:-cap]
-        self.caches[node_id] = cache
+        """Make the entry its finder's only one and the newest, keeping the newest ``cap`` (None: all)."""
+        cache = self.caches.setdefault(node_id, {})
+        cache.pop(entry.record.finder_id, None)
+        cache[entry.record.finder_id] = entry
+        while cap is not None and len(cache) > cap:
+            del cache[next(iter(cache))]
 
     def _hits(self, node_id: str, query: ResourceQuery, now: float):
         """A repository's records that may satisfy the query, lazily, so a search stops at the first.
@@ -250,24 +242,18 @@ class Topology:
         for _, record in sorted(authoritative.items()) if len(authoritative) > 1 else authoritative.items():
             if summary_may_satisfy(query, record.summary):
                 yield record
-        cached = {}  # the last fresh entry of a finder wins
-        for entry in self.caches.get(node_id, ()):
-            record = entry.record
-            if now < entry.inserted_at + entry.ttl and record.finder_id not in authoritative:
-                cached[record.finder_id] = record
-        for _, record in sorted(cached.items()) if len(cached) > 1 else cached.items():
-            if summary_may_satisfy(query, record.summary):
-                yield record
+        cache = self.caches.get(node_id, {})
+        for finder_id, entry in sorted(cache.items()) if len(cache) > 1 else cache.items():
+            if (now < entry.inserted_at + entry.ttl and finder_id not in authoritative
+                    and summary_may_satisfy(query, entry.record.summary)):
+                yield entry.record
 
-    def _subtree_may_hold(self, node_id: str, child_id: str, query: ResourceQuery, now: float) -> bool | None:
-        """What the node's fresh cache says about a child subtree.
-
-        Returns None when the node knows nothing about the subtree (must
-        descend), else whether any known record there may satisfy the query.
-        """
-        known = [entry.record for entry in self.caches.get(node_id, ())
+    def _prunes(self, node_id: str, child_id: str, query: ResourceQuery, now: float) -> bool:
+        """Whether the node's fresh cache rules out a child subtree: it knows
+        records homed there and none of them may satisfy the query."""
+        known = [entry.record for entry in self.caches[node_id].values()
                  if now < entry.inserted_at + entry.ttl and in_zone(entry.record.home_zone, child_id)]
-        return any(summary_may_satisfy(query, record.summary) for record in known) if known else None
+        return bool(known) and not any(summary_may_satisfy(query, record.summary) for record in known)
 
     def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> tuple:
         """(record or None, from_cache, path, pruned_any) of one search in the documented order.
@@ -285,8 +271,7 @@ class Topology:
             while stack:
                 parent, children = stack[-1]
                 for _, node_id in children:
-                    if (pruning and parent in caches
-                            and self._subtree_may_hold(parent, node_id, query, now) is False):
+                    if pruning and parent in caches and self._prunes(parent, node_id, query, now):
                         pruned_any = True
                         continue
                     path.append(node_id)

@@ -95,13 +95,17 @@ def test_bad_worker_count_is_usage_error(tmp_path, capsys, workers):
     (["sweep", "--sweep-kind", "fixed-resources", "--points", "7"], "--points"),
     (["sweep", "--fixed-values", "5", "--range", "1:3:1"], "--fixed-values"),
     (["sweep", "--sweep-kind", "diagonal", "--range", "1:3:1"], "--range"),
+    (["sweep", "--sweep-kind", "fixed-users", "--points", "7", "--config", "missing.cfg"], "--points"),
 ])
 def test_bad_count_or_range_is_usage_error(tmp_path, capsys, argv, option):
     out = tmp_path / "obs.csv"
     with pytest.raises(SystemExit) as exc_info:
         main(argv + (["--out", str(out)] if argv[0] == "sweep" else []))
     assert exc_info.value.code == 1
-    assert f"argument {option}:" in capsys.readouterr().err
+    # the usage and the error name the subcommand
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gridrd {argv[0]} ")
+    assert f"gridrd {argv[0]}: error: argument {option}:" in err
     assert not out.exists()
 
 

@@ -97,9 +97,20 @@ class TestSweep:
         assert len(rows) == 2
 
     def test_replications_validated(self):
-        for bad in ({"replications": 0}, {"points": ()}, {"scenarios": ()}):
+        for bad in ({"replications": 0}, {"points": ()}, {"scenarios": ()}, {"points": "20,20"},
+                    {"points": ((0, 20),)}, {"points": ((20, -1),)}, {"points": ((True, 20),)},
+                    {"points": ((20.0, 20),)}, {"points": ((20,),)}, {"points": ((20, 20, 20),)},
+                    {"points": ("ab",)}, {"points": (20,)}):
             with pytest.raises(ConfigError):
                 SweepSpec(**bad)
+
+    def test_points_given_as_lists_are_stored_as_tuples(self):
+        spec = SweepSpec(points=((20, 20), [40, 40]), replications=1,
+                         scenarios=(ScenarioKind.BASELINE,))
+        assert spec.points == ((20, 20), (40, 40))
+        assert hash(spec) == hash(SweepSpec(points=[[20, 20], (40, 40)], replications=1,
+                                            scenarios=(ScenarioKind.BASELINE,)))
+        assert [(r.users, r.resources) for r in run_sweep(spec, QUIET_CONFIG)] == [(20, 20), (40, 40)]
 
 
 class TestObservationCsv:

@@ -84,7 +84,7 @@ def brute_force_candidates(records, query) -> list[str]:
 
 
 def cache_snapshot(topo: Topology):
-    return {nid: list(cache) for nid, cache in topo.caches.items() if cache}
+    return {nid: list(cache.items()) for nid, cache in topo.caches.items() if cache}
 
 
 def local_lookup(topo: Topology, node_id: str, query: ResourceQuery, now: float) -> list[FinderRecord]:
@@ -114,13 +114,12 @@ def reference_order(zones: set[tuple[str, ...]], origin: tuple[str, ...]) -> lis
 def reference_lookup(topo: Topology, node_id: str, query: ResourceQuery,
                      now: float) -> list[FinderRecord]:
     """A repository's lookup as documented: satisfying authoritative records by
-    id, then fresh cached ones by id; of two cache entries for one finder the
-    later fresh one counts, and a finder with an authoritative record is never
-    taken from the cache."""
+    id, then fresh cached ones by id; a finder with an authoritative record is
+    never taken from the cache."""
     authoritative, cached = topo.records.get(node_id, {}), {}
-    for entry in topo.caches.get(node_id, []):
-        if now < entry.inserted_at + entry.ttl and entry.record.finder_id not in authoritative:
-            cached[entry.record.finder_id] = entry.record
+    for finder_id, entry in topo.caches.get(node_id, {}).items():
+        if now < entry.inserted_at + entry.ttl and finder_id not in authoritative:
+            cached[finder_id] = entry.record
     return [record
             for group in (authoritative, cached)
             for _, record in sorted(group.items())
@@ -134,12 +133,13 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
     Returns (record, path, cache_hit, caches_populated, pruned_any, retried),
     or None where resolve raises NotFound, and applies the cache updates to
     ``topo``'s caches: every populated repository drops its entry for the
-    finder, appends a new one and keeps its newest ``cache_capacity``.
+    finder, adds a new one as its newest and keeps its newest
+    ``cache_capacity``, holding no cache at all when that leaves it empty.
     """
     shape, path, pruned = topo.shape, [], []
 
     def may_hold(node_id, child_id):
-        known = [e.record for e in topo.caches.get(node_id, []) if now < e.inserted_at + e.ttl
+        known = [e.record for e in topo.caches.get(node_id, {}).values() if now < e.inserted_at + e.ttl
                  and is_ancestor_of(labels(child_id), labels(e.record.home_zone))]
         return any(summary_may_satisfy(query, r.summary) for r in known) if known else None
 
@@ -178,9 +178,12 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
     populated = [n for n in dict.fromkeys(path) if record.finder_id not in topo.records.get(n, {})]
     cap = policy.cache_capacity
     for node_id in populated:
-        entries = [e for e in topo.caches.get(node_id, []) if e.record.finder_id != record.finder_id]
-        entries.append(CacheEntry(record, now, policy.ttl))
-        topo.caches[node_id] = entries if cap is None else entries[len(entries) - cap:] if cap else []
+        entries = [(f, e) for f, e in topo.caches.get(node_id, {}).items() if f != record.finder_id]
+        entries.append((record.finder_id, CacheEntry(record, now, policy.ttl)))
+        if cap == 0:
+            topo.caches.pop(node_id, None)
+        else:
+            topo.caches[node_id] = dict(entries if cap is None else entries[len(entries) - cap:])
     return record, tuple(path), cache_hit, tuple(populated), bool(pruned), retried
 
 
@@ -440,7 +443,7 @@ class TestNodeOperations:
             "f1", "svc://1", "elsewhere",
             summarize(MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 4.0}),))),
         )
-        topo.caches["."] = [CacheEntry(rec, inserted_at=0.0, ttl=100.0)]
+        topo.caches["."] = {"f1": CacheEntry(rec, inserted_at=0.0, ttl=100.0)}
         assert local_lookup(topo, ".", ResourceQuery(), now=99.999)
         assert local_lookup(topo, ".", ResourceQuery(), now=100.0) == []
 
@@ -449,12 +452,13 @@ class TestNodeOperations:
         for _ in range(50):
             topo, _ = random_topology(rng, max_nodes=5)
             node_id = rng.choice(sorted(topo.shape.parent))
-            authoritative, cache = topo.records.get(node_id, {}), topo.caches.setdefault(node_id, [])
+            authoritative, cache = topo.records.get(node_id, {}), {}
             for i in range(rng.randint(0, 5)):
                 rec = _record(f"cached-{i}", "far.away", rng)
-                cache.append(
-                    CacheEntry(rec, inserted_at=rng.uniform(0, 100), ttl=rng.uniform(0, 100))
-                )
+                cache[rec.finder_id] = CacheEntry(rec, inserted_at=rng.uniform(0, 100),
+                                                  ttl=rng.uniform(0, 100))
+            if cache:
+                topo.caches[node_id] = cache
             query = random_query(rng)
             now = rng.uniform(0, 200)
             hits = local_lookup(topo, node_id, query, now)
@@ -464,7 +468,7 @@ class TestNodeOperations:
             )
             expected_cached = sorted(
                 e.record.finder_id
-                for e in cache
+                for e in cache.values()
                 if now < e.inserted_at + e.ttl
                 and e.record.finder_id not in authoritative
                 and summary_may_satisfy(query, e.record.summary)
@@ -482,14 +486,15 @@ class TestFirstHit:
         for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=4), label="auth"):
             zone = name_of(data.draw(st.sampled_from(zones)))
             topo.register_finder(zone, FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
-        # cache entries appended directly: stale or fresh, possibly two for
-        # one finder, possibly shadowed by the node's authoritative record
+        # cache entries set directly: stale or fresh, a later one of a finder
+        # replacing the earlier, possibly shadowed by the node's authoritative record
         for _ in range(data.draw(st.integers(0, 10), label="cached")):
             node_id = name_of(data.draw(st.sampled_from(zones)))
             record = FinderRecord(data.draw(st.sampled_from(ids)), "svc://c", "far",
                                   data.draw(summaries()))
-            topo.caches.setdefault(node_id, []).append(CacheEntry(record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
-                                         ttl=data.draw(st.sampled_from((1.0, 10.0)))))
+            topo.caches.setdefault(node_id, {})[record.finder_id] = CacheEntry(
+                record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
+                ttl=data.draw(st.sampled_from((1.0, 10.0))))
         tags = data.draw(st.sampled_from(({}, {"os": "linux"})))
         query = ResourceQuery({"pe_count": data.draw(st.sampled_from((0.0, 2.0, 8.0)))}, tags)
         now = data.draw(st.sampled_from((0.0, 4.0, 9.0)), label="now")
@@ -526,11 +531,11 @@ class TestSearchOracle:
             # at an ancestor of the record's home, or at any repository
             at = data.draw(st.one_of(st.integers(0, len(home)).map(lambda k: home[k:]),
                                      st.sampled_from(zones)))
-            cache, home = topo.caches.setdefault(name_of(at), []), name_of(home)
+            cache, home = topo.caches.setdefault(name_of(at), {}), name_of(home)
             record = FinderRecord(data.draw(st.sampled_from(ids + ("c0", "c1"))), "svc://c", home,
                                   data.draw(summaries()))
-            cache.append(CacheEntry(record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
-                                         ttl=data.draw(st.sampled_from((1.0, 10.0)))))
+            cache[record.finder_id] = CacheEntry(record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
+                                                 ttl=data.draw(st.sampled_from((1.0, 10.0))))
         policy = ResolutionPolicy(ttl=data.draw(st.sampled_from((1.0, 10.0, 3600.0))),
                                   cache_capacity=data.draw(st.sampled_from((None, 0, 1, 2))))
         reference = copy.deepcopy(topo)
@@ -556,8 +561,9 @@ class TestSearchOracle:
                 assert result.hop_count == len(path)
                 event("found after a retry" if retried else "found, pruned" if pruned_any
                       else "found")
-            for node_id in topo.shape.parent:
-                assert topo.caches.get(node_id, []) == reference.caches.get(node_id, [])
+            # the same entries in the same eviction order, and no empty cache held
+            assert cache_snapshot(topo) == cache_snapshot(reference)
+            assert topo.caches.keys() == reference.caches.keys() and all(topo.caches.values())
 
 
 # -- resolve --------------------------------------------------------------------
@@ -626,7 +632,7 @@ class TestResolve:
         assert result.path == ("z", ".") + chain
         assert result.caches_populated == ("z", ".") + chain[:-1]
         # one frozen entry, shared by every repository it populated
-        assert len({id(topo.caches[n][-1]) for n in result.caches_populated}) == 1
+        assert len({id(topo.caches[n]["f1"]) for n in result.caches_populated}) == 1
         assert topo.resolve("a", ResourceQuery(), now=1.0).path == ("a",)
         with pytest.raises(NotFound):
             topo.resolve("z", ResourceQuery(numeric_mins={"pe_count": 99}), now=2.0)
@@ -746,7 +752,7 @@ class TestResolve:
 
         # warm the root's cache with knowledge of b's only finder
         topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
-        root_known = [e.record.finder_id for e in topo.caches["."]]
+        root_known = list(topo.caches["."])
         assert root_known == ["f-small"]
 
         res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0)
@@ -774,7 +780,7 @@ class TestResolve:
 
         # warm a's cache with only the weak finder
         topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
-        a_known = [e.record.finder_id for e in topo.caches["a"]]
+        a_known = list(topo.caches["a"])
         assert a_known == ["f-weak"]
 
         res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0)
@@ -803,14 +809,14 @@ class TestResolve:
                 node_id, FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat))
             )
         topo.resolve("a", ResourceQuery(required_tags={}), now=0.0, policy=policy)
-        first = [e.record.finder_id for e in topo.caches["a"]]
+        first = list(topo.caches["a"])
         # force the second finder by excluding the first via its id ordering:
         # f-b was cached; a query only f-c satisfies re-resolves and evicts
-        topo.caches["a"][0] = CacheEntry(
-            topo.caches["a"][0].record, inserted_at=0.0, ttl=0.5
+        topo.caches["a"]["f-b"] = CacheEntry(
+            topo.caches["a"]["f-b"].record, inserted_at=0.0, ttl=0.5
         )
         topo.resolve("a", ResourceQuery(), now=1.0, policy=policy)
-        assert len(topo.caches.get("a", [])) <= 1
+        assert len(topo.caches.get("a", {})) <= 1
         assert first == ["f-b"]
 
 
@@ -851,12 +857,13 @@ class TestCacheCapacity:
                     entries.append((result.record.finder_id, now))
                     model[node_id] = entries if cap is None else entries[len(entries) - cap:]
             for node_id in topo.shape.parent:
-                cache = topo.caches.get(node_id, [])
-                ids = [e.record.finder_id for e in cache]
+                cache = topo.caches.get(node_id, {})
+                ids = [e.record.finder_id for e in cache.values()]
                 assert cap is None or len(ids) <= cap
-                assert len(set(ids)) == len(ids)
-                assert [(e.record.finder_id, e.inserted_at) for e in cache] == model[node_id]
-                assert all(e.ttl == policy.ttl for e in cache)
+                assert ids == list(cache)
+                assert [(e.record.finder_id, e.inserted_at) for e in cache.values()] == model[node_id]
+                assert all(e.ttl == policy.ttl for e in cache.values())
+                assert node_id not in topo.caches or cache
 
     def test_capacity_zero_empties_a_warm_cache(self):
         topo = build_topology(TopologySpec(zones=("a", "b")))
@@ -867,12 +874,12 @@ class TestCacheCapacity:
         assert topo.caches.get("a") and topo.caches.get(".")
         result = topo.resolve("a", ResourceQuery(), now=1.0, policy=ResolutionPolicy(cache_capacity=0))
         assert result.cache_hit and result.caches_populated == ("a",)
-        assert topo.caches.get("a", []) == [] and topo.caches.get(".")
+        assert "a" not in topo.caches and topo.caches.get(".")
 
 
 
 class TestCacheRefresh:
-    """Re-inserting the newest entry unchanged is a no-op; anything else is not."""
+    """Re-inserting a finder replaces its one entry, which becomes the newest."""
 
     def _two_finders(self):
         # f-b at b satisfies pe_count >= 1, f-c at c also pe_count >= 16
@@ -884,7 +891,7 @@ class TestCacheRefresh:
         return topo
 
     def _entries(self, topo, node_id):
-        return [(e.record.finder_id, e.inserted_at, e.ttl) for e in topo.caches.get(node_id, [])]
+        return [(e.record.finder_id, e.inserted_at, e.ttl) for e in topo.caches.get(node_id, {}).values()]
 
     def test_reinsert_trims_a_cache_over_a_lowered_capacity(self):
         topo = self._two_finders()
@@ -916,15 +923,6 @@ class TestCacheRefresh:
         twin = dataclasses.replace(stored)
         assert twin == stored and twin is not stored
         topo._cache_insert("a", CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
-        assert len(topo.caches["a"]) == 1 and topo.caches["a"][0].record is twin
+        assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"].record is twin
         topo._cache_insert("a", CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
-        assert len(topo.caches["a"]) == 1 and topo.caches["a"][0].record is twin
-
-    def test_reinsert_drops_a_second_entry_of_the_finder(self):
-        topo = self._two_finders()
-        stored = topo.records["b"]["f-b"]
-        topo.caches.setdefault("a", []).extend([CacheEntry(stored, 0.0, 3600.0),
-                                                CacheEntry(stored, 0.0, 3600.0)])
-        policy = ResolutionPolicy()
-        topo._cache_insert("a", CacheEntry(stored, 0.0, policy.ttl), policy.cache_capacity)
-        assert self._entries(topo, "a") == [("f-b", 0.0, 3600.0)]
+        assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"].record is twin
