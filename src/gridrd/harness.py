@@ -50,7 +50,8 @@ class GridMismatch(HarnessError):
 class SweepSpec:
     """A sweep: every (users, resources) point of ``points``, run ``replications`` times per scenario.
 
-    ``points`` is stored as a tuple of (users, resources) tuples, so specs hash.
+    ``points`` is stored as a tuple of (users, resources) tuples and ``scenarios`` as a
+    tuple of ScenarioKind members, so specs hash.
     """
 
     points: tuple[tuple[int, int], ...] = tuple((d, d) for d in range(20, 101, 20))
@@ -68,10 +69,18 @@ class SweepSpec:
         object.__setattr__(self, "points", tuple(map(_grid_point, self.points)))
         if not self.points:
             raise ConfigError("sweep needs at least one grid point")
+        for name, value in (("replications", self.replications), ("base_seed", self.base_seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if isinstance(self.scenarios, str):  # a ScenarioKind is a str too
+            raise ConfigError(f"scenarios must be a list of scenarios, not {self.scenarios!r}")
+        object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if not self.scenarios:
             raise ConfigError("sweep needs at least one scenario")
+        if not all(isinstance(kind, ScenarioKind) for kind in self.scenarios):
+            raise ConfigError(f"scenarios must be ScenarioKind members, got {self.scenarios!r}")
 
 
 def _grid_point(point) -> tuple[int, int]:

@@ -13,14 +13,16 @@ results: from the origin, search the origin's own subtree depth-first, then
 ascend one level at a time, at each ancestor doing a local lookup and then
 searching its remaining child subtrees (children in lexicographic label
 order, never re-entering the subtree just ascended from).  Exhausting the
-root means the whole tree has been searched.  The search is one loop over an
-explicit stack, so no tree is too deep for Python's recursion limit.
+root means the whole tree has been searched.  Every subtree is one range of
+the tree's preorder (Tarjan & Vishkin 1985), so the search is one loop over
+index ranges: the origin's own, then each ancestor's around the subtree just
+ascended from; no tree is too deep for Python's recursion limit.
 
 A repository's id is the name of the zone it serves (``"ca.grid"``, the root
 ``"."``).  Delegations are zone data that resolution never changes (RFC 1034
-§4.2).  So a tree's shape (parents, children sorted by label) is built once
-per spec as read-only tables that every run shares, and a run owns only its
-authoritative records and caches.
+§4.2).  So a tree's shape (parents, children sorted by label, the preorder)
+is built once per spec as read-only tables that every run shares, and a run
+owns only its authoritative records and caches.
 """
 
 from __future__ import annotations
@@ -138,13 +140,17 @@ class TreeShape:
 
     Read-only tables keyed by node id, parents before children: ``parent``
     (None at the root) and ``children``, the (label, child id) pairs sorted
-    by label.  ``leaves`` holds the childless ids, sorted.  Nothing in it
-    changes, so a deep copy is the shape itself.
+    by label.  ``leaves`` holds the childless ids, sorted.  ``order`` is the
+    preorder of the ids, children by label, and ``span`` maps an id to the
+    ``(start, end)`` of its subtree in ``order``.  Nothing in it changes, so
+    a deep copy is the shape itself.
     """
 
     parent: Mapping[str, str | None]
     children: Mapping[str, tuple[tuple[str, str], ...]]
     leaves: tuple[str, ...]
+    order: tuple[str, ...]
+    span: Mapping[str, tuple[int, int]]
 
     def __deepcopy__(self, memo: dict) -> TreeShape:
         return self
@@ -202,22 +208,24 @@ class Topology:
 
         record, from_cache, path, pruned_any = self._search(origin_node_id, query, now,
                                                             policy.summary_pruning)
+        contacted = path  # one search contacts a repository at most once
         if record is None and pruned_any:
             record, from_cache, retry_path, _ = self._search(origin_node_id, query, now, False)
             path += retry_path
+            contacted = dict.fromkeys(path)
         if record is None:
-            raise NotFound(f"no finder satisfies the query (searched {len(set(path))} repositories)")
+            raise NotFound(f"no finder satisfies the query (searched {len(contacted)} repositories)")
 
         records, finder_id = self.records, record.finder_id
-        populated = [node_id for node_id in (path if len(path) == 1 else dict.fromkeys(path))
-                     if finder_id not in records.get(node_id, ())]
+        populated = [node_id for node_id in contacted
+                     if node_id not in records or finder_id not in records[node_id]]
         cap = policy.cache_capacity
         if cap != 0:
             # frozen, so every populated repository can hold the same entry
             entry = CacheEntry(record, now, policy.ttl)
             for node_id in populated:
                 self._cache_insert(node_id, entry, cap)
-        else:  # stores nothing, but empties a cache filled under a larger cap
+        elif self.caches:  # stores nothing, but empties a cache filled under a larger cap
             for node_id in populated:
                 self.caches.pop(node_id, None)
         return ResolutionResult(record, tuple(path), len(path), from_cache, tuple(populated))
@@ -258,36 +266,33 @@ class Topology:
     def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> tuple:
         """(record or None, from_cache, path, pruned_any) of one search in the documented order.
 
-        A frame is a repository's id and an iterator over its (label, child id) pairs; an
-        ancestor sits alone in a frame whose repository is None.  A child's pruning check runs
-        only when the search reaches it, after its earlier siblings' subtrees.
+        Each level scans index ranges of the preorder, starting at the origin or ancestor
+        itself, which is never prune-checked.  Any other repository is checked against its
+        parent's cache when the scan reaches it; a pruned one is jumped past with its subtree.
         """
-        records, caches, children_of = self.records, self.caches, self.shape.children
+        records, caches = self.records, self.caches
+        order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
         path, pruned_any = [], False
-        # The origin's own subtree first, then up one level at a time.
         came_from, current = None, origin
         while current is not None:
-            stack = [(None, iter(((None, current),)))]
-            while stack:
-                parent, children = stack[-1]
-                for _, node_id in children:
-                    if pruning and parent in caches and self._prunes(parent, node_id, query, now):
+            first, last = span[current]
+            ranges = ((first, last),) if came_from is None else (
+                (first, span[came_from][0]), (span[came_from][1], last))
+            for i, stop in ranges:
+                while i < stop:
+                    node_id = order[i]
+                    if (pruning and caches and i != first and parent_of[node_id] in caches
+                            and self._prunes(parent_of[node_id], node_id, query, now)):
                         pruned_any = True
+                        i = span[node_id][1]
                         continue
                     path.append(node_id)
                     if node_id in records or node_id in caches:
                         record = next(self._hits(node_id, query, now), None)
                         if record is not None:
                             return record, record.finder_id not in records.get(node_id, ()), path, pruned_any
-                    pairs = children_of[node_id]
-                    if pairs:
-                        if parent is None:  # an ancestor skips the subtree just ascended from
-                            pairs = [pair for pair in pairs if pair[1] != came_from]
-                        stack.append((node_id, iter(pairs)))
-                        break
-                else:
-                    stack.pop()
-            came_from, current = current, self.shape.parent[current]
+                    i += 1
+            came_from, current = current, parent_of[current]
         return None, False, path, pruned_any
 
 
@@ -365,5 +370,11 @@ def _tree_shape(spec: TopologySpec) -> TreeShape:
                 f"zone {node_id} has no parent {parent_of[node_id]} in the spec; list every ancestor")
         siblings.append((node_id.partition(".")[0], node_id))
     pairs = {node_id: tuple(sorted(below)) for node_id, below in children.items()}
+    order = ["."] + sorted(distinct, key=lambda node_id: node_id.split(".")[::-1])  # by labels from the root
+    span: dict[str, tuple[int, int]] = {}
+    for start in range(len(order) - 1, -1, -1):  # descendants first; a subtree ends where its last child's does
+        below = pairs[order[start]]
+        span[order[start]] = (start, span[below[-1][1]][1] if below else start + 1)
     return TreeShape(MappingProxyType(parent_of), MappingProxyType(pairs),
-                     tuple(sorted(node_id for node_id, below in pairs.items() if not below)))
+                     tuple(sorted(node_id for node_id, below in pairs.items() if not below)),
+                     tuple(order), MappingProxyType(span))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,30 @@ class TestSweep:
         assert hash(spec) == hash(SweepSpec(points=[[20, 20], (40, 40)], replications=1,
                                             scenarios=(ScenarioKind.BASELINE,)))
         assert [(r.users, r.resources) for r in run_sweep(spec, QUIET_CONFIG)] == [(20, 20), (40, 40)]
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+        ({"replications": True}, "replications must be an integer, got True"),
+        ({"base_seed": "7"}, "base_seed must be an integer, got '7'"),
+        ({"base_seed": False}, "base_seed must be an integer, got False"),
+        ({"base_seed": 7.0}, "base_seed must be an integer, got 7.0"),
+        ({"scenarios": ("baseline",)}, "scenarios must be ScenarioKind members"),
+        ({"scenarios": (ScenarioKind.BASELINE, 1)}, "scenarios must be ScenarioKind members"),
+        ({"scenarios": "baseline"}, "not 'baseline'"),
+        ({"scenarios": ScenarioKind.DIRECT}, "not <ScenarioKind.DIRECT"),
+    ])
+    def test_fields_of_the_wrong_type_are_config_errors(self, bad, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SweepSpec(**bad)
+
+    def test_scenarios_given_as_a_list_are_stored_as_a_tuple(self):
+        spec = SweepSpec(points=((20, 20),), replications=1,
+                         scenarios=[ScenarioKind.DIRECT, ScenarioKind.BASELINE])
+        assert spec.scenarios == (ScenarioKind.DIRECT, ScenarioKind.BASELINE)
+        assert hash(spec) == hash(SweepSpec(points=((20, 20),), replications=1,
+                                            scenarios=(ScenarioKind.DIRECT, ScenarioKind.BASELINE)))
+        assert [row.scenario for row in run_sweep(spec, QUIET_CONFIG)] == [
+            ScenarioKind.BASELINE, ScenarioKind.DIRECT]
 
 
 class TestObservationCsv:

@@ -8,7 +8,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import event, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from gridrd import domain, registry
@@ -241,6 +241,16 @@ class TestBuildTopology:
                     assert shape.parent[child_id] == node_id
             assert topo.leaves() == tuple(sorted(n for n, pairs in shape.children.items() if not pairs))
 
+    @given(zones=zone_trees())
+    def test_order_is_the_preorder_and_each_span_its_subtree(self, zones):
+        shape = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:]))).shape
+        preorder = reference_order(set(zones), ())  # the root's subtree, children by label
+        assert shape.order == tuple(name_of(z) for z in preorder)
+        assert shape.span.keys() == shape.parent.keys()
+        for zone in zones:
+            start, end = shape.span[name_of(zone)]
+            assert shape.order[start:end] == tuple(name_of(z) for z in preorder if is_ancestor_of(zone, z))
+
     @pytest.mark.parametrize("depth, branching", [(1, 1), (4, 1), (2, 4), (3, 3), (4, 2), (3, 11)])
     def test_uniform_spec_equals_its_zone_list(self, depth, branching):
         labels = [f"z{i:02d}" for i in range(branching)]
@@ -252,9 +262,10 @@ class TestBuildTopology:
         uniform = build_topology(TopologySpec(depth=depth, branching=branching))
         explicit = build_topology(TopologySpec(zones=tuple(zones)))
         assert list(uniform.shape.parent) == ["."] + zones
-        for table in ("parent", "children"):
+        for table in ("parent", "children", "span"):
             assert (list(getattr(explicit.shape, table).items())
                     == list(getattr(uniform.shape, table).items()))
+        assert explicit.shape.order == uniform.shape.order
         assert explicit.leaves() == uniform.leaves()
         assert explicit.root_id == uniform.root_id == "."
 
@@ -296,8 +307,8 @@ class TestBuildTopology:
         shape = first.shape
         assert second.shape is shape and copy.deepcopy(first).shape is shape
         assert first.records is not second.records and first.caches is not second.caches
-        tables = (shape.parent, shape.children)
-        clean = [dict(table) for table in tables] + [shape.leaves]
+        tables = (shape.parent, shape.children, shape.span)
+        clean = [dict(table) for table in tables] + [shape.leaves, shape.order]
 
         # the shape cannot be written to
         for table in tables:
@@ -309,6 +320,10 @@ class TestBuildTopology:
             shape.children["."][0] = ("extra", "nowhere")
         with pytest.raises(TypeError):
             shape.leaves[0] = "nowhere"
+        with pytest.raises(TypeError):
+            shape.order[0] = "nowhere"
+        with pytest.raises(TypeError):
+            shape.span["."][1] = 0
 
         # a run's worth of state on both earlier trees
         for topo in (first, second):
@@ -320,7 +335,7 @@ class TestBuildTopology:
 
         third = build_topology(spec)
         assert third.shape is shape
-        assert [dict(table) for table in tables] + [shape.leaves] == clean
+        assert [dict(table) for table in tables] + [shape.leaves, shape.order] == clean
         assert third.records == {} and third.caches == {}
         with pytest.raises(NotFound):
             third.resolve("z00.z00", ResourceQuery(), now=0.0)
@@ -516,34 +531,61 @@ class TestFirstHit:
                 assert result.cache_hit == (first.finder_id not in topo.records.get(node_id, {}))
 
 
+@st.composite
+def oracle_cases(draw):
+    """(zones, authoritative, cached, policy, steps) for the search oracle.
+
+    Authoritative records and pre-filled caches, fresh or stale, about any
+    subtree (siblings too), so that pruning and its retry happen.
+    """
+    zones = draw(zone_trees())
+    ids = ("f0", "f1", "f2", "f3", "f4")
+    authoritative = []
+    for fid in draw(st.lists(st.sampled_from(ids), unique=True, max_size=5), label="auth"):
+        zone = name_of(draw(st.sampled_from(zones)))
+        authoritative.append(FinderRecord(fid, "svc://a", zone, draw(summaries())))
+    cached = []
+    for _ in range(draw(st.integers(0, 12), label="cached")):
+        home = draw(st.sampled_from(zones))
+        # at an ancestor of the record's home, or at any repository
+        at = draw(st.one_of(st.integers(0, len(home)).map(lambda k: home[k:]), st.sampled_from(zones)))
+        record = FinderRecord(draw(st.sampled_from(ids + ("c0", "c1"))), "svc://c", name_of(home),
+                              draw(summaries()))
+        cached.append((name_of(at), CacheEntry(record, inserted_at=draw(st.sampled_from((0.0, 5.0))),
+                                               ttl=draw(st.sampled_from((1.0, 10.0))))))
+    policy = ResolutionPolicy(ttl=draw(st.sampled_from((1.0, 10.0, 3600.0))),
+                              cache_capacity=draw(st.sampled_from((None, 0, 1, 2))))
+    steps = draw(st.lists(st.tuples(st.sampled_from(zones),
+                                    st.sampled_from((0.0, 2.0, 8.0)),
+                                    st.sampled_from(({}, {"os": "linux"})),
+                                    st.sampled_from((0.0, 5.0, 9.0))),
+                          min_size=1, max_size=4), label="steps")
+    return zones, authoritative, cached, policy, steps
+
+
+def _summary(pe_max: float) -> MetadataSummary:
+    return MetadataSummary({"pe_count": (0.0, pe_max)}, {"os": frozenset({"linux"})}, 1)
+
+
 class TestSearchOracle:
-    @given(zones=zone_trees(), data=st.data())
-    def test_resolve_matches_a_recursive_reference(self, zones, data):
-        # authoritative records and pre-filled caches, fresh or stale, about
-        # any subtree (siblings too), so that pruning and its retry happen
+    @given(case=oracle_cases())
+    # From origin a, the root scans b, c and d around a; its fresh cache knows c0, homed
+    # in x.c and too small, so c's subtree is jumped over between two searched siblings.
+    @example(case=(
+        [(), ("a",), ("b",), ("c",), ("d",), ("x", "b"), ("x", "c")],
+        [FinderRecord("f0", "svc://a", "d", _summary(16.0))],
+        [(".", CacheEntry(FinderRecord("c0", "svc://c", "x.c", _summary(4.0)), 0.0, 10.0))],
+        ResolutionPolicy(ttl=10.0),
+        [(("a",), 8.0, {}, 5.0)],
+    ))
+    def test_resolve_matches_a_recursive_reference(self, case):
+        zones, authoritative, cached, policy, steps = case
         topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
-        ids = ("f0", "f1", "f2", "f3", "f4")
-        for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=5), label="auth"):
-            zone = name_of(data.draw(st.sampled_from(zones)))
-            topo.register_finder(zone, FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
-        for _ in range(data.draw(st.integers(0, 12), label="cached")):
-            home = data.draw(st.sampled_from(zones))
-            # at an ancestor of the record's home, or at any repository
-            at = data.draw(st.one_of(st.integers(0, len(home)).map(lambda k: home[k:]),
-                                     st.sampled_from(zones)))
-            cache, home = topo.caches.setdefault(name_of(at), {}), name_of(home)
-            record = FinderRecord(data.draw(st.sampled_from(ids + ("c0", "c1"))), "svc://c", home,
-                                  data.draw(summaries()))
-            cache[record.finder_id] = CacheEntry(record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
-                                                 ttl=data.draw(st.sampled_from((1.0, 10.0))))
-        policy = ResolutionPolicy(ttl=data.draw(st.sampled_from((1.0, 10.0, 3600.0))),
-                                  cache_capacity=data.draw(st.sampled_from((None, 0, 1, 2))))
+        for record in authoritative:
+            topo.register_finder(record.home_zone, record)
+        for at, entry in cached:
+            topo.caches.setdefault(at, {})[entry.record.finder_id] = entry
         reference = copy.deepcopy(topo)
-        steps = data.draw(st.lists(st.tuples(st.sampled_from(zones),
-                                             st.sampled_from((0.0, 2.0, 8.0)),
-                                             st.sampled_from(({}, {"os": "linux"})),
-                                             st.sampled_from((0.0, 5.0, 9.0))),
-                                   min_size=1, max_size=4), label="steps")
         for origin, need, tags, now in steps:
             origin = name_of(origin)
             query = ResourceQuery({"pe_count": need}, tags)
@@ -559,6 +601,8 @@ class TestSearchOracle:
                 assert (result.path, result.cache_hit, result.caches_populated) == (
                     path, cache_hit, populated)
                 assert result.hop_count == len(path)
+                if not retried:  # one search contacts a repository at most once
+                    assert len(set(result.path)) == len(result.path)
                 event("found after a retry" if retried else "found, pruned" if pruned_any
                       else "found")
             # the same entries in the same eviction order, and no empty cache held
