@@ -64,9 +64,8 @@ class SweepSpec:
     )
 
     def __post_init__(self) -> None:
-        if isinstance(self.points, str):
-            raise ConfigError(f"points must be (users, resources) pairs, not the string {self.points!r}")
-        object.__setattr__(self, "points", tuple(map(_grid_point, self.points)))
+        points = _as_tuple("points", self.points, "(users, resources) pairs")
+        object.__setattr__(self, "points", tuple(map(_grid_point, points)))
         if not self.points:
             raise ConfigError("sweep needs at least one grid point")
         for name, value in (("replications", self.replications), ("base_seed", self.base_seed)):
@@ -74,13 +73,22 @@ class SweepSpec:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if isinstance(self.scenarios, str):  # a ScenarioKind is a str too
-            raise ConfigError(f"scenarios must be a list of scenarios, not {self.scenarios!r}")
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        object.__setattr__(self, "scenarios", _as_tuple("scenarios", self.scenarios, "a list of scenarios"))
         if not self.scenarios:
             raise ConfigError("sweep needs at least one scenario")
         if not all(isinstance(kind, ScenarioKind) for kind in self.scenarios):
             raise ConfigError(f"scenarios must be ScenarioKind members, got {self.scenarios!r}")
+
+
+def _as_tuple(name: str, items, what: str) -> tuple:
+    """A field given as any iterable but a string (a ScenarioKind is a str too), as a tuple."""
+    try:
+        iterator = None if isinstance(items, str) else iter(items)
+    except TypeError:  # not iterable
+        iterator = None
+    if iterator is None:
+        raise ConfigError(f"{name} must be {what}, not {items!r}")
+    return tuple(iterator)
 
 
 def _grid_point(point) -> tuple[int, int]:

@@ -5,8 +5,9 @@ at exactly one repository (its home zone); every other repository can only
 learn it through resolution, which caches the answer with a TTL at each
 repository it crossed.  Resolution is recursive in the DNS sense: the answer
 propagates back along the contact path, so the whole path learns it, as one
-frozen CacheEntry that every repository it populates shares; like an RRSet
-(RFC 2181 §5.4.1) it replaces the finder's entry there, so a cache holds one.
+CacheEntry, an immutable named tuple, that every repository it populates
+shares; like an RRSet (RFC 2181 §5.4.1) it replaces the finder's entry there,
+so a cache holds one.  A repository's lookup returns its first hit.
 
 The search order is fixed so that identical inputs always produce identical
 results: from the origin, search the origin's own subtree depth-first, then
@@ -31,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .domain import FinderRecord, ResourceQuery, check_zone, in_zone, summary_may_satisfy
 
@@ -56,8 +57,7 @@ class MalformedTopology(RegistryError):
     pass
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     """A cached finder record; fresh at time t iff t < inserted_at + ttl."""
 
     record: FinderRecord
@@ -86,8 +86,7 @@ class ResolutionPolicy:
             raise ValueError(f"cache_capacity must be None or an integer >= 0, got {cap!r}")
 
 
-@dataclass(frozen=True)
-class ResolutionResult:
+class ResolutionResult(NamedTuple):
     record: FinderRecord
     path: tuple[str, ...]
     hop_count: int
@@ -240,21 +239,24 @@ class Topology:
         while cap is not None and len(cache) > cap:
             del cache[next(iter(cache))]
 
-    def _hits(self, node_id: str, query: ResourceQuery, now: float):
-        """A repository's records that may satisfy the query, lazily, so a search stops at the first.
+    def _first_hit(self, node_id: str, query: ResourceQuery, now: float) -> FinderRecord | None:
+        """A repository's first record that may satisfy the query, or None.
 
         Authoritative records, then fresh cached ones, each by finder_id; a
-        cached copy of a finder with an authoritative record here is dropped.
+        cached copy of a finder with an authoritative record here is skipped.
         """
-        authoritative = self.records.get(node_id, {})
-        for _, record in sorted(authoritative.items()) if len(authoritative) > 1 else authoritative.items():
+        authoritative = self.records.get(node_id, ())
+        for finder_id in sorted(authoritative) if len(authoritative) > 1 else authoritative:
+            record = authoritative[finder_id]
             if summary_may_satisfy(query, record.summary):
-                yield record
-        cache = self.caches.get(node_id, {})
-        for finder_id, entry in sorted(cache.items()) if len(cache) > 1 else cache.items():
-            if (now < entry.inserted_at + entry.ttl and finder_id not in authoritative
-                    and summary_may_satisfy(query, entry.record.summary)):
-                yield entry.record
+                return record
+        cache = self.caches.get(node_id, ())
+        for finder_id in sorted(cache) if len(cache) > 1 else cache:
+            record, inserted_at, ttl = cache[finder_id]
+            if (now < inserted_at + ttl and finder_id not in authoritative
+                    and summary_may_satisfy(query, record.summary)):
+                return record
+        return None
 
     def _prunes(self, node_id: str, child_id: str, query: ResourceQuery, now: float) -> bool:
         """Whether the node's fresh cache rules out a child subtree: it knows
@@ -288,7 +290,7 @@ class Topology:
                         continue
                     path.append(node_id)
                     if node_id in records or node_id in caches:
-                        record = next(self._hits(node_id, query, now), None)
+                        record = self._first_hit(node_id, query, now)
                         if record is not None:
                             return record, record.finder_id not in records.get(node_id, ()), path, pruned_any
                     i += 1
@@ -370,7 +372,11 @@ def _tree_shape(spec: TopologySpec) -> TreeShape:
                 f"zone {node_id} has no parent {parent_of[node_id]} in the spec; list every ancestor")
         siblings.append((node_id.partition(".")[0], node_id))
     pairs = {node_id: tuple(sorted(below)) for node_id, below in children.items()}
-    order = ["."] + sorted(distinct, key=lambda node_id: node_id.split(".")[::-1])  # by labels from the root
+    order, stack = [], ["."]
+    while stack:  # children pushed in reverse, so they come off the stack in label order
+        node_id = stack.pop()
+        order.append(node_id)
+        stack += [child for _, child in reversed(pairs[node_id])]
     span: dict[str, tuple[int, int]] = {}
     for start in range(len(order) - 1, -1, -1):  # descendants first; a subtree ends where its last child's does
         below = pairs[order[start]]

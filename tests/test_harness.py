@@ -123,6 +123,9 @@ class TestSweep:
         ({"scenarios": (ScenarioKind.BASELINE, 1)}, "scenarios must be ScenarioKind members"),
         ({"scenarios": "baseline"}, "not 'baseline'"),
         ({"scenarios": ScenarioKind.DIRECT}, "not <ScenarioKind.DIRECT"),
+        ({"points": 5}, "points must be (users, resources) pairs, not 5"),
+        ({"scenarios": 5}, "scenarios must be a list of scenarios, not 5"),
+        ({"scenarios": None}, "scenarios must be a list of scenarios, not None"),
     ])
     def test_fields_of_the_wrong_type_are_config_errors(self, bad, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

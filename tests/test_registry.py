@@ -88,9 +88,10 @@ def cache_snapshot(topo: Topology):
 
 
 def local_lookup(topo: Topology, node_id: str, query: ResourceQuery, now: float) -> list[FinderRecord]:
-    """Every record the search's lookup at one repository yields, in its order."""
+    """The search's lookup at one repository: its first hit, or nothing."""
     topo.shape.zone_of(node_id)  # UnknownNode for an id outside the tree
-    return list(topo._hits(node_id, query, now))
+    first = topo._first_hit(node_id, query, now)
+    return [] if first is None else [first]
 
 
 def reference_order(zones: set[tuple[str, ...]], origin: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -462,6 +463,13 @@ class TestNodeOperations:
         assert local_lookup(topo, ".", ResourceQuery(), now=99.999)
         assert local_lookup(topo, ".", ResourceQuery(), now=100.0) == []
 
+    def test_a_cached_copy_of_a_local_authoritative_finder_is_skipped(self):
+        topo = self._one_node()
+        topo.register_finder(".", FinderRecord("f1", "svc://1", ".", _summary(1.0)))
+        # a fresh cached copy of f1 that would satisfy the query where the authoritative one does not
+        topo.caches["."] = {"f1": CacheEntry(FinderRecord("f1", "svc://1", ".", _summary(16.0)), 0.0, 100.0)}
+        assert local_lookup(topo, ".", ResourceQuery({"pe_count": 8.0}), now=0.0) == []
+
     def test_lookup_equals_brute_force_over_auth_and_fresh_cache(self):
         rng = random.Random(23)
         for _ in range(50):
@@ -476,19 +484,23 @@ class TestNodeOperations:
                 topo.caches[node_id] = cache
             query = random_query(rng)
             now = rng.uniform(0, 200)
-            hits = local_lookup(topo, node_id, query, now)
-            expected_auth = sorted(
-                fid for fid, r in authoritative.items()
-                if summary_may_satisfy(query, r.summary)
-            )
-            expected_cached = sorted(
-                e.record.finder_id
-                for e in cache.values()
-                if now < e.inserted_at + e.ttl
-                and e.record.finder_id not in authoritative
-                and summary_may_satisfy(query, e.record.summary)
-            )
-            assert [h.finder_id for h in hits] == expected_auth + expected_cached
+            # the empty query pins the documented order: the smallest satisfying
+            # authoritative id, else the smallest fresh cached one
+            for query in (query, ResourceQuery()):
+                hits = local_lookup(topo, node_id, query, now)
+                expected_auth = sorted(
+                    fid for fid, r in authoritative.items()
+                    if summary_may_satisfy(query, r.summary)
+                )
+                expected_cached = sorted(
+                    e.record.finder_id
+                    for e in cache.values()
+                    if now < e.inserted_at + e.ttl
+                    and e.record.finder_id not in authoritative
+                    and summary_may_satisfy(query, e.record.summary)
+                )
+                expected = (expected_auth + expected_cached)[:1]
+                assert [h.finder_id for h in hits] == expected
 
 
 class TestFirstHit:
@@ -514,11 +526,9 @@ class TestFirstHit:
         query = ResourceQuery({"pe_count": data.draw(st.sampled_from((0.0, 2.0, 8.0)))}, tags)
         now = data.draw(st.sampled_from((0.0, 4.0, 9.0)), label="now")
         for node_id in topo.shape.parent:
-            hits = local_lookup(topo, node_id, query, now)
             expected = reference_lookup(topo, node_id, query, now)
-            assert len(hits) == len(expected) and all(a is b for a, b in zip(hits, expected))
-            first = hits[0] if hits else None
-            assert next(topo._hits(node_id, query, now), None) is first
+            first = expected[0] if expected else None
+            assert topo._first_hit(node_id, query, now) is first
             try:
                 result = copy.deepcopy(topo).resolve(node_id, query, now)
             except NotFound:
@@ -627,6 +637,48 @@ class TestResolutionPolicy:
     def test_boundary_values_accepted(self):
         assert ResolutionPolicy(ttl=1e-9, cache_capacity=0).cache_capacity == 0
         assert ResolutionPolicy(cache_capacity=None).cache_capacity is None
+
+
+class TestResolveValues:
+    """CacheEntry and ResolutionResult are immutable named tuples."""
+
+    def _resolved(self):
+        # the only finder lives at b, so a resolve from a caches it at a and the root
+        topo = build_topology(TopologySpec(zones=("a", "b")))
+        cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, "b"),))
+        topo.register_finder("b", FinderRecord("f1", "svc://1", "b", summarize(cat)))
+        return topo, topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=2.0)
+
+    @pytest.mark.parametrize("name", ["record", "path", "hop_count", "cache_hit", "caches_populated"])
+    def test_a_result_field_cannot_be_assigned(self, name):
+        _, result = self._resolved()
+        with pytest.raises(AttributeError):
+            setattr(result, name, getattr(result, name))
+
+    @pytest.mark.parametrize("name", ["record", "inserted_at", "ttl"])
+    def test_a_cache_entry_field_cannot_be_assigned(self, name):
+        topo, _ = self._resolved()
+        entry = topo.caches["a"]["f1"]
+        with pytest.raises(AttributeError):
+            setattr(entry, name, getattr(entry, name))
+
+    def test_a_result_unpacks_into_its_fields_in_order(self):
+        topo, result = self._resolved()
+        record, path, hop_count, cache_hit, populated = result
+        assert record is topo.records["b"]["f1"]
+        assert (path, hop_count, cache_hit, populated) == (("a", ".", "b"), 3, False, ("a", "."))
+        assert result == (record, path, hop_count, cache_hit, populated)
+
+    def test_a_deep_copy_copies_the_cache_entries(self):
+        topo, _ = self._resolved()
+        clone = copy.deepcopy(topo)
+        entry, copied = topo.caches["a"]["f1"], clone.caches["a"]["f1"]
+        assert type(copied) is CacheEntry and copied == entry and copied is not entry
+        # one copy per entry and per record, shared as in the original
+        assert clone.caches["."]["f1"] is copied and copied.record is clone.records["b"]["f1"]
+        assert copied.record is not entry.record
+        clone.caches["a"].clear()
+        assert topo.caches["a"] == {"f1": entry}
 
 
 class TestResolve:
