@@ -101,6 +101,6 @@ def parse_config(text: str) -> Config:
 def load_config(path: str | Path) -> Config:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)

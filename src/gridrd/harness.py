@@ -23,6 +23,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import stats
 from .config import Config, ConfigError
@@ -32,6 +33,7 @@ from .stats import MeanDifferenceTest, unpaired_t_test
 
 OBSERVATION_HEADER = "scenario,users,resources,replication,seed,discovery_time_s"
 ANALYSIS_HEADER = "users,resources,pair,mean_diff,se,ci_low,ci_high,p_value,verdict"
+_SCENARIO_OF = {kind.value: kind for kind in ScenarioKind}  # a scenario field's kind
 
 
 class HarnessError(Exception):
@@ -98,8 +100,7 @@ def _grid_point(point) -> tuple[int, int]:
     return pair
 
 
-@dataclass(frozen=True)
-class ObservationRow:
+class ObservationRow(NamedTuple):
     scenario: ScenarioKind
     users: int
     resources: int
@@ -200,13 +201,9 @@ def parse_observations(text: str, source: str = "<string>") -> list[ObservationR
         if len(record) != 6:
             raise ParseError(f"{source}:{lineno}: expected 6 fields, got {len(record)}")
         try:
-            row = ObservationRow(
-                scenario=ScenarioKind(record[0]),
-                users=int(record[1]),
-                resources=int(record[2]),
-                replication=int(record[3]),
-                seed=int(record[4]),
-                discovery_time_s=float(record[5]),
+            row = ObservationRow(  # ScenarioKind() raises the error that names a bad scenario
+                _SCENARIO_OF.get(record[0]) or ScenarioKind(record[0]),
+                int(record[1]), int(record[2]), int(record[3]), int(record[4]), float(record[5]),
             )
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
@@ -225,7 +222,7 @@ def parse_observations(text: str, source: str = "<string>") -> list[ObservationR
 def read_observations(path: str | Path) -> list[ObservationRow]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return parse_observations(text, source=str(path))
 

@@ -17,7 +17,10 @@ order, never re-entering the subtree just ascended from).  Exhausting the
 root means the whole tree has been searched.  Every subtree is one range of
 the tree's preorder (Tarjan & Vishkin 1985), so the search is one loop over
 index ranges: the origin's own, then each ancestor's around the subtree just
-ascended from; no tree is too deep for Python's recursion limit.
+ascended from; no tree is too deep for Python's recursion limit.  A run marks
+the only repositories where a search can find or prune anything, and the scan
+jumps over each run of unmarked ones in one ``bytearray.find``; the path still
+lists every repository contacted.
 
 A repository's id is the name of the zone it serves (``"ca.grid"``, the root
 ``"."``).  Delegations are zone data that resolution never changes (RFC 1034
@@ -32,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .domain import FinderRecord, ResourceQuery, check_zone, in_zone, summary_may_satisfy
 
@@ -167,7 +170,12 @@ class Topology:
     ``records`` maps a node id to its authoritative records by finder id,
     and ``caches`` maps it to its cache entries by finder id, oldest first.
     A node gets an entry on its first write and never holds an empty one,
-    so a new tree allocates nothing per repository.  Driven single-threaded.
+    so a new tree allocates nothing per repository.  ``marks``, made on the
+    first write, holds a byte per index of ``shape.order``: 1 at every
+    repository that holds records or has held a cache, and at every child
+    of one that has held a cache.  The search looks only at marked ones, so
+    records and caches are written only through ``register_finder`` and
+    ``resolve``.  Driven single-threaded.
     """
 
     root_id = "."
@@ -176,6 +184,7 @@ class Topology:
         self.shape = shape
         self.records: dict[str, dict[str, FinderRecord]] = {}
         self.caches: dict[str, dict[str, CacheEntry]] = {}
+        self.marks: bytearray | None = None
 
     def leaves(self) -> tuple[str, ...]:
         """Node ids of childless repositories, in sorted order."""
@@ -190,6 +199,7 @@ class Topology:
                 f"but {node_id!r} serves {zone}"
             )
         self.records.setdefault(node_id, {})[record.finder_id] = record
+        self._marks()[self.shape.span[node_id][0]] = 1
 
     def resolve(self, origin_node_id: str, query: ResourceQuery, now: float,
                 policy: ResolutionPolicy | None = None) -> ResolutionResult:
@@ -222,8 +232,7 @@ class Topology:
         if cap != 0:
             # frozen, so every populated repository can hold the same entry
             entry = CacheEntry(record, now, policy.ttl)
-            for node_id in populated:
-                self._cache_insert(node_id, entry, cap)
+            self._cache_insert(populated, entry, cap)
         elif self.caches:  # stores nothing, but empties a cache filled under a larger cap
             for node_id in populated:
                 self.caches.pop(node_id, None)
@@ -231,13 +240,36 @@ class Topology:
 
     # -- internals ---------------------------------------------------------
 
-    def _cache_insert(self, node_id: str, entry: CacheEntry, cap: int | None) -> None:
-        """Make the entry its finder's only one and the newest, keeping the newest ``cap`` (None: all)."""
-        cache = self.caches.setdefault(node_id, {})
-        cache.pop(entry.record.finder_id, None)
-        cache[entry.record.finder_id] = entry
-        while cap is not None and len(cache) > cap:
-            del cache[next(iter(cache))]
+    def _cache_insert(self, node_ids: Iterable[str], entry: CacheEntry, cap: int | None) -> None:
+        """At each repository, make the entry its finder's only one and the newest,
+        keeping the newest ``cap`` (None: all).
+
+        A repository's first cache marks it and its children, the only
+        repositories that cache can prune, for the search to look at.
+        """
+        caches, finder_id = self.caches, entry.record.finder_id
+        marks = self._marks()
+        order, span = self.shape.order, self.shape.span
+        for node_id in node_ids:
+            cache = caches.get(node_id)
+            if cache is None:
+                cache = caches[node_id] = {}
+                i, end = span[node_id]
+                marks[i] = 1
+                i += 1
+                while i < end:  # from child to child, each subtree's end the next child
+                    marks[i] = 1
+                    i = span[order[i]][1]
+            cache.pop(finder_id, None)
+            cache[finder_id] = entry
+            while cap is not None and len(cache) > cap:
+                del cache[next(iter(cache))]
+
+    def _marks(self) -> bytearray:
+        """The run's marks over ``shape.order``, made on the first write."""
+        if self.marks is None:
+            self.marks = bytearray(len(self.shape.order))
+        return self.marks
 
     def _first_hit(self, node_id: str, query: ResourceQuery, now: float) -> FinderRecord | None:
         """A repository's first record that may satisfy the query, or None.
@@ -273,6 +305,7 @@ class Topology:
         parent's cache when the scan reaches it; a pruned one is jumped past with its subtree.
         """
         records, caches = self.records, self.caches
+        marks = self._marks()
         order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
         path, pruned_any = [], False
         came_from, current = None, origin
@@ -282,6 +315,13 @@ class Topology:
                 (first, span[came_from][0]), (span[came_from][1], last))
             for i, stop in ranges:
                 while i < stop:
+                    if not marks[i]:  # contacted, but it holds nothing and nothing prunes it
+                        j = marks.find(1, i, stop)
+                        if j < 0:
+                            path += order[i:stop]
+                            break
+                        path += order[i:j]
+                        i = j
                     node_id = order[i]
                     if (pruning and caches and i != first and parent_of[node_id] in caches
                             and self._prunes(parent_of[node_id], node_id, query, now)):

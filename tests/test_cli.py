@@ -368,6 +368,25 @@ def test_empty_observations_exit_three(tmp_path, capsys):
     assert main(["plot-data", str(empty), "--group-by", "users"]) == 3
 
 
+def test_a_config_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"t_ws = 1  # caf\xe9\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"gridrd: config error: cannot read config {cfg}: 'utf-8' codec")
+    assert captured.out == ""
+
+
+def test_observations_that_are_not_utf8_exit_three_naming_the_file(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    assert main(["sweep", "--replications", "2", "--out", str(good)]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(good.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    assert main(["analyze", str(good), str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"gridrd: error: cannot read {bad}: 'utf-8' codec")
+
+
 def test_distributed_run_via_config(tmp_path, capsys):
     cfg = tmp_path / "dist.cfg"
     cfg.write_text("topology.depth = 2\ntopology.branching = 2\n", encoding="utf-8")

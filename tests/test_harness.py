@@ -182,6 +182,25 @@ class TestObservationCsv:
         with pytest.raises(ParseError, match=":4: duplicate of the row on line 2"):
             parse_observations(text)
 
+    @pytest.mark.parametrize("name", ["quantum", "BASELINE", " baseline", ""])
+    def test_unknown_scenario_reports_line_and_name(self, name):
+        text = ("scenario,users,resources,replication,seed,discovery_time_s\n"
+                "baseline,20,20,0,1,1.5\n"
+                f"{name},20,20,1,1,1.5\n")
+        with pytest.raises(ParseError) as exc_info:
+            parse_observations(text, source="obs.csv")
+        assert str(exc_info.value) == f"obs.csv:3: {name!r} is not a valid ScenarioKind"
+
+    def test_a_row_is_an_immutable_named_tuple(self):
+        row = parse_observations("scenario,users,resources,replication,seed,discovery_time_s\n"
+                                 "direct,20,40,1,7,1.5\n")[0]
+        scenario, users, resources, replication, seed, time_s = row
+        assert (scenario, users, resources, replication, seed, time_s) == (
+            ScenarioKind.DIRECT, 20, 40, 1, 7, 1.5)
+        assert scenario is ScenarioKind.DIRECT and row == tuple(row)
+        with pytest.raises(AttributeError):
+            row.users = 21
+
     def test_bad_value_reports_line(self):
         text = ("scenario,users,resources,replication,seed,discovery_time_s\n"
                 "baseline,20,20,0,1,1.5\n"

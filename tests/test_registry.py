@@ -513,15 +513,15 @@ class TestFirstHit:
         for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=4), label="auth"):
             zone = name_of(data.draw(st.sampled_from(zones)))
             topo.register_finder(zone, FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
-        # cache entries set directly: stale or fresh, a later one of a finder
-        # replacing the earlier, possibly shadowed by the node's authoritative record
+        # cache entries inserted through the write path: stale or fresh, a later one
+        # of a finder replacing the earlier, possibly shadowed by the node's authoritative record
         for _ in range(data.draw(st.integers(0, 10), label="cached")):
             node_id = name_of(data.draw(st.sampled_from(zones)))
             record = FinderRecord(data.draw(st.sampled_from(ids)), "svc://c", "far",
                                   data.draw(summaries()))
-            topo.caches.setdefault(node_id, {})[record.finder_id] = CacheEntry(
+            topo._cache_insert((node_id,), CacheEntry(
                 record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
-                ttl=data.draw(st.sampled_from((1.0, 10.0))))
+                ttl=data.draw(st.sampled_from((1.0, 10.0)))), None)
         tags = data.draw(st.sampled_from(({}, {"os": "linux"})))
         query = ResourceQuery({"pe_count": data.draw(st.sampled_from((0.0, 2.0, 8.0)))}, tags)
         now = data.draw(st.sampled_from((0.0, 4.0, 9.0)), label="now")
@@ -594,7 +594,7 @@ class TestSearchOracle:
         for record in authoritative:
             topo.register_finder(record.home_zone, record)
         for at, entry in cached:
-            topo.caches.setdefault(at, {})[entry.record.finder_id] = entry
+            topo._cache_insert((at,), entry, None)
         reference = copy.deepcopy(topo)
         for origin, need, tags, now in steps:
             origin = name_of(origin)
@@ -618,6 +618,63 @@ class TestSearchOracle:
             # the same entries in the same eviction order, and no empty cache held
             assert cache_snapshot(topo) == cache_snapshot(reference)
             assert topo.caches.keys() == reference.caches.keys() and all(topo.caches.values())
+
+
+def assert_marks_cover_the_search(topo: Topology) -> None:
+    """Every repository holding records or a cache, and every child of one
+    holding a cache, is marked: the only ones a search can find or prune at."""
+    must = set(topo.records) | set(topo.caches)
+    must |= {child for node_id in topo.caches for _, child in topo.shape.children[node_id]}
+    unmarked = [n for n in must if not topo.marks[topo.shape.span[n][0]]]
+    assert not unmarked, unmarked
+
+
+class TestMarks:
+    @given(zones=zone_trees(), data=st.data())
+    def test_marks_cover_the_search_as_capacity_changes(self, zones, data):
+        # one topology, written only through register_finder and resolve, while
+        # the capacity goes None -> 1 -> 0 (popping caches) -> None (making them again)
+        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
+        reference = copy.deepcopy(topo)
+        registers = st.tuples(st.just("register"), st.sampled_from(("f0", "f1", "f2", "f3")),
+                              st.sampled_from(zones), summaries())
+        resolves = st.tuples(st.just("resolve"), st.sampled_from(zones), st.sampled_from((0.0, 2.0, 8.0)),
+                             st.booleans(), st.sampled_from((0.0, 1.0, 4.0)))
+        now = 0.0
+        for cap in (None, 1, 0, None):
+            for step in data.draw(st.lists(st.one_of(registers, resolves), max_size=6), label=f"cap {cap}"):
+                if step[0] == "register":
+                    _, fid, home, summary = step
+                    record = FinderRecord(fid, "svc://a", name_of(home), summary)
+                    for tree in (topo, reference):
+                        tree.register_finder(record.home_zone, record)
+                else:
+                    _, origin, need, pruning, tick = step
+                    now += tick
+                    query = ResourceQuery({"pe_count": need})
+                    policy = ResolutionPolicy(ttl=3.0, summary_pruning=pruning, cache_capacity=cap)
+                    expected = reference_resolve(reference, name_of(origin), query, now, policy)
+                    if expected is None:
+                        with pytest.raises(NotFound):
+                            topo.resolve(name_of(origin), query, now, policy)
+                    else:
+                        result = topo.resolve(name_of(origin), query, now, policy)
+                        record, path, cache_hit, populated, _, _ = expected
+                        assert (result.record, result.path, result.cache_hit, result.caches_populated) == (
+                            record, path, cache_hit, populated)
+                if topo.records or topo.caches:
+                    assert_marks_cover_the_search(topo)
+                assert cache_snapshot(topo) == cache_snapshot(reference)
+
+    @pytest.mark.parametrize("origin", ["z00.z01", "z02", "."])
+    def test_a_search_of_an_unwritten_tree_contacts_every_repository(self, origin):
+        topo = build_topology(TopologySpec(depth=3, branching=3))
+        with pytest.raises(NotFound, match=r"\(searched 13 repositories\)"):
+            topo.resolve(origin, ResourceQuery(), now=0.0)
+        zones = {labels(node_id) for node_id in topo.shape.order}
+        path = topo._search(origin, ResourceQuery(), 0.0, True)[2]
+        assert path == [name_of(zone) for zone in reference_order(zones, labels(origin))]
+        assert topo.records == {} and topo.caches == {}
 
 
 # -- resolve --------------------------------------------------------------------
@@ -1015,10 +1072,10 @@ class TestCacheRefresh:
         topo = self._two_finders()
         policy = ResolutionPolicy()
         stored = topo.records["b"]["f-b"]
-        topo._cache_insert("a", CacheEntry(stored, 0.0, policy.ttl), policy.cache_capacity)
+        topo._cache_insert(("a",), CacheEntry(stored, 0.0, policy.ttl), policy.cache_capacity)
         twin = dataclasses.replace(stored)
         assert twin == stored and twin is not stored
-        topo._cache_insert("a", CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
+        topo._cache_insert(("a",), CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"].record is twin
-        topo._cache_insert("a", CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
+        topo._cache_insert(("a",), CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"].record is twin
