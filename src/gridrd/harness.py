@@ -207,6 +207,10 @@ def parse_observations(text: str, source: str = "<string>") -> list[ObservationR
             )
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
+        if row.users < 1 or row.resources < 1 or row.replication < 0:
+            name = "users" if row.users < 1 else "resources" if row.resources < 1 else "replication"
+            least = 0 if name == "replication" else 1
+            raise ParseError(f"{source}:{lineno}: {name} must be >= {least}, got {getattr(row, name)}")
         if not math.isfinite(row.discovery_time_s):
             raise ParseError(f"{source}:{lineno}: discovery_time_s {record[5]!r} is not finite")
         key = (row.scenario, row.users, row.resources, row.replication)

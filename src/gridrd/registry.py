@@ -22,9 +22,10 @@ the only repositories where a search can find or prune anything, and the scan
 jumps over each run of unmarked ones in one ``bytearray.find``; the path still
 lists every repository contacted.
 
-A repository's id is the name of the zone it serves (``"ca.grid"``, the root
-``"."``).  Delegations are zone data that resolution never changes (RFC 1034
-§4.2).  So a tree's shape (parents, children sorted by label, the preorder)
+A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
+``"."``), and a finder registers at the repository named by its home zone.
+Delegations are zone data that resolution never changes (RFC 1034 §4.2).  So
+a tree's shape (each id's parent, the preorder and each subtree's span in it)
 is built once per spec as read-only tables that every run shares, and a run
 owns only its authoritative records and caches.
 """
@@ -45,10 +46,6 @@ class RegistryError(Exception):
 
 
 class UnknownNode(RegistryError):
-    pass
-
-
-class ZoneMismatch(RegistryError):
     pass
 
 
@@ -140,28 +137,21 @@ class TopologySpec:
 class TreeShape:
     """A tree's frozen shape, shared by every Topology built from one spec.
 
-    Read-only tables keyed by node id, parents before children: ``parent``
-    (None at the root) and ``children``, the (label, child id) pairs sorted
-    by label.  ``leaves`` holds the childless ids, sorted.  ``order`` is the
-    preorder of the ids, children by label, and ``span`` maps an id to the
-    ``(start, end)`` of its subtree in ``order``.  Nothing in it changes, so
-    a deep copy is the shape itself.
+    ``parent`` maps each node id to its parent's (None at the root), parents
+    before children.  ``order`` is the preorder of the ids, children by
+    label, and ``span`` maps an id to the ``(start, end)`` of its subtree in
+    ``order``; an id is a repository of the tree iff it is in ``span``.
+    ``leaves`` holds the ids whose span holds only themselves, sorted.
+    Nothing in it changes, so a deep copy is the shape itself.
     """
 
     parent: Mapping[str, str | None]
-    children: Mapping[str, tuple[tuple[str, str], ...]]
     leaves: tuple[str, ...]
     order: tuple[str, ...]
     span: Mapping[str, tuple[int, int]]
 
     def __deepcopy__(self, memo: dict) -> TreeShape:
         return self
-
-    def zone_of(self, node_id: str) -> str:
-        """The zone a repository serves, which is its id; UnknownNode for an id outside the tree."""
-        if node_id not in self.parent:
-            raise UnknownNode(f"no repository named {node_id!r}")
-        return node_id
 
 
 class Topology:
@@ -178,8 +168,6 @@ class Topology:
     ``resolve``.  Driven single-threaded.
     """
 
-    root_id = "."
-
     def __init__(self, shape: TreeShape):
         self.shape = shape
         self.records: dict[str, dict[str, FinderRecord]] = {}
@@ -190,14 +178,11 @@ class Topology:
         """Node ids of childless repositories, in sorted order."""
         return self.shape.leaves
 
-    def register_finder(self, node_id: str, record: FinderRecord) -> None:
-        """Install (or replace) an authoritative record at its home repository."""
-        zone = self.shape.zone_of(node_id)
-        if record.home_zone != zone:
-            raise ZoneMismatch(
-                f"finder {record.finder_id!r} is homed in {record.home_zone} "
-                f"but {node_id!r} serves {zone}"
-            )
+    def register_finder(self, record: FinderRecord) -> None:
+        """Install (or replace) an authoritative record at the repository of its home zone."""
+        node_id = record.home_zone
+        if node_id not in self.shape.span:
+            raise UnknownNode(f"no repository named {node_id!r}")
         self.records.setdefault(node_id, {})[record.finder_id] = record
         self._marks()[self.shape.span[node_id][0]] = 1
 
@@ -213,7 +198,8 @@ class Topology:
         is raised.  A failed resolution never touches any cache.
         """
         policy = policy or ResolutionPolicy()
-        self.shape.zone_of(origin_node_id)
+        if origin_node_id not in self.shape.span:
+            raise UnknownNode(f"no repository named {origin_node_id!r}")
 
         record, from_cache, path, pruned_any = self._search(origin_node_id, query, now,
                                                             policy.summary_pruning)
@@ -411,16 +397,15 @@ def _tree_shape(spec: TopologySpec) -> TreeShape:
             raise MalformedTopology(
                 f"zone {node_id} has no parent {parent_of[node_id]} in the spec; list every ancestor")
         siblings.append((node_id.partition(".")[0], node_id))
-    pairs = {node_id: tuple(sorted(below)) for node_id, below in children.items()}
     order, stack = [], ["."]
     while stack:  # children pushed in reverse, so they come off the stack in label order
         node_id = stack.pop()
         order.append(node_id)
-        stack += [child for _, child in reversed(pairs[node_id])]
+        stack += [child for _, child in sorted(children[node_id], reverse=True)]
     span: dict[str, tuple[int, int]] = {}
     for start in range(len(order) - 1, -1, -1):  # descendants first; a subtree ends where its last child's does
-        below = pairs[order[start]]
-        span[order[start]] = (start, span[below[-1][1]][1] if below else start + 1)
-    return TreeShape(MappingProxyType(parent_of), MappingProxyType(pairs),
-                     tuple(sorted(node_id for node_id, below in pairs.items() if not below)),
+        below = children[order[start]]
+        span[order[start]] = (start, span[max(below)[1]][1] if below else start + 1)
+    return TreeShape(MappingProxyType(parent_of),
+                     tuple(sorted(node_id for node_id, (start, end) in span.items() if end == start + 1)),
                      tuple(order), MappingProxyType(span))

@@ -64,6 +64,8 @@ class ScenarioKind(str, Enum):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One run's settings; ``finder_zones`` given as any iterable but a string is stored as a tuple."""
+
     kind: ScenarioKind
     n_users: int
     n_resources: int
@@ -77,8 +79,16 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ScenarioKind):
             raise ConfigMismatch(f"unknown scenario kind {self.kind!r}")
+        for name, value in (("n_users", self.n_users), ("n_resources", self.n_resources), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigMismatch(f"{name} must be an integer, got {value!r}")
         if self.n_users < 1 or self.n_resources < 1:
             raise ConfigMismatch("a run needs at least one user and one resource")
+        if isinstance(self.finder_zones, str):  # tuple("ab") would be the two sites a and b
+            raise ConfigMismatch(
+                f"finder_zones must be a list of zone names, not the string {self.finder_zones!r}")
+        if self.finder_zones is not None:
+            object.__setattr__(self, "finder_zones", tuple(self.finder_zones))
 
 
 @dataclass(frozen=True)
@@ -197,7 +207,7 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
     the same attributes, so a site's summary is that of one resource with
     the site's pool size as its entry count; an empty pool's is empty.
     """
-    sites = list(cfg.finder_zones) if cfg.finder_zones is not None else topology.leaves()
+    sites = cfg.finder_zones if cfg.finder_zones is not None else topology.leaves()
     if not sites:
         raise ConfigMismatch("distributed runs need at least one finder site")
     rounds, extra = divmod(cfg.n_resources, len(sites))
@@ -214,4 +224,4 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
             home_zone=site,
             summary=summary,
         )
-        topology.register_finder(site, record)
+        topology.register_finder(record)

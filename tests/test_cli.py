@@ -268,7 +268,8 @@ def test_overflowing_times_exit_three(tmp_path, capsys):
 @pytest.mark.parametrize("bad_row, message", [
     ("direct,20,20,2,9,nan", ":4: discovery_time_s 'nan' is not finite"),
     ("direct,20,20,0,9,3.5", ":4: duplicate of the row on line 2"),
-], ids=["nan-time", "duplicate-row"])
+    ("direct,-5,0,-2,3,2.0", ":4: users must be >= 1, got -5"),
+], ids=["nan-time", "duplicate-row", "negative-users"])
 def test_rejected_observations_exit_three(tmp_path, capsys, bad_row, message):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text(HEADER + "direct,20,20,0,1,3.9\ndirect,20,20,1,2,4.1\n" + bad_row + "\n",

@@ -201,6 +201,21 @@ class TestObservationCsv:
         with pytest.raises(AttributeError):
             row.users = 21
 
+    @pytest.mark.parametrize("users, resources, replication, message", [
+        (-5, 0, -2, "users must be >= 1, got -5"),
+        (0, 20, 1, "users must be >= 1, got 0"),
+        (20, 0, 1, "resources must be >= 1, got 0"),
+        (20, -3, 1, "resources must be >= 1, got -3"),
+        (20, 20, -1, "replication must be >= 0, got -1"),
+    ])
+    def test_impossible_count_reports_line_and_field(self, users, resources, replication, message):
+        text = ("scenario,users,resources,replication,seed,discovery_time_s\n"
+                "baseline,20,20,0,1,1.5\n"
+                f"baseline,{users},{resources},{replication},1,2.0\n")
+        with pytest.raises(ParseError) as exc_info:
+            parse_observations(text, source="obs.csv")
+        assert str(exc_info.value) == f"obs.csv:3: {message}"
+
     def test_bad_value_reports_line(self):
         text = ("scenario,users,resources,replication,seed,discovery_time_s\n"
                 "baseline,20,20,0,1,1.5\n"

@@ -1,11 +1,11 @@
-"""Registry outputs against the benchmark's pinned digests.
+"""gridrd's outputs against the benchmark's pinned digests.
 
 ``perfbench/pins.json`` holds the sha256 digest of every op output of the
-benchmark's workloads.  Recomputing the seed-0 outputs of the two tree
-workloads here means a change to any byte a distributed run produces fails
-the test suite, not only a manual ``perfbench/pin.py`` run.  The traced
-run's span targets are checked against gridrd here too.  The benchmark's
-files are only read.
+benchmark's workloads.  Recomputing the seed-0 outputs of all four
+workloads here means a change to any byte a sweep, an analysis or a
+distributed run produces fails the test suite, not only a manual
+``perfbench/pin.py`` run.  The traced run's span targets are checked
+against gridrd here too.  The benchmark's files are only read.
 """
 
 import importlib
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import gridrd
+import gridrd.cli  # the CLI workloads read gridrd.cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,7 +33,7 @@ def perfbench():
         sys.dont_write_bytecode = dont_write
 
 
-@pytest.mark.parametrize("name", ["tree-cached", "tree-uncached"])
+@pytest.mark.parametrize("name", ["paper-sweep", "analyze-batch", "tree-cached", "tree-uncached"])
 def test_seed_zero_outputs_match_the_pins(perfbench, name, tmp_path):
     run, workloads, _ = perfbench
     pinned = json.loads(run.PINS.read_text())[name]["0"]

@@ -22,7 +22,6 @@ from gridrd.registry import (
     Topology,
     TopologySpec,
     UnknownNode,
-    ZoneMismatch,
     build_topology,
     check_tree_size,
 )
@@ -64,7 +63,7 @@ def random_topology(rng: random.Random, max_nodes: int = 50):
     for i in range(rng.randint(0, 8)):
         zone = rng.choice(zones)
         record = _record(f"fnd-{i:02d}", zone, rng)
-        topo.register_finder(zone, record)
+        topo.register_finder(record)
         records.append(record)
     return topo, records
 
@@ -89,9 +88,17 @@ def cache_snapshot(topo: Topology):
 
 def local_lookup(topo: Topology, node_id: str, query: ResourceQuery, now: float) -> list[FinderRecord]:
     """The search's lookup at one repository: its first hit, or nothing."""
-    topo.shape.zone_of(node_id)  # UnknownNode for an id outside the tree
     first = topo._first_hit(node_id, query, now)
     return [] if first is None else [first]
+
+
+def children_of(shape) -> dict[str, list[str]]:
+    """Each node id's child ids in label order, rebuilt from ``shape.parent``."""
+    children = {node_id: [] for node_id in shape.parent}
+    for node_id, parent in shape.parent.items():
+        if parent is not None:
+            children[parent].append(node_id)
+    return {node_id: sorted(below, key=lambda child: labels(child)[0]) for node_id, below in children.items()}
 
 
 def reference_order(zones: set[tuple[str, ...]], origin: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -138,6 +145,7 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
     ``cache_capacity``, holding no cache at all when that leaves it empty.
     """
     shape, path, pruned = topo.shape, [], []
+    children = children_of(shape)
 
     def may_hold(node_id, child_id):
         known = [e.record for e in topo.caches.get(node_id, {}).values() if now < e.inserted_at + e.ttl
@@ -149,7 +157,7 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
         hits = reference_lookup(topo, node_id, query, now)
         if hits:
             return hits[0], hits[0].finder_id not in topo.records.get(node_id, {})
-        for _, child_id in sorted(shape.children[node_id]):
+        for child_id in children[node_id]:
             if child_id == skip:
                 continue
             if pruning and may_hold(node_id, child_id) is False:
@@ -235,12 +243,12 @@ class TestBuildTopology:
             shape = topo.shape
             roots = [n for n, parent in shape.parent.items() if parent is None]
             assert len(roots) == 1
-            for node_id, pairs in shape.children.items():
-                assert list(pairs) == sorted(pairs)
-                for label, child_id in pairs:
-                    assert labels(child_id) == (label,) + labels(node_id)
+            children = children_of(shape)
+            for node_id, below in children.items():
+                for child_id in below:
+                    assert labels(child_id)[1:] == labels(node_id)
                     assert shape.parent[child_id] == node_id
-            assert topo.leaves() == tuple(sorted(n for n, pairs in shape.children.items() if not pairs))
+            assert topo.leaves() == tuple(sorted(n for n, below in children.items() if not below))
 
     @given(zones=zone_trees())
     def test_order_is_the_preorder_and_each_span_its_subtree(self, zones):
@@ -263,12 +271,12 @@ class TestBuildTopology:
         uniform = build_topology(TopologySpec(depth=depth, branching=branching))
         explicit = build_topology(TopologySpec(zones=tuple(zones)))
         assert list(uniform.shape.parent) == ["."] + zones
-        for table in ("parent", "children", "span"):
+        for table in ("parent", "span"):
             assert (list(getattr(explicit.shape, table).items())
                     == list(getattr(uniform.shape, table).items()))
         assert explicit.shape.order == uniform.shape.order
         assert explicit.leaves() == uniform.leaves()
-        assert explicit.root_id == uniform.root_id == "."
+        assert explicit.shape.order[0] == uniform.shape.order[0] == "."
 
     def test_zone_list_requires_ancestors(self):
         with pytest.raises(MalformedTopology):
@@ -307,8 +315,10 @@ class TestBuildTopology:
         first, second = build_topology(spec), build_topology(spec)
         shape = first.shape
         assert second.shape is shape and copy.deepcopy(first).shape is shape
+        # every field of the shape is checked below
+        assert [field.name for field in dataclasses.fields(shape)] == ["parent", "leaves", "order", "span"]
         assert first.records is not second.records and first.caches is not second.caches
-        tables = (shape.parent, shape.children, shape.span)
+        tables = (shape.parent, shape.span)
         clean = [dict(table) for table in tables] + [shape.leaves, shape.order]
 
         # the shape cannot be written to
@@ -317,8 +327,6 @@ class TestBuildTopology:
                 table["extra"] = None
             with pytest.raises(TypeError):
                 del table["z00"]
-        with pytest.raises(TypeError):
-            shape.children["."][0] = ("extra", "nowhere")
         with pytest.raises(TypeError):
             shape.leaves[0] = "nowhere"
         with pytest.raises(TypeError):
@@ -330,7 +338,7 @@ class TestBuildTopology:
         for topo in (first, second):
             zone = "z01.z01"
             cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
-            topo.register_finder("z01.z01", FinderRecord("f1", "svc://1", zone, summarize(cat)))
+            topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
             assert topo.resolve("z00.z00", ResourceQuery(), now=0.0).caches_populated
             assert topo.records and topo.caches
 
@@ -426,7 +434,7 @@ class TestNodeOperations:
     def test_register_then_lookup(self):
         topo = self._one_node()
         rec = _record("f1", ".", random.Random(0))
-        topo.register_finder(".", rec)
+        topo.register_finder(rec)
         hits = local_lookup(topo, ".", ResourceQuery(), now=0.0)
         assert [h.finder_id for h in hits] == (["f1"] if rec.summary.entry_count else [])
 
@@ -435,23 +443,18 @@ class TestNodeOperations:
         zone = "."
         cat1 = MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 2.0}, {}, zone),))
         cat2 = MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 16.0}, {}, zone),))
-        topo.register_finder(".", FinderRecord("f1", "svc://1", zone, summarize(cat1)))
-        topo.register_finder(".", FinderRecord("f1", "svc://1", zone, summarize(cat2)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat1)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat2)))
         hits = local_lookup(topo, ".", ResourceQuery(numeric_mins={"pe_count": 8}), now=0.0)
         assert [h.finder_id for h in hits] == ["f1"]
 
-    def test_zone_mismatch(self):
-        topo = build_topology(TopologySpec(depth=2, branching=1))
-        rec = _record("f1", ".", random.Random(0))
-        with pytest.raises(ZoneMismatch):
-            topo.register_finder("z00", rec)
-
     def test_unknown_node(self):
         topo = self._one_node()
-        with pytest.raises(UnknownNode):
-            local_lookup(topo, "nowhere", ResourceQuery(), now=0.0)
-        with pytest.raises(UnknownNode):
+        with pytest.raises(UnknownNode, match=r"^no repository named 'nowhere'$"):
+            topo.register_finder(_record("f1", "nowhere", random.Random(0)))
+        with pytest.raises(UnknownNode, match=r"^no repository named 'nowhere'$"):
             topo.resolve("nowhere", ResourceQuery(), now=0.0)
+        assert topo.records == {} and topo.marks is None
 
     def test_freshness_boundary_is_exclusive(self):
         topo = self._one_node()
@@ -465,7 +468,7 @@ class TestNodeOperations:
 
     def test_a_cached_copy_of_a_local_authoritative_finder_is_skipped(self):
         topo = self._one_node()
-        topo.register_finder(".", FinderRecord("f1", "svc://1", ".", _summary(1.0)))
+        topo.register_finder(FinderRecord("f1", "svc://1", ".", _summary(1.0)))
         # a fresh cached copy of f1 that would satisfy the query where the authoritative one does not
         topo.caches["."] = {"f1": CacheEntry(FinderRecord("f1", "svc://1", ".", _summary(16.0)), 0.0, 100.0)}
         assert local_lookup(topo, ".", ResourceQuery({"pe_count": 8.0}), now=0.0) == []
@@ -512,7 +515,7 @@ class TestFirstHit:
         ids = ("f0", "f1", "f2", "f3", "f4")
         for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=4), label="auth"):
             zone = name_of(data.draw(st.sampled_from(zones)))
-            topo.register_finder(zone, FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
+            topo.register_finder(FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
         # cache entries inserted through the write path: stale or fresh, a later one
         # of a finder replacing the earlier, possibly shadowed by the node's authoritative record
         for _ in range(data.draw(st.integers(0, 10), label="cached")):
@@ -592,7 +595,7 @@ class TestSearchOracle:
         zones, authoritative, cached, policy, steps = case
         topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
         for record in authoritative:
-            topo.register_finder(record.home_zone, record)
+            topo.register_finder(record)
         for at, entry in cached:
             topo._cache_insert((at,), entry, None)
         reference = copy.deepcopy(topo)
@@ -624,7 +627,7 @@ def assert_marks_cover_the_search(topo: Topology) -> None:
     """Every repository holding records or a cache, and every child of one
     holding a cache, is marked: the only ones a search can find or prune at."""
     must = set(topo.records) | set(topo.caches)
-    must |= {child for node_id in topo.caches for _, child in topo.shape.children[node_id]}
+    must |= {child for child, parent in topo.shape.parent.items() if parent in topo.caches}
     unmarked = [n for n in must if not topo.marks[topo.shape.span[n][0]]]
     assert not unmarked, unmarked
 
@@ -647,7 +650,7 @@ class TestMarks:
                     _, fid, home, summary = step
                     record = FinderRecord(fid, "svc://a", name_of(home), summary)
                     for tree in (topo, reference):
-                        tree.register_finder(record.home_zone, record)
+                        tree.register_finder(record)
                 else:
                     _, origin, need, pruning, tick = step
                     now += tick
@@ -703,7 +706,7 @@ class TestResolveValues:
         # the only finder lives at b, so a resolve from a caches it at a and the root
         topo = build_topology(TopologySpec(zones=("a", "b")))
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, "b"),))
-        topo.register_finder("b", FinderRecord("f1", "svc://1", "b", summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", "b", summarize(cat)))
         return topo, topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=2.0)
 
     @pytest.mark.parametrize("name", ["record", "path", "hop_count", "cache_hit", "caches_populated"])
@@ -748,7 +751,7 @@ class TestResolve:
         texts = data.draw(st.permutations([name_of(z) for z in zones[1:]]))
         topo = build_topology(TopologySpec(zones=tuple(texts)))
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, name_of(home)),))
-        topo.register_finder(name_of(home), FinderRecord("f1", "svc://1", name_of(home), summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", name_of(home), summarize(cat)))
         order = reference_order(set(zones), origin)
         expected = tuple(name_of(z) for z in order[:order.index(home) + 1])
         assert topo.resolve(name_of(origin), ResourceQuery(), now=0.0).path == expected
@@ -759,7 +762,7 @@ class TestResolve:
         for node_id, pe in (("x.b", 2.0), ("y.b", 32.0)):
             zone = node_id
             cat = MetadataCatalog(f"f-{node_id}", (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
-            topo.register_finder(node_id, FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
+            topo.register_finder(FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
         topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
         gc.collect()
         gc.disable()
@@ -780,7 +783,7 @@ class TestResolve:
         topo = build_topology(TopologySpec(zones=("z",) + chain))
         zone = chain[-1]
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
-        topo.register_finder(chain[-1], FinderRecord("f1", "svc://1", zone, summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
         result = topo.resolve("z", ResourceQuery(), now=0.0)
         assert result.path == ("z", ".") + chain
         assert result.caches_populated == ("z", ".") + chain[:-1]
@@ -794,7 +797,7 @@ class TestResolve:
         topo = build_topology(TopologySpec(depth=2, branching=2))
         zone = "z00"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
-        topo.register_finder("z00", FinderRecord("f1", "svc://1", zone, summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
         res = topo.resolve("z00", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
         assert res.hop_count == 1
         assert res.path == ("z00",)
@@ -806,7 +809,7 @@ class TestResolve:
         topo = build_topology(TopologySpec(zones=("a", "b")))
         zone_b = "b"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone_b),))
-        topo.register_finder("b", FinderRecord("f1", "svc://1", zone_b, summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone_b, summarize(cat)))
         query = ResourceQuery(numeric_mins={"pe_count": 4})
 
         first = topo.resolve("a", query, now=0.0)
@@ -824,7 +827,7 @@ class TestResolve:
         topo = build_topology(TopologySpec(depth=3, branching=2))
         zone = "z00.z00"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
-        topo.register_finder("z00.z00", FinderRecord("f1", "svc://1", zone, summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
         before = cache_snapshot(topo)
         with pytest.raises(NotFound):
             topo.resolve("z01.z01", ResourceQuery(numeric_mins={"pe_count": 99}), now=0.0)
@@ -835,7 +838,7 @@ class TestResolve:
         zone = "."
         for fid in ("f-b", "f-a"):
             cat = MetadataCatalog(fid, (ResourceSpec(f"{fid}-r", {"pe_count": 8.0}, {}, zone),))
-            topo.register_finder(".", FinderRecord(fid, "svc://x", zone, summarize(cat)))
+            topo.register_finder(FinderRecord(fid, "svc://x", zone, summarize(cat)))
         res = topo.resolve(".", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
         assert res.record.finder_id == "f-a"
 
@@ -891,7 +894,7 @@ class TestResolve:
         topo = build_topology(TopologySpec(zones=("a", "deep.a", "b")))
         zone = "deep.a"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
-        topo.register_finder("deep.a", FinderRecord("f1", "svc://1", zone, summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
         res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
         assert res.path == ("a", "deep.a")
 
@@ -900,8 +903,8 @@ class TestResolve:
         zone_b, zone_c = "b", "c"
         small = MetadataCatalog("f-small", (ResourceSpec("r1", {"pe_count": 2.0}, {}, zone_b),))
         big = MetadataCatalog("f-big", (ResourceSpec("r2", {"pe_count": 32.0}, {}, zone_c),))
-        topo.register_finder("b", FinderRecord("f-small", "svc://s", zone_b, summarize(small)))
-        topo.register_finder("c", FinderRecord("f-big", "svc://b", zone_c, summarize(big)))
+        topo.register_finder(FinderRecord("f-small", "svc://s", zone_b, summarize(small)))
+        topo.register_finder(FinderRecord("f-big", "svc://b", zone_c, summarize(big)))
 
         # warm the root's cache with knowledge of b's only finder
         topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
@@ -914,8 +917,8 @@ class TestResolve:
 
         unpruned = ResolutionPolicy(summary_pruning=False)
         topo2 = build_topology(TopologySpec(zones=("a", "b", "c")))
-        topo2.register_finder("b", FinderRecord("f-small", "svc://s", zone_b, summarize(small)))
-        topo2.register_finder("c", FinderRecord("f-big", "svc://b", zone_c, summarize(big)))
+        topo2.register_finder(FinderRecord("f-small", "svc://s", zone_b, summarize(small)))
+        topo2.register_finder(FinderRecord("f-big", "svc://b", zone_c, summarize(big)))
         topo2.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0, policy=unpruned)
         res2 = topo2.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0,
                              policy=unpruned)
@@ -928,8 +931,8 @@ class TestResolve:
         zone_x, zone_y = "x.b", "y.b"
         weak = MetadataCatalog("f-weak", (ResourceSpec("r1", {"pe_count": 2.0}, {}, zone_x),))
         strong = MetadataCatalog("f-strong", (ResourceSpec("r2", {"pe_count": 32.0}, {}, zone_y),))
-        topo.register_finder("x.b", FinderRecord("f-weak", "svc://w", zone_x, summarize(weak)))
-        topo.register_finder("y.b", FinderRecord("f-strong", "svc://s", zone_y, summarize(strong)))
+        topo.register_finder(FinderRecord("f-weak", "svc://w", zone_x, summarize(weak)))
+        topo.register_finder(FinderRecord("f-strong", "svc://s", zone_y, summarize(strong)))
 
         # warm a's cache with only the weak finder
         topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
@@ -945,7 +948,7 @@ class TestResolve:
         topo = build_topology(TopologySpec(depth=3, branching=2))
         zone = "z00.z01"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 2.0}, {}, zone),))
-        topo.register_finder("z00.z01", FinderRecord("f1", "svc://1", zone, summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
         assert "." in topo.resolve("z00.z00", ResourceQuery(), now=0.0).caches_populated
         with pytest.raises(NotFound, match=r"\(searched 7 repositories\)"):
             topo.resolve("z00.z00", ResourceQuery(numeric_mins={"pe_count": 64}), now=1.0)
@@ -958,9 +961,7 @@ class TestResolve:
             cat = MetadataCatalog(
                 f"f-{node_id}", (ResourceSpec(f"r-{node_id}", {"pe_count": 8.0}, {}, zone),)
             )
-            topo.register_finder(
-                node_id, FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat))
-            )
+            topo.register_finder(FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
         topo.resolve("a", ResourceQuery(required_tags={}), now=0.0, policy=policy)
         first = list(topo.caches["a"])
         # force the second finder by excluding the first via its id ordering:
@@ -987,7 +988,7 @@ class TestCacheCapacity:
             zone = name_of(home)
             cat = MetadataCatalog(f"f{i}", (ResourceSpec("r", {"pe_count": 2.0 ** (2 * i + 1)},
                                                          {}, zone),))
-            topo.register_finder(zone, FinderRecord(f"f{i}", "svc://x", zone, summarize(cat)))
+            topo.register_finder(FinderRecord(f"f{i}", "svc://x", zone, summarize(cat)))
         model = {node_id: [] for node_id in topo.shape.parent}
         now = 0.0
         steps = data.draw(st.lists(st.tuples(st.sampled_from(zones), st.sampled_from((0, 4, 16, 64)),
@@ -1022,7 +1023,7 @@ class TestCacheCapacity:
         topo = build_topology(TopologySpec(zones=("a", "b")))
         zone = "b"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
-        topo.register_finder("b", FinderRecord("f1", "svc://1", zone, summarize(cat)))
+        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
         assert topo.resolve("a", ResourceQuery(), now=0.0).caches_populated == ("a", ".")
         assert topo.caches.get("a") and topo.caches.get(".")
         result = topo.resolve("a", ResourceQuery(), now=1.0, policy=ResolutionPolicy(cache_capacity=0))
@@ -1040,7 +1041,7 @@ class TestCacheRefresh:
         for node_id, pe in (("b", 2.0), ("c", 32.0)):
             zone = node_id
             cat = MetadataCatalog(f"f-{node_id}", (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
-            topo.register_finder(node_id, FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
+            topo.register_finder(FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
         return topo
 
     def _entries(self, topo, node_id):

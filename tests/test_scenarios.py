@@ -136,6 +136,15 @@ class TestRunResultShape:
         with pytest.raises(ConfigMismatch):
             _cfg(ScenarioKind.BASELINE, users=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_users", True), ("n_users", 2.5), ("n_users", "3"), ("n_resources", False),
+        ("n_resources", 4.0), ("seed", True), ("seed", 1.5), ("seed", None),
+    ])
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        fields = {"kind": ScenarioKind.BASELINE, "n_users": 3, "n_resources": 3, field: value}
+        with pytest.raises(ConfigMismatch, match=f"^{field} must be an integer, got {value!r}$"):
+            ScenarioConfig(**fields)
+
     def test_dispatcher(self):
         r = run_scenario(_cfg(ScenarioKind.BASELINE, 3, 3))
         assert isinstance(r, RunResult)
@@ -229,7 +238,7 @@ def pooled_summaries(topology, cfg) -> dict:
             resource_id=f"res-{i:04d}",
             numeric_attrs={"pe_count": 4.0, "mips_per_pe": 1000.0},
             tag_attrs={"arch": "x86", "os": "linux"},
-            home_zone=topology.shape.zone_of(site),
+            home_zone=site,
         ))
     return {site: summarize(MetadataCatalog(f"fnd-{site}", tuple(pool)))
             for site, pool in pools.items()}
@@ -262,6 +271,20 @@ class TestFinderSummaries:
         with pytest.raises(UnknownNode, match="nowhere"):
             run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 3, resources, topology=self.TREE,
                               query=ResourceQuery(), finder_zones=sites))
+
+    @pytest.mark.parametrize("zones", ["ab", "a", ""])
+    def test_finder_zones_may_not_be_a_string(self, zones):
+        # a tree with zones a and b: the string "ab" would be read as those two sites
+        message = f"^finder_zones must be a list of zone names, not the string {zones!r}$"
+        with pytest.raises(ConfigMismatch, match=message):
+            _cfg(ScenarioKind.DISTRIBUTED, 3, 3, topology=TopologySpec(zones=("a", "b")),
+                 finder_zones=zones)
+
+    def test_finder_zones_are_stored_as_a_tuple(self):
+        cfg = _cfg(ScenarioKind.DISTRIBUTED, 3, 3, topology=self.TREE, finder_zones=["z01", "z00.z02"])
+        assert cfg.finder_zones == ("z01", "z00.z02")
+        assert run_scenario(cfg) == run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 3, 3, topology=self.TREE,
+                                                      finder_zones=("z01", "z00.z02")))
 
 
 # Distributed runs whose exact bytes are frozen in golden/distributed_runs.json:
