@@ -39,6 +39,21 @@ def check_zone(text: str) -> str:
     return text
 
 
+def zone_list(name: str, zones, error: type[Exception]) -> tuple:
+    """The field ``name``'s zone names, given as any iterable but a string, as a tuple.
+
+    Anything else raises ``error`` naming the field: ``tuple("ab")`` would be
+    the zones a and b, and ``tuple(5)`` a bare TypeError.
+    """
+    if isinstance(zones, str):
+        raise error(f"{name} must be a list of zone names, not the string {zones!r}")
+    try:
+        iterator = iter(zones)
+    except TypeError:  # not iterable
+        raise error(f"{name} must be a list of zone names, not {zones!r}") from None
+    return tuple(iterator)
+
+
 def in_zone(name: str, zone: str) -> bool:
     """True iff zone ``name`` lies in ``zone``: ``zone``'s labels are a suffix of ``name``'s.
 

@@ -20,7 +20,10 @@ index ranges: the origin's own, then each ancestor's around the subtree just
 ascended from; no tree is too deep for Python's recursion limit.  A run marks
 the only repositories where a search can find or prune anything, and the scan
 jumps over each run of unmarked ones in one ``bytearray.find``; the path still
-lists every repository contacted.
+lists every repository contacted.  The answer populates every repository on
+the path but those holding an authoritative record of its finder id; each
+such repository is marked, so the search notes its index in the path, and
+populating needs no second pass over the path.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -34,11 +37,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .domain import FinderRecord, ResourceQuery, check_zone, in_zone, summary_may_satisfy
+from .domain import FinderRecord, ResourceQuery, check_zone, in_zone, summary_may_satisfy, zone_list
 
 
 class RegistryError(Exception):
@@ -71,7 +75,8 @@ class ResolutionPolicy:
 
     ``cache_capacity`` of None means unbounded; otherwise the entries least
     recently inserted or replaced are evicted first once a node's cache
-    exceeds the cap, and a cap of 0 stores nothing.
+    exceeds the cap, and a cap of 0 stores nothing.  A field of the wrong
+    type or out of range raises ValueError.
     """
 
     ttl: float = 3600.0
@@ -79,8 +84,11 @@ class ResolutionPolicy:
     cache_capacity: int | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.ttl) or self.ttl <= 0:
-            raise ValueError(f"ttl must be a finite number > 0, got {self.ttl}")
+        ttl = self.ttl
+        if isinstance(ttl, bool) or not isinstance(ttl, numbers.Real) or not math.isfinite(ttl) or ttl <= 0:
+            raise ValueError(f"ttl must be a finite number > 0, got {ttl!r}")
+        if not isinstance(self.summary_pruning, bool):  # a string would be truthy
+            raise ValueError(f"summary_pruning must be True or False, got {self.summary_pruning!r}")
         cap = self.cache_capacity
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
             raise ValueError(f"cache_capacity must be None or an integer >= 0, got {cap!r}")
@@ -114,10 +122,7 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         if self.zones is not None:
-            if isinstance(self.zones, str):
-                raise MalformedTopology(
-                    f"zones must be a list of zone names, not the string {self.zones!r}")
-            object.__setattr__(self, "zones", tuple(self.zones))
+            object.__setattr__(self, "zones", zone_list("zones", self.zones, MalformedTopology))
             if self.depth is not None or self.branching is not None:
                 raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
             _tree_shape(self)
@@ -201,28 +206,38 @@ class Topology:
         if origin_node_id not in self.shape.span:
             raise UnknownNode(f"no repository named {origin_node_id!r}")
 
-        record, from_cache, path, pruned_any = self._search(origin_node_id, query, now,
-                                                            policy.summary_pruning)
-        contacted = path  # one search contacts a repository at most once
-        if record is None and pruned_any:
-            record, from_cache, retry_path, _ = self._search(origin_node_id, query, now, False)
+        record, from_cache, path, homes, pruned_any = self._search(origin_node_id, query, now,
+                                                                   policy.summary_pruning)
+        retried = record is None and pruned_any
+        if retried:
+            record, from_cache, retry_path, retry_homes, _ = self._search(origin_node_id, query, now, False)
+            homes += [len(path) + k for k in retry_homes]
             path += retry_path
-            contacted = dict.fromkeys(path)
-        if record is None:
-            raise NotFound(f"no finder satisfies the query (searched {len(contacted)} repositories)")
+        if record is None:  # one search contacts a repository at most once
+            searched = len(set(path)) if retried else len(path)
+            raise NotFound(f"no finder satisfies the query (searched {searched} repositories)")
 
-        records, finder_id = self.records, record.finder_id
-        populated = [node_id for node_id in contacted
-                     if node_id not in records or finder_id not in records[node_id]]
+        # Only a repository holding the finder's own record is not populated, and
+        # homes indexes every record-holding one in the path, in path order.
+        path, records, finder_id = tuple(path), self.records, record.finder_id
+        populated, start = (), 0
+        for k in homes:
+            if finder_id in records[path[k]]:
+                populated += path[start:k]
+                start = k + 1
+        populated = populated + path[start:] if start else path
+        if retried:  # a repository both searches contacted is populated once
+            populated = tuple(dict.fromkeys(populated))
         cap = policy.cache_capacity
         if cap != 0:
-            # frozen, so every populated repository can hold the same entry
-            entry = CacheEntry(record, now, policy.ttl)
+            # frozen, so every populated repository can hold the same entry;
+            # tuple.__new__ is all the named tuples' own __new__ does
+            entry = tuple.__new__(CacheEntry, (record, now, policy.ttl))
             self._cache_insert(populated, entry, cap)
         elif self.caches:  # stores nothing, but empties a cache filled under a larger cap
             for node_id in populated:
                 self.caches.pop(node_id, None)
-        return ResolutionResult(record, tuple(path), len(path), from_cache, tuple(populated))
+        return tuple.__new__(ResolutionResult, (record, path, len(path), from_cache, populated))
 
     # -- internals ---------------------------------------------------------
 
@@ -284,16 +299,19 @@ class Topology:
         return bool(known) and not any(summary_may_satisfy(query, record.summary) for record in known)
 
     def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> tuple:
-        """(record or None, from_cache, path, pruned_any) of one search in the documented order.
+        """(record or None, from_cache, path, homes, pruned_any) of one search in the
+        documented order; homes holds the index in path of every repository with records.
 
         Each level scans index ranges of the preorder, starting at the origin or ancestor
         itself, which is never prune-checked.  Any other repository is checked against its
         parent's cache when the scan reaches it; a pruned one is jumped past with its subtree.
         """
         records, caches = self.records, self.caches
-        marks = self._marks()
+        marks = self.marks
+        if marks is None:
+            marks = self._marks()
         order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
-        path, pruned_any = [], False
+        path, homes, pruned_any = [], [], False
         came_from, current = None, origin
         while current is not None:
             first, last = span[current]
@@ -315,13 +333,17 @@ class Topology:
                         i = span[node_id][1]
                         continue
                     path.append(node_id)
-                    if node_id in records or node_id in caches:
+                    held = node_id in records
+                    if held:
+                        homes.append(len(path) - 1)
+                    if held or node_id in caches:
                         record = self._first_hit(node_id, query, now)
                         if record is not None:
-                            return record, record.finder_id not in records.get(node_id, ()), path, pruned_any
+                            from_cache = not held or record.finder_id not in records[node_id]
+                            return record, from_cache, path, homes, pruned_any
                     i += 1
             came_from, current = current, parent_of[current]
-        return None, False, path, pruned_any
+        return None, False, path, homes, pruned_any
 
 
 # Largest uniform tree build_topology will allocate.

@@ -36,6 +36,7 @@ from .domain import (
     FinderRecord,
     MetadataSummary,
     ResourceQuery,
+    zone_list,
 )
 from .registry import NotFound, ResolutionPolicy, Topology, TopologySpec, build_topology
 from .simkern import LatencyModel, jitter_vector, mix64
@@ -84,11 +85,9 @@ class ScenarioConfig:
                 raise ConfigMismatch(f"{name} must be an integer, got {value!r}")
         if self.n_users < 1 or self.n_resources < 1:
             raise ConfigMismatch("a run needs at least one user and one resource")
-        if isinstance(self.finder_zones, str):  # tuple("ab") would be the two sites a and b
-            raise ConfigMismatch(
-                f"finder_zones must be a list of zone names, not the string {self.finder_zones!r}")
         if self.finder_zones is not None:
-            object.__setattr__(self, "finder_zones", tuple(self.finder_zones))
+            zones = zone_list("finder_zones", self.finder_zones, ConfigMismatch)
+            object.__setattr__(self, "finder_zones", zones)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from gridrd.registry import (
     MalformedTopology,
     NotFound,
     ResolutionPolicy,
+    ResolutionResult,
     Topology,
     TopologySpec,
     UnknownNode,
@@ -386,6 +388,11 @@ class TestBuildTopology:
         with pytest.raises(MalformedTopology, match=f"not the string {zones!r}"):
             TopologySpec(zones=zones)
 
+    @pytest.mark.parametrize("zones", [5, 2.5, True])
+    def test_a_non_iterable_is_not_a_zone_list(self, zones):
+        with pytest.raises(MalformedTopology, match=f"^zones must be a list of zone names, not {zones!r}$"):
+            TopologySpec(zones=zones)
+
     def test_a_build_checks_each_label_of_a_zone_list_once(self, monkeypatch):
         # a uniform tree's generated labels are valid by construction
         label_re, checked = domain._LABEL_RE, []
@@ -694,9 +701,20 @@ class TestResolutionPolicy:
         with pytest.raises(ValueError):
             ResolutionPolicy(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"summary_pruning": "no"}, {"summary_pruning": ""}, {"summary_pruning": 1},
+        {"summary_pruning": None}, {"ttl": "1"}, {"ttl": True}, {"ttl": None}, {"ttl": 1j},
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, kwargs):
+        # "no" is truthy and would turn pruning on; math.isfinite("1") is a TypeError
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+            ResolutionPolicy(**kwargs)
+
     def test_boundary_values_accepted(self):
         assert ResolutionPolicy(ttl=1e-9, cache_capacity=0).cache_capacity == 0
         assert ResolutionPolicy(cache_capacity=None).cache_capacity is None
+        assert ResolutionPolicy(ttl=5, summary_pruning=False).ttl == 5
 
 
 class TestResolveValues:
@@ -972,6 +990,65 @@ class TestResolve:
         topo.resolve("a", ResourceQuery(), now=1.0, policy=policy)
         assert len(topo.caches.get("a", {})) <= 1
         assert first == ["f-b"]
+
+
+class TestCachesPopulated:
+    """caches_populated is the path, first occurrences only, minus every
+    repository holding a record of the answer's finder id."""
+
+    def _register(self, topo, finder_id, zone, pe):
+        cat = MetadataCatalog(finder_id, (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
+        topo.register_finder(FinderRecord(finder_id, f"svc://{finder_id}", zone, summarize(cat)))
+
+    def _check(self, topo, result, populated):
+        assert type(result) is ResolutionResult
+        assert result.caches_populated == populated
+        for node_id in populated:
+            assert type(topo.caches[node_id][result.record.finder_id]) is CacheEntry
+
+    def test_an_authoritative_hit_populates_all_but_the_home(self):
+        topo = build_topology(TopologySpec(zones=("a", "b", "c")))
+        self._register(topo, "f-c", "c", 8.0)
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
+        assert result.path == ("a", ".", "b", "c") and not result.cache_hit
+        self._check(topo, result, result.path[:-1])
+
+    def test_a_cache_hit_populates_the_whole_path(self):
+        # c holds a record, but of another finder than the answer's
+        topo = build_topology(TopologySpec(zones=("a", "b", "c")))
+        self._register(topo, "f-b", "b", 8.0)
+        self._register(topo, "f-c", "c", 2.0)
+        query = ResourceQuery(numeric_mins={"pe_count": 4})
+        assert topo.resolve("a", query, now=0.0).caches_populated == ("a", ".")
+        result = topo.resolve("c", query, now=1.0)
+        assert result.path == ("c", ".") and result.cache_hit
+        self._check(topo, result, result.path)
+        assert result.caches_populated is result.path
+
+    def test_every_home_of_the_finder_id_is_left_out(self):
+        # f is registered at a and at c; only the copy at c satisfies
+        topo = build_topology(TopologySpec(zones=("a", "b", "c")))
+        self._register(topo, "f", "a", 2.0)
+        self._register(topo, "f", "c", 32.0)
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=0.0)
+        assert result.path == ("a", ".", "b", "c") and result.record is topo.records["c"]["f"]
+        self._check(topo, result, (".", "b"))
+        assert "a" not in topo.caches and "c" not in topo.caches
+
+    def test_a_retry_populates_first_occurrences_minus_the_homes(self):
+        # the root learns that b's subtree holds only f-weak, so a query only
+        # f-strong satisfies prunes b, misses and retries; f-strong is also
+        # registered at the origin a, where it does not satisfy
+        topo = build_topology(TopologySpec(zones=("a", "b", "x.b", "y.b")))
+        self._register(topo, "f-weak", "x.b", 2.0)
+        self._register(topo, "f-strong", "y.b", 32.0)
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
+        self._register(topo, "f-strong", "a", 2.0)
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0)
+        assert result.path == ("a", ".", "a", ".", "b", "x.b", "y.b")
+        assert result.record is topo.records["y.b"]["f-strong"] and not result.cache_hit
+        self._check(topo, result, (".", "b", "x.b"))
+        assert list(topo.caches["a"]) == ["f-weak"] and "y.b" not in topo.caches
 
 
 class TestCacheCapacity:

@@ -280,6 +280,12 @@ class TestFinderSummaries:
             _cfg(ScenarioKind.DISTRIBUTED, 3, 3, topology=TopologySpec(zones=("a", "b")),
                  finder_zones=zones)
 
+    @pytest.mark.parametrize("zones", [5, 2.5, True])
+    def test_finder_zones_must_be_iterable(self, zones):
+        message = f"^finder_zones must be a list of zone names, not {zones!r}$"
+        with pytest.raises(ConfigMismatch, match=message):
+            _cfg(ScenarioKind.BASELINE, 3, 3, finder_zones=zones)
+
     def test_finder_zones_are_stored_as_a_tuple(self):
         cfg = _cfg(ScenarioKind.DISTRIBUTED, 3, 3, topology=self.TREE, finder_zones=["z01", "z00.z02"])
         assert cfg.finder_zones == ("z01", "z00.z02")
