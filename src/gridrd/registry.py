@@ -23,7 +23,12 @@ jumps over each run of unmarked ones in one ``bytearray.find``; the path still
 lists every repository contacted.  The answer populates every repository on
 the path but those holding an authoritative record of its finder id; each
 such repository is marked, so the search notes its index in the path, and
-populating needs no second pass over the path.
+populating needs no second pass over the path.  As a DNS resolver answers
+from local information first (RFC 1034 §5.3.3), ``resolve`` looks the origin
+up first, and once: a search, and the retry after a pruned miss, starts
+after it.  A write that would change nothing is skipped: an origin hit whose
+entry already has the answer's time and TTL, is its cache's newest, and sits
+in a cache within the cap.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -206,11 +211,25 @@ class Topology:
         if origin_node_id not in self.shape.span:
             raise UnknownNode(f"no repository named {origin_node_id!r}")
 
-        record, from_cache, path, homes, pruned_any = self._search(origin_node_id, query, now,
-                                                                   policy.summary_pruning)
-        retried = record is None and pruned_any
-        if retried:
-            record, from_cache, retry_path, retry_homes, _ = self._search(origin_node_id, query, now, False)
+        # The origin answers from its own data first (RFC 1034 §5.3.3), looked up once.
+        held, cap = origin_node_id in self.records, policy.cache_capacity
+        record = self._first_hit(origin_node_id, query, now) if held or origin_node_id in self.caches else None
+        if record is not None:
+            path = (origin_node_id,)
+            if held and record.finder_id in self.records[origin_node_id]:  # its own record: nothing to cache
+                return tuple.__new__(ResolutionResult, (record, path, 1, False, ()))
+            cache = self.caches[origin_node_id]
+            _, inserted_at, ttl = cache[record.finder_id]
+            if (inserted_at == now and ttl == policy.ttl and next(reversed(cache)) == record.finder_id
+                    and (cap is None or len(cache) <= cap)):  # the entry is already as a write would leave it
+                return tuple.__new__(ResolutionResult, (record, path, 1, True, path))
+            from_cache, homes, retried = True, (), False
+        else:
+            record, from_cache, path, homes, pruned_any = self._search(origin_node_id, query, now,
+                                                                       policy.summary_pruning, held)
+            retried = record is None and pruned_any
+        if retried:  # the origin, unchanged since, is listed again but not looked up again
+            record, from_cache, retry_path, retry_homes, _ = self._search(origin_node_id, query, now, False, held)
             homes += [len(path) + k for k in retry_homes]
             path += retry_path
         if record is None:  # one search contacts a repository at most once
@@ -228,7 +247,6 @@ class Topology:
         populated = populated + path[start:] if start else path
         if retried:  # a repository both searches contacted is populated once
             populated = tuple(dict.fromkeys(populated))
-        cap = policy.cache_capacity
         if cap != 0:
             # frozen, so every populated repository can hold the same entry;
             # tuple.__new__ is all the named tuples' own __new__ does
@@ -248,13 +266,13 @@ class Topology:
         A repository's first cache marks it and its children, the only
         repositories that cache can prune, for the search to look at.
         """
-        caches, finder_id = self.caches, entry.record.finder_id
-        marks = self._marks()
-        order, span = self.shape.order, self.shape.span
+        caches, finder_id, marks = self.caches, entry.record.finder_id, None
         for node_id in node_ids:
             cache = caches.get(node_id)
             if cache is None:
                 cache = caches[node_id] = {}
+                if marks is None:  # read on the call's first new cache only
+                    marks, order, span = self._marks(), self.shape.order, self.shape.span
                 i, end = span[node_id]
                 marks[i] = 1
                 i += 1
@@ -298,24 +316,26 @@ class Topology:
                  if now < entry.inserted_at + entry.ttl and in_zone(entry.record.home_zone, child_id)]
         return bool(known) and not any(summary_may_satisfy(query, record.summary) for record in known)
 
-    def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool) -> tuple:
+    def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool, held: bool) -> tuple:
         """(record or None, from_cache, path, homes, pruned_any) of one search in the
         documented order; homes holds the index in path of every repository with records.
 
-        Each level scans index ranges of the preorder, starting at the origin or ancestor
-        itself, which is never prune-checked.  Any other repository is checked against its
-        parent's cache when the scan reaches it; a pruned one is jumped past with its subtree.
+        ``resolve`` has already looked the origin up and found nothing, so the origin
+        starts the path (and homes, if ``held``: it holds records) and the scan starts
+        after it.  Each ancestor's range starts at the ancestor itself; neither is ever
+        prune-checked.  Any other repository is checked against its parent's cache when
+        the scan reaches it; a pruned one is jumped past with its subtree.
         """
         records, caches = self.records, self.caches
         marks = self.marks
         if marks is None:
             marks = self._marks()
         order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
-        path, homes, pruned_any = [], [], False
+        path, homes, pruned_any = [origin], [0] if held else [], False
         came_from, current = None, origin
         while current is not None:
             first, last = span[current]
-            ranges = ((first, last),) if came_from is None else (
+            ranges = ((first + 1, last),) if came_from is None else (
                 (first, span[came_from][0]), (span[came_from][1], last))
             for i, stop in ranges:
                 while i < stop:

@@ -174,18 +174,18 @@ def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
     lat = cfg.latency
     topology = build_topology(cfg.topology)
     _populate_finders(topology, cfg)
-    leaves = topology.leaves()
-    now = lat.t_reg * cfg.n_resources
+    leaves, resolve, query, policy, t_hop = topology.leaves(), topology.resolve, cfg.query, cfg.policy, lat.t_hop
+    n_leaves, now = len(leaves), lat.t_reg * cfg.n_resources
     hops: list[float] = []
     failed: list[int] = []
     for user in range(cfg.n_users):
         try:
-            result = topology.resolve(leaves[user % len(leaves)], cfg.query, now, cfg.policy)
+            result = resolve(leaves[user % n_leaves], query, now, policy)
         except NotFound:
             hops.append(0.0)  # adding 0.0 leaves a (non-negative) time unchanged
             failed.append(user)
         else:
-            hops.append(lat.t_hop * (result.hop_count - 1))
+            hops.append(t_hop * (result.hop_count - 1))
     return hops, tuple(failed)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 
@@ -53,7 +54,8 @@ class LatencyModel:
     before architecture-specific overheads: ``t_ws`` per web-service call,
     ``t_registry`` per registry lookup, ``t_hop`` per extra repository hop
     in a distributed resolution.  The multiplicative jitter has unit mean
-    and a relative spread that grows with total load.
+    and a relative spread that grows with total load.  A field of the wrong
+    type or out of range raises ValueError naming it.
     """
 
     t_reg: float = 0.06006
@@ -70,8 +72,11 @@ class LatencyModel:
         for name in ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
                      "jitter_sigma0", "jitter_gamma"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not isinstance(self.jitter_enabled, bool):  # a string would be truthy
+            raise ValueError(f"jitter_enabled must be True or False, got {self.jitter_enabled!r}")
 
     def without_jitter(self) -> "LatencyModel":
         return replace(self, jitter_enabled=False)

@@ -682,7 +682,7 @@ class TestMarks:
         with pytest.raises(NotFound, match=r"\(searched 13 repositories\)"):
             topo.resolve(origin, ResourceQuery(), now=0.0)
         zones = {labels(node_id) for node_id in topo.shape.order}
-        path = topo._search(origin, ResourceQuery(), 0.0, True)[2]
+        path = topo._search(origin, ResourceQuery(), 0.0, True, False)[2]
         assert path == [name_of(zone) for zone in reference_order(zones, labels(origin))]
         assert topo.records == {} and topo.caches == {}
 
@@ -942,7 +942,7 @@ class TestResolve:
                              policy=unpruned)
         assert "b" in res2.path
 
-    def test_pruned_miss_retries_before_notfound(self):
+    def test_pruned_miss_retries_before_notfound(self, monkeypatch):
         # the cache knows one finder under b that cannot satisfy, but a
         # second, uncached finder under b can: pruning must not lose it
         topo = build_topology(TopologySpec(zones=("a", "b", "x.b", "y.b")))
@@ -951,14 +951,33 @@ class TestResolve:
         strong = MetadataCatalog("f-strong", (ResourceSpec("r2", {"pe_count": 32.0}, {}, zone_y),))
         topo.register_finder(FinderRecord("f-weak", "svc://w", zone_x, summarize(weak)))
         topo.register_finder(FinderRecord("f-strong", "svc://s", zone_y, summarize(strong)))
+        # every repository lookup, to show the origin is looked up once per resolve
+        looked_up, first_hit = [], Topology._first_hit
+
+        def recording(self, node_id, query, now):
+            looked_up.append(node_id)
+            return first_hit(self, node_id, query, now)
+
+        monkeypatch.setattr(Topology, "_first_hit", recording)
 
         # warm a's cache with only the weak finder
         topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
         a_known = list(topo.caches["a"])
         assert a_known == ["f-weak"]
+        assert "a" not in looked_up  # it held nothing yet
 
+        # the root prunes b, the search misses, and the retry finds f-strong
+        looked_up.clear()
         res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0)
         assert res.record.finder_id == "f-strong"
+        assert res.path == ("a", ".", "a", ".", "b", "x.b", "y.b") and res.hop_count == 7
+        assert looked_up == ["a", ".", ".", "b", "x.b", "y.b"]
+
+        # a query nothing satisfies misses, retries and raises
+        looked_up.clear()
+        with pytest.raises(NotFound, match=r"\(searched 5 repositories\)"):
+            topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 64}), now=2.0)
+        assert looked_up.count("a") == 1 and looked_up[0] == "a"
 
     def test_notfound_counts_repositories_not_contacts(self):
         # the root learns that z01's subtree holds only a small finder, so a
@@ -1134,6 +1153,26 @@ class TestCacheRefresh:
                               policy=ResolutionPolicy(cache_capacity=1))
         assert result.cache_hit and result.caches_populated == ("a",)
         assert self._entries(topo, "a") == [("f-c", 0.0, 3600.0)]
+
+    def test_a_repeat_origin_hit_with_an_identical_entry_writes_nothing(self):
+        topo = self._two_finders()
+        query = ResourceQuery(numeric_mins={"pe_count": 1})
+        topo.resolve("a", query, now=0.0)
+        cache = topo.caches["a"]
+        entry = cache["f-b"]
+        result = topo.resolve("a", query, now=0.0)
+        assert result.path == ("a",) and result.hop_count == 1 and result.cache_hit
+        assert result.caches_populated == ("a",) and result.record is entry.record
+        assert topo.caches["a"] is cache and list(cache) == ["f-b"] and cache["f-b"] is entry
+
+    def test_an_identical_entry_that_is_not_the_newest_moves_to_the_newest_end(self):
+        topo = self._two_finders()
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=0.0)
+        assert self._entries(topo, "a") == [("f-b", 0.0, 3600.0), ("f-c", 0.0, 3600.0)]
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
+        assert result.path == ("a",) and result.record.finder_id == "f-b"
+        assert self._entries(topo, "a") == [("f-c", 0.0, 3600.0), ("f-b", 0.0, 3600.0)]
 
     def test_reinsert_at_a_later_time_or_with_another_ttl_refreshes(self):
         topo = self._two_finders()

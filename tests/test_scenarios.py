@@ -1,5 +1,6 @@
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,19 @@ class TestDistributedGolden:
                               topology=TopologySpec(depth=depth, branching=3)))
         assert [run_scenario(cfg) for cfg in configs] == first
 
+
+    @pytest.mark.parametrize("name", sorted(name for name, cfg in GOLDEN_RUNS.items() if cfg.finder_zones))
+    def test_resolution_does_not_depend_on_the_seed(self, name):
+        # every user resolves at one instant, so a point's hop costs are the same
+        # in every replication: the premise of resolving once per sweep point
+        cfg = GOLDEN_RUNS[name]
+        other = replace(cfg, seed=cfg.seed + 1000)
+        hops, failed = scenarios._resolve_users(cfg)
+        assert (hops, failed) == scenarios._resolve_users(other)
+        assert len(hops) == cfg.n_users
+        assert any(hops) if not failed else failed == tuple(range(cfg.n_users))
+        if cfg.latency.jitter_enabled:  # the seed still moves the jitter
+            assert run_scenario(cfg).per_user_times != run_scenario(other).per_user_times
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
     def test_run_matches_golden(self, name):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -152,6 +153,21 @@ class TestJitter:
     def test_non_finite_parameters_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             LatencyModel(**{name: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"jitter_enabled": "no"}, {"jitter_enabled": ""}, {"jitter_enabled": 1},
+        {"jitter_enabled": None}, {"t_hop": True}, {"t_hop": "1"}, {"t_reg": None},
+        {"jitter_gamma": 1j}, {"t_base": False},
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, kwargs):
+        # "no" is truthy and would leave jitter on; math.isfinite("1") is a TypeError
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+            LatencyModel(**kwargs)
+
+    def test_integers_and_booleans_of_the_right_fields_accepted(self):
+        model = LatencyModel(t_hop=2, t_base=0, jitter_enabled=False)
+        assert (model.t_hop, model.t_base, model.jitter_enabled) == (2, 0, False)
 
 
 class TestJitterVector:
