@@ -5,7 +5,8 @@ Every key is optional and defaults to the calibrated values below; unknown
 keys are hard errors so typos cannot silently fall back to defaults.  The
 parser only turns text into values; ``LatencyModel``, ``ResolutionPolicy``
 and ``TopologySpec`` enforce the limits, and their errors become
-ConfigError.
+ConfigError.  A run or sweep feels ``cache_capacity`` only as 0 or not, and ``ttl``
+and ``summary_pruning`` not at all (see the README): they matter to API callers.
 
 Keys::
 

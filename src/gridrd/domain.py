@@ -11,11 +11,21 @@ instances can be shared freely across simulation runs.
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
 _LABEL_RE = re.compile(r"[a-z0-9-]+")
+# What a field may be -> the test of a value that is not a bool; a bool is only ever True or False.
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int),
+    "True or False": lambda v: False,
+    "a finite number >= 0": lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0,
+    "a finite number > 0": lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and v > 0,
+    "None or an integer >= 0": lambda v: v is None or isinstance(v, int) and v >= 0,
+}
 
 # Canonical attribute keys used by the synthetic resource pools. The maps
 # are open: any attribute name works, these are just the conventional ones.
@@ -39,19 +49,25 @@ def check_zone(text: str) -> str:
     return text
 
 
-def zone_list(name: str, zones, error: type[Exception]) -> tuple:
-    """The field ``name``'s zone names, given as any iterable but a string, as a tuple.
+def as_tuple(name: str, items, what: str, error: type[Exception]) -> tuple:
+    """The field ``name``'s items, given as any iterable but a string, as a tuple.
 
-    Anything else raises ``error`` naming the field: ``tuple("ab")`` would be
-    the zones a and b, and ``tuple(5)`` a bare TypeError.
+    Anything else, a str enum member too, raises ``error`` saying the field must be
+    ``what``: ``tuple("ab")`` would be the items a and b, ``tuple(5)`` a bare TypeError.
     """
-    if isinstance(zones, str):
-        raise error(f"{name} must be a list of zone names, not the string {zones!r}")
+    if isinstance(items, str):
+        raise error(f"{name} must be {what}, not the string {items!r}")
     try:
-        iterator = iter(zones)
+        iterator = iter(items)
     except TypeError:  # not iterable
-        raise error(f"{name} must be a list of zone names, not {zones!r}") from None
+        raise error(f"{name} must be {what}, not {items!r}") from None
     return tuple(iterator)
+
+
+def check_field(name: str, value, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming the field ``name`` unless ``value`` is ``what``, one of ``_KINDS``."""
+    if not (what == "True or False" if isinstance(value, bool) else _KINDS[what](value)):
+        raise error(f"{name} must be {what}, got {value!r}")
 
 
 def in_zone(name: str, zone: str) -> bool:

@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 from . import stats
 from .config import Config, ConfigError
-from .scenarios import RunResult, ScenarioConfig, ScenarioKind, run_scenario
+from .domain import as_tuple, check_field
+from .scenarios import ConfigMismatch, RunResult, ScenarioConfig, ScenarioKind, run_scenario
 from .simkern import mix64
 from .stats import MeanDifferenceTest, unpaired_t_test
 
@@ -66,31 +67,20 @@ class SweepSpec:
     )
 
     def __post_init__(self) -> None:
-        points = _as_tuple("points", self.points, "(users, resources) pairs")
+        points = as_tuple("points", self.points, "(users, resources) pairs", ConfigError)
         object.__setattr__(self, "points", tuple(map(_grid_point, points)))
         if not self.points:
             raise ConfigError("sweep needs at least one grid point")
-        for name, value in (("replications", self.replications), ("base_seed", self.base_seed)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("replications", "base_seed"):
+            check_field(name, getattr(self, name), "an integer", ConfigError)
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        object.__setattr__(self, "scenarios", _as_tuple("scenarios", self.scenarios, "a list of scenarios"))
+        scenarios = as_tuple("scenarios", self.scenarios, "a list of scenarios", ConfigError)
+        object.__setattr__(self, "scenarios", scenarios)
         if not self.scenarios:
             raise ConfigError("sweep needs at least one scenario")
         if not all(isinstance(kind, ScenarioKind) for kind in self.scenarios):
             raise ConfigError(f"scenarios must be ScenarioKind members, got {self.scenarios!r}")
-
-
-def _as_tuple(name: str, items, what: str) -> tuple:
-    """A field given as any iterable but a string (a ScenarioKind is a str too), as a tuple."""
-    try:
-        iterator = None if isinstance(items, str) else iter(items)
-    except TypeError:  # not iterable
-        iterator = None
-    if iterator is None:
-        raise ConfigError(f"{name} must be {what}, not {items!r}")
-    return tuple(iterator)
 
 
 def _grid_point(point) -> tuple[int, int]:
@@ -127,8 +117,11 @@ def scenario_config(config: Config, kind: ScenarioKind, users: int, resources: i
     """The ScenarioConfig of one run under ``config``, for ``gridrd run`` and every sweep cell."""
     if kind is ScenarioKind.DISTRIBUTED and config.topology is None:
         raise ConfigError("distributed runs need topology.depth/branching or topology.zones")
-    return ScenarioConfig(kind, users, resources, config.latency, seed,
-                          topology=config.topology, policy=config.policy)
+    try:
+        return ScenarioConfig(kind, users, resources, config.latency, seed,
+                              topology=config.topology, policy=config.policy)
+    except ConfigMismatch as exc:  # e.g. a ttl too small for the run's query time
+        raise ConfigError(str(exc)) from None
 
 
 def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[ObservationRow]:

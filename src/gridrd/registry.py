@@ -41,13 +41,11 @@ owns only its authoritative records and caches.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .domain import FinderRecord, ResourceQuery, check_zone, in_zone, summary_may_satisfy, zone_list
+from .domain import FinderRecord, ResourceQuery, as_tuple, check_field, check_zone, in_zone, summary_may_satisfy
 
 
 class RegistryError(Exception):
@@ -89,14 +87,9 @@ class ResolutionPolicy:
     cache_capacity: int | None = None
 
     def __post_init__(self) -> None:
-        ttl = self.ttl
-        if isinstance(ttl, bool) or not isinstance(ttl, numbers.Real) or not math.isfinite(ttl) or ttl <= 0:
-            raise ValueError(f"ttl must be a finite number > 0, got {ttl!r}")
-        if not isinstance(self.summary_pruning, bool):  # a string would be truthy
-            raise ValueError(f"summary_pruning must be True or False, got {self.summary_pruning!r}")
-        cap = self.cache_capacity
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
-            raise ValueError(f"cache_capacity must be None or an integer >= 0, got {cap!r}")
+        check_field("ttl", self.ttl, "a finite number > 0")
+        check_field("summary_pruning", self.summary_pruning, "True or False")
+        check_field("cache_capacity", self.cache_capacity, "None or an integer >= 0")
 
 
 class ResolutionResult(NamedTuple):
@@ -127,7 +120,8 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         if self.zones is not None:
-            object.__setattr__(self, "zones", zone_list("zones", self.zones, MalformedTopology))
+            zones = as_tuple("zones", self.zones, "a list of zone names", MalformedTopology)
+            object.__setattr__(self, "zones", zones)
             if self.depth is not None or self.branching is not None:
                 raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
             _tree_shape(self)
@@ -136,8 +130,7 @@ class TopologySpec:
             raise MalformedTopology("topology spec needs a depth or a zone list")
         branching = 1 if self.branching is None else self.branching
         for name, value in (("depth", self.depth), ("branching", branching)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise MalformedTopology(f"{name} must be an integer, got {value!r}")
+            check_field(name, value, "an integer", MalformedTopology)
             if value < 1:
                 raise MalformedTopology(f"{name} must be >= 1, got {value}")
         check_tree_size(self.depth, branching)

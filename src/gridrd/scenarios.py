@@ -36,7 +36,8 @@ from .domain import (
     FinderRecord,
     MetadataSummary,
     ResourceQuery,
-    zone_list,
+    as_tuple,
+    check_field,
 )
 from .registry import NotFound, ResolutionPolicy, Topology, TopologySpec, build_topology
 from .simkern import LatencyModel, jitter_vector, mix64
@@ -80,14 +81,18 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ScenarioKind):
             raise ConfigMismatch(f"unknown scenario kind {self.kind!r}")
-        for name, value in (("n_users", self.n_users), ("n_resources", self.n_resources), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigMismatch(f"{name} must be an integer, got {value!r}")
+        for name in ("n_users", "n_resources", "seed"):
+            check_field(name, getattr(self, name), "an integer", ConfigMismatch)
         if self.n_users < 1 or self.n_resources < 1:
             raise ConfigMismatch("a run needs at least one user and one resource")
         if self.finder_zones is not None:
-            zones = zone_list("finder_zones", self.finder_zones, ConfigMismatch)
+            zones = as_tuple("finder_zones", self.finder_zones, "a list of zone names", ConfigMismatch)
             object.__setattr__(self, "finder_zones", zones)
+        if self.kind is ScenarioKind.DISTRIBUTED:
+            now = _query_time(self)
+            if now + self.policy.ttl == now < math.inf:  # every cache entry would expire as it is written
+                raise ConfigMismatch(f"ttl {self.policy.ttl!r} is below the resolution of the query time "
+                                     f"t_reg * n_resources = {now!r}, so no cache entry would ever be fresh")
 
 
 @dataclass(frozen=True)
@@ -111,9 +116,9 @@ _OVERHEADS: dict[ScenarioKind, tuple[str, ...]] = {
 _EVENT_OF = {"t_ws": "service_call", "t_registry": "registry_lookup"}
 
 
-def _base_time(cfg: ScenarioConfig) -> float:
-    lat = cfg.latency
-    return lat.t_base + lat.t_reg * cfg.n_resources + lat.t_user * cfg.n_users
+def _query_time(cfg: ScenarioConfig) -> float:
+    """When every user of a run queries: once all its resources are registered."""
+    return cfg.latency.t_reg * cfg.n_resources
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -130,7 +135,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     lat = cfg.latency
     hops, failed = (_resolve_users(cfg) if cfg.kind is ScenarioKind.DISTRIBUTED
                     else (None, ()))
-    base = _base_time(cfg)
+    base = lat.t_base + _query_time(cfg) + lat.t_user * cfg.n_users
     jitter = jitter_vector(mix64(cfg.seed, _JITTER_STREAM), lat, cfg.n_users, cfg.n_resources)
     times = [base * j for j in jitter]
     for name in _OVERHEADS[cfg.kind]:
@@ -171,11 +176,10 @@ def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
     """
     if cfg.topology is None:
         raise ConfigMismatch("distributed runs need a topology spec")
-    lat = cfg.latency
     topology = build_topology(cfg.topology)
     _populate_finders(topology, cfg)
-    leaves, resolve, query, policy, t_hop = topology.leaves(), topology.resolve, cfg.query, cfg.policy, lat.t_hop
-    n_leaves, now = len(leaves), lat.t_reg * cfg.n_resources
+    leaves, resolve, query, policy = topology.leaves(), topology.resolve, cfg.query, cfg.policy
+    n_leaves, now, t_hop = len(leaves), _query_time(cfg), cfg.latency.t_hop
     hops: list[float] = []
     failed: list[int] = []
     for user in range(cfg.n_users):

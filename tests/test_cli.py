@@ -413,6 +413,23 @@ def test_distributed_without_topology_exits_two(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--scenario", "distributed", "--resources", "100"],
+    ["sweep", "--scenario", "distributed", "--replications", "2", "--out"],
+])
+def test_a_ttl_the_query_time_swallows_exits_two(tmp_path, capsys, command):
+    cfg, out = tmp_path / "tiny-ttl.cfg", tmp_path / "obs.csv"
+    cfg.write_text("topology.depth = 4\nttl = 1e-16\n", encoding="utf-8")
+    command = command + [str(out)] if command[-1] == "--out" else command
+    assert main(command + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gridrd: config error: ttl 1e-16 is below the resolution of the query time")
+    assert captured.out == ""
+    assert not out.exists()
+    cfg.write_text("topology.depth = 4\n", encoding="utf-8")  # the default ttl
+    assert main(["run", "--scenario", "distributed", "--resources", "100", "--config", str(cfg)]) == 0
+
+
 @pytest.mark.parametrize("line", ["topology.branching = 2", "topology.zones = a.b",
                                   "topology.zones = A", "topology.zones = a, a"])
 def test_malformed_tree_exits_two_for_a_baseline_run(tmp_path, capsys, line):

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridrd.config import ConfigError
 from gridrd.domain import (
     MetadataSummary,
     ResourceQuery,
@@ -13,7 +15,10 @@ from gridrd.domain import (
     in_zone,
     summary_may_satisfy,
 )
-from gridrd.registry import TopologySpec, build_topology
+from gridrd.harness import SweepSpec
+from gridrd.registry import MalformedTopology, ResolutionPolicy, TopologySpec, build_topology
+from gridrd.scenarios import ConfigMismatch, ScenarioConfig, ScenarioKind
+from gridrd.simkern import LatencyModel
 
 # -- catalogs: the full metadata that finder summaries stand for ---------------
 
@@ -308,3 +313,50 @@ class TestSummaryMaySatisfy:
             )
             if any(matches(query, e) for e in cat.entries):
                 assert summary_may_satisfy(query, summarize(cat))
+
+
+# -- field checks: the exact message of every value type's field test ----------
+
+_K = ScenarioKind.BASELINE
+_FIELD_MESSAGES = [
+    *[(LatencyModel, {name: value}, ValueError, f"{name} must be a finite number >= 0, got {value!r}")
+      for name in ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
+                   "jitter_sigma0", "jitter_gamma")
+      for value in (-1.0, math.nan, math.inf, True, "1", None, 1j)],
+    *[(LatencyModel, {"jitter_enabled": value}, ValueError,
+       f"jitter_enabled must be True or False, got {value!r}") for value in ("no", "", 1, 0.0, None)],
+    *[(ResolutionPolicy, {"ttl": value}, ValueError, f"ttl must be a finite number > 0, got {value!r}")
+      for value in (0.0, 0, -1.0, math.nan, math.inf, True, "1", None, 1j)],
+    *[(ResolutionPolicy, {"summary_pruning": value}, ValueError,
+       f"summary_pruning must be True or False, got {value!r}") for value in ("no", "", 1, None)],
+    *[(ResolutionPolicy, {"cache_capacity": value}, ValueError,
+       f"cache_capacity must be None or an integer >= 0, got {value!r}")
+      for value in (-3, 2.5, 2.0, True, False, "3")],
+    *[(TopologySpec, {"depth": 2, name: value} if name == "branching" else {name: value},
+       MalformedTopology, f"{name} must be an integer, got {value!r}")
+      for name in ("depth", "branching") for value in (2.5, 3.0, True, False, "3")],
+    (TopologySpec, {"depth": 0}, MalformedTopology, "depth must be >= 1, got 0"),
+    (TopologySpec, {"depth": 2, "branching": -1}, MalformedTopology, "branching must be >= 1, got -1"),
+    (TopologySpec, {"zones": "a"}, MalformedTopology, "zones must be a list of zone names, not the string 'a'"),
+    (TopologySpec, {"zones": 5}, MalformedTopology, "zones must be a list of zone names, not 5"),
+    *[(ScenarioConfig, {"kind": _K, "n_users": 3, "n_resources": 3, name: value}, ConfigMismatch,
+       f"{name} must be an integer, got {value!r}")
+      for name in ("n_users", "n_resources", "seed") for value in (True, 2.5, "3", None)],
+    (ScenarioConfig, {"kind": _K, "n_users": 3, "n_resources": 3, "finder_zones": "a"}, ConfigMismatch,
+     "finder_zones must be a list of zone names, not the string 'a'"),
+    (ScenarioConfig, {"kind": _K, "n_users": 3, "n_resources": 3, "finder_zones": 5}, ConfigMismatch,
+     "finder_zones must be a list of zone names, not 5"),
+    *[(SweepSpec, {name: value}, ConfigError, f"{name} must be an integer, got {value!r}")
+      for name in ("replications", "base_seed") for value in (2.5, True, False, "7", 7.0, None)],
+    (SweepSpec, {"points": 5}, ConfigError, "points must be (users, resources) pairs, not 5"),
+    (SweepSpec, {"scenarios": 5}, ConfigError, "scenarios must be a list of scenarios, not 5"),
+    (SweepSpec, {"scenarios": None}, ConfigError, "scenarios must be a list of scenarios, not None"),
+]
+
+
+@pytest.mark.parametrize("make, kwargs, error, message", _FIELD_MESSAGES)
+def test_every_field_check_has_its_exact_message(make, kwargs, error, message):
+    with pytest.raises(error) as info:
+        make(**kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message

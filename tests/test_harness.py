@@ -121,8 +121,8 @@ class TestSweep:
         ({"base_seed": 7.0}, "base_seed must be an integer, got 7.0"),
         ({"scenarios": ("baseline",)}, "scenarios must be ScenarioKind members"),
         ({"scenarios": (ScenarioKind.BASELINE, 1)}, "scenarios must be ScenarioKind members"),
-        ({"scenarios": "baseline"}, "not 'baseline'"),
-        ({"scenarios": ScenarioKind.DIRECT}, "not <ScenarioKind.DIRECT"),
+        ({"scenarios": "baseline"}, "scenarios must be a list of scenarios, not the string 'baseline'"),
+        ({"scenarios": ScenarioKind.DIRECT}, "not the string <ScenarioKind.DIRECT"),
         ({"points": 5}, "points must be (users, resources) pairs, not 5"),
         ({"scenarios": 5}, "scenarios must be a list of scenarios, not 5"),
         ({"scenarios": None}, "scenarios must be a list of scenarios, not None"),

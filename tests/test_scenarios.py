@@ -1,13 +1,17 @@
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridrd import scenarios, stats
 from gridrd.domain import ResourceQuery
-from gridrd.registry import ResolutionPolicy, TopologySpec, UnknownNode, build_topology
+from gridrd.registry import ResolutionPolicy, Topology, TopologySpec, UnknownNode, build_topology
 from gridrd.scenarios import (
     ConfigMismatch,
     RunResult,
@@ -365,3 +369,57 @@ class TestDistributedGolden:
     def test_run_matches_golden(self, name):
         golden = json.loads((Path(__file__).parent / "golden" / "distributed_runs.json").read_text())
         assert golden_record(run_scenario(GOLDEN_RUNS[name])) == golden[name]
+
+
+# -- the resolution knobs a run can feel ----------------------------------------
+# Every user of a run asks one query at one instant, and a cache only ever holds
+# answers to it, so a parent holding a cache answers before its children are
+# reached: a run never prune-checks.  So a run feels cache_capacity only as 0 or
+# not, and ttl (above the query time's resolution) and summary_pruning not at all.
+
+
+@st.composite
+def _knob_runs(draw):
+    """A distributed run over a uniform tree, with its finder sites and users drawn."""
+    tree = TopologySpec(depth=draw(st.integers(1, 5)), branching=draw(st.integers(1, 4)))
+    shape = build_topology(tree).shape
+    sites = draw(st.none() | st.lists(st.sampled_from(shape.order), min_size=1, max_size=4, unique=True))
+    return _cfg(ScenarioKind.DISTRIBUTED, draw(st.integers(1, 3 * len(shape.leaves) + 5)),
+                draw(st.integers(1, 40)), LatencyModel(), draw(st.integers(0, 99)),
+                topology=tree, query=ResourceQuery(), finder_zones=None if sites is None else tuple(sites))
+
+
+@settings(max_examples=100)
+@given(cfg=_knob_runs(), zero_cap=st.booleans())
+def test_a_run_feels_only_whether_the_cache_capacity_is_zero(cfg, zero_cap):
+    now = cfg.latency.t_reg * cfg.n_resources  # the smallest ttl that is not swallowed is ulp(now)
+    caps = (0,) if zero_cap else (None, 1, 2, 5)
+    policies = [ResolutionPolicy(ttl, pruning, cap) for ttl in (math.ulp(now), 1e-9, 3600.0)
+                for pruning in (True, False) for cap in caps]
+    with mock.patch.object(Topology, "_prunes", side_effect=AssertionError("a run prune-checked")):
+        times = {run_scenario(replace(cfg, policy=policy)).per_user_times for policy in policies}
+    assert len(times) == 1
+
+
+class TestTtlCorner:
+    # t_reg * n_resources = 6.006 here, and 6.006 + 1e-16 == 6.006
+    TREE = TopologySpec(depth=4, branching=3)
+
+    def run_cfg(self, ttl, kind=ScenarioKind.DISTRIBUTED):
+        return _cfg(kind, 60, 100, QUIET, topology=self.TREE, query=ResourceQuery(),
+                    finder_zones=("z00",), policy=ResolutionPolicy(ttl=ttl))
+
+    def test_a_ttl_the_query_time_swallows_is_rejected(self):
+        message = (r"^ttl 1e-16 is below the resolution of the query time "
+                   r"t_reg \* n_resources = 6\.006, so no cache entry would ever be fresh$")
+        with pytest.raises(ConfigMismatch, match=message):
+            self.run_cfg(1e-16)
+
+    def test_a_ttl_above_the_corner_runs_as_any_other(self):
+        run = run_scenario(self.run_cfg(1e-15))
+        assert run.per_user_times == run_scenario(self.run_cfg(3600.0)).per_user_times
+        assert run.mean_time == pytest.approx(13.5406, abs=1e-4)
+
+    def test_a_run_that_resolves_nothing_may_have_any_ttl(self):
+        central = run_scenario(self.run_cfg(1e-16, ScenarioKind.CENTRALIZED))
+        assert central == replace(run_scenario(self.run_cfg(3600.0, ScenarioKind.CENTRALIZED)), config=central.config)

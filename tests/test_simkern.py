@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -237,3 +238,14 @@ class TestJitterVector:
         with pytest.raises(ValueError):
             jitter_vector(mix64(1), LatencyModel(), 3, 0)
 
+
+    def test_draw_bytes_match_the_frozen_digest(self):
+        # The integer half of a draw is exact on any platform; the float step
+        # calls libm log, cos and exp, which need not be correctly rounded.
+        # This digest was frozen on x86-64 with glibc 2.36 using its FMA
+        # variants; under GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA it differs.
+        digest = hashlib.sha256()
+        for run in range(200):
+            draws = jitter_vector(mix64(run), LatencyModel(), 1000, 100)
+            digest.update(" ".join(map(float.hex, draws)).encode())
+        assert digest.hexdigest() == "d87772c2b73d11493e947043e2d8175ecb976b758b91109cd4389e036445f1fc"
