@@ -6,7 +6,7 @@ keys are hard errors so typos cannot silently fall back to defaults.  The
 parser only turns text into values; ``LatencyModel``, ``ResolutionPolicy``
 and ``TopologySpec`` enforce the limits, and their errors become
 ConfigError.  A run or sweep feels ``cache_capacity`` only as 0 or not, and ``ttl``
-and ``summary_pruning`` not at all (see the README): they matter to API callers.
+only when the run's query time swallows it (see the README): both matter to API callers.
 
 Keys::
 
@@ -14,7 +14,6 @@ Keys::
     jitter_sigma0, jitter_gamma                      jitter calibration
     jitter_enabled                                   true/false
     ttl                                              cache TTL [s]
-    summary_pruning                                  true/false
     cache_capacity                                   integer or "none"
     topology.depth, topology.branching               uniform tree shape
     topology.zones                                   comma-separated zones
@@ -65,7 +64,6 @@ _KEYS = {
                      "jitter_sigma0", "jitter_gamma"), ("latency", float, "a number")),
     "jitter_enabled": ("latency", _boolean, "a boolean"),
     "ttl": ("policy", float, "a number"),
-    "summary_pruning": ("policy", _boolean, "a boolean"),
     "cache_capacity": ("policy", _integer_or_none, "an integer or none"),
     "topology.depth": ("topology", int, "an integer"),
     "topology.branching": ("topology", int, "an integer"),

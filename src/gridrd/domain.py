@@ -70,14 +70,6 @@ def check_field(name: str, value, what: str, error: type[Exception] = ValueError
         raise error(f"{name} must be {what}, got {value!r}")
 
 
-def in_zone(name: str, zone: str) -> bool:
-    """True iff zone ``name`` lies in ``zone``: ``zone``'s labels are a suffix of ``name``'s.
-
-    Every zone lies in itself, and every zone in the root.
-    """
-    return zone == "." or name == zone or name.endswith("." + zone)
-
-
 @dataclass(frozen=True)
 class ResourceQuery:
     """A client's conjunctive search criteria.
@@ -115,7 +107,7 @@ class FinderRecord:
 
 
 def summary_may_satisfy(query: ResourceQuery, summary: MetadataSummary) -> bool:
-    """Pruning test: can ANY catalog with this summary contain a match?
+    """Lookup test: can ANY catalog with this summary contain a match?
 
     Over-approximates (may say yes when the real catalog has no match) but
     never under-approximates: if some entry of the summarized catalog

@@ -17,18 +17,19 @@ order, never re-entering the subtree just ascended from).  Exhausting the
 root means the whole tree has been searched.  Every subtree is one range of
 the tree's preorder (Tarjan & Vishkin 1985), so the search is one loop over
 index ranges: the origin's own, then each ancestor's around the subtree just
-ascended from; no tree is too deep for Python's recursion limit.  A run marks
-the only repositories where a search can find or prune anything, and the scan
-jumps over each run of unmarked ones in one ``bytearray.find``; the path still
-lists every repository contacted.  The answer populates every repository on
-the path but those holding an authoritative record of its finder id; each
-such repository is marked, so the search notes its index in the path, and
-populating needs no second pass over the path.  As a DNS resolver answers
-from local information first (RFC 1034 §5.3.3), ``resolve`` looks the origin
-up first, and once: a search, and the retry after a pruned miss, starts
-after it.  A write that would change nothing is skipped: an origin hit whose
-entry already has the answer's time and TTL, is its cache's newest, and sits
-in a cache within the cap.
+ascended from; no tree is too deep for Python's recursion limit.  As in DNS,
+a search skips no repository: it ends at the first answer or the end of the
+tree.  A run marks the only repositories where a search can find anything,
+and the scan jumps over each run of unmarked ones in one ``bytearray.find``;
+the path still lists every repository contacted.  The answer populates every
+repository on the path but those holding an authoritative record of its
+finder id; each such repository is marked, so the search notes its index in
+the path, and populating needs no second pass over the path.  As a DNS
+resolver answers from local information first (RFC 1034 §5.3.3), ``resolve``
+looks the origin up first, and once: the search starts after it.  A write
+that would change nothing is skipped: an origin hit whose entry already has
+the answer's time and TTL, is its cache's newest, and sits in a cache within
+the cap.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .domain import FinderRecord, ResourceQuery, as_tuple, check_field, check_zone, in_zone, summary_may_satisfy
+from .domain import FinderRecord, ResourceQuery, as_tuple, check_field, check_zone, summary_may_satisfy
 
 
 class RegistryError(Exception):
@@ -74,7 +75,7 @@ class CacheEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class ResolutionPolicy:
-    """Knobs for resolve: cache TTL, summary pruning, optional cache cap.
+    """Knobs for resolve: cache TTL and optional cache cap.
 
     ``cache_capacity`` of None means unbounded; otherwise the entries least
     recently inserted or replaced are evicted first once a node's cache
@@ -83,12 +84,10 @@ class ResolutionPolicy:
     """
 
     ttl: float = 3600.0
-    summary_pruning: bool = True
     cache_capacity: int | None = None
 
     def __post_init__(self) -> None:
         check_field("ttl", self.ttl, "a finite number > 0")
-        check_field("summary_pruning", self.summary_pruning, "True or False")
         check_field("cache_capacity", self.cache_capacity, "None or an integer >= 0")
 
 
@@ -165,10 +164,9 @@ class Topology:
     A node gets an entry on its first write and never holds an empty one,
     so a new tree allocates nothing per repository.  ``marks``, made on the
     first write, holds a byte per index of ``shape.order``: 1 at every
-    repository that holds records or has held a cache, and at every child
-    of one that has held a cache.  The search looks only at marked ones, so
-    records and caches are written only through ``register_finder`` and
-    ``resolve``.  Driven single-threaded.
+    repository that holds records or has held a cache.  The search looks
+    only at marked ones, so records and caches are written only through
+    ``register_finder`` and ``resolve``.  Driven single-threaded.
     """
 
     def __init__(self, shape: TreeShape):
@@ -195,10 +193,8 @@ class Topology:
 
         Raises NotFound only when no repository in the whole tree holds a
         record (authoritative or fresh-cached) whose summary may satisfy the
-        query.  Summary pruning can skip a subtree based on cached knowledge
-        about it; because that knowledge may be incomplete, a pruned search
-        that comes up empty is retried once without pruning before NotFound
-        is raised.  A failed resolution never touches any cache.
+        query; the search has then contacted every repository once.  A failed
+        resolution never touches any cache.
         """
         policy = policy or ResolutionPolicy()
         if origin_node_id not in self.shape.span:
@@ -216,18 +212,11 @@ class Topology:
             if (inserted_at == now and ttl == policy.ttl and next(reversed(cache)) == record.finder_id
                     and (cap is None or len(cache) <= cap)):  # the entry is already as a write would leave it
                 return tuple.__new__(ResolutionResult, (record, path, 1, True, path))
-            from_cache, homes, retried = True, (), False
+            from_cache, homes = True, ()
         else:
-            record, from_cache, path, homes, pruned_any = self._search(origin_node_id, query, now,
-                                                                       policy.summary_pruning, held)
-            retried = record is None and pruned_any
-        if retried:  # the origin, unchanged since, is listed again but not looked up again
-            record, from_cache, retry_path, retry_homes, _ = self._search(origin_node_id, query, now, False, held)
-            homes += [len(path) + k for k in retry_homes]
-            path += retry_path
-        if record is None:  # one search contacts a repository at most once
-            searched = len(set(path)) if retried else len(path)
-            raise NotFound(f"no finder satisfies the query (searched {searched} repositories)")
+            record, from_cache, path, homes = self._search(origin_node_id, query, now, held)
+            if record is None:
+                raise NotFound(f"no finder satisfies the query (searched {len(path)} repositories)")
 
         # Only a repository holding the finder's own record is not populated, and
         # homes indexes every record-holding one in the path, in path order.
@@ -238,8 +227,6 @@ class Topology:
                 populated += path[start:k]
                 start = k + 1
         populated = populated + path[start:] if start else path
-        if retried:  # a repository both searches contacted is populated once
-            populated = tuple(dict.fromkeys(populated))
         if cap != 0:
             # frozen, so every populated repository can hold the same entry;
             # tuple.__new__ is all the named tuples' own __new__ does
@@ -254,10 +241,8 @@ class Topology:
 
     def _cache_insert(self, node_ids: Iterable[str], entry: CacheEntry, cap: int | None) -> None:
         """At each repository, make the entry its finder's only one and the newest,
-        keeping the newest ``cap`` (None: all).
-
-        A repository's first cache marks it and its children, the only
-        repositories that cache can prune, for the search to look at.
+        keeping the newest ``cap`` (None: all).  A repository's first cache marks
+        it for the search to look at.
         """
         caches, finder_id, marks = self.caches, entry.record.finder_id, None
         for node_id in node_ids:
@@ -265,13 +250,8 @@ class Topology:
             if cache is None:
                 cache = caches[node_id] = {}
                 if marks is None:  # read on the call's first new cache only
-                    marks, order, span = self._marks(), self.shape.order, self.shape.span
-                i, end = span[node_id]
-                marks[i] = 1
-                i += 1
-                while i < end:  # from child to child, each subtree's end the next child
-                    marks[i] = 1
-                    i = span[order[i]][1]
+                    marks, span = self._marks(), self.shape.span
+                marks[span[node_id][0]] = 1
             cache.pop(finder_id, None)
             cache[finder_id] = entry
             while cap is not None and len(cache) > cap:
@@ -302,50 +282,29 @@ class Topology:
                 return record
         return None
 
-    def _prunes(self, node_id: str, child_id: str, query: ResourceQuery, now: float) -> bool:
-        """Whether the node's fresh cache rules out a child subtree: it knows
-        records homed there and none of them may satisfy the query."""
-        known = [entry.record for entry in self.caches[node_id].values()
-                 if now < entry.inserted_at + entry.ttl and in_zone(entry.record.home_zone, child_id)]
-        return bool(known) and not any(summary_may_satisfy(query, record.summary) for record in known)
-
-    def _search(self, origin: str, query: ResourceQuery, now: float, pruning: bool, held: bool) -> tuple:
-        """(record or None, from_cache, path, homes, pruned_any) of one search in the
-        documented order; homes holds the index in path of every repository with records.
+    def _search(self, origin: str, query: ResourceQuery, now: float, held: bool) -> tuple:
+        """(record or None, from_cache, path, homes) of one search in the documented
+        order; homes holds the index in path of every repository with records.
 
         ``resolve`` has already looked the origin up and found nothing, so the origin
         starts the path (and homes, if ``held``: it holds records) and the scan starts
-        after it.  Each ancestor's range starts at the ancestor itself; neither is ever
-        prune-checked.  Any other repository is checked against its parent's cache when
-        the scan reaches it; a pruned one is jumped past with its subtree.
+        after it.  Each ancestor's range starts at the ancestor itself.
         """
         records, caches = self.records, self.caches
         marks = self.marks
         if marks is None:
             marks = self._marks()
         order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
-        path, homes, pruned_any = [origin], [0] if held else [], False
+        path, homes = [origin], [0] if held else []
         came_from, current = None, origin
         while current is not None:
             first, last = span[current]
             ranges = ((first + 1, last),) if came_from is None else (
                 (first, span[came_from][0]), (span[came_from][1], last))
             for i, stop in ranges:
-                while i < stop:
-                    if not marks[i]:  # contacted, but it holds nothing and nothing prunes it
-                        j = marks.find(1, i, stop)
-                        if j < 0:
-                            path += order[i:stop]
-                            break
-                        path += order[i:j]
-                        i = j
-                    node_id = order[i]
-                    if (pruning and caches and i != first and parent_of[node_id] in caches
-                            and self._prunes(parent_of[node_id], node_id, query, now)):
-                        pruned_any = True
-                        i = span[node_id][1]
-                        continue
-                    path.append(node_id)
+                while (j := marks.find(1, i, stop)) >= 0:
+                    path += order[i:j + 1]  # every one contacted, but only the marked last can hold anything
+                    node_id = order[j]
                     held = node_id in records
                     if held:
                         homes.append(len(path) - 1)
@@ -353,10 +312,11 @@ class Topology:
                         record = self._first_hit(node_id, query, now)
                         if record is not None:
                             from_cache = not held or record.finder_id not in records[node_id]
-                            return record, from_cache, path, homes, pruned_any
-                    i += 1
+                            return record, from_cache, path, homes
+                    i = j + 1
+                path += order[i:stop]
             came_from, current = current, parent_of[current]
-        return None, False, path, homes, pruned_any
+        return None, False, path, homes
 
 
 # Largest uniform tree build_topology will allocate.

@@ -85,6 +85,11 @@ class ScenarioConfig:
             check_field(name, getattr(self, name), "an integer", ConfigMismatch)
         if self.n_users < 1 or self.n_resources < 1:
             raise ConfigMismatch("a run needs at least one user and one resource")
+        for name in ("n_users", "n_resources"):  # a run's times are floats of both counts
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise ConfigMismatch(f"{name} is too large to convert to a float") from None
         if self.finder_zones is not None:
             zones = as_tuple("finder_zones", self.finder_zones, "a list of zone names", ConfigMismatch)
             object.__setattr__(self, "finder_zones", zones)

@@ -32,6 +32,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("t_sw = 1.0")
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_summary_pruning_is_an_unknown_key(self, value):
+        # resolution has no summary pruning, so the key would be a knob that does nothing
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'summary_pruning'$"):
+            parse_config(f"ttl = 60\nsummary_pruning = {value}\n")
+
     def test_unparseable_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("t_ws = fast")
@@ -79,16 +85,15 @@ class TestParse:
             parse_config("cache_capacity = -1")
 
     def test_policy_view(self):
-        cfg = parse_config("ttl = 60\nsummary_pruning = false\n")
-        assert cfg.policy.ttl == 60.0
-        assert not cfg.policy.summary_pruning
+        cfg = parse_config("ttl = 60\ncache_capacity = 0\n")
+        assert cfg.policy == ResolutionPolicy(ttl=60.0, cache_capacity=0)
 
     @pytest.mark.parametrize(
         "text, cfg",
         [
             ("t_reg = 0.06006\nt_user = 0.06006\nt_ws = 1.89\nt_registry = 1.716\n"
              "t_hop = 0.5\nt_base = 0.0\njitter_sigma0 = 0.5\njitter_gamma = 1.07\n"
-             "jitter_enabled = true\nttl = 3600.0\nsummary_pruning = true\n"
+             "jitter_enabled = true\nttl = 3600.0\n"
              "cache_capacity = none\n",
              Config()),
             ("t_ws = 2.25\njitter_enabled = false\nttl = 12.5\n",
@@ -117,12 +122,12 @@ def test_config_values_validate_themselves():
 
 _LATENCY_KEYS = ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
                  "jitter_sigma0", "jitter_gamma", "jitter_enabled")
-_POLICY_KEYS = ("ttl", "summary_pruning", "cache_capacity")
+_POLICY_KEYS = ("ttl", "cache_capacity")
 
 
 def _typed(key: str, raw: str) -> object:
     """What a config value means, written apart from the parser; ValueError if nothing."""
-    if key in ("jitter_enabled", "summary_pruning"):
+    if key == "jitter_enabled":
         if raw not in ("true", "false"):
             raise ValueError(raw)
         return raw == "true"

@@ -140,53 +140,33 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
                       policy: ResolutionPolicy):
     """resolve as the module and method docstrings describe it, searched recursively.
 
-    Returns (record, path, cache_hit, caches_populated, pruned_any, retried),
-    or None where resolve raises NotFound, and applies the cache updates to
-    ``topo``'s caches: every populated repository drops its entry for the
-    finder, adds a new one as its newest and keeps its newest
-    ``cache_capacity``, holding no cache at all when that leaves it empty.
+    Returns (record, path, cache_hit, caches_populated), or None where
+    resolve raises NotFound, and applies the cache updates to ``topo``'s
+    caches: every populated repository drops its entry for the finder, adds
+    a new one as its newest and keeps its newest ``cache_capacity``, holding
+    no cache at all when that leaves it empty.
     """
-    shape, path, pruned = topo.shape, [], []
+    shape, path = topo.shape, []
     children = children_of(shape)
 
-    def may_hold(node_id, child_id):
-        known = [e.record for e in topo.caches.get(node_id, {}).values() if now < e.inserted_at + e.ttl
-                 and is_ancestor_of(labels(child_id), labels(e.record.home_zone))]
-        return any(summary_may_satisfy(query, r.summary) for r in known) if known else None
-
-    def visit(node_id, skip, pruning):
+    def visit(node_id, skip):
         path.append(node_id)
         hits = reference_lookup(topo, node_id, query, now)
         if hits:
             return hits[0], hits[0].finder_id not in topo.records.get(node_id, {})
         for child_id in children[node_id]:
-            if child_id == skip:
-                continue
-            if pruning and may_hold(node_id, child_id) is False:
-                pruned.append(child_id)
-                continue
-            found = visit(child_id, None, pruning)
-            if found is not None:
+            if child_id != skip and (found := visit(child_id, None)) is not None:
                 return found
         return None
 
-    def search(pruning):
-        came_from, current = None, origin
-        while current is not None:
-            found = visit(current, came_from, pruning)
-            if found is not None:
-                return found
-            came_from, current = current, shape.parent[current]
-        return None
-
-    found = search(policy.summary_pruning)
-    retried = found is None and bool(pruned)
-    if retried:
-        found = search(False)
+    came_from, current, found = None, origin, None
+    while found is None and current is not None:
+        found = visit(current, came_from)
+        came_from, current = current, shape.parent[current]
     if found is None:
         return None
     record, cache_hit = found
-    populated = [n for n in dict.fromkeys(path) if record.finder_id not in topo.records.get(n, {})]
+    populated = [n for n in path if record.finder_id not in topo.records.get(n, {})]
     cap = policy.cache_capacity
     for node_id in populated:
         entries = [(f, e) for f, e in topo.caches.get(node_id, {}).items() if f != record.finder_id]
@@ -195,7 +175,7 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
             topo.caches.pop(node_id, None)
         else:
             topo.caches[node_id] = dict(entries if cap is None else entries[len(entries) - cap:])
-    return record, tuple(path), cache_hit, tuple(populated), bool(pruned), retried
+    return record, tuple(path), cache_hit, tuple(populated)
 
 
 @st.composite
@@ -556,7 +536,7 @@ def oracle_cases(draw):
     """(zones, authoritative, cached, policy, steps) for the search oracle.
 
     Authoritative records and pre-filled caches, fresh or stale, about any
-    subtree (siblings too), so that pruning and its retry happen.
+    subtree (siblings too), so that a search passes caches that cannot answer.
     """
     zones = draw(zone_trees())
     ids = ("f0", "f1", "f2", "f3", "f4")
@@ -589,8 +569,8 @@ def _summary(pe_max: float) -> MetadataSummary:
 
 class TestSearchOracle:
     @given(case=oracle_cases())
-    # From origin a, the root scans b, c and d around a; its fresh cache knows c0, homed
-    # in x.c and too small, so c's subtree is jumped over between two searched siblings.
+    # From origin a, the root scans b, c and d around a; its fresh cache knows only c0, too
+    # small, so the scan jumps over the unmarked b, x.b, c and x.c to d's record.
     @example(case=(
         [(), ("a",), ("b",), ("c",), ("d",), ("x", "b"), ("x", "c")],
         [FinderRecord("f0", "svc://a", "d", _summary(16.0))],
@@ -616,27 +596,23 @@ class TestSearchOracle:
                 event("not found")
             else:
                 result = topo.resolve(origin, query, now, policy)
-                record, path, cache_hit, populated, pruned_any, retried = expected
+                record, path, cache_hit, populated = expected
                 assert result.record == record
                 assert (result.path, result.cache_hit, result.caches_populated) == (
                     path, cache_hit, populated)
                 assert result.hop_count == len(path)
-                if not retried:  # one search contacts a repository at most once
-                    assert len(set(result.path)) == len(result.path)
-                event("found after a retry" if retried else "found, pruned" if pruned_any
-                      else "found")
+                assert len(set(result.path)) == len(result.path)  # a repository is contacted once
+                event("found")
             # the same entries in the same eviction order, and no empty cache held
             assert cache_snapshot(topo) == cache_snapshot(reference)
             assert topo.caches.keys() == reference.caches.keys() and all(topo.caches.values())
 
 
-def assert_marks_cover_the_search(topo: Topology) -> None:
-    """Every repository holding records or a cache, and every child of one
-    holding a cache, is marked: the only ones a search can find or prune at."""
-    must = set(topo.records) | set(topo.caches)
-    must |= {child for child, parent in topo.shape.parent.items() if parent in topo.caches}
-    unmarked = [n for n in must if not topo.marks[topo.shape.span[n][0]]]
-    assert not unmarked, unmarked
+def assert_marks_cover_the_search(topo: Topology, cached: set[str]) -> None:
+    """The marked repositories are exactly those holding records or that have
+    held a cache (``cached``), the only ones where a search can find anything."""
+    marked = {n for n in topo.shape.order if topo.marks[topo.shape.span[n][0]]}
+    assert marked == set(topo.records) | cached
 
 
 class TestMarks:
@@ -645,11 +621,11 @@ class TestMarks:
         # one topology, written only through register_finder and resolve, while
         # the capacity goes None -> 1 -> 0 (popping caches) -> None (making them again)
         topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
-        reference = copy.deepcopy(topo)
+        reference, cached = copy.deepcopy(topo), set()
         registers = st.tuples(st.just("register"), st.sampled_from(("f0", "f1", "f2", "f3")),
                               st.sampled_from(zones), summaries())
         resolves = st.tuples(st.just("resolve"), st.sampled_from(zones), st.sampled_from((0.0, 2.0, 8.0)),
-                             st.booleans(), st.sampled_from((0.0, 1.0, 4.0)))
+                             st.sampled_from((0.0, 1.0, 4.0)))
         now = 0.0
         for cap in (None, 1, 0, None):
             for step in data.draw(st.lists(st.one_of(registers, resolves), max_size=6), label=f"cap {cap}"):
@@ -659,21 +635,22 @@ class TestMarks:
                     for tree in (topo, reference):
                         tree.register_finder(record)
                 else:
-                    _, origin, need, pruning, tick = step
+                    _, origin, need, tick = step
                     now += tick
                     query = ResourceQuery({"pe_count": need})
-                    policy = ResolutionPolicy(ttl=3.0, summary_pruning=pruning, cache_capacity=cap)
+                    policy = ResolutionPolicy(ttl=3.0, cache_capacity=cap)
                     expected = reference_resolve(reference, name_of(origin), query, now, policy)
                     if expected is None:
                         with pytest.raises(NotFound):
                             topo.resolve(name_of(origin), query, now, policy)
                     else:
                         result = topo.resolve(name_of(origin), query, now, policy)
-                        record, path, cache_hit, populated, _, _ = expected
+                        record, path, cache_hit, populated = expected
                         assert (result.record, result.path, result.cache_hit, result.caches_populated) == (
                             record, path, cache_hit, populated)
-                if topo.records or topo.caches:
-                    assert_marks_cover_the_search(topo)
+                cached |= set(topo.caches)  # a resolve makes caches or pops them, never both
+                if topo.records or cached:
+                    assert_marks_cover_the_search(topo, cached)
                 assert cache_snapshot(topo) == cache_snapshot(reference)
 
     @pytest.mark.parametrize("origin", ["z00.z01", "z02", "."])
@@ -682,7 +659,7 @@ class TestMarks:
         with pytest.raises(NotFound, match=r"\(searched 13 repositories\)"):
             topo.resolve(origin, ResourceQuery(), now=0.0)
         zones = {labels(node_id) for node_id in topo.shape.order}
-        path = topo._search(origin, ResourceQuery(), 0.0, True, False)[2]
+        path = topo._search(origin, ResourceQuery(), 0.0, False)[2]
         assert path == [name_of(zone) for zone in reference_order(zones, labels(origin))]
         assert topo.records == {} and topo.caches == {}
 
@@ -702,11 +679,11 @@ class TestResolutionPolicy:
             ResolutionPolicy(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"summary_pruning": "no"}, {"summary_pruning": ""}, {"summary_pruning": 1},
-        {"summary_pruning": None}, {"ttl": "1"}, {"ttl": True}, {"ttl": None}, {"ttl": 1j},
+        {"ttl": "1"}, {"ttl": True}, {"ttl": None}, {"ttl": 1j},
+        {"cache_capacity": "3"}, {"cache_capacity": 2.0}, {"cache_capacity": True}, {"cache_capacity": 1j},
     ])
     def test_a_field_of_the_wrong_type_is_named(self, kwargs):
-        # "no" is truthy and would turn pruning on; math.isfinite("1") is a TypeError
+        # math.isfinite("1") is a TypeError, and True would pass as a capacity of 1
         (name, value), = kwargs.items()
         with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
             ResolutionPolicy(**kwargs)
@@ -714,7 +691,8 @@ class TestResolutionPolicy:
     def test_boundary_values_accepted(self):
         assert ResolutionPolicy(ttl=1e-9, cache_capacity=0).cache_capacity == 0
         assert ResolutionPolicy(cache_capacity=None).cache_capacity is None
-        assert ResolutionPolicy(ttl=5, summary_pruning=False).ttl == 5
+        assert ResolutionPolicy(ttl=5).ttl == 5
+        assert [f.name for f in dataclasses.fields(ResolutionPolicy)] == ["ttl", "cache_capacity"]
 
 
 class TestResolveValues:
@@ -775,7 +753,7 @@ class TestResolve:
         assert topo.resolve(name_of(origin), ResourceQuery(), now=0.0).path == expected
 
     def test_search_leaves_no_reference_cycles(self):
-        # found, found after a pruned miss and its retry, and not found
+        # found twice, and not found
         topo = build_topology(TopologySpec(zones=("a", "b", "x.b", "y.b")))
         for node_id, pe in (("x.b", 2.0), ("y.b", 32.0)):
             zone = node_id
@@ -916,42 +894,14 @@ class TestResolve:
         res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
         assert res.path == ("a", "deep.a")
 
-    def test_pruning_skips_a_subtree_known_not_to_satisfy(self):
-        topo = build_topology(TopologySpec(zones=("a", "b", "c")))
-        zone_b, zone_c = "b", "c"
-        small = MetadataCatalog("f-small", (ResourceSpec("r1", {"pe_count": 2.0}, {}, zone_b),))
-        big = MetadataCatalog("f-big", (ResourceSpec("r2", {"pe_count": 32.0}, {}, zone_c),))
-        topo.register_finder(FinderRecord("f-small", "svc://s", zone_b, summarize(small)))
-        topo.register_finder(FinderRecord("f-big", "svc://b", zone_c, summarize(big)))
-
-        # warm the root's cache with knowledge of b's only finder
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
-        root_known = list(topo.caches["."])
-        assert root_known == ["f-small"]
-
-        res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0)
-        assert res.record.finder_id == "f-big"
-        assert "b" not in res.path  # pruned via the cached summary
-
-        unpruned = ResolutionPolicy(summary_pruning=False)
-        topo2 = build_topology(TopologySpec(zones=("a", "b", "c")))
-        topo2.register_finder(FinderRecord("f-small", "svc://s", zone_b, summarize(small)))
-        topo2.register_finder(FinderRecord("f-big", "svc://b", zone_c, summarize(big)))
-        topo2.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0, policy=unpruned)
-        res2 = topo2.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0,
-                             policy=unpruned)
-        assert "b" in res2.path
-
-    def test_pruned_miss_retries_before_notfound(self, monkeypatch):
-        # the cache knows one finder under b that cannot satisfy, but a
-        # second, uncached finder under b can: pruning must not lose it
+    def test_each_repository_is_looked_up_once(self, monkeypatch):
+        # a's cache knows only a finder under b that cannot satisfy, and the
+        # search passes it, the root's and b's caches on the way to f-strong
         topo = build_topology(TopologySpec(zones=("a", "b", "x.b", "y.b")))
-        zone_x, zone_y = "x.b", "y.b"
-        weak = MetadataCatalog("f-weak", (ResourceSpec("r1", {"pe_count": 2.0}, {}, zone_x),))
-        strong = MetadataCatalog("f-strong", (ResourceSpec("r2", {"pe_count": 32.0}, {}, zone_y),))
-        topo.register_finder(FinderRecord("f-weak", "svc://w", zone_x, summarize(weak)))
-        topo.register_finder(FinderRecord("f-strong", "svc://s", zone_y, summarize(strong)))
-        # every repository lookup, to show the origin is looked up once per resolve
+        weak = MetadataCatalog("f-weak", (ResourceSpec("r1", {"pe_count": 2.0}, {}, "x.b"),))
+        strong = MetadataCatalog("f-strong", (ResourceSpec("r2", {"pe_count": 32.0}, {}, "y.b"),))
+        topo.register_finder(FinderRecord("f-weak", "svc://w", "x.b", summarize(weak)))
+        topo.register_finder(FinderRecord("f-strong", "svc://s", "y.b", summarize(strong)))
         looked_up, first_hit = [], Topology._first_hit
 
         def recording(self, node_id, query, now):
@@ -959,29 +909,22 @@ class TestResolve:
             return first_hit(self, node_id, query, now)
 
         monkeypatch.setattr(Topology, "_first_hit", recording)
-
-        # warm a's cache with only the weak finder
         topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
-        a_known = list(topo.caches["a"])
-        assert a_known == ["f-weak"]
-        assert "a" not in looked_up  # it held nothing yet
+        assert list(topo.caches["a"]) == ["f-weak"] and looked_up == ["x.b"]  # only x.b held anything
 
-        # the root prunes b, the search misses, and the retry finds f-strong
         looked_up.clear()
         res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0)
-        assert res.record.finder_id == "f-strong"
-        assert res.path == ("a", ".", "a", ".", "b", "x.b", "y.b") and res.hop_count == 7
-        assert looked_up == ["a", ".", ".", "b", "x.b", "y.b"]
+        assert res.record.finder_id == "f-strong" and res.hop_count == 5
+        assert res.path == ("a", ".", "b", "x.b", "y.b") == tuple(looked_up)
 
-        # a query nothing satisfies misses, retries and raises
         looked_up.clear()
         with pytest.raises(NotFound, match=r"\(searched 5 repositories\)"):
             topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 64}), now=2.0)
-        assert looked_up.count("a") == 1 and looked_up[0] == "a"
+        assert looked_up == ["a", ".", "b", "x.b", "y.b"]
 
     def test_notfound_counts_repositories_not_contacts(self):
-        # the root learns that z01's subtree holds only a small finder, so a
-        # query for more prunes it (4 contacts), then the retry contacts all 7
+        # the root learns of z01's small finder; a query for more passes its
+        # cache and every other repository, each contacted once
         topo = build_topology(TopologySpec(depth=3, branching=2))
         zone = "z00.z01"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 2.0}, {}, zone),))
@@ -1012,8 +955,8 @@ class TestResolve:
 
 
 class TestCachesPopulated:
-    """caches_populated is the path, first occurrences only, minus every
-    repository holding a record of the answer's finder id."""
+    """caches_populated is the path minus every repository holding a record
+    of the answer's finder id."""
 
     def _register(self, topo, finder_id, zone, pe):
         cat = MetadataCatalog(finder_id, (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
@@ -1054,21 +997,6 @@ class TestCachesPopulated:
         self._check(topo, result, (".", "b"))
         assert "a" not in topo.caches and "c" not in topo.caches
 
-    def test_a_retry_populates_first_occurrences_minus_the_homes(self):
-        # the root learns that b's subtree holds only f-weak, so a query only
-        # f-strong satisfies prunes b, misses and retries; f-strong is also
-        # registered at the origin a, where it does not satisfy
-        topo = build_topology(TopologySpec(zones=("a", "b", "x.b", "y.b")))
-        self._register(topo, "f-weak", "x.b", 2.0)
-        self._register(topo, "f-strong", "y.b", 32.0)
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
-        self._register(topo, "f-strong", "a", 2.0)
-        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0)
-        assert result.path == ("a", ".", "a", ".", "b", "x.b", "y.b")
-        assert result.record is topo.records["y.b"]["f-strong"] and not result.cache_hit
-        self._check(topo, result, (".", "b", "x.b"))
-        assert list(topo.caches["a"]) == ["f-weak"] and "y.b" not in topo.caches
-
 
 class TestCacheCapacity:
     @given(zones=zone_trees(), data=st.data())
@@ -1076,8 +1004,7 @@ class TestCacheCapacity:
         # a model of every node's cache, replayed from caches_populated:
         # a re-insert moves the finder to the newest end, the oldest go first
         cap = data.draw(st.sampled_from((0, 1, 2, None)), label="cap")
-        policy = ResolutionPolicy(ttl=data.draw(st.sampled_from((0.5, 3.0, 3600.0))),
-                                  summary_pruning=data.draw(st.booleans()), cache_capacity=cap)
+        policy = ResolutionPolicy(ttl=data.draw(st.sampled_from((0.5, 3.0, 3600.0))), cache_capacity=cap)
         topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
         homes = data.draw(st.lists(st.sampled_from(zones), min_size=1, max_size=4), label="homes")
         for i, home in enumerate(homes):
@@ -1098,9 +1025,8 @@ class TestCacheCapacity:
             except NotFound:
                 pass
             else:
-                unique_path = list(dict.fromkeys(result.path))
                 assert list(result.caches_populated) == [
-                    nid for nid in unique_path
+                    nid for nid in result.path
                     if result.record.finder_id not in topo.records.get(nid, {})]
                 for node_id in result.caches_populated:
                     entries = [e for e in model[node_id] if e[0] != result.record.finder_id]

@@ -1,9 +1,9 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gridrd import scenarios, stats
 from gridrd.domain import ResourceQuery
-from gridrd.registry import ResolutionPolicy, Topology, TopologySpec, UnknownNode, build_topology
+from gridrd.registry import ResolutionPolicy, TopologySpec, UnknownNode, build_topology
 from gridrd.scenarios import (
     ConfigMismatch,
     RunResult,
@@ -149,6 +149,16 @@ class TestRunResultShape:
         fields = {"kind": ScenarioKind.BASELINE, "n_users": 3, "n_resources": 3, field: value}
         with pytest.raises(ConfigMismatch, match=f"^{field} must be an integer, got {value!r}$"):
             ScenarioConfig(**fields)
+
+    @pytest.mark.parametrize("kind", [ScenarioKind.BASELINE, ScenarioKind.DISTRIBUTED])
+    @pytest.mark.parametrize("field", ["n_users", "n_resources"])
+    def test_a_count_too_large_for_a_float_is_named(self, field, kind):
+        # a run's times are floats of both counts; 10**310 has none
+        fields = {"kind": kind, "n_users": 3, "n_resources": 3, "topology": TopologySpec(depth=2)}
+        with pytest.raises(ConfigMismatch, match=f"^{field} is too large to convert to a float$"):
+            ScenarioConfig(**{**fields, field: 10**310})
+        # the largest float's count is accepted (a distributed run's ttl would be swallowed by it)
+        assert ScenarioConfig(**{**fields, "kind": ScenarioKind.BASELINE, field: int(sys.float_info.max)})
 
     def test_dispatcher(self):
         r = run_scenario(_cfg(ScenarioKind.BASELINE, 3, 3))
@@ -299,7 +309,7 @@ class TestFinderSummaries:
 
 
 # Distributed runs whose exact bytes are frozen in golden/distributed_runs.json:
-# cache capacities 0, 1, 2 and none, pruning on and off, default and explicit
+# cache capacities 0, 1, 2 and none, default and explicit
 # finder sites, and a query no finder satisfies.  Within one run every user
 # searches the same authoritative records, so a query fails for all users or
 # for none.
@@ -315,14 +325,14 @@ GOLDEN_RUNS = {
     "cap-1-unpruned": _cfg(ScenarioKind.DISTRIBUTED, 30, 17, LatencyModel(), 5, topology=_TREE,
                            query=ResourceQuery(numeric_mins={"pe_count": 2.0}),
                            finder_zones=("z01.z00.z00", "z02", "z00.z02.z01"),
-                           policy=ResolutionPolicy(cache_capacity=1, summary_pruning=False)),
+                           policy=ResolutionPolicy(cache_capacity=1)),
     "cap-2-regions": _cfg(ScenarioKind.DISTRIBUTED, 25, 9, QUIET, 3, topology=_REGIONS,
                           query=ResourceQuery(required_tags={"os": "linux"}),
                           finder_zones=("fr.eu", "ny.east.us", "us"),
                           policy=ResolutionPolicy(ttl=60.0, cache_capacity=2)),
     "every-leaf-unpruned": _cfg(ScenarioKind.DISTRIBUTED, 20, 6, LatencyModel(), 8,
                                 topology=_REGIONS, query=ResourceQuery(),
-                                policy=ResolutionPolicy(summary_pruning=False)),
+                                policy=ResolutionPolicy()),
     "unsatisfiable": _cfg(ScenarioKind.DISTRIBUTED, 12, 10, LatencyModel(), 2, topology=_TREE,
                           query=ResourceQuery(numeric_mins={"pe_count": 1e9}),
                           finder_zones=_FAR_LEAVES, policy=ResolutionPolicy(cache_capacity=1)),
@@ -373,9 +383,9 @@ class TestDistributedGolden:
 
 # -- the resolution knobs a run can feel ----------------------------------------
 # Every user of a run asks one query at one instant, and a cache only ever holds
-# answers to it, so a parent holding a cache answers before its children are
-# reached: a run never prune-checks.  So a run feels cache_capacity only as 0 or
-# not, and ttl (above the query time's resolution) and summary_pruning not at all.
+# answers to it, so the first repository holding a cache that a search reaches
+# answers it.  So a run feels cache_capacity only as 0 or not, and ttl not at all
+# above the query time's resolution (below it, see TestTtlCorner).
 
 
 @st.composite
@@ -394,10 +404,8 @@ def _knob_runs(draw):
 def test_a_run_feels_only_whether_the_cache_capacity_is_zero(cfg, zero_cap):
     now = cfg.latency.t_reg * cfg.n_resources  # the smallest ttl that is not swallowed is ulp(now)
     caps = (0,) if zero_cap else (None, 1, 2, 5)
-    policies = [ResolutionPolicy(ttl, pruning, cap) for ttl in (math.ulp(now), 1e-9, 3600.0)
-                for pruning in (True, False) for cap in caps]
-    with mock.patch.object(Topology, "_prunes", side_effect=AssertionError("a run prune-checked")):
-        times = {run_scenario(replace(cfg, policy=policy)).per_user_times for policy in policies}
+    policies = [ResolutionPolicy(ttl, cap) for ttl in (math.ulp(now), 1e-9, 3600.0) for cap in caps]
+    times = {run_scenario(replace(cfg, policy=policy)).per_user_times for policy in policies}
     assert len(times) == 1
 
 
