@@ -5,15 +5,14 @@ Every key is optional and defaults to the calibrated values below; unknown
 keys are hard errors so typos cannot silently fall back to defaults.  The
 parser only turns text into values; ``LatencyModel``, ``ResolutionPolicy``
 and ``TopologySpec`` enforce the limits, and their errors become
-ConfigError.  A run or sweep feels ``cache_capacity`` only as 0 or not, and ``ttl``
-only when the run's query time swallows it (see the README): both matter to API callers.
+ConfigError.  A run or sweep feels ``cache_capacity`` only as 0 or not (see the
+README); other capacities matter to API callers.
 
 Keys::
 
     t_reg, t_user, t_ws, t_registry, t_hop, t_base   latency params [s]
     jitter_sigma0, jitter_gamma                      jitter calibration
     jitter_enabled                                   true/false
-    ttl                                              cache TTL [s]
     cache_capacity                                   integer or "none"
     topology.depth, topology.branching               uniform tree shape
     topology.zones                                   comma-separated zones
@@ -63,7 +62,6 @@ _KEYS = {
     **dict.fromkeys(("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
                      "jitter_sigma0", "jitter_gamma"), ("latency", float, "a number")),
     "jitter_enabled": ("latency", _boolean, "a boolean"),
-    "ttl": ("policy", float, "a number"),
     "cache_capacity": ("policy", _integer_or_none, "an integer or none"),
     "topology.depth": ("topology", int, "an integer"),
     "topology.branching": ("topology", int, "an integer"),

@@ -23,7 +23,6 @@ _KINDS = {
     "an integer": lambda v: isinstance(v, int),
     "True or False": lambda v: False,
     "a finite number >= 0": lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0,
-    "a finite number > 0": lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and v > 0,
     "None or an integer >= 0": lambda v: v is None or isinstance(v, int) and v >= 0,
 }
 
@@ -65,7 +64,7 @@ def as_tuple(name: str, items, what: str, error: type[Exception]) -> tuple:
 
 
 def check_field(name: str, value, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` naming the field ``name`` unless ``value`` is ``what``, one of ``_KINDS``."""
+    """Raise ``error`` naming the field ``name`` unless ``value`` is ``what``, one of the four ``_KINDS``."""
     if not (what == "True or False" if isinstance(value, bool) else _KINDS[what](value)):
         raise error(f"{name} must be {what}, got {value!r}")
 

@@ -120,7 +120,7 @@ def scenario_config(config: Config, kind: ScenarioKind, users: int, resources: i
     try:
         return ScenarioConfig(kind, users, resources, config.latency, seed,
                               topology=config.topology, policy=config.policy)
-    except ConfigMismatch as exc:  # e.g. a ttl too small for the run's query time
+    except ConfigMismatch as exc:  # e.g. a count too large for a float
         raise ConfigError(str(exc)) from None
 
 
@@ -304,7 +304,7 @@ def format_analysis_table(rows: list[AnalysisRow]) -> str:
         "Users,Resources",
         "Mean Difference",
         "SE of Mean Difference",
-        f"Confidence Interval {100 * (1 - alpha):g}%",
+        f"Confidence Interval {100 * (1 - alpha):.12g}%",  # 12 digits: alpha 1e-7 is not 100%
         "p-Value",
         "Verdict",
     ]

@@ -2,12 +2,13 @@
 
 Repositories form a rooted tree of zones.  A finder record is authoritative
 at exactly one repository (its home zone); every other repository can only
-learn it through resolution, which caches the answer with a TTL at each
-repository it crossed.  Resolution is recursive in the DNS sense: the answer
-propagates back along the contact path, so the whole path learns it, as one
-CacheEntry, an immutable named tuple, that every repository it populates
-shares; like an RRSet (RFC 2181 §5.4.1) it replaces the finder's entry there,
-so a cache holds one.  A repository's lookup returns its first hit.
+learn it through resolution, which caches the answer at each repository it
+crossed.  Resolution is recursive in the DNS sense: the answer propagates back
+along the contact path, so the whole path learns it, as the frozen record
+itself, which every repository it populates shares; like an RRSet (RFC 2181
+§5.4.1) it replaces the finder's entry there, so a cache holds one.  A run
+resolves every query at one instant, so no entry expires and a cache has no
+TTL.  A repository's lookup returns its first hit.
 
 The search order is fixed so that identical inputs always produce identical
 results: from the origin, search the origin's own subtree depth-first, then
@@ -27,9 +28,8 @@ finder id; each such repository is marked, so the search notes its index in
 the path, and populating needs no second pass over the path.  As a DNS
 resolver answers from local information first (RFC 1034 §5.3.3), ``resolve``
 looks the origin up first, and once: the search starts after it.  A write
-that would change nothing is skipped: an origin hit whose entry already has
-the answer's time and TTL, is its cache's newest, and sits in a cache within
-the cap.
+that would change nothing is skipped: an origin hit whose entry is its
+cache's newest, in a cache within the cap.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -65,17 +65,9 @@ class MalformedTopology(RegistryError):
     pass
 
 
-class CacheEntry(NamedTuple):
-    """A cached finder record; fresh at time t iff t < inserted_at + ttl."""
-
-    record: FinderRecord
-    inserted_at: float
-    ttl: float
-
-
 @dataclass(frozen=True)
 class ResolutionPolicy:
-    """Knobs for resolve: cache TTL and optional cache cap.
+    """The knob for resolve: an optional cache cap.
 
     ``cache_capacity`` of None means unbounded; otherwise the entries least
     recently inserted or replaced are evicted first once a node's cache
@@ -83,11 +75,9 @@ class ResolutionPolicy:
     type or out of range raises ValueError.
     """
 
-    ttl: float = 3600.0
     cache_capacity: int | None = None
 
     def __post_init__(self) -> None:
-        check_field("ttl", self.ttl, "a finite number > 0")
         check_field("cache_capacity", self.cache_capacity, "None or an integer >= 0")
 
 
@@ -160,10 +150,9 @@ class Topology:
     """One run's repository tree: a shared shape plus the run's own state.
 
     ``records`` maps a node id to its authoritative records by finder id,
-    and ``caches`` maps it to its cache entries by finder id, oldest first.
-    A node gets an entry on its first write and never holds an empty one,
-    so a new tree allocates nothing per repository.  ``marks``, made on the
-    first write, holds a byte per index of ``shape.order``: 1 at every
+    and ``caches`` maps it to its cached records by finder id, oldest first.
+    A node gets an entry on its first write and never holds an empty one.
+    ``marks`` holds a byte per index of ``shape.order``: 1 at every
     repository that holds records or has held a cache.  The search looks
     only at marked ones, so records and caches are written only through
     ``register_finder`` and ``resolve``.  Driven single-threaded.
@@ -172,8 +161,8 @@ class Topology:
     def __init__(self, shape: TreeShape):
         self.shape = shape
         self.records: dict[str, dict[str, FinderRecord]] = {}
-        self.caches: dict[str, dict[str, CacheEntry]] = {}
-        self.marks: bytearray | None = None
+        self.caches: dict[str, dict[str, FinderRecord]] = {}
+        self.marks = bytearray(len(shape.order))
 
     def leaves(self) -> tuple[str, ...]:
         """Node ids of childless repositories, in sorted order."""
@@ -185,14 +174,14 @@ class Topology:
         if node_id not in self.shape.span:
             raise UnknownNode(f"no repository named {node_id!r}")
         self.records.setdefault(node_id, {})[record.finder_id] = record
-        self._marks()[self.shape.span[node_id][0]] = 1
+        self.marks[self.shape.span[node_id][0]] = 1
 
-    def resolve(self, origin_node_id: str, query: ResourceQuery, now: float,
+    def resolve(self, origin_node_id: str, query: ResourceQuery,
                 policy: ResolutionPolicy | None = None) -> ResolutionResult:
         """Find a finder for the query, caching the answer along the path.
 
         Raises NotFound only when no repository in the whole tree holds a
-        record (authoritative or fresh-cached) whose summary may satisfy the
+        record (authoritative or cached) whose summary may satisfy the
         query; the search has then contacted every repository once.  A failed
         resolution never touches any cache.
         """
@@ -202,19 +191,18 @@ class Topology:
 
         # The origin answers from its own data first (RFC 1034 §5.3.3), looked up once.
         held, cap = origin_node_id in self.records, policy.cache_capacity
-        record = self._first_hit(origin_node_id, query, now) if held or origin_node_id in self.caches else None
+        record = self._first_hit(origin_node_id, query) if held or origin_node_id in self.caches else None
         if record is not None:
             path = (origin_node_id,)
             if held and record.finder_id in self.records[origin_node_id]:  # its own record: nothing to cache
                 return tuple.__new__(ResolutionResult, (record, path, 1, False, ()))
             cache = self.caches[origin_node_id]
-            _, inserted_at, ttl = cache[record.finder_id]
-            if (inserted_at == now and ttl == policy.ttl and next(reversed(cache)) == record.finder_id
-                    and (cap is None or len(cache) <= cap)):  # the entry is already as a write would leave it
+            if next(reversed(cache)) == record.finder_id and (cap is None or len(cache) <= cap):
+                # the entry is already as a write would leave it
                 return tuple.__new__(ResolutionResult, (record, path, 1, True, path))
             from_cache, homes = True, ()
         else:
-            record, from_cache, path, homes = self._search(origin_node_id, query, now, held)
+            record, from_cache, path, homes = self._search(origin_node_id, query, held)
             if record is None:
                 raise NotFound(f"no finder satisfies the query (searched {len(path)} repositories)")
 
@@ -227,11 +215,8 @@ class Topology:
                 populated += path[start:k]
                 start = k + 1
         populated = populated + path[start:] if start else path
-        if cap != 0:
-            # frozen, so every populated repository can hold the same entry;
-            # tuple.__new__ is all the named tuples' own __new__ does
-            entry = tuple.__new__(CacheEntry, (record, now, policy.ttl))
-            self._cache_insert(populated, entry, cap)
+        if cap != 0:  # the record is frozen, so every populated repository can hold it
+            self._cache_insert(populated, record, cap)
         elif self.caches:  # stores nothing, but empties a cache filled under a larger cap
             for node_id in populated:
                 self.caches.pop(node_id, None)
@@ -239,35 +224,27 @@ class Topology:
 
     # -- internals ---------------------------------------------------------
 
-    def _cache_insert(self, node_ids: Iterable[str], entry: CacheEntry, cap: int | None) -> None:
-        """At each repository, make the entry its finder's only one and the newest,
+    def _cache_insert(self, node_ids: Iterable[str], record: FinderRecord, cap: int | None) -> None:
+        """At each repository, make the record its finder's only entry and the newest,
         keeping the newest ``cap`` (None: all).  A repository's first cache marks
         it for the search to look at.
         """
-        caches, finder_id, marks = self.caches, entry.record.finder_id, None
+        caches, finder_id = self.caches, record.finder_id
         for node_id in node_ids:
             cache = caches.get(node_id)
             if cache is None:
                 cache = caches[node_id] = {}
-                if marks is None:  # read on the call's first new cache only
-                    marks, span = self._marks(), self.shape.span
-                marks[span[node_id][0]] = 1
+                self.marks[self.shape.span[node_id][0]] = 1
             cache.pop(finder_id, None)
-            cache[finder_id] = entry
+            cache[finder_id] = record
             while cap is not None and len(cache) > cap:
                 del cache[next(iter(cache))]
 
-    def _marks(self) -> bytearray:
-        """The run's marks over ``shape.order``, made on the first write."""
-        if self.marks is None:
-            self.marks = bytearray(len(self.shape.order))
-        return self.marks
-
-    def _first_hit(self, node_id: str, query: ResourceQuery, now: float) -> FinderRecord | None:
+    def _first_hit(self, node_id: str, query: ResourceQuery) -> FinderRecord | None:
         """A repository's first record that may satisfy the query, or None.
 
-        Authoritative records, then fresh cached ones, each by finder_id; a
-        cached copy of a finder with an authoritative record here is skipped.
+        Authoritative records, then cached ones, each by finder_id; a cached
+        copy of a finder with an authoritative record here is skipped.
         """
         authoritative = self.records.get(node_id, ())
         for finder_id in sorted(authoritative) if len(authoritative) > 1 else authoritative:
@@ -276,13 +253,12 @@ class Topology:
                 return record
         cache = self.caches.get(node_id, ())
         for finder_id in sorted(cache) if len(cache) > 1 else cache:
-            record, inserted_at, ttl = cache[finder_id]
-            if (now < inserted_at + ttl and finder_id not in authoritative
-                    and summary_may_satisfy(query, record.summary)):
+            record = cache[finder_id]
+            if finder_id not in authoritative and summary_may_satisfy(query, record.summary):
                 return record
         return None
 
-    def _search(self, origin: str, query: ResourceQuery, now: float, held: bool) -> tuple:
+    def _search(self, origin: str, query: ResourceQuery, held: bool) -> tuple:
         """(record or None, from_cache, path, homes) of one search in the documented
         order; homes holds the index in path of every repository with records.
 
@@ -290,10 +266,7 @@ class Topology:
         starts the path (and homes, if ``held``: it holds records) and the scan starts
         after it.  Each ancestor's range starts at the ancestor itself.
         """
-        records, caches = self.records, self.caches
-        marks = self.marks
-        if marks is None:
-            marks = self._marks()
+        records, caches, marks = self.records, self.caches, self.marks
         order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
         path, homes = [origin], [0] if held else []
         came_from, current = None, origin
@@ -309,7 +282,7 @@ class Topology:
                     if held:
                         homes.append(len(path) - 1)
                     if held or node_id in caches:
-                        record = self._first_hit(node_id, query, now)
+                        record = self._first_hit(node_id, query)
                         if record is not None:
                             from_cache = not held or record.finder_id not in records[node_id]
                             return record, from_cache, path, homes

@@ -29,11 +29,12 @@ _MIX2 = 0x94D049BB133111EB
 _UNIT53 = 2.0**-53
 
 
-def _splitmix64_finalize(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+def _finalize(z: int, m64: int = _MASK64) -> int:
+    """The splitmix64 finalizer of ``z < 2**64``, or of every lane of a lane-packed
+    ``z`` when ``m64`` masks each lane to 64 bits (see ``_uniform_pairs``)."""
+    z = ((z ^ (z >> 30)) & m64) * _MIX1 & m64
+    z = ((z ^ (z >> 27)) & m64) * _MIX2 & m64
+    return z ^ ((z >> 31) & m64)
 
 
 def mix64(*parts: int) -> int:
@@ -44,7 +45,7 @@ def mix64(*parts: int) -> int:
     """
     h = 0
     for part in parts:
-        h = _splitmix64_finalize((h + _GOLDEN + (part & _MASK64)) & _MASK64)
+        h = _finalize((h + _GOLDEN + (part & _MASK64)) & _MASK64)
     return h
 
 
@@ -129,15 +130,9 @@ def _uniform_pairs(start: int, n: int) -> tuple[int, ...]:
     arithmetic is exact.
     """
     ones, index, m64, m53, unpack = _lanes(n)
-
-    def finalize(z: int) -> int:
-        z = ((z ^ (z >> 30)) & m64) * _MIX1 & m64
-        z = ((z ^ (z >> 27)) & m64) * _MIX2 & m64
-        return z ^ ((z >> 31) & m64)
-
-    seeds = finalize((ones * (start & _MASK64) + index) & m64)
-    first = finalize((seeds + ones * _GOLDEN) & m64) >> 11 & m53
-    second = finalize((seeds + ones * (2 * _GOLDEN)) & m64) >> 11 & m53
+    seeds = _finalize((ones * (start & _MASK64) + index) & m64, m64)
+    first = _finalize((seeds + ones * _GOLDEN) & m64, m64) >> 11 & m53
+    second = _finalize((seeds + ones * (2 * _GOLDEN)) & m64, m64) >> 11 & m53
     return unpack.unpack((first | second << 64).to_bytes(16 * n, "little"))
 
 

@@ -132,7 +132,7 @@ def test_criterion_4_significance_pattern():
 def test_criterion_5_resolver_against_brute_force():
     with criterion("criterion 5: resolver vs whole-tree oracle, 1000 topologies"):
         rng = random.Random(0xD15C0)
-        policy = ResolutionPolicy(ttl=900.0)
+        policy = ResolutionPolicy()
         found = notfound = 0
         for _ in range(1000):
             topo, records = random_topology(rng, max_nodes=50)
@@ -141,7 +141,7 @@ def test_criterion_5_resolver_against_brute_force():
             candidates = brute_force_candidates(records, query)
             before = cache_snapshot(topo)
             try:
-                res = topo.resolve(origin, query, now=0.0, policy=policy)
+                res = topo.resolve(origin, query, policy=policy)
             except NotFound:
                 notfound += 1
                 assert candidates == [], "resolver missed an existing candidate"
@@ -149,7 +149,7 @@ def test_criterion_5_resolver_against_brute_force():
                 continue
             found += 1
             assert res.record.finder_id in candidates
-            again = topo.resolve(origin, query, now=600.0, policy=policy)
+            again = topo.resolve(origin, query, policy=policy)
             assert again.hop_count == 1
             if res.record.finder_id not in topo.records.get(origin, {}):
                 assert again.cache_hit

@@ -296,12 +296,12 @@ _INTS = st.sampled_from(["-1", "0", "1", "2", "3", "30", "1000001", "none", "2.5
 # (key, value) pairs of config lines; test_config checks the parser against them too
 CONFIG_PAIRS = st.one_of(
     st.tuples(st.sampled_from(["t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
-                               "jitter_sigma0", "jitter_gamma", "ttl"]), _NUMBERS),
+                               "jitter_sigma0", "jitter_gamma"]), _NUMBERS),
     st.tuples(st.just("jitter_enabled"), st.sampled_from(["true", "false", "maybe"])),
     st.tuples(st.sampled_from(["cache_capacity", "topology.depth", "topology.branching"]), _INTS),
     st.tuples(st.just("topology.zones"),
               st.sampled_from(["a, b, x.a", "x.a", "a, a", "A", "a,,b", "."])),
-    st.tuples(st.sampled_from(["bogus", ""]), _NUMBERS),
+    st.tuples(st.sampled_from(["bogus", "ttl", ""]), _NUMBERS),
 )
 _CONFIG_LINES = CONFIG_PAIRS.map(lambda kv: f"{kv[0]} = {kv[1]}")
 
@@ -416,16 +416,17 @@ def test_distributed_without_topology_exits_two(capsys):
     ["run", "--scenario", "distributed", "--resources", "100"],
     ["sweep", "--scenario", "distributed", "--replications", "2", "--out"],
 ])
-def test_a_ttl_the_query_time_swallows_exits_two(tmp_path, capsys, command):
-    cfg, out = tmp_path / "tiny-ttl.cfg", tmp_path / "obs.csv"
-    cfg.write_text("topology.depth = 4\nttl = 1e-16\n", encoding="utf-8")
+def test_a_ttl_key_exits_two(tmp_path, capsys, command):
+    # a run resolves every query at one instant, so a cache needs no time-to-live
+    cfg, out = tmp_path / "ttl.cfg", tmp_path / "obs.csv"
+    cfg.write_text("ttl = 60\ntopology.depth = 4\n", encoding="utf-8")
     command = command + [str(out)] if command[-1] == "--out" else command
     assert main(command + ["--config", str(cfg)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("gridrd: config error: ttl 1e-16 is below the resolution of the query time")
+    assert captured.err == "gridrd: config error: line 1: unknown key 'ttl'\n"
     assert captured.out == ""
     assert not out.exists()
-    cfg.write_text("topology.depth = 4\n", encoding="utf-8")  # the default ttl
+    cfg.write_text("topology.depth = 4\n", encoding="utf-8")
     assert main(["run", "--scenario", "distributed", "--resources", "100", "--config", str(cfg)]) == 0
 
 

@@ -17,7 +17,7 @@ class TestParse:
         assert cfg.latency.t_ws == 1.890
         assert cfg.latency.t_registry == 1.716
         assert cfg.latency.t_hop == 0.5
-        assert cfg.policy.ttl == 3600.0
+        assert cfg.policy.cache_capacity is None
         assert cfg.latency.jitter_enabled
 
     def test_comments_and_blanks_ignored(self):
@@ -36,7 +36,7 @@ class TestParse:
     def test_summary_pruning_is_an_unknown_key(self, value):
         # resolution has no summary pruning, so the key would be a knob that does nothing
         with pytest.raises(ConfigError, match="^line 2: unknown key 'summary_pruning'$"):
-            parse_config(f"ttl = 60\nsummary_pruning = {value}\n")
+            parse_config(f"cache_capacity = 3\nsummary_pruning = {value}\n")
 
     def test_unparseable_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -46,11 +46,12 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("just some words")
 
-    def test_ttl_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            parse_config("ttl = 0")
+    def test_ttl_is_an_unknown_key(self):
+        # a run resolves every query at one instant, so no cache entry can expire
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'ttl'$"):
+            parse_config("cache_capacity = 3\nttl = 60\n")
 
-    @pytest.mark.parametrize("key", ["t_reg", "t_ws", "jitter_sigma0", "ttl"])
+    @pytest.mark.parametrize("key", ["t_reg", "t_ws", "jitter_sigma0", "t_hop"])
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_numbers_rejected(self, key, raw):
         with pytest.raises(ConfigError, match="finite"):
@@ -85,27 +86,26 @@ class TestParse:
             parse_config("cache_capacity = -1")
 
     def test_policy_view(self):
-        cfg = parse_config("ttl = 60\ncache_capacity = 0\n")
-        assert cfg.policy == ResolutionPolicy(ttl=60.0, cache_capacity=0)
+        cfg = parse_config("cache_capacity = 0\n")
+        assert cfg.policy == ResolutionPolicy(cache_capacity=0)
 
     @pytest.mark.parametrize(
         "text, cfg",
         [
             ("t_reg = 0.06006\nt_user = 0.06006\nt_ws = 1.89\nt_registry = 1.716\n"
              "t_hop = 0.5\nt_base = 0.0\njitter_sigma0 = 0.5\njitter_gamma = 1.07\n"
-             "jitter_enabled = true\nttl = 3600.0\n"
-             "cache_capacity = none\n",
+             "jitter_enabled = true\ncache_capacity = none\n",
              Config()),
-            ("t_ws = 2.25\njitter_enabled = false\nttl = 12.5\n",
+            ("t_ws = 2.25\njitter_enabled = false\ncache_capacity = 0\n",
              Config(latency=LatencyModel(t_ws=2.25, jitter_enabled=False),
-                    policy=ResolutionPolicy(ttl=12.5))),
+                    policy=ResolutionPolicy(cache_capacity=0))),
             ("cache_capacity = 7\ntopology.depth = 4\ntopology.branching = 3\n",
              Config(topology=TopologySpec(depth=4, branching=3),
                     policy=ResolutionPolicy(cache_capacity=7))),
             ("topology.zones = grid, ca.grid\n",
              Config(topology=TopologySpec(zones=("grid", "ca.grid")))),
         ],
-        ids=["defaults", "latency-and-ttl", "uniform-tree", "zone-list"],
+        ids=["defaults", "latency-and-capacity", "uniform-tree", "zone-list"],
     )
     def test_literal_text_parses_to_config(self, text, cfg):
         assert parse_config(text) == cfg
@@ -113,7 +113,7 @@ class TestParse:
 
 def test_config_values_validate_themselves():
     with pytest.raises(ValueError):
-        Config(policy=ResolutionPolicy(ttl=float("nan"), cache_capacity=-3))
+        Config(policy=ResolutionPolicy(cache_capacity=-3))
     with pytest.raises(ValueError):
         Config(latency=LatencyModel(t_ws=-1.0))
     with pytest.raises(MalformedTopology):
@@ -122,7 +122,7 @@ def test_config_values_validate_themselves():
 
 _LATENCY_KEYS = ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
                  "jitter_sigma0", "jitter_gamma", "jitter_enabled")
-_POLICY_KEYS = ("ttl", "cache_capacity")
+_POLICY_KEYS = ("cache_capacity",)
 
 
 def _typed(key: str, raw: str) -> object:

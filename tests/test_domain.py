@@ -308,11 +308,10 @@ _FIELD_MESSAGES = [
       for value in (-1.0, math.nan, math.inf, True, "1", None, 1j)],
     *[(LatencyModel, {"jitter_enabled": value}, ValueError,
        f"jitter_enabled must be True or False, got {value!r}") for value in ("no", "", 1, 0.0, None)],
-    *[(ResolutionPolicy, {"ttl": value}, ValueError, f"ttl must be a finite number > 0, got {value!r}")
-      for value in (0.0, 0, -1.0, math.nan, math.inf, True, "1", None, 1j)],
     *[(ResolutionPolicy, {"cache_capacity": value}, ValueError,
        f"cache_capacity must be None or an integer >= 0, got {value!r}")
-      for value in (-1, math.nan, math.inf, 1j, -3, 2.5, 2.0, True, False, "3")],
+      for value in (0.0, 1.0, -2, -1.5, "", "none", b"1", [1], (),
+                    -1, math.nan, math.inf, 1j, -3, 2.5, 2.0, True, False, "3")],
     *[(TopologySpec, {"depth": 2, name: value} if name == "branching" else {name: value},
        MalformedTopology, f"{name} must be an integer, got {value!r}")
       for name in ("depth", "branching") for value in (2.5, 3.0, True, False, "3")],

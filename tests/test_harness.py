@@ -292,6 +292,18 @@ class TestAnalyze:
         csv_text = format_analysis_csv(t)
         assert csv_text.startswith("users,resources,pair,")
 
+    @pytest.mark.parametrize("alpha, level", [(0.05, "95"), (0.001, "99.9"), (1e-7, "99.99999"),
+                                              (1e-12, "99.9999999999")])
+    def test_the_header_names_the_confidence_level_of_a_small_alpha(self, alpha, level):
+        # the level keeps enough digits that no alpha down to 1e-12 rounds to 100%
+        rows = analyze(
+            _rows(ScenarioKind.DIRECT, engineered_sample(1.573, 0.118 * math.sqrt(5))),
+            _rows(ScenarioKind.BASELINE, engineered_sample(0.0, 0.118 * math.sqrt(5))),
+            alpha=alpha,
+        )
+        header = format_analysis_table(rows).splitlines()[0]
+        assert re.search(r"Confidence Interval (\S+)%", header).group(1) == level
+
     def test_overflowing_spread_names_the_point(self):
         a = _rows(ScenarioKind.DIRECT, [1e200, 3e200, 2e200], users=40, resources=60)
         b = _rows(ScenarioKind.BASELINE, [1.0, 2.0, 3.0], users=40, resources=60)

@@ -16,7 +16,6 @@ from gridrd import domain, registry
 from gridrd.domain import FinderRecord, MetadataSummary, ResourceQuery, summary_may_satisfy
 from gridrd.registry import (
     MAX_REPOSITORIES,
-    CacheEntry,
     MalformedTopology,
     NotFound,
     ResolutionPolicy,
@@ -88,9 +87,9 @@ def cache_snapshot(topo: Topology):
     return {nid: list(cache.items()) for nid, cache in topo.caches.items() if cache}
 
 
-def local_lookup(topo: Topology, node_id: str, query: ResourceQuery, now: float) -> list[FinderRecord]:
+def local_lookup(topo: Topology, node_id: str, query: ResourceQuery) -> list[FinderRecord]:
     """The search's lookup at one repository: its first hit, or nothing."""
-    first = topo._first_hit(node_id, query, now)
+    first = topo._first_hit(node_id, query)
     return [] if first is None else [first]
 
 
@@ -121,29 +120,26 @@ def reference_order(zones: set[tuple[str, ...]], origin: tuple[str, ...]) -> lis
     return order
 
 
-def reference_lookup(topo: Topology, node_id: str, query: ResourceQuery,
-                     now: float) -> list[FinderRecord]:
+def reference_lookup(topo: Topology, node_id: str, query: ResourceQuery) -> list[FinderRecord]:
     """A repository's lookup as documented: satisfying authoritative records by
-    id, then fresh cached ones by id; a finder with an authoritative record is
-    never taken from the cache."""
-    authoritative, cached = topo.records.get(node_id, {}), {}
-    for finder_id, entry in topo.caches.get(node_id, {}).items():
-        if now < entry.inserted_at + entry.ttl and finder_id not in authoritative:
-            cached[finder_id] = entry.record
+    id, then cached ones by id; a finder with an authoritative record is never
+    taken from the cache."""
+    authoritative = topo.records.get(node_id, {})
+    cached = {finder_id: record for finder_id, record in topo.caches.get(node_id, {}).items()
+              if finder_id not in authoritative}
     return [record
             for group in (authoritative, cached)
             for _, record in sorted(group.items())
             if summary_may_satisfy(query, record.summary)]
 
 
-def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: float,
-                      policy: ResolutionPolicy):
+def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, policy: ResolutionPolicy):
     """resolve as the module and method docstrings describe it, searched recursively.
 
     Returns (record, path, cache_hit, caches_populated), or None where
     resolve raises NotFound, and applies the cache updates to ``topo``'s
     caches: every populated repository drops its entry for the finder, adds
-    a new one as its newest and keeps its newest ``cache_capacity``, holding
+    the record as its newest and keeps its newest ``cache_capacity``, holding
     no cache at all when that leaves it empty.
     """
     shape, path = topo.shape, []
@@ -151,7 +147,7 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
 
     def visit(node_id, skip):
         path.append(node_id)
-        hits = reference_lookup(topo, node_id, query, now)
+        hits = reference_lookup(topo, node_id, query)
         if hits:
             return hits[0], hits[0].finder_id not in topo.records.get(node_id, {})
         for child_id in children[node_id]:
@@ -170,7 +166,7 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, now: fl
     cap = policy.cache_capacity
     for node_id in populated:
         entries = [(f, e) for f, e in topo.caches.get(node_id, {}).items() if f != record.finder_id]
-        entries.append((record.finder_id, CacheEntry(record, now, policy.ttl)))
+        entries.append((record.finder_id, record))
         if cap == 0:
             topo.caches.pop(node_id, None)
         else:
@@ -321,7 +317,7 @@ class TestBuildTopology:
             zone = "z01.z01"
             cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
             topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
-            assert topo.resolve("z00.z00", ResourceQuery(), now=0.0).caches_populated
+            assert topo.resolve("z00.z00", ResourceQuery()).caches_populated
             assert topo.records and topo.caches
 
         third = build_topology(spec)
@@ -329,10 +325,11 @@ class TestBuildTopology:
         assert [dict(table) for table in tables] + [shape.leaves, shape.order] == clean
         assert third.records == {} and third.caches == {}
         with pytest.raises(NotFound):
-            third.resolve("z00.z00", ResourceQuery(), now=0.0)
+            third.resolve("z00.z00", ResourceQuery())
 
-    def test_a_build_allocates_nothing_per_repository(self):
-        # the tracemalloc peak of a build of a warmed spec: 85 vs 1365 repositories
+    def test_a_build_allocates_one_byte_per_repository(self):
+        # the tracemalloc peak of a build of a warmed spec: 85 vs 1365 repositories;
+        # the run's marks hold one byte per repository, and nothing else grows with the tree
         def peak(spec):
             build_topology(spec)
             peaks = []
@@ -347,7 +344,7 @@ class TestBuildTopology:
 
         small = peak(TopologySpec(depth=4, branching=4))
         large = peak(TopologySpec(depth=6, branching=4))
-        assert large <= small + 512, (small, large)
+        assert large <= small + (1365 - 85) + 512, (small, large)
 
     @pytest.mark.parametrize("spec", [  # the fields of a spec
         {"depth": 0}, {"depth": 2.5}, {"zones": ("ca.grid",)},
@@ -422,7 +419,7 @@ class TestNodeOperations:
         topo = self._one_node()
         rec = _record("f1", ".", random.Random(0))
         topo.register_finder(rec)
-        hits = local_lookup(topo, ".", ResourceQuery(), now=0.0)
+        hits = local_lookup(topo, ".", ResourceQuery())
         assert [h.finder_id for h in hits] == (["f1"] if rec.summary.entry_count else [])
 
     def test_reregistration_replaces(self):
@@ -432,7 +429,7 @@ class TestNodeOperations:
         cat2 = MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 16.0}, {}, zone),))
         topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat1)))
         topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat2)))
-        hits = local_lookup(topo, ".", ResourceQuery(numeric_mins={"pe_count": 8}), now=0.0)
+        hits = local_lookup(topo, ".", ResourceQuery(numeric_mins={"pe_count": 8}))
         assert [h.finder_id for h in hits] == ["f1"]
 
     def test_unknown_node(self):
@@ -440,25 +437,15 @@ class TestNodeOperations:
         with pytest.raises(UnknownNode, match=r"^no repository named 'nowhere'$"):
             topo.register_finder(_record("f1", "nowhere", random.Random(0)))
         with pytest.raises(UnknownNode, match=r"^no repository named 'nowhere'$"):
-            topo.resolve("nowhere", ResourceQuery(), now=0.0)
-        assert topo.records == {} and topo.marks is None
-
-    def test_freshness_boundary_is_exclusive(self):
-        topo = self._one_node()
-        rec = FinderRecord(
-            "f1", "svc://1", "elsewhere",
-            summarize(MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 4.0}),))),
-        )
-        topo.caches["."] = {"f1": CacheEntry(rec, inserted_at=0.0, ttl=100.0)}
-        assert local_lookup(topo, ".", ResourceQuery(), now=99.999)
-        assert local_lookup(topo, ".", ResourceQuery(), now=100.0) == []
+            topo.resolve("nowhere", ResourceQuery())
+        assert topo.records == {} and not any(topo.marks)
 
     def test_a_cached_copy_of_a_local_authoritative_finder_is_skipped(self):
         topo = self._one_node()
         topo.register_finder(FinderRecord("f1", "svc://1", ".", _summary(1.0)))
-        # a fresh cached copy of f1 that would satisfy the query where the authoritative one does not
-        topo.caches["."] = {"f1": CacheEntry(FinderRecord("f1", "svc://1", ".", _summary(16.0)), 0.0, 100.0)}
-        assert local_lookup(topo, ".", ResourceQuery({"pe_count": 8.0}), now=0.0) == []
+        # a cached copy of f1 that would satisfy the query where the authoritative one does not
+        topo.caches["."] = {"f1": FinderRecord("f1", "svc://1", ".", _summary(16.0))}
+        assert local_lookup(topo, ".", ResourceQuery({"pe_count": 8.0})) == []
 
     def test_lookup_equals_brute_force_over_auth_and_fresh_cache(self):
         rng = random.Random(23)
@@ -468,26 +455,22 @@ class TestNodeOperations:
             authoritative, cache = topo.records.get(node_id, {}), {}
             for i in range(rng.randint(0, 5)):
                 rec = _record(f"cached-{i}", "far.away", rng)
-                cache[rec.finder_id] = CacheEntry(rec, inserted_at=rng.uniform(0, 100),
-                                                  ttl=rng.uniform(0, 100))
+                cache[rec.finder_id] = rec
             if cache:
                 topo.caches[node_id] = cache
             query = random_query(rng)
-            now = rng.uniform(0, 200)
             # the empty query pins the documented order: the smallest satisfying
-            # authoritative id, else the smallest fresh cached one
+            # authoritative id, else the smallest cached one
             for query in (query, ResourceQuery()):
-                hits = local_lookup(topo, node_id, query, now)
+                hits = local_lookup(topo, node_id, query)
                 expected_auth = sorted(
                     fid for fid, r in authoritative.items()
                     if summary_may_satisfy(query, r.summary)
                 )
                 expected_cached = sorted(
-                    e.record.finder_id
-                    for e in cache.values()
-                    if now < e.inserted_at + e.ttl
-                    and e.record.finder_id not in authoritative
-                    and summary_may_satisfy(query, e.record.summary)
+                    r.finder_id
+                    for r in cache.values()
+                    if r.finder_id not in authoritative and summary_may_satisfy(query, r.summary)
                 )
                 expected = (expected_auth + expected_cached)[:1]
                 assert [h.finder_id for h in hits] == expected
@@ -503,24 +486,21 @@ class TestFirstHit:
         for fid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=4), label="auth"):
             zone = name_of(data.draw(st.sampled_from(zones)))
             topo.register_finder(FinderRecord(fid, "svc://a", zone, data.draw(summaries())))
-        # cache entries inserted through the write path: stale or fresh, a later one
-        # of a finder replacing the earlier, possibly shadowed by the node's authoritative record
+        # records cached through the write path: a later one of a finder replacing
+        # the earlier, possibly shadowed by the node's authoritative record
         for _ in range(data.draw(st.integers(0, 10), label="cached")):
             node_id = name_of(data.draw(st.sampled_from(zones)))
             record = FinderRecord(data.draw(st.sampled_from(ids)), "svc://c", "far",
                                   data.draw(summaries()))
-            topo._cache_insert((node_id,), CacheEntry(
-                record, inserted_at=data.draw(st.sampled_from((0.0, 5.0))),
-                ttl=data.draw(st.sampled_from((1.0, 10.0)))), None)
+            topo._cache_insert((node_id,), record, None)
         tags = data.draw(st.sampled_from(({}, {"os": "linux"})))
         query = ResourceQuery({"pe_count": data.draw(st.sampled_from((0.0, 2.0, 8.0)))}, tags)
-        now = data.draw(st.sampled_from((0.0, 4.0, 9.0)), label="now")
         for node_id in topo.shape.parent:
-            expected = reference_lookup(topo, node_id, query, now)
+            expected = reference_lookup(topo, node_id, query)
             first = expected[0] if expected else None
-            assert topo._first_hit(node_id, query, now) is first
+            assert topo._first_hit(node_id, query) is first
             try:
-                result = copy.deepcopy(topo).resolve(node_id, query, now)
+                result = copy.deepcopy(topo).resolve(node_id, query)
             except NotFound:
                 assert first is None
                 continue
@@ -535,8 +515,8 @@ class TestFirstHit:
 def oracle_cases(draw):
     """(zones, authoritative, cached, policy, steps) for the search oracle.
 
-    Authoritative records and pre-filled caches, fresh or stale, about any
-    subtree (siblings too), so that a search passes caches that cannot answer.
+    Authoritative records and pre-filled caches about any subtree (siblings
+    too), so that a search passes caches that cannot answer.
     """
     zones = draw(zone_trees())
     ids = ("f0", "f1", "f2", "f3", "f4")
@@ -551,14 +531,11 @@ def oracle_cases(draw):
         at = draw(st.one_of(st.integers(0, len(home)).map(lambda k: home[k:]), st.sampled_from(zones)))
         record = FinderRecord(draw(st.sampled_from(ids + ("c0", "c1"))), "svc://c", name_of(home),
                               draw(summaries()))
-        cached.append((name_of(at), CacheEntry(record, inserted_at=draw(st.sampled_from((0.0, 5.0))),
-                                               ttl=draw(st.sampled_from((1.0, 10.0))))))
-    policy = ResolutionPolicy(ttl=draw(st.sampled_from((1.0, 10.0, 3600.0))),
-                              cache_capacity=draw(st.sampled_from((None, 0, 1, 2))))
+        cached.append((name_of(at), record))
+    policy = ResolutionPolicy(cache_capacity=draw(st.sampled_from((None, 0, 1, 2))))
     steps = draw(st.lists(st.tuples(st.sampled_from(zones),
                                     st.sampled_from((0.0, 2.0, 8.0)),
-                                    st.sampled_from(({}, {"os": "linux"})),
-                                    st.sampled_from((0.0, 5.0, 9.0))),
+                                    st.sampled_from(({}, {"os": "linux"}))),
                           min_size=1, max_size=4), label="steps")
     return zones, authoritative, cached, policy, steps
 
@@ -569,33 +546,33 @@ def _summary(pe_max: float) -> MetadataSummary:
 
 class TestSearchOracle:
     @given(case=oracle_cases())
-    # From origin a, the root scans b, c and d around a; its fresh cache knows only c0, too
+    # From origin a, the root scans b, c and d around a; its cache knows only c0, too
     # small, so the scan jumps over the unmarked b, x.b, c and x.c to d's record.
     @example(case=(
         [(), ("a",), ("b",), ("c",), ("d",), ("x", "b"), ("x", "c")],
         [FinderRecord("f0", "svc://a", "d", _summary(16.0))],
-        [(".", CacheEntry(FinderRecord("c0", "svc://c", "x.c", _summary(4.0)), 0.0, 10.0))],
-        ResolutionPolicy(ttl=10.0),
-        [(("a",), 8.0, {}, 5.0)],
+        [(".", FinderRecord("c0", "svc://c", "x.c", _summary(4.0)))],
+        ResolutionPolicy(),
+        [(("a",), 8.0, {})],
     ))
     def test_resolve_matches_a_recursive_reference(self, case):
         zones, authoritative, cached, policy, steps = case
         topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
         for record in authoritative:
             topo.register_finder(record)
-        for at, entry in cached:
-            topo._cache_insert((at,), entry, None)
+        for at, record in cached:
+            topo._cache_insert((at,), record, None)
         reference = copy.deepcopy(topo)
-        for origin, need, tags, now in steps:
+        for origin, need, tags in steps:
             origin = name_of(origin)
             query = ResourceQuery({"pe_count": need}, tags)
-            expected = reference_resolve(reference, origin, query, now, policy)
+            expected = reference_resolve(reference, origin, query, policy)
             if expected is None:
                 with pytest.raises(NotFound):
-                    topo.resolve(origin, query, now, policy)
+                    topo.resolve(origin, query, policy)
                 event("not found")
             else:
-                result = topo.resolve(origin, query, now, policy)
+                result = topo.resolve(origin, query, policy)
                 record, path, cache_hit, populated = expected
                 assert result.record == record
                 assert (result.path, result.cache_hit, result.caches_populated) == (
@@ -624,9 +601,7 @@ class TestMarks:
         reference, cached = copy.deepcopy(topo), set()
         registers = st.tuples(st.just("register"), st.sampled_from(("f0", "f1", "f2", "f3")),
                               st.sampled_from(zones), summaries())
-        resolves = st.tuples(st.just("resolve"), st.sampled_from(zones), st.sampled_from((0.0, 2.0, 8.0)),
-                             st.sampled_from((0.0, 1.0, 4.0)))
-        now = 0.0
+        resolves = st.tuples(st.just("resolve"), st.sampled_from(zones), st.sampled_from((0.0, 2.0, 8.0)))
         for cap in (None, 1, 0, None):
             for step in data.draw(st.lists(st.one_of(registers, resolves), max_size=6), label=f"cap {cap}"):
                 if step[0] == "register":
@@ -635,31 +610,29 @@ class TestMarks:
                     for tree in (topo, reference):
                         tree.register_finder(record)
                 else:
-                    _, origin, need, tick = step
-                    now += tick
+                    _, origin, need = step
                     query = ResourceQuery({"pe_count": need})
-                    policy = ResolutionPolicy(ttl=3.0, cache_capacity=cap)
-                    expected = reference_resolve(reference, name_of(origin), query, now, policy)
+                    policy = ResolutionPolicy(cache_capacity=cap)
+                    expected = reference_resolve(reference, name_of(origin), query, policy)
                     if expected is None:
                         with pytest.raises(NotFound):
-                            topo.resolve(name_of(origin), query, now, policy)
+                            topo.resolve(name_of(origin), query, policy)
                     else:
-                        result = topo.resolve(name_of(origin), query, now, policy)
+                        result = topo.resolve(name_of(origin), query, policy)
                         record, path, cache_hit, populated = expected
                         assert (result.record, result.path, result.cache_hit, result.caches_populated) == (
                             record, path, cache_hit, populated)
                 cached |= set(topo.caches)  # a resolve makes caches or pops them, never both
-                if topo.records or cached:
-                    assert_marks_cover_the_search(topo, cached)
+                assert_marks_cover_the_search(topo, cached)
                 assert cache_snapshot(topo) == cache_snapshot(reference)
 
     @pytest.mark.parametrize("origin", ["z00.z01", "z02", "."])
     def test_a_search_of_an_unwritten_tree_contacts_every_repository(self, origin):
         topo = build_topology(TopologySpec(depth=3, branching=3))
         with pytest.raises(NotFound, match=r"\(searched 13 repositories\)"):
-            topo.resolve(origin, ResourceQuery(), now=0.0)
+            topo.resolve(origin, ResourceQuery())
         zones = {labels(node_id) for node_id in topo.shape.order}
-        path = topo._search(origin, ResourceQuery(), 0.0, False)[2]
+        path = topo._search(origin, ResourceQuery(), False)[2]
         assert path == [name_of(zone) for zone in reference_order(zones, labels(origin))]
         assert topo.records == {} and topo.caches == {}
 
@@ -669,8 +642,8 @@ class TestMarks:
 
 class TestResolutionPolicy:
     @pytest.mark.parametrize("kwargs", [
-        {"ttl": math.nan}, {"ttl": math.inf}, {"ttl": 0.0}, {"ttl": -1.0},
-        {"cache_capacity": -3}, {"ttl": math.nan, "cache_capacity": -3},
+        {"cache_capacity": -1}, {"cache_capacity": math.inf}, {"cache_capacity": math.nan},
+        {"cache_capacity": -1.0}, {"cache_capacity": -3}, {"cache_capacity": [1]},
         {"cache_capacity": 2.5}, {"cache_capacity": 2.0}, {"cache_capacity": True},
         {"cache_capacity": False}, {"cache_capacity": "3"},
     ])
@@ -679,31 +652,31 @@ class TestResolutionPolicy:
             ResolutionPolicy(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"ttl": "1"}, {"ttl": True}, {"ttl": None}, {"ttl": 1j},
+        {"cache_capacity": ""}, {"cache_capacity": 1.0}, {"cache_capacity": False}, {"cache_capacity": b"1"},
         {"cache_capacity": "3"}, {"cache_capacity": 2.0}, {"cache_capacity": True}, {"cache_capacity": 1j},
     ])
     def test_a_field_of_the_wrong_type_is_named(self, kwargs):
-        # math.isfinite("1") is a TypeError, and True would pass as a capacity of 1
+        # True would pass as a capacity of 1
         (name, value), = kwargs.items()
         with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
             ResolutionPolicy(**kwargs)
 
     def test_boundary_values_accepted(self):
-        assert ResolutionPolicy(ttl=1e-9, cache_capacity=0).cache_capacity == 0
+        assert ResolutionPolicy(cache_capacity=0).cache_capacity == 0
         assert ResolutionPolicy(cache_capacity=None).cache_capacity is None
-        assert ResolutionPolicy(ttl=5).ttl == 5
-        assert [f.name for f in dataclasses.fields(ResolutionPolicy)] == ["ttl", "cache_capacity"]
+        assert ResolutionPolicy(5).cache_capacity == 5
+        assert [f.name for f in dataclasses.fields(ResolutionPolicy)] == ["cache_capacity"]
 
 
 class TestResolveValues:
-    """CacheEntry and ResolutionResult are immutable named tuples."""
+    """ResolutionResult is an immutable named tuple; a cache holds the frozen record itself."""
 
     def _resolved(self):
         # the only finder lives at b, so a resolve from a caches it at a and the root
         topo = build_topology(TopologySpec(zones=("a", "b")))
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, "b"),))
         topo.register_finder(FinderRecord("f1", "svc://1", "b", summarize(cat)))
-        return topo, topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=2.0)
+        return topo, topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}))
 
     @pytest.mark.parametrize("name", ["record", "path", "hop_count", "cache_hit", "caches_populated"])
     def test_a_result_field_cannot_be_assigned(self, name):
@@ -711,12 +684,14 @@ class TestResolveValues:
         with pytest.raises(AttributeError):
             setattr(result, name, getattr(result, name))
 
-    @pytest.mark.parametrize("name", ["record", "inserted_at", "ttl"])
-    def test_a_cache_entry_field_cannot_be_assigned(self, name):
+    @pytest.mark.parametrize("name", ["finder_id", "endpoint", "home_zone", "summary"])
+    def test_a_cached_record_field_cannot_be_assigned(self, name):
+        # every repository the answer populated holds this one object
         topo, _ = self._resolved()
-        entry = topo.caches["a"]["f1"]
+        record = topo.caches["a"]["f1"]
+        assert topo.caches["."]["f1"] is record is topo.records["b"]["f1"]
         with pytest.raises(AttributeError):
-            setattr(entry, name, getattr(entry, name))
+            setattr(record, name, getattr(record, name))
 
     def test_a_result_unpacks_into_its_fields_in_order(self):
         topo, result = self._resolved()
@@ -729,10 +704,9 @@ class TestResolveValues:
         topo, _ = self._resolved()
         clone = copy.deepcopy(topo)
         entry, copied = topo.caches["a"]["f1"], clone.caches["a"]["f1"]
-        assert type(copied) is CacheEntry and copied == entry and copied is not entry
-        # one copy per entry and per record, shared as in the original
-        assert clone.caches["."]["f1"] is copied and copied.record is clone.records["b"]["f1"]
-        assert copied.record is not entry.record
+        assert type(copied) is FinderRecord and copied == entry and copied is not entry
+        # one copy per record, shared as in the original
+        assert clone.caches["."]["f1"] is copied is clone.records["b"]["f1"]
         clone.caches["a"].clear()
         assert topo.caches["a"] == {"f1": entry}
 
@@ -750,7 +724,7 @@ class TestResolve:
         topo.register_finder(FinderRecord("f1", "svc://1", name_of(home), summarize(cat)))
         order = reference_order(set(zones), origin)
         expected = tuple(name_of(z) for z in order[:order.index(home) + 1])
-        assert topo.resolve(name_of(origin), ResourceQuery(), now=0.0).path == expected
+        assert topo.resolve(name_of(origin), ResourceQuery()).path == expected
 
     def test_search_leaves_no_reference_cycles(self):
         # found twice, and not found
@@ -759,13 +733,13 @@ class TestResolve:
             zone = node_id
             cat = MetadataCatalog(f"f-{node_id}", (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
             topo.register_finder(FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}))
         gc.collect()
         gc.disable()
         try:
             for need in (1, 16, 64):
                 try:
-                    topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": need}), now=1.0)
+                    topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": need}))
                 except NotFound:
                     pass
             assert gc.collect() == 0
@@ -780,21 +754,21 @@ class TestResolve:
         zone = chain[-1]
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
-        result = topo.resolve("z", ResourceQuery(), now=0.0)
+        result = topo.resolve("z", ResourceQuery())
         assert result.path == ("z", ".") + chain
         assert result.caches_populated == ("z", ".") + chain[:-1]
-        # one frozen entry, shared by every repository it populated
-        assert len({id(topo.caches[n]["f1"]) for n in result.caches_populated}) == 1
-        assert topo.resolve("a", ResourceQuery(), now=1.0).path == ("a",)
+        # the frozen record itself, shared by every repository it populated
+        assert {id(topo.caches[n]["f1"]) for n in result.caches_populated} == {id(result.record)}
+        assert topo.resolve("a", ResourceQuery()).path == ("a",)
         with pytest.raises(NotFound):
-            topo.resolve("z", ResourceQuery(numeric_mins={"pe_count": 99}), now=2.0)
+            topo.resolve("z", ResourceQuery(numeric_mins={"pe_count": 99}))
 
     def test_authoritative_at_origin_is_one_hop(self):
         topo = build_topology(TopologySpec(depth=2, branching=2))
         zone = "z00"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
-        res = topo.resolve("z00", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
+        res = topo.resolve("z00", ResourceQuery(numeric_mins={"pe_count": 4}))
         assert res.hop_count == 1
         assert res.path == ("z00",)
         assert not res.cache_hit
@@ -808,13 +782,13 @@ class TestResolve:
         topo.register_finder(FinderRecord("f1", "svc://1", zone_b, summarize(cat)))
         query = ResourceQuery(numeric_mins={"pe_count": 4})
 
-        first = topo.resolve("a", query, now=0.0)
+        first = topo.resolve("a", query)
         assert first.path == ("a", ".", "b")
         assert first.hop_count == 3
         assert not first.cache_hit
         assert first.caches_populated == ("a", ".")
 
-        again = topo.resolve("a", query, now=1.0)
+        again = topo.resolve("a", query)
         assert again.hop_count == 1
         assert again.cache_hit
         assert again.record.finder_id == "f1"
@@ -826,7 +800,7 @@ class TestResolve:
         topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
         before = cache_snapshot(topo)
         with pytest.raises(NotFound):
-            topo.resolve("z01.z01", ResourceQuery(numeric_mins={"pe_count": 99}), now=0.0)
+            topo.resolve("z01.z01", ResourceQuery(numeric_mins={"pe_count": 99}))
         assert cache_snapshot(topo) == before
 
     def test_answer_prefers_authoritative_then_smallest_id(self):
@@ -835,7 +809,7 @@ class TestResolve:
         for fid in ("f-b", "f-a"):
             cat = MetadataCatalog(fid, (ResourceSpec(f"{fid}-r", {"pe_count": 8.0}, {}, zone),))
             topo.register_finder(FinderRecord(fid, "svc://x", zone, summarize(cat)))
-        res = topo.resolve(".", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
+        res = topo.resolve(".", ResourceQuery(numeric_mins={"pe_count": 4}))
         assert res.record.finder_id == "f-a"
 
     def test_agrees_with_brute_force_on_random_trees(self):
@@ -847,9 +821,8 @@ class TestResolve:
             origin = rng.choice(sorted(topo.shape.parent))
             candidates = brute_force_candidates(records, query)
             before = cache_snapshot(topo)
-            policy = ResolutionPolicy(ttl=500.0)
             try:
-                res = topo.resolve(origin, query, now=0.0, policy=policy)
+                res = topo.resolve(origin, query)
             except NotFound:
                 notfound += 1
                 assert candidates == []
@@ -860,9 +833,9 @@ class TestResolve:
             assert res.path[0] == origin
             assert res.hop_count == len(res.path)
 
-            # repeat within the TTL: answered locally, from cache unless
+            # a repeat is answered locally, from cache unless
             # the origin itself is authoritative for the record
-            again = topo.resolve(origin, query, now=100.0, policy=policy)
+            again = topo.resolve(origin, query)
             assert again.hop_count == 1
             if res.record.finder_id not in topo.records.get(origin, {}):
                 assert again.cache_hit
@@ -876,12 +849,12 @@ class TestResolve:
             origin = rng.choice(sorted(topo.shape.parent))
             t1, t2 = copy.deepcopy(topo), copy.deepcopy(topo)
             try:
-                r1 = t1.resolve(origin, query, now=5.0)
+                r1 = t1.resolve(origin, query)
             except NotFound:
                 with pytest.raises(NotFound):
-                    t2.resolve(origin, query, now=5.0)
+                    t2.resolve(origin, query)
                 continue
-            r2 = t2.resolve(origin, query, now=5.0)
+            r2 = t2.resolve(origin, query)
             assert r1 == r2
 
     def test_internal_origin_searches_its_own_subtree(self):
@@ -891,7 +864,7 @@ class TestResolve:
         zone = "deep.a"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
-        res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
+        res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}))
         assert res.path == ("a", "deep.a")
 
     def test_each_repository_is_looked_up_once(self, monkeypatch):
@@ -904,22 +877,22 @@ class TestResolve:
         topo.register_finder(FinderRecord("f-strong", "svc://s", "y.b", summarize(strong)))
         looked_up, first_hit = [], Topology._first_hit
 
-        def recording(self, node_id, query, now):
+        def recording(self, node_id, query):
             looked_up.append(node_id)
-            return first_hit(self, node_id, query, now)
+            return first_hit(self, node_id, query)
 
         monkeypatch.setattr(Topology, "_first_hit", recording)
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}))
         assert list(topo.caches["a"]) == ["f-weak"] and looked_up == ["x.b"]  # only x.b held anything
 
         looked_up.clear()
-        res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=1.0)
+        res = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}))
         assert res.record.finder_id == "f-strong" and res.hop_count == 5
         assert res.path == ("a", ".", "b", "x.b", "y.b") == tuple(looked_up)
 
         looked_up.clear()
         with pytest.raises(NotFound, match=r"\(searched 5 repositories\)"):
-            topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 64}), now=2.0)
+            topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 64}))
         assert looked_up == ["a", ".", "b", "x.b", "y.b"]
 
     def test_notfound_counts_repositories_not_contacts(self):
@@ -929,29 +902,24 @@ class TestResolve:
         zone = "z00.z01"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 2.0}, {}, zone),))
         topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
-        assert "." in topo.resolve("z00.z00", ResourceQuery(), now=0.0).caches_populated
+        assert "." in topo.resolve("z00.z00", ResourceQuery()).caches_populated
         with pytest.raises(NotFound, match=r"\(searched 7 repositories\)"):
-            topo.resolve("z00.z00", ResourceQuery(numeric_mins={"pe_count": 64}), now=1.0)
+            topo.resolve("z00.z00", ResourceQuery(numeric_mins={"pe_count": 64}))
 
     def test_cache_capacity_evicts_oldest_first(self):
         topo = build_topology(TopologySpec(zones=("a", "b", "c")))
-        policy = ResolutionPolicy(ttl=1000.0, cache_capacity=1)
-        for node_id in ("b", "c"):
+        policy = ResolutionPolicy(cache_capacity=1)
+        for node_id, pe in (("b", 2.0), ("c", 32.0)):
             zone = node_id
             cat = MetadataCatalog(
-                f"f-{node_id}", (ResourceSpec(f"r-{node_id}", {"pe_count": 8.0}, {}, zone),)
+                f"f-{node_id}", (ResourceSpec(f"r-{node_id}", {"pe_count": pe}, {}, zone),)
             )
             topo.register_finder(FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
-        topo.resolve("a", ResourceQuery(required_tags={}), now=0.0, policy=policy)
-        first = list(topo.caches["a"])
-        # force the second finder by excluding the first via its id ordering:
-        # f-b was cached; a query only f-c satisfies re-resolves and evicts
-        topo.caches["a"]["f-b"] = CacheEntry(
-            topo.caches["a"]["f-b"].record, inserted_at=0.0, ttl=0.5
-        )
-        topo.resolve("a", ResourceQuery(), now=1.0, policy=policy)
-        assert len(topo.caches.get("a", {})) <= 1
-        assert first == ["f-b"]
+        topo.resolve("a", ResourceQuery(required_tags={}), policy=policy)
+        assert list(topo.caches["a"]) == ["f-b"]
+        # f-b was cached; a query only f-c satisfies passes it, re-resolves and evicts it
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), policy=policy)
+        assert list(topo.caches["a"]) == ["f-c"]
 
 
 class TestCachesPopulated:
@@ -966,12 +934,12 @@ class TestCachesPopulated:
         assert type(result) is ResolutionResult
         assert result.caches_populated == populated
         for node_id in populated:
-            assert type(topo.caches[node_id][result.record.finder_id]) is CacheEntry
+            assert topo.caches[node_id][result.record.finder_id] is result.record
 
     def test_an_authoritative_hit_populates_all_but_the_home(self):
         topo = build_topology(TopologySpec(zones=("a", "b", "c")))
         self._register(topo, "f-c", "c", 8.0)
-        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}), now=0.0)
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 4}))
         assert result.path == ("a", ".", "b", "c") and not result.cache_hit
         self._check(topo, result, result.path[:-1])
 
@@ -981,8 +949,8 @@ class TestCachesPopulated:
         self._register(topo, "f-b", "b", 8.0)
         self._register(topo, "f-c", "c", 2.0)
         query = ResourceQuery(numeric_mins={"pe_count": 4})
-        assert topo.resolve("a", query, now=0.0).caches_populated == ("a", ".")
-        result = topo.resolve("c", query, now=1.0)
+        assert topo.resolve("a", query).caches_populated == ("a", ".")
+        result = topo.resolve("c", query)
         assert result.path == ("c", ".") and result.cache_hit
         self._check(topo, result, result.path)
         assert result.caches_populated is result.path
@@ -992,7 +960,7 @@ class TestCachesPopulated:
         topo = build_topology(TopologySpec(zones=("a", "b", "c")))
         self._register(topo, "f", "a", 2.0)
         self._register(topo, "f", "c", 32.0)
-        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=0.0)
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}))
         assert result.path == ("a", ".", "b", "c") and result.record is topo.records["c"]["f"]
         self._check(topo, result, (".", "b"))
         assert "a" not in topo.caches and "c" not in topo.caches
@@ -1004,7 +972,7 @@ class TestCacheCapacity:
         # a model of every node's cache, replayed from caches_populated:
         # a re-insert moves the finder to the newest end, the oldest go first
         cap = data.draw(st.sampled_from((0, 1, 2, None)), label="cap")
-        policy = ResolutionPolicy(ttl=data.draw(st.sampled_from((0.5, 3.0, 3600.0))), cache_capacity=cap)
+        policy = ResolutionPolicy(cache_capacity=cap)
         topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
         homes = data.draw(st.lists(st.sampled_from(zones), min_size=1, max_size=4), label="homes")
         for i, home in enumerate(homes):
@@ -1013,15 +981,11 @@ class TestCacheCapacity:
                                                          {}, zone),))
             topo.register_finder(FinderRecord(f"f{i}", "svc://x", zone, summarize(cat)))
         model = {node_id: [] for node_id in topo.shape.parent}
-        now = 0.0
-        steps = data.draw(st.lists(st.tuples(st.sampled_from(zones), st.sampled_from((0, 4, 16, 64)),
-                                             st.sampled_from((0.0, 0.25, 1.0))),
+        steps = data.draw(st.lists(st.tuples(st.sampled_from(zones), st.sampled_from((0, 4, 16, 64))),
                                    min_size=1, max_size=12), label="steps")
-        for origin, need, tick in steps:
-            now += tick
+        for origin, need in steps:
             try:
-                result = topo.resolve(name_of(origin),
-                                      ResourceQuery(numeric_mins={"pe_count": need}), now, policy)
+                result = topo.resolve(name_of(origin), ResourceQuery(numeric_mins={"pe_count": need}), policy)
             except NotFound:
                 pass
             else:
@@ -1029,16 +993,14 @@ class TestCacheCapacity:
                     nid for nid in result.path
                     if result.record.finder_id not in topo.records.get(nid, {})]
                 for node_id in result.caches_populated:
-                    entries = [e for e in model[node_id] if e[0] != result.record.finder_id]
-                    entries.append((result.record.finder_id, now))
+                    entries = [f for f in model[node_id] if f != result.record.finder_id]
+                    entries.append(result.record.finder_id)
                     model[node_id] = entries if cap is None else entries[len(entries) - cap:]
             for node_id in topo.shape.parent:
                 cache = topo.caches.get(node_id, {})
-                ids = [e.record.finder_id for e in cache.values()]
+                ids = [record.finder_id for record in cache.values()]
                 assert cap is None or len(ids) <= cap
-                assert ids == list(cache)
-                assert [(e.record.finder_id, e.inserted_at) for e in cache.values()] == model[node_id]
-                assert all(e.ttl == policy.ttl for e in cache.values())
+                assert ids == list(cache) == model[node_id]
                 assert node_id not in topo.caches or cache
 
     def test_capacity_zero_empties_a_warm_cache(self):
@@ -1046,9 +1008,9 @@ class TestCacheCapacity:
         zone = "b"
         cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
         topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
-        assert topo.resolve("a", ResourceQuery(), now=0.0).caches_populated == ("a", ".")
+        assert topo.resolve("a", ResourceQuery()).caches_populated == ("a", ".")
         assert topo.caches.get("a") and topo.caches.get(".")
-        result = topo.resolve("a", ResourceQuery(), now=1.0, policy=ResolutionPolicy(cache_capacity=0))
+        result = topo.resolve("a", ResourceQuery(), policy=ResolutionPolicy(cache_capacity=0))
         assert result.cache_hit and result.caches_populated == ("a",)
         assert "a" not in topo.caches and topo.caches.get(".")
 
@@ -1066,59 +1028,45 @@ class TestCacheRefresh:
             topo.register_finder(FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
         return topo
 
-    def _entries(self, topo, node_id):
-        return [(e.record.finder_id, e.inserted_at, e.ttl) for e in topo.caches.get(node_id, {}).values()]
-
     def test_reinsert_trims_a_cache_over_a_lowered_capacity(self):
         topo = self._two_finders()
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=0.0)
-        assert self._entries(topo, "a") == [("f-b", 0.0, 3600.0), ("f-c", 0.0, 3600.0)]
-        # f-c is already the newest entry at a, with the same times
-        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=0.0,
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}))
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}))
+        assert list(topo.caches["a"]) == ["f-b", "f-c"]
+        # f-c is already the newest entry at a
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}),
                               policy=ResolutionPolicy(cache_capacity=1))
         assert result.cache_hit and result.caches_populated == ("a",)
-        assert self._entries(topo, "a") == [("f-c", 0.0, 3600.0)]
+        assert list(topo.caches["a"]) == ["f-c"]
 
     def test_a_repeat_origin_hit_with_an_identical_entry_writes_nothing(self):
         topo = self._two_finders()
         query = ResourceQuery(numeric_mins={"pe_count": 1})
-        topo.resolve("a", query, now=0.0)
+        topo.resolve("a", query)
         cache = topo.caches["a"]
         entry = cache["f-b"]
-        result = topo.resolve("a", query, now=0.0)
+        result = topo.resolve("a", query)
         assert result.path == ("a",) and result.hop_count == 1 and result.cache_hit
-        assert result.caches_populated == ("a",) and result.record is entry.record
+        assert result.caches_populated == ("a",) and result.record is entry
         assert topo.caches["a"] is cache and list(cache) == ["f-b"] and cache["f-b"] is entry
 
     def test_an_identical_entry_that_is_not_the_newest_moves_to_the_newest_end(self):
         topo = self._two_finders()
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), now=0.0)
-        assert self._entries(topo, "a") == [("f-b", 0.0, 3600.0), ("f-c", 0.0, 3600.0)]
-        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}), now=0.0)
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}))
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}))
+        assert list(topo.caches["a"]) == ["f-b", "f-c"]
+        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}))
         assert result.path == ("a",) and result.record.finder_id == "f-b"
-        assert self._entries(topo, "a") == [("f-c", 0.0, 3600.0), ("f-b", 0.0, 3600.0)]
-
-    def test_reinsert_at_a_later_time_or_with_another_ttl_refreshes(self):
-        topo = self._two_finders()
-        query = ResourceQuery(numeric_mins={"pe_count": 1})
-        topo.resolve("a", query, now=0.0)
-        topo.resolve("a", query, now=0.0)
-        assert self._entries(topo, "a") == [("f-b", 0.0, 3600.0)]
-        topo.resolve("a", query, now=7.0)
-        assert self._entries(topo, "a") == [("f-b", 7.0, 3600.0)]
-        topo.resolve("a", query, now=7.0, policy=ResolutionPolicy(ttl=60.0))
-        assert self._entries(topo, "a") == [("f-b", 7.0, 60.0)]
+        assert list(topo.caches["a"]) == ["f-c", "f-b"]
 
     def test_equal_but_distinct_record_replaces_the_stored_one(self):
         topo = self._two_finders()
-        policy = ResolutionPolicy()
+        cap = ResolutionPolicy().cache_capacity
         stored = topo.records["b"]["f-b"]
-        topo._cache_insert(("a",), CacheEntry(stored, 0.0, policy.ttl), policy.cache_capacity)
+        topo._cache_insert(("a",), stored, cap)
         twin = dataclasses.replace(stored)
         assert twin == stored and twin is not stored
-        topo._cache_insert(("a",), CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
-        assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"].record is twin
-        topo._cache_insert(("a",), CacheEntry(twin, 0.0, policy.ttl), policy.cache_capacity)
-        assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"].record is twin
+        topo._cache_insert(("a",), twin, cap)
+        assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin
+        topo._cache_insert(("a",), twin, cap)
+        assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin
