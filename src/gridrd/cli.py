@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import Config, ConfigError, load_config
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> Config:
     cfg = load_config(args.config) if args.config else Config()
     if getattr(args, "no_jitter", False):
-        cfg = replace(cfg, latency=cfg.latency.without_jitter())
+        cfg = cfg._replace(latency=cfg.latency.without_jitter())
     return cfg
 
 
@@ -153,7 +152,7 @@ def _sweep_points(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if value is not None:
             parser.error(f"argument {option}: a {kind} sweep does not use it")
     if kind == "diagonal":
-        return SweepSpec.points if args.points is None else tuple((d, d) for d in args.points)
+        return SweepSpec._field_defaults["points"] if args.points is None else tuple((d, d) for d in args.points)
     start, stop, step = args.varying or (20, 100, 20)
     varying = range(start, stop + 1, step)
     fixed = args.fixed_values or (20, 60, 100)
@@ -169,7 +168,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points=points,
         replications=args.replications,
         base_seed=args.seed,
-        scenarios=tuple(args.scenario or SweepSpec.scenarios),
+        scenarios=tuple(args.scenario or SweepSpec._field_defaults["scenarios"]),
     )
     rows = run_sweep(spec, cfg, workers=args.workers)
     write_observations(rows, args.out)

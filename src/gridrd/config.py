@@ -20,8 +20,8 @@ Keys::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .registry import MalformedTopology, ResolutionPolicy, TopologySpec
 from .simkern import LatencyModel
@@ -31,8 +31,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """The settings of a run; each value type checks its own limits."""
 
     latency: LatencyModel = LatencyModel()

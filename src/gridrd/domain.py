@@ -69,6 +69,23 @@ def check_field(name: str, value, what: str, error: type[Exception] = ValueError
         raise error(f"{name} must be {what}, got {value!r}")
 
 
+class Checked:
+    """Mixin of a checked named tuple ``class T(Checked, _TFields)``: making a ``T`` binds the
+    fields as ``_TFields`` does and stores what ``T._check`` returns, the values normalised.
+    ``_make`` makes a ``T``, so ``_replace``, pickle and deepcopy check again."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._check())
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+# Only the five types resolve reads on every call, these three and registry's ResolutionPolicy
+# and TreeShape, stay frozen dataclasses: a dataclass field read costs about 17 ns, a named tuple's 36.
 @dataclass(frozen=True)
 class ResourceQuery:
     """A client's conjunctive search criteria.

@@ -21,13 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from . import stats
 from .config import Config, ConfigError
-from .domain import as_tuple, check_field
+from .domain import Checked, as_tuple, check_field
 from .scenarios import ConfigMismatch, RunResult, ScenarioConfig, ScenarioKind, run_scenario
 from .simkern import mix64
 from .stats import MeanDifferenceTest, unpaired_t_test
@@ -49,14 +48,7 @@ class GridMismatch(HarnessError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A sweep: every (users, resources) point of ``points``, run ``replications`` times per scenario.
-
-    ``points`` is stored as a tuple of (users, resources) tuples and ``scenarios`` as a
-    tuple of ScenarioKind members, so specs hash.
-    """
-
+class _SweepFields(NamedTuple):
     points: tuple[tuple[int, int], ...] = tuple((d, d) for d in range(20, 101, 20))
     replications: int = 10
     base_seed: int = 0
@@ -66,21 +58,31 @@ class SweepSpec:
         ScenarioKind.CENTRALIZED,
     )
 
-    def __post_init__(self) -> None:
+
+class SweepSpec(Checked, _SweepFields):
+    """A sweep: every (users, resources) point of ``points``, run ``replications`` times per scenario.
+
+    ``points`` is stored as a tuple of (users, resources) tuples and ``scenarios`` as a
+    tuple of ScenarioKind members, so specs hash.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> tuple:
         points = as_tuple("points", self.points, "(users, resources) pairs", ConfigError)
-        object.__setattr__(self, "points", tuple(map(_grid_point, points)))
-        if not self.points:
+        points = tuple(map(_grid_point, points))
+        if not points:
             raise ConfigError("sweep needs at least one grid point")
         for name in ("replications", "base_seed"):
             check_field(name, getattr(self, name), "an integer", ConfigError)
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         scenarios = as_tuple("scenarios", self.scenarios, "a list of scenarios", ConfigError)
-        object.__setattr__(self, "scenarios", scenarios)
-        if not self.scenarios:
+        if not scenarios:
             raise ConfigError("sweep needs at least one scenario")
-        if not all(isinstance(kind, ScenarioKind) for kind in self.scenarios):
-            raise ConfigError(f"scenarios must be ScenarioKind members, got {self.scenarios!r}")
+        if not all(isinstance(kind, ScenarioKind) for kind in scenarios):
+            raise ConfigError(f"scenarios must be ScenarioKind members, got {scenarios!r}")
+        return points, self.replications, self.base_seed, scenarios
 
 
 def _grid_point(point) -> tuple[int, int]:
@@ -99,8 +101,7 @@ class ObservationRow(NamedTuple):
     discovery_time_s: float
 
 
-@dataclass(frozen=True)
-class AnalysisRow:
+class AnalysisRow(NamedTuple):
     users: int
     resources: int
     pair: str
@@ -300,11 +301,16 @@ def format_analysis_table(rows: list[AnalysisRow]) -> str:
     if not rows:
         return "(no analysis rows)\n"
     alpha = rows[0].test.alpha
+    level = f"{100 * (1 - alpha):.12g}"  # 12 digits: alpha 1e-7 is not 100%
+    if level == "100":  # alpha below about 5e-13: the exact level, at most 32 digits as alpha >= 2**-53
+        import decimal  # here only: slow to import
+        context = decimal.Context(prec=40)
+        level = str(context.normalize(context.subtract(100, decimal.Decimal(repr(alpha)).scaleb(2))))
     header = [
         "Users,Resources",
         "Mean Difference",
         "SE of Mean Difference",
-        f"Confidence Interval {100 * (1 - alpha):.12g}%",  # 12 digits: alpha 1e-7 is not 100%
+        f"Confidence Interval {level}%",
         "p-Value",
         "Verdict",
     ]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .domain import FinderRecord, ResourceQuery, as_tuple, check_field, check_zone, summary_may_satisfy
+from .domain import Checked, FinderRecord, ResourceQuery, as_tuple, check_field, check_zone, summary_may_satisfy
 
 
 class RegistryError(Exception):
@@ -65,6 +65,7 @@ class MalformedTopology(RegistryError):
     pass
 
 
+# A dataclass, as TreeShape is, for resolve's field reads (see the note in domain).
 @dataclass(frozen=True)
 class ResolutionPolicy:
     """The knob for resolve: an optional cache cap.
@@ -89,8 +90,13 @@ class ResolutionResult(NamedTuple):
     caches_populated: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class _TopologyFields(NamedTuple):
+    depth: int | None = None
+    branching: int | None = None
+    zones: tuple[str, ...] | None = None
+
+
+class TopologySpec(Checked, _TopologyFields):
     """How to build a repository tree.
 
     Either a uniform tree (``depth`` levels, ``branching`` children per
@@ -103,18 +109,15 @@ class TopologySpec:
     build_topology then reuses.
     """
 
-    depth: int | None = None
-    branching: int | None = None
-    zones: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> tuple:
         if self.zones is not None:
             zones = as_tuple("zones", self.zones, "a list of zone names", MalformedTopology)
-            object.__setattr__(self, "zones", zones)
             if self.depth is not None or self.branching is not None:
                 raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
-            _tree_shape(self)
-            return
+            _tree_shape(tuple.__new__(TopologySpec, (None, None, zones)))
+            return None, None, zones
         if self.depth is None:
             raise MalformedTopology("topology spec needs a depth or a zone list")
         branching = 1 if self.branching is None else self.branching
@@ -123,6 +126,7 @@ class TopologySpec:
             if value < 1:
                 raise MalformedTopology(f"{name} must be >= 1, got {value}")
         check_tree_size(self.depth, branching)
+        return self
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ summary counts what each discovery would contact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import stats
 from .domain import (
@@ -33,6 +33,7 @@ from .domain import (
     ATTR_MIPS_PER_PE,
     ATTR_OS,
     ATTR_PE_COUNT,
+    Checked,
     FinderRecord,
     MetadataSummary,
     ResourceQuery,
@@ -64,10 +65,7 @@ class ScenarioKind(str, Enum):
         return list(ScenarioKind).index(self)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One run's settings; ``finder_zones`` given as any iterable but a string is stored as a tuple."""
-
+class _ScenarioFields(NamedTuple):
     kind: ScenarioKind
     n_users: int
     n_resources: int
@@ -78,7 +76,13 @@ class ScenarioConfig:
     finder_zones: tuple[str, ...] | None = None
     policy: ResolutionPolicy = ResolutionPolicy()
 
-    def __post_init__(self) -> None:
+
+class ScenarioConfig(Checked, _ScenarioFields):
+    """One run's settings; ``finder_zones`` given as any iterable but a string is stored as a tuple."""
+
+    __slots__ = ()
+
+    def _check(self) -> tuple:
         if not isinstance(self.kind, ScenarioKind):
             raise ConfigMismatch(f"unknown scenario kind {self.kind!r}")
         for name in ("n_users", "n_resources", "seed"):
@@ -90,13 +94,13 @@ class ScenarioConfig:
                 float(getattr(self, name))
             except OverflowError:
                 raise ConfigMismatch(f"{name} is too large to convert to a float") from None
-        if self.finder_zones is not None:
-            zones = as_tuple("finder_zones", self.finder_zones, "a list of zone names", ConfigMismatch)
-            object.__setattr__(self, "finder_zones", zones)
+        if self.finder_zones is None:
+            return self
+        zones = as_tuple("finder_zones", self.finder_zones, "a list of zone names", ConfigMismatch)
+        return (*self[:7], zones, self.policy)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     config: ScenarioConfig
     per_user_times: tuple[float, ...]
     mean_time: float

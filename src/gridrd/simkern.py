@@ -18,9 +18,9 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .domain import check_field
+from .domain import Checked, check_field
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -49,18 +49,7 @@ def mix64(*parts: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Per-entity timing parameters, all in virtual seconds.
-
-    A discovery takes ``t_base + t_reg*n_resources + t_user*n_users``
-    before architecture-specific overheads: ``t_ws`` per web-service call,
-    ``t_registry`` per registry lookup, ``t_hop`` per extra repository hop
-    in a distributed resolution.  The multiplicative jitter has unit mean
-    and a relative spread that grows with total load.  A field of the wrong
-    type or out of range raises ValueError naming it.
-    """
-
+class _LatencyFields(NamedTuple):
     t_reg: float = 0.06006
     t_user: float = 0.06006
     t_ws: float = 1.890
@@ -71,14 +60,28 @@ class LatencyModel:
     jitter_gamma: float = 1.07
     jitter_enabled: bool = True
 
-    def __post_init__(self) -> None:
-        for name in ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base",
-                     "jitter_sigma0", "jitter_gamma"):
-            check_field(name, getattr(self, name), "a finite number >= 0")
+
+class LatencyModel(Checked, _LatencyFields):
+    """Per-entity timing parameters, all in virtual seconds.
+
+    A discovery takes ``t_base + t_reg*n_resources + t_user*n_users``
+    before architecture-specific overheads: ``t_ws`` per web-service call,
+    ``t_registry`` per registry lookup, ``t_hop`` per extra repository hop
+    in a distributed resolution.  The multiplicative jitter has unit mean
+    and a relative spread that grows with total load.  A field of the wrong
+    type or out of range raises ValueError naming it.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> tuple:
+        for name, value in zip(self._fields[:8], self):  # the eight numbers
+            check_field(name, value, "a finite number >= 0")
         check_field("jitter_enabled", self.jitter_enabled, "True or False")
+        return self
 
     def without_jitter(self) -> "LatencyModel":
-        return replace(self, jitter_enabled=False)
+        return self._replace(jitter_enabled=False)
 
 
 # Load of 20 users x 20 resources anchors the jitter scale: there the

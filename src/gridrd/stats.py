@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .special import t_cdf, t_quantile
 
@@ -61,8 +60,7 @@ class Verdict(str, Enum):
     INSIGNIFICANT = "Insignificant"
 
 
-@dataclass(frozen=True)
-class MeanDifferenceTest:
+class MeanDifferenceTest(NamedTuple):
     """Full output of one two-sample comparison.
 
     ``degenerate`` flags a zero standard error (all observations on both

@@ -1,12 +1,15 @@
+import copy
 import math
+import pickle
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import Mapping
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridrd import cli, config, domain, harness, registry, scenarios, simkern, special, stats
 from gridrd.config import ConfigError
 from gridrd.domain import (
     MetadataSummary,
@@ -340,3 +343,80 @@ def test_every_field_check_has_its_exact_message(make, kwargs, error, message):
         make(**kwargs)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# -- checked named tuples: the value types that resolve never reads -------------
+
+_CHECKED_CHANGES = [
+    (LatencyModel(), {"t_ws": -1.0}, ValueError, "t_ws must be a finite number >= 0, got -1.0"),
+    (ScenarioConfig(_K, 3, 3), {"n_users": 0}, ConfigMismatch,
+     "a run needs at least one user and one resource"),
+    (SweepSpec(), {"replications": 0}, ConfigError, "replications must be >= 1"),
+    (TopologySpec(depth=2), {"depth": 0}, MalformedTopology, "depth must be >= 1, got 0"),
+]
+_CHECKED = [value for value, *_ in _CHECKED_CHANGES]
+_NAMES = [type(value).__name__ for value in _CHECKED]
+
+
+@pytest.mark.parametrize("value, changes, error, message", _CHECKED_CHANGES, ids=_NAMES)
+def test_replace_checks_again(value, changes, error, message):
+    with pytest.raises(error) as info:
+        value._replace(**changes)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# a field value each type's check rejects
+_BAD_FIELD = {LatencyModel: ("t_hop", -0.5), ScenarioConfig: ("seed", 1.5),
+              SweepSpec: ("base_seed", "7"), TopologySpec: ("branching", True)}
+
+
+@pytest.mark.parametrize("value", _CHECKED, ids=_NAMES)
+def test_pickle_and_deepcopy_give_an_equal_value_and_check_again(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value
+    name, bad = _BAD_FIELD[type(value)]
+    unchecked = tuple.__new__(type(value), (bad if key == name else v for key, v in zip(value._fields, value)))
+    for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        with pytest.raises((ValueError, ConfigMismatch, ConfigError, MalformedTopology), match=name):
+            round_trip(unchecked)
+
+
+@pytest.mark.parametrize("value", _CHECKED, ids=_NAMES)
+def test_a_field_cannot_be_set(value):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.other = 1
+
+
+def test_a_list_is_stored_as_the_tuple_form():
+    zones = ["ca", "us", "west.ca"]
+    spec = TopologySpec(zones=zones)
+    assert spec == TopologySpec(zones=tuple(zones)) and hash(spec) == hash(TopologySpec(zones=tuple(zones)))
+    before = registry._tree_shape.cache_info()
+    build_topology(TopologySpec(zones=list(zones)))  # checking it and building it both hit
+    after = registry._tree_shape.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    sweep = SweepSpec(points=[[20, 40], (60, 60)], scenarios=[ScenarioKind.DIRECT])
+    assert sweep == SweepSpec(points=((20, 40), (60, 60)), scenarios=(ScenarioKind.DIRECT,))
+    assert hash(sweep) == hash(SweepSpec(points=((20, 40), (60, 60)), scenarios=(ScenarioKind.DIRECT,)))
+    run = ScenarioConfig(_K, 3, 3, finder_zones=["ca", "us"])
+    assert run.finder_zones == ("ca", "us") and run == ScenarioConfig(_K, 3, 3, finder_zones=("ca", "us"))
+    assert TopologySpec(depth=2)._replace(depth=None, zones=zones).zones == tuple(zones)
+
+
+def test_only_the_types_resolve_reads_are_dataclasses():
+    # Making a frozen dataclass generates and compiles its methods: about 0.9 ms per class
+    # at import (Python 3.11), against 0.12 ms for a NamedTuple and 0.16 ms with Checked.
+    # A field read costs about 17 ns on a dataclass and 36 ns on a named tuple, so only the
+    # types that resolve reads on every call stay dataclasses.
+    modules = (cli, config, domain, harness, registry, scenarios, simkern, special, stats)
+    classes = {cls for module in modules for name, cls in vars(module).items()
+               if isinstance(cls, type) and cls.__module__ == module.__name__ and not name.startswith("_")}
+    assert {cls.__name__ for cls in classes if is_dataclass(cls)} == {
+        "FinderRecord", "MetadataSummary", "ResourceQuery", "ResolutionPolicy", "TreeShape"}
+    for cls in (config.Config, scenarios.RunResult, harness.AnalysisRow, stats.MeanDifferenceTest,
+                *map(type, _CHECKED)):
+        assert issubclass(cls, tuple) and cls._fields

@@ -293,9 +293,10 @@ class TestAnalyze:
         assert csv_text.startswith("users,resources,pair,")
 
     @pytest.mark.parametrize("alpha, level", [(0.05, "95"), (0.001, "99.9"), (1e-7, "99.99999"),
-                                              (1e-12, "99.9999999999")])
+                                              (1e-12, "99.9999999999"), (1e-13, "99.99999999999"),
+                                              (math.nextafter(2**-53, 1), "99.999999999999988897769753748432")])
     def test_the_header_names_the_confidence_level_of_a_small_alpha(self, alpha, level):
-        # the level keeps enough digits that no alpha down to 1e-12 rounds to 100%
+        # no alpha that analyze accepts reads as 100%; the smallest is the float after 2**-53
         rows = analyze(
             _rows(ScenarioKind.DIRECT, engineered_sample(1.573, 0.118 * math.sqrt(5))),
             _rows(ScenarioKind.BASELINE, engineered_sample(0.0, 0.118 * math.sqrt(5))),

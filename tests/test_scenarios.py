@@ -1,7 +1,6 @@
 
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -366,7 +365,7 @@ class TestDistributedGolden:
         # every user resolves at one instant, so a point's hop costs are the same
         # in every replication: the premise of resolving once per sweep point
         cfg = GOLDEN_RUNS[name]
-        other = replace(cfg, seed=cfg.seed + 1000)
+        other = cfg._replace(seed=cfg.seed + 1000)
         hops, failed = scenarios._resolve_users(cfg)
         assert (hops, failed) == scenarios._resolve_users(other)
         assert len(hops) == cfg.n_users
@@ -401,5 +400,5 @@ def _knob_runs(draw):
 @given(cfg=_knob_runs(), zero_cap=st.booleans())
 def test_a_run_feels_only_whether_the_cache_capacity_is_zero(cfg, zero_cap):
     caps = (0,) if zero_cap else (None, 1, 2, 5)
-    times = {run_scenario(replace(cfg, policy=ResolutionPolicy(cap))).per_user_times for cap in caps}
+    times = {run_scenario(cfg._replace(policy=ResolutionPolicy(cap))).per_user_times for cap in caps}
     assert len(times) == 1
