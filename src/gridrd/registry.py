@@ -31,6 +31,14 @@ looks the origin up first, and once: the search starts after it.  A write
 that would change nothing is skipped: an origin hit whose entry is its
 cache's newest, in a cache within the cap.
 
+A distributed run resolves all its users in one ``hop_counts`` call, which
+ends with the caches a ``resolve`` per origin leaves.  An origin holding no
+records and one cache entry that may satisfy the query answers itself with
+no write unless the cap is 0, as ``resolve`` would, so the call counts it
+without a ``resolve``; every other origin is resolved.  The call's query is
+fixed and records are frozen, so a record's verdict cannot change within
+the call and is taken once per record.
+
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
 Delegations are zone data that resolution never changes (RFC 1034 §4.2).  So
@@ -159,7 +167,8 @@ class Topology:
     ``marks`` holds a byte per index of ``shape.order``: 1 at every
     repository that holds records or has held a cache.  The search looks
     only at marked ones, so records and caches are written only through
-    ``register_finder`` and ``resolve``.  Driven single-threaded.
+    ``register_finder`` and ``resolve``; ``hop_counts`` resolves many origins
+    for one query, writing only through ``resolve``.  Driven single-threaded.
     """
 
     def __init__(self, shape: TreeShape):
@@ -225,6 +234,38 @@ class Topology:
             for node_id in populated:
                 self.caches.pop(node_id, None)
         return tuple.__new__(ResolutionResult, (record, path, len(path), from_cache, populated))
+
+    def hop_counts(self, origins: Iterable[str], query: ResourceQuery,
+                   policy: ResolutionPolicy | None = None) -> list[int]:
+        """Resolve the query from each origin in turn: each one's ``hop_count``, 0 for NotFound.
+
+        The caches and marks end as a ``resolve`` call per origin leaves them, and
+        an unknown origin raises UnknownNode at the same point.  An origin that
+        holds no records and one cache entry that may satisfy the query answers
+        with no write unless the cap is 0, as ``resolve`` would: it counts 1 and
+        costs no call.  The query is fixed for the call and a record is frozen, so
+        each record's verdict is taken once.
+        """
+        records, resolve = self.records, self.resolve
+        # under a cap of 0 resolve empties an origin's cache, a write, so no origin answers here
+        caches = {} if policy is not None and policy.cache_capacity == 0 else self.caches
+        verdicts: dict[int, tuple[FinderRecord, bool]] = {}  # id -> (record, verdict); held, an id is not reused
+        counts: list[int] = []
+        for origin in origins:
+            cache = caches.get(origin, ())
+            if len(cache) == 1 and origin not in records:
+                (record,) = cache.values()
+                verdict = verdicts.get(id(record))
+                if verdict is None:
+                    verdict = verdicts[id(record)] = (record, summary_may_satisfy(query, record.summary))
+                if verdict[1]:
+                    counts.append(1)
+                    continue
+            try:
+                counts.append(resolve(origin, query, policy).hop_count)
+            except NotFound:
+                counts.append(0)
+        return counts
 
     # -- internals ---------------------------------------------------------
 

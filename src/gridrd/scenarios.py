@@ -22,6 +22,7 @@ summary counts what each discovery would contact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from enum import Enum
@@ -40,10 +41,13 @@ from .domain import (
     as_tuple,
     check_field,
 )
-from .registry import NotFound, ResolutionPolicy, Topology, TopologySpec, build_topology
+from .registry import ResolutionPolicy, Topology, TopologySpec, build_topology
 from .simkern import LatencyModel, jitter_vector, mix64
 
 _JITTER_STREAM = 0x4A49_5454  # tags the per-user jitter substream
+
+# Most users one run simulates: every user costs a jitter draw and, in a distributed run, a resolution.
+MAX_USERS = 1_000_000
 
 
 class ScenarioError(Exception):
@@ -94,6 +98,8 @@ class ScenarioConfig(Checked, _ScenarioFields):
                 float(getattr(self, name))
             except OverflowError:
                 raise ConfigMismatch(f"{name} is too large to convert to a float") from None
+        if self.n_users > MAX_USERS:
+            raise ConfigMismatch(f"n_users must be at most {MAX_USERS}, got {self.n_users}")
         if self.finder_zones is None:
             return self
         zones = as_tuple("finder_zones", self.finder_zones, "a list of zone names", ConfigMismatch)
@@ -166,30 +172,23 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
     """Tree-wide resolution for a distributed run: each user's hop cost.
 
-    Users are dealt round-robin onto leaf repositories in user order; each
-    query resolves live against the shared topology at the instant all
-    resources are registered, so earlier resolutions warm the caches later
-    users hit.  A user's hop cost is ``t_hop`` per repository contacted
-    beyond the first.  A user whose query nothing in the tree satisfies is
-    listed as failed and pays no hop cost, only the centralized one.
+    Users are dealt round-robin onto leaf repositories; their queries
+    resolve live in user order, in one ``Topology.hop_counts`` call, at the
+    instant all resources are registered, so earlier resolutions warm the
+    caches later users hit.  A user's hop cost is ``t_hop`` per repository
+    contacted beyond the first.  A user whose query nothing in the tree
+    satisfies is listed as failed and pays no hop cost, only the centralized
+    one.
     """
     if cfg.topology is None:
         raise ConfigMismatch("distributed runs need a topology spec")
     topology = build_topology(cfg.topology)
     _populate_finders(topology, cfg)
-    leaves, resolve, query, policy = topology.leaves(), topology.resolve, cfg.query, cfg.policy
-    n_leaves, t_hop = len(leaves), cfg.latency.t_hop
-    hops: list[float] = []
-    failed: list[int] = []
-    for user in range(cfg.n_users):
-        try:
-            result = resolve(leaves[user % n_leaves], query, policy)
-        except NotFound:
-            hops.append(0.0)  # adding 0.0 leaves a (non-negative) time unchanged
-            failed.append(user)
-        else:
-            hops.append(t_hop * (result.hop_count - 1))
-    return hops, tuple(failed)
+    origins = itertools.islice(itertools.cycle(topology.leaves()), cfg.n_users)
+    counts, t_hop = topology.hop_counts(origins, cfg.query, cfg.policy), cfg.latency.t_hop
+    # a failed user's count is 0; adding 0.0 leaves a (non-negative) time unchanged
+    hops = [t_hop * (count - 1) if count else 0.0 for count in counts]
+    return hops, tuple(user for user, count in enumerate(counts) if not count)
 
 
 # The summary of one pool resource: 4 PEs of 1000 MIPS, x86, linux.

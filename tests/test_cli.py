@@ -17,7 +17,7 @@ import gridrd
 import gridrd.stats
 from gridrd.cli import main
 from gridrd.harness import read_observations
-from gridrd.scenarios import ScenarioKind
+from gridrd.scenarios import MAX_USERS, ScenarioKind
 
 
 def test_run_prints_summary(capsys):
@@ -453,6 +453,25 @@ def test_a_count_too_large_for_a_float_exits_two(tmp_path, capsys, scenario, opt
     captured = capsys.readouterr()
     assert captured.err == f"gridrd: config error: {field} is too large to convert to a float\n"
     assert captured.out == ""
+
+
+# Every sweep cell is configured before any runs, so the bound stops a sweep before its
+# first cell; without it, either command would draw and resolve user after user.
+@pytest.mark.parametrize("command, count", [
+    (["run", "--scenario", "baseline", "--users"], MAX_USERS + 1),
+    (["run", "--scenario", "distributed", "--users"], 10**20),
+    (["sweep", "--scenario", "distributed", "--replications", "1", "--points", "20"], 10**20),
+])
+def test_a_user_count_above_the_bound_exits_two(tmp_path, capsys, command, count):
+    cfg = tmp_path / "tree.cfg"
+    cfg.write_text("topology.depth = 3\n", encoding="utf-8")
+    out = tmp_path / "obs.csv"
+    argv = [*command, str(count), "--config", str(cfg)]
+    assert main(argv + (["--out", str(out)] if command[0] == "sweep" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"gridrd: config error: n_users must be at most {MAX_USERS}, got {count}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["topology.branching = 2", "topology.zones = a.b",

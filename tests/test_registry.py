@@ -9,7 +9,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import event, example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gridrd import domain, registry
@@ -1070,3 +1070,140 @@ class TestCacheRefresh:
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin
         topo._cache_insert(("a",), twin, cap)
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin
+
+
+# -- hop_counts: a distributed run's users in one call --------------------------
+
+
+_QUERY_NEEDS = (0.0, 2.0, 8.0, 100.0)  # no summary's pe_count reaches 100
+
+
+@st.composite
+def batch_cases(draw):
+    """(spec, finders, warm-up, late finders, query, policy, origins) for hop_counts
+    against a resolve loop.
+
+    Finders sit at any zone, inner ones too, and some summaries fail the query.  The
+    warm-up resolves under other queries and caps, so caches hold several entries and
+    a lone entry may fail the query; late finders, registered after it, may re-home a
+    finder where a copy of it is cached.  The origins repeat, may outnumber the
+    leaves, come in any order and may name a repository that is not in the tree.
+    """
+    if draw(st.booleans(), label="uniform"):
+        spec = TopologySpec(depth=draw(st.integers(1, 4)), branching=draw(st.integers(1, 3)))
+    else:
+        spec = TopologySpec(zones=tuple(name_of(z) for z in draw(zone_trees())[1:]))
+    shape = build_topology(spec).shape
+    zones = st.sampled_from(shape.order)
+    finders = [FinderRecord(f"f{i}", "svc://f", draw(zones), draw(summaries()))
+               for i in range(draw(st.integers(0, 4), label="finders"))]
+    late = draw(st.lists(st.builds(FinderRecord, st.sampled_from(("f0", "f1", "f9")), st.just("svc://l"),
+                                   zones, summaries()), max_size=2), label="late")
+    queries = st.builds(lambda need, tags: ResourceQuery({"pe_count": need}, tags),
+                        st.sampled_from(_QUERY_NEEDS), st.sampled_from(({}, {"os": "linux"})))
+    caps = st.sampled_from((None, 0, 1, 2, 5))
+    warm = draw(st.lists(st.tuples(zones, queries, caps), max_size=6), label="warm")
+    origins = list(shape.leaves) * draw(st.integers(0, 3)) + draw(st.lists(zones, max_size=6))
+    origins = draw(st.permutations(origins))
+    if draw(st.booleans(), label="unknown origin"):
+        origins.insert(draw(st.integers(0, len(origins))), "nowhere")
+    policy = draw(st.one_of(st.none(), caps.map(ResolutionPolicy)), label="policy")
+    return spec, finders, warm, late, draw(queries), policy, origins
+
+
+def _linux(need: float) -> ResourceQuery:
+    return ResourceQuery({"pe_count": need}, {"os": "linux"})
+
+
+class TestHopCounts:
+    @settings(max_examples=300)
+    @given(case=batch_cases())
+    # a's lone entry f-b fails pe_count >= 16, so a resolves, then holds f-b and f-c
+    @example(case=(TopologySpec(zones=("a", "b", "c")),
+                   [FinderRecord("f-b", "svc://b", "b", _summary(2.0)),
+                    FinderRecord("f-c", "svc://c", "c", _summary(32.0))],
+                   [("a", _linux(1.0), None)], [], _linux(16.0), ResolutionPolicy(), ["a", "a", "b", "a", "c"]))
+    # a holds f-b then f-c; its oldest entry f-b answers, and the hit moves it to the newest end
+    @example(case=(TopologySpec(zones=("a", "b", "c")),
+                   [FinderRecord("f-b", "svc://b", "b", _summary(2.0)),
+                    FinderRecord("f-c", "svc://c", "c", _summary(32.0))],
+                   [("a", _linux(1.0), None), ("a", _linux(16.0), None)], [], _linux(1.0), ResolutionPolicy(),
+                   ["a", "a"]))
+    # f re-homed at a, where its cached copy answers but its own record does not: a searches
+    @example(case=(TopologySpec(zones=("a", "b")), [FinderRecord("f", "svc://b", "b", _summary(8.0))],
+                   [("a", _linux(2.0), None)], [FinderRecord("f", "svc://a", "a", _summary(1.0))],
+                   _linux(2.0), ResolutionPolicy(), ["a", "b", "a"]))
+    # an unknown origin mid-list, after writes and in-loop answers, under a cap of 1
+    @example(case=(TopologySpec(depth=3, branching=2),
+                   [FinderRecord("f", "svc://f", "z01.z00", _summary(8.0))], [], [],
+                   _linux(2.0), ResolutionPolicy(1), ["z00.z01", "z00.z00", "z01.z00", "nowhere", "z00.z01"]))
+    # a query nothing satisfies, from an inner zone and the leaves, with no cap
+    @example(case=(TopologySpec(depth=2, branching=3),
+                   [FinderRecord("f", "svc://f", ".", _summary(8.0))], [("z01", _linux(2.0), None)], [],
+                   _linux(100.0), None, ["z00", ".", "z01", "z02", "z01"]))
+    def test_hop_counts_match_a_resolve_loop(self, case):
+        spec, finders, warm, late, query, policy, origins = case
+        batch, loop = build_topology(spec), build_topology(spec)
+        for topo in (batch, loop):
+            for record in finders:
+                topo.register_finder(record)
+            for origin, warm_query, cap in warm:
+                try:
+                    topo.resolve(origin, warm_query, ResolutionPolicy(cap))
+                except NotFound:
+                    pass
+            for record in late:
+                topo.register_finder(record)
+        expected, unknown = [], False
+        for origin in origins:
+            try:
+                expected.append(loop.resolve(origin, query, policy).hop_count)
+            except NotFound:
+                expected.append(0)
+            except UnknownNode:
+                unknown = True
+                break
+        resolved = []
+        batch.resolve = lambda *args: resolved.append(args[0]) or Topology.resolve(batch, *args)
+        if unknown:
+            with pytest.raises(UnknownNode, match="^no repository named 'nowhere'$"):
+                batch.hop_counts(origins, query, policy)
+            event("unknown origin")
+        else:
+            assert batch.hop_counts(origins, query, policy) == expected
+            event("not found" if 0 in expected else "every origin answered")
+        event("answered in the loop" if len(resolved) < len(expected) + unknown else "every origin resolved")
+        assert {n: list(c.items()) for n, c in batch.caches.items()} == {
+            n: list(c.items()) for n, c in loop.caches.items()}
+        assert batch.marks == loop.marks and batch.records == loop.records
+
+    def test_an_origin_holding_the_answer_costs_no_resolve_and_one_verdict(self, monkeypatch):
+        topo = build_topology(TopologySpec(depth=3, branching=3))
+        leaves, query = topo.leaves(), ResourceQuery()
+        home = leaves[4]
+        topo.register_finder(FinderRecord("f", "svc://f", home, _summary(8.0)))
+        # the first pass leaves every leaf but the home one cache entry, the answer:
+        # each search populates every repository it contacts
+        assert topo.hop_counts(leaves, query, ResolutionPolicy(1)) == [8, 1, 5, 1, 1, 1, 1, 2, 1]
+        assert all(list(topo.caches[leaf]) == ["f"] for leaf in leaves if leaf != home)
+        verdicts, resolved = [], []
+        monkeypatch.setattr(registry, "summary_may_satisfy",
+                            lambda q, s: verdicts.append(s) or summary_may_satisfy(q, s))
+        topo.resolve = lambda *args: resolved.append(args[0]) or Topology.resolve(topo, *args)
+        before = cache_snapshot(topo)
+        assert topo.hop_counts(leaves * 3, query) == [1] * 27
+        # the home holds records, so it alone is resolved; the cached record's verdict is taken once
+        assert resolved == [home] * 3
+        assert len(verdicts) == 1 + 3
+        assert cache_snapshot(topo) == before
+
+    def test_a_cap_of_zero_resolves_every_origin(self):
+        topo = build_topology(TopologySpec(depth=2, branching=2))
+        topo.register_finder(FinderRecord("f", "svc://f", "z00", _summary(8.0)))
+        topo.hop_counts(["z01"], ResourceQuery())
+        assert list(topo.caches) == ["z01", "."]
+        resolved = []
+        topo.resolve = lambda *args: resolved.append(args[0]) or Topology.resolve(topo, *args)
+        # a warm lone entry at z01 does not answer in the loop: resolve empties the cache
+        assert topo.hop_counts(["z01", "z01"], ResourceQuery(), ResolutionPolicy(0)) == [1, 2]
+        assert resolved == ["z01", "z01"] and not topo.caches

@@ -11,6 +11,7 @@ from gridrd import scenarios, stats
 from gridrd.domain import ResourceQuery
 from gridrd.registry import ResolutionPolicy, TopologySpec, UnknownNode, build_topology
 from gridrd.scenarios import (
+    MAX_USERS,
     ConfigMismatch,
     RunResult,
     ScenarioConfig,
@@ -155,8 +156,22 @@ class TestRunResultShape:
         fields = {"kind": kind, "n_users": 3, "n_resources": 3, "topology": TopologySpec(depth=2)}
         with pytest.raises(ConfigMismatch, match=f"^{field} is too large to convert to a float$"):
             ScenarioConfig(**{**fields, field: 10**310})
-        # the largest float's count is accepted
-        assert ScenarioConfig(**{**fields, field: int(sys.float_info.max)})
+        # the largest float's count is accepted as a resource count; a user count is bounded
+        if field == "n_resources":
+            assert ScenarioConfig(**{**fields, field: int(sys.float_info.max)})
+        else:
+            with pytest.raises(ConfigMismatch, match=f"^n_users must be at most {MAX_USERS}, got "):
+                ScenarioConfig(**{**fields, field: int(sys.float_info.max)})
+
+    @pytest.mark.parametrize("kind", [ScenarioKind.BASELINE, ScenarioKind.DISTRIBUTED])
+    def test_user_count_is_bounded(self, kind):
+        # each user costs a jitter draw and a resolve: a count a float holds, such as
+        # 10**20, would otherwise reach those per-user loops and never end
+        fields = {"kind": kind, "n_resources": 3, "topology": TopologySpec(depth=2)}
+        assert ScenarioConfig(**fields, n_users=MAX_USERS).n_users == MAX_USERS
+        for n_users in (MAX_USERS + 1, 10**20):
+            with pytest.raises(ConfigMismatch, match=f"^n_users must be at most {MAX_USERS}, got {n_users}$"):
+                ScenarioConfig(**fields, n_users=n_users)
 
     def test_dispatcher(self):
         r = run_scenario(_cfg(ScenarioKind.BASELINE, 3, 3))
