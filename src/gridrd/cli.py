@@ -1,12 +1,15 @@
 """Command-line surface: run, sweep, analyze, plot-data.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime
-error (bad input files, impossible scenarios, simulation failures).
+error (bad input files, impossible scenarios, simulation failures), 141
+(128 + SIGPIPE, as a shell reports for a killed writer) when stdout's reader
+has closed it, as ``gridrd run | head -1`` can.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from .scenarios import ScenarioKind, run_scenario
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
 RUNTIME_EXIT = 3
+CLOSED_PIPE_EXIT = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,7 +208,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:  # Python's signal docs, "Note on SIGPIPE": the exit's own flush must not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE_EXIT
     except ConfigError as exc:
         print(f"gridrd: config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT

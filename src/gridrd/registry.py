@@ -50,11 +50,11 @@ owns only its authoritative records and caches.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .domain import Checked, FinderRecord, ResourceQuery, as_tuple, check_field, check_zone, summary_may_satisfy
+from .domain import (Checked, FinderRecord, Frozen, ResourceQuery, as_tuple, check_field, check_zone,
+                     summary_may_satisfy)
 
 
 class RegistryError(Exception):
@@ -73,9 +73,7 @@ class MalformedTopology(RegistryError):
     pass
 
 
-# A dataclass, as TreeShape is, for resolve's field reads (see the note in domain).
-@dataclass(frozen=True)
-class ResolutionPolicy:
+class ResolutionPolicy(Frozen):
     """The knob for resolve: an optional cache cap.
 
     ``cache_capacity`` of None means unbounded; otherwise the entries least
@@ -84,10 +82,11 @@ class ResolutionPolicy:
     type or out of range raises ValueError.
     """
 
-    cache_capacity: int | None = None
+    __slots__ = ("cache_capacity",)
 
-    def __post_init__(self) -> None:
-        check_field("cache_capacity", self.cache_capacity, "None or an integer >= 0")
+    def __init__(self, cache_capacity: int | None = None) -> None:
+        check_field("cache_capacity", cache_capacity, "None or an integer >= 0")
+        self._bind(cache_capacity)
 
 
 class ResolutionResult(NamedTuple):
@@ -137,8 +136,7 @@ class TopologySpec(Checked, _TopologyFields):
         return self
 
 
-@dataclass(frozen=True)
-class TreeShape:
+class TreeShape(Frozen):
     """A tree's frozen shape, shared by every Topology built from one spec.
 
     ``parent`` maps each node id to its parent's (None at the root), parents
@@ -149,10 +147,11 @@ class TreeShape:
     Nothing in it changes, so a deep copy is the shape itself.
     """
 
-    parent: Mapping[str, str | None]
-    leaves: tuple[str, ...]
-    order: tuple[str, ...]
-    span: Mapping[str, tuple[int, int]]
+    __slots__ = ("parent", "leaves", "order", "span")
+
+    def __init__(self, parent: Mapping[str, str | None], leaves: tuple[str, ...], order: tuple[str, ...],
+                 span: Mapping[str, tuple[int, int]]) -> None:
+        self._bind(parent, leaves, order, span)
 
     def __deepcopy__(self, memo: dict) -> TreeShape:
         return self

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from enum import Enum
 from typing import Mapping, NamedTuple
 
@@ -217,7 +216,7 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
         sizes[site] += rounds + (i < extra)
     for site in sites:
         finder_id = f"fnd-{site}"
-        summary = (replace(_POOL_SUMMARY, entry_count=sizes[site]) if sizes[site]
+        summary = (_POOL_SUMMARY._replace(entry_count=sizes[site]) if sizes[site]
                    else MetadataSummary())
         record = FinderRecord(
             finder_id=finder_id,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import gridrd
 import gridrd.stats
-from gridrd.cli import main
+from gridrd.cli import CLOSED_PIPE_EXIT, main
 from gridrd.harness import read_observations
 from gridrd.scenarios import MAX_USERS, ScenarioKind
 
@@ -166,6 +166,23 @@ def test_cli_import_leaves_the_thread_pool_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_quietly_as_sigpipe_would(unbuffered):
+    # the reader has gone before gridrd writes, as `gridrd run | head -1` can leave it; a buffered
+    # stdout fails at the flush, an unbuffered one (PYTHONUNBUFFERED) at the first print
+    src = str(Path(gridrd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gridrd.cli", "run", "--scenario", "centralized", "--no-jitter"],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (CLOSED_PIPE_EXIT, b"") == (141, b"")
 
 
 @pytest.mark.parametrize("module", [gridrd, gridrd.stats], ids=lambda m: m.__name__)

@@ -1,8 +1,12 @@
 import copy
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import dataclass, field, is_dataclass
+from pathlib import Path
 from typing import Mapping
 
 import pytest
@@ -407,16 +411,22 @@ def test_a_list_is_stored_as_the_tuple_form():
     assert TopologySpec(depth=2)._replace(depth=None, zones=zones).zones == tuple(zones)
 
 
-def test_only_the_types_resolve_reads_are_dataclasses():
-    # Making a frozen dataclass generates and compiles its methods: about 0.9 ms per class
-    # at import (Python 3.11), against 0.12 ms for a NamedTuple and 0.16 ms with Checked.
-    # A field read costs about 17 ns on a dataclass and 36 ns on a named tuple, so only the
-    # types that resolve reads on every call stay dataclasses.
+def test_no_gridrd_class_is_a_dataclass():
+    # Making a frozen dataclass generates and compiles its methods at import, about 0.9 ms per
+    # class (Python 3.11), and importing dataclasses pulls in inspect, ast and tokenize. A named
+    # tuple costs 0.12 ms and a Frozen class only its own body, and a Frozen field read is a
+    # slot read, so the five types that resolve reads on every call are Frozen.
     modules = (cli, config, domain, harness, registry, scenarios, simkern, special, stats)
     classes = {cls for module in modules for name, cls in vars(module).items()
                if isinstance(cls, type) and cls.__module__ == module.__name__ and not name.startswith("_")}
-    assert {cls.__name__ for cls in classes if is_dataclass(cls)} == {
+    assert [cls.__name__ for cls in classes if is_dataclass(cls)] == []
+    assert {cls.__name__ for cls in classes if issubclass(cls, domain.Frozen) and cls.__slots__} == {
         "FinderRecord", "MetadataSummary", "ResourceQuery", "ResolutionPolicy", "TreeShape"}
     for cls in (config.Config, scenarios.RunResult, harness.AnalysisRow, stats.MeanDifferenceTest,
                 *map(type, _CHECKED)):
         assert issubclass(cls, tuple) and cls._fields
+    src = str(Path(domain.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, gridrd.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import math
 import random
@@ -294,7 +293,7 @@ class TestBuildTopology:
         shape = first.shape
         assert second.shape is shape and copy.deepcopy(first).shape is shape
         # every field of the shape is checked below
-        assert [field.name for field in dataclasses.fields(shape)] == ["parent", "leaves", "order", "span"]
+        assert shape.__slots__ == ("parent", "leaves", "order", "span")
         assert first.records is not second.records and first.caches is not second.caches
         tables = (shape.parent, shape.span)
         clean = [dict(table) for table in tables] + [shape.leaves, shape.order]
@@ -665,7 +664,7 @@ class TestResolutionPolicy:
         assert ResolutionPolicy(cache_capacity=0).cache_capacity == 0
         assert ResolutionPolicy(cache_capacity=None).cache_capacity is None
         assert ResolutionPolicy(5).cache_capacity == 5
-        assert [f.name for f in dataclasses.fields(ResolutionPolicy)] == ["cache_capacity"]
+        assert ResolutionPolicy.__slots__ == ("cache_capacity",)
 
 
 class TestResolveValues:
@@ -1064,7 +1063,7 @@ class TestCacheRefresh:
         cap = ResolutionPolicy().cache_capacity
         stored = topo.records["b"]["f-b"]
         topo._cache_insert(("a",), stored, cap)
-        twin = dataclasses.replace(stored)
+        twin = stored._replace()
         assert twin == stored and twin is not stored
         topo._cache_insert(("a",), twin, cap)
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin

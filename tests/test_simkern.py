@@ -249,3 +249,32 @@ class TestJitterVector:
             draws = jitter_vector(mix64(run), LatencyModel(), 1000, 100)
             digest.update(" ".join(map(float.hex, draws)).encode())
         assert digest.hexdigest() == "d87772c2b73d11493e947043e2d8175ecb976b758b91109cd4389e036445f1fc"
+
+
+# (function, input.hex(), output.hex()): inputs of the draws' float step at which glibc 2.36's FMA
+# and non-FMA paths round differently, found by evaluating the float step of 40,000 draws once
+# plainly and once under GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA. The outputs are the FMA path's,
+# correctly rounded in 6 of the 12 rows (mpmath at 200 bits): neither path is always right.
+_LIBM_CANARY = [
+    ("log", "0x1.705d7949ca140p-1", "-0x1.5126e79e0e7fap-2"),
+    ("log", "0x1.9fa4c44cb4512p-1", "-0x1.ab002af91950cp-3"),
+    ("log", "0x1.67d365149ebb0p-1", "-0x1.692b6c420903bp-2"),
+    ("log", "0x1.a820e7b986601p-1", "-0x1.819d2c519c638p-3"),
+    ("cos", "0x1.515ff0ff2bae8p+0", "0x1.003e67be8d24dp-2"),
+    ("cos", "0x1.67d8492e3c6dep+2", "0x1.9448e1659ed1ap-1"),
+    ("cos", "0x1.eb9e52f216b20p+0", "-0x1.5ebb33ed38c51p-2"),
+    ("cos", "0x1.4a67075cf317ap+0", "0x1.1b25b864f70d2p-2"),
+    ("exp", "-0x1.6d6d20d040ca6p+2", "0x1.b24aac73e2571p-9"),
+    ("exp", "-0x1.4438f3f99cccap+1", "0x1.454f52052e96dp-4"),
+    ("exp", "-0x1.4395506eca6e5p+3", "0x1.547f683341dafp-15"),
+    ("exp", "-0x1.d988b18010460p+0", "0x1.421ad43a2a105p-3"),
+]
+
+
+@pytest.mark.parametrize("name", ["log", "cos", "exp"])
+def test_libm_rounds_as_the_frozen_draw_bytes_assume(name):
+    # A canary for the digest above and the benchmark pins: when it fails, so do they, for this reason.
+    rows = [(x, y) for function, x, y in _LIBM_CANARY if function == name]
+    got = [getattr(math, name)(float.fromhex(x)).hex() for x, _ in rows]
+    assert got == [y for _, y in rows], (
+        f"libm {name} rounds differently here: the frozen draw bytes assume glibc 2.36 with its FMA code paths")
