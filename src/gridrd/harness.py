@@ -5,9 +5,14 @@ output byte follows from it and the config.  Each sweep cell's seed is
 
     mix64(base_seed, scenario_ordinal, users, resources, replication)
 
-so cells are statistically decoupled yet exactly reproducible, and cells
-may run in parallel without changing the output: results are assembled in
-deterministic cell order, never completion order.
+so cells are statistically decoupled yet exactly reproducible.  A sweep runs
+point by point: the cells of one (scenario, point) differ only in their
+seed, so the point's run is configured once, its seed-free work (a
+distributed run's resolution) is done once, and the seed prefix
+``mix64(base_seed, scenario_ordinal, users, resources)`` is folded once and
+then once more per replication.  Points may run in parallel without changing
+the output: rows are assembled in deterministic row order, never completion
+order.
 
 File formats (fixed; the test suite pins them with golden files):
 
@@ -27,7 +32,7 @@ from typing import NamedTuple
 from . import stats
 from .config import Config, ConfigError
 from .domain import Checked, as_tuple, check_field
-from .scenarios import ConfigMismatch, RunResult, ScenarioConfig, ScenarioKind, run_scenario
+from .scenarios import ConfigMismatch, ScenarioConfig, ScenarioKind, mean_times
 from .simkern import mix64
 from .stats import MeanDifferenceTest, unpaired_t_test
 
@@ -128,38 +133,31 @@ def scenario_config(config: Config, kind: ScenarioKind, users: int, resources: i
 def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[ObservationRow]:
     """Run every distinct (scenario, point, replication) cell of the sweep once.
 
-    Every cell's run is configured before any runs.  Cells run in row order:
-    scenario ordinal, then (users, resources), then replication, so a
-    repeated scenario or point adds no duplicate row.  ``workers > 1`` runs
-    cells on a thread pool; cells share no state (each derives its own
-    seed), and rows come back in cell order either way.
+    Rows come in row order: scenario ordinal, then (users, resources), then
+    replication, so a repeated scenario or point adds no duplicate row.  The
+    run is configured per point, every point before any runs; cells of a point
+    share its resolution and differ only in their seed (see
+    ``scenarios.mean_times``).  ``workers > 1`` runs points on a thread pool;
+    points share no state, and rows come back in row order either way.
     """
-    points = sorted(set(spec.points))
-    cells = [
-        (rep, scenario_config(config, scenario, users, resources,
-                              cell_seed(spec.base_seed, scenario, users, resources, rep)))
-        for scenario in sorted(set(spec.scenarios), key=lambda s: s.ordinal)
-        for (users, resources) in points
-        for rep in range(spec.replications)
+    points = [  # each configured with seed 0: mean_times takes the cells' seeds instead
+        (scenario_config(config, kind, users, resources, 0),
+         mix64(spec.base_seed, kind.ordinal, users, resources))
+        for kind in sorted(set(spec.scenarios), key=lambda s: s.ordinal)
+        for (users, resources) in sorted(set(spec.points))
     ]
 
-    def run_cell(cell: tuple[int, ScenarioConfig]) -> ObservationRow:
-        rep, cfg = cell
-        result: RunResult = run_scenario(cfg)
-        return ObservationRow(
-            scenario=cfg.kind,
-            users=cfg.n_users,
-            resources=cfg.n_resources,
-            replication=rep,
-            seed=cfg.seed,
-            discovery_time_s=result.mean_time,
-        )
+    def run_point(point: tuple[ScenarioConfig, int]) -> list[ObservationRow]:
+        cfg, prefix = point
+        seeds = [mix64(rep, prefix=prefix) for rep in range(spec.replications)]
+        return [ObservationRow(cfg.kind, cfg.n_users, cfg.n_resources, rep, seed, mean)
+                for rep, (seed, mean) in enumerate(zip(seeds, mean_times(cfg, seeds)))]
 
     if workers <= 1:
-        return [run_cell(cell) for cell in cells]
+        return [row for point in points for row in run_point(point)]
     from concurrent.futures import ThreadPoolExecutor  # with logging: slow to import
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, cells))
+        return [row for rows in pool.map(run_point, points) for row in rows]
 
 
 # -- observation CSV ---------------------------------------------------------

@@ -17,7 +17,9 @@ Per-user jitter draws are keyed by (run seed, user index) only, so two
 scenarios run with the same seed see identical jitter and their per-user
 differences are exactly the configured overheads.  A run is computed in
 closed form: the overhead table below is the list above, and the trace
-summary counts what each discovery would contact.
+summary counts what each discovery would contact.  Only the jitter reads
+the seed: ``mean_times`` runs one config under many seeds, a sweep point's
+replications, and resolves once for all of them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import stats
 from .domain import (
@@ -65,7 +67,10 @@ class ScenarioKind(str, Enum):
 
     @property
     def ordinal(self) -> int:
-        return list(ScenarioKind).index(self)
+        return _ORDINALS[self]
+
+
+_ORDINALS = {kind: ordinal for ordinal, kind in enumerate(ScenarioKind)}  # the definition order
 
 
 class _ScenarioFields(NamedTuple):
@@ -136,36 +141,54 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     makes no service call.  Event kinds with a zero count are left out.
     Latencies so large that the times overflow raise ScenarioError.
     """
-    lat = cfg.latency
     hops, failed = (_resolve_users(cfg) if cfg.kind is ScenarioKind.DISTRIBUTED
                     else (None, ()))
+    times = tuple(_times(cfg, cfg.seed, hops))
+    counts = {"resource_register": cfg.n_resources, "user_query": cfg.n_users}
+    for name in _OVERHEADS[cfg.kind]:
+        counts[_EVENT_OF[name]] = cfg.n_users - len(failed) if name == "t_ws" else cfg.n_users
+    return RunResult(
+        config=cfg,
+        per_user_times=times,
+        mean_time=_mean_time(cfg, times),
+        trace_summary={kind: n for kind, n in sorted(counts.items()) if n},
+        failed_users=failed,
+    )
+
+
+def mean_times(cfg: ScenarioConfig, seeds: Iterable[int]) -> list[float]:
+    """The ``mean_time`` of ``cfg``'s run under each seed in turn, ``cfg.seed`` unread.
+
+    A distributed run's resolution reads no seed, so it is done once for all
+    of them; each seed costs a jitter draw and the mean.
+    """
+    hops = _resolve_users(cfg)[0] if cfg.kind is ScenarioKind.DISTRIBUTED else None
+    return [_mean_time(cfg, _times(cfg, seed, hops)) for seed in seeds]
+
+
+def _times(cfg: ScenarioConfig, seed: int, hops: list[float] | None) -> list[float]:
+    """Each user's time under ``seed``: ``((base*j + t_ws) + t_registry) + hop``, as the kind has them."""
+    lat = cfg.latency
     base = lat.t_base + lat.t_reg * cfg.n_resources + lat.t_user * cfg.n_users
-    jitter = jitter_vector(mix64(cfg.seed, _JITTER_STREAM), lat, cfg.n_users, cfg.n_resources)
+    jitter = jitter_vector(mix64(seed, _JITTER_STREAM), lat, cfg.n_users, cfg.n_resources)
     times = [base * j for j in jitter]
     for name in _OVERHEADS[cfg.kind]:
         term = getattr(lat, name)
         times = [t + term for t in times]
     if hops is not None:
         times = [t + hop for t, hop in zip(times, hops)]
+    return times
 
-    counts = {"resource_register": cfg.n_resources, "user_query": cfg.n_users}
-    for name in _OVERHEADS[cfg.kind]:
-        counts[_EVENT_OF[name]] = cfg.n_users - len(failed) if name == "t_ws" else cfg.n_users
-    times_tuple = tuple(times)
+
+def _mean_time(cfg: ScenarioConfig, times: Sequence[float]) -> float:
     try:
-        mean_time = stats.mean(times_tuple)
+        mean_time = stats.mean(times)
     except stats.StatsError:  # the sum overflowed
         mean_time = math.inf
     if not math.isfinite(mean_time):
         raise ScenarioError(f"latency overflows: the discovery times of {cfg.n_users} users "
                             f"over {cfg.n_resources} resources are not finite")
-    return RunResult(
-        config=cfg,
-        per_user_times=times_tuple,
-        mean_time=mean_time,
-        trace_summary={kind: n for kind, n in sorted(counts.items()) if n},
-        failed_users=failed,
-    )
+    return mean_time
 
 
 def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:

@@ -37,13 +37,15 @@ def _finalize(z: int, m64: int = _MASK64) -> int:
     return z ^ ((z >> 31) & m64)
 
 
-def mix64(*parts: int) -> int:
+def mix64(*parts: int, prefix: int = 0) -> int:
     """Fold integers into one 64-bit seed via splitmix64 finalization.
 
     Used to derive per-cell and per-stream seeds: mix64(base, a, b, ...) is
     order-sensitive, deterministic, and documented here as THE seed hash.
+    The fold goes on from ``prefix``: ``mix64(*more, prefix=mix64(*parts))``
+    is ``mix64(*parts, *more)``.
     """
-    h = 0
+    h = prefix
     for part in parts:
         h = _finalize((h + _GOLDEN + (part & _MASK64)) & _MASK64)
     return h

@@ -254,6 +254,31 @@ def test_latency_overflow_exits_three(tmp_path, capsys):
     assert "mean_time_s" not in captured.out
 
 
+@pytest.mark.parametrize("jitter, resources", [([], 30), (["--no-jitter"], 10)],
+                         ids=["inf-time", "sum-overflow"])
+def test_a_sweep_whose_latency_overflows_exits_three(tmp_path, capsys, jitter, resources):
+    cfg, out = tmp_path / "slow.cfg", tmp_path / "obs.csv"
+    cfg.write_text("t_reg = 1e307\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), *jitter, "--sweep-kind", "fixed-users", "--fixed-values", "3",
+                 "--range", f"{resources}:{resources}:1", "--replications", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"gridrd: error: latency overflows: the discovery times of 3 users "
+                            f"over {resources} resources are not finite\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_sweep_configures_every_point_before_it_runs_any(tmp_path, capsys):
+    # the point (3, 30) overflows, and the point (MAX_USERS + 1, 30) after it is a config error
+    cfg, out = tmp_path / "slow.cfg", tmp_path / "obs.csv"
+    cfg.write_text("t_reg = 1e307\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--sweep-kind", "fixed-resources", "--fixed-values", "30",
+                 "--range", f"3:{MAX_USERS + 1}:{MAX_USERS - 2}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"gridrd: config error: n_users must be at most {MAX_USERS}, got {MAX_USERS + 1}\n"
+    assert not out.exists()
+
+
 HEADER = "scenario,users,resources,replication,seed,discovery_time_s\n"
 
 

@@ -23,8 +23,8 @@ from gridrd.harness import (
     run_sweep,
     write_observations,
 )
-from gridrd.scenarios import ScenarioKind
-from gridrd.simkern import LatencyModel
+from gridrd.scenarios import MAX_USERS, ScenarioError, ScenarioKind
+from gridrd.simkern import LatencyModel, mix64
 from gridrd.stats import StatsError, Verdict
 from tests.conftest import engineered_sample
 
@@ -84,6 +84,34 @@ class TestSweep:
             for rep in range(10)
         }
         assert len(seeds) == 40  # no collisions across the cells
+
+    def test_every_row_seed_is_the_documented_hash(self):
+        spec = SweepSpec(points=((20, 40), (40, 20), (3, 3)), replications=3, base_seed=-5,
+                         scenarios=(ScenarioKind.DISTRIBUTED, ScenarioKind.BASELINE, ScenarioKind.DIRECT))
+        rows = run_sweep(spec, parse_config("topology.depth = 2\ntopology.branching = 2\n"))
+        assert len(rows) == 3 * 3 * 3
+        for row in rows:
+            assert row.seed == mix64(-5, row.scenario.ordinal, row.users, row.resources, row.replication)
+        assert {kind.value: kind.ordinal for kind in ScenarioKind} == {
+            "baseline": 0, "direct": 1, "centralized": 2, "distributed": 3}
+
+    # a time that overflows to inf, and finite times whose sum overflows, as a run checks them
+    @pytest.mark.parametrize("latency, resources", [
+        (LatencyModel(t_reg=1e307), 30),
+        (LatencyModel(t_reg=1e307, jitter_enabled=False), 10),
+    ], ids=["inf-time", "sum-overflow"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_sweep_checks_its_latency_overflow(self, latency, resources, workers):
+        spec = SweepSpec(points=((3, resources),), replications=2, scenarios=(ScenarioKind.BASELINE,))
+        with pytest.raises(ScenarioError, match="latency overflows"):
+            run_sweep(spec, Config(latency=latency), workers=workers)
+
+    def test_every_point_is_configured_before_any_runs(self):
+        # the first point's times overflow, and the second point's user count is out of bounds
+        spec = SweepSpec(points=((3, 30), (MAX_USERS + 1, 30)), replications=1,
+                         scenarios=(ScenarioKind.BASELINE,))
+        with pytest.raises(ConfigError, match=f"n_users must be at most {MAX_USERS}"):
+            run_sweep(spec, Config(latency=LatencyModel(t_reg=1e307)))
 
     def test_distributed_sweep_needs_topology(self):
         spec = SweepSpec(scenarios=(ScenarioKind.DISTRIBUTED,))

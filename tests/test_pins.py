@@ -42,9 +42,10 @@ def test_seed_zero_outputs_match_the_pins(perfbench, name, tmp_path):
     assert digests == pinned
 
 
-# PATCHES targets of layers deleted from gridrd; their per-layer metrics read 0
+# PATCHES targets of layers deleted from gridrd, and harness.run_scenario: a sweep
+# runs point by point through scenarios.mean_times.  Their per-layer metrics read 0.
 DEAD_SPAN_TARGETS = {("gridrd.scenarios", "sample_jitter"), ("gridrd.simkern", "Engine.schedule"),
-                     ("gridrd.simkern", "Engine.run")}
+                     ("gridrd.simkern", "Engine.run"), ("gridrd.harness", "run_scenario")}
 
 
 def test_span_targets_resolve_except_the_known_dead_ones(perfbench):

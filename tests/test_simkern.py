@@ -100,6 +100,7 @@ class TestRng:
     def test_mix64_folds_with_the_reference_finalizer(self):
         assert mix64(7) == splitmix64_finalize(GOLDEN + 7)
         assert mix64(7, 3) == splitmix64_finalize(mix64(7) + GOLDEN + 3)
+        assert mix64(3, -1, prefix=mix64(7, 2)) == mix64(7, 2, 3, -1)  # the fold goes on from a prefix
 
 
 class TestJitter:
