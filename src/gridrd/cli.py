@@ -15,6 +15,8 @@ from pathlib import Path
 
 from .config import Config, ConfigError, load_config
 from .harness import (
+    DIAGONAL_POINTS,
+    PAPER_SCENARIOS,
     SweepSpec,
     analyze,
     format_analysis_table,
@@ -156,7 +158,7 @@ def _sweep_points(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if value is not None:
             parser.error(f"argument {option}: a {kind} sweep does not use it")
     if kind == "diagonal":
-        return SweepSpec._field_defaults["points"] if args.points is None else tuple((d, d) for d in args.points)
+        return DIAGONAL_POINTS if args.points is None else tuple((d, d) for d in args.points)
     start, stop, step = args.varying or (20, 100, 20)
     varying = range(start, stop + 1, step)
     fixed = args.fixed_values or (20, 60, 100)
@@ -172,7 +174,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points=points,
         replications=args.replications,
         base_seed=args.seed,
-        scenarios=tuple(args.scenario or SweepSpec._field_defaults["scenarios"]),
+        scenarios=args.scenario or PAPER_SCENARIOS,
     )
     rows = run_sweep(spec, cfg, workers=args.workers)
     write_observations(rows, args.out)

@@ -68,21 +68,6 @@ def check_field(name: str, value, what: str, error: type[Exception] = ValueError
         raise error(f"{name} must be {what}, got {value!r}")
 
 
-class Checked:
-    """Mixin of a checked named tuple ``class T(Checked, _TFields)``: making a ``T`` binds the
-    fields as ``_TFields`` does and stores what ``T._check`` returns, the values normalised.
-    ``_make`` makes a ``T``, so ``_replace``, pickle and deepcopy check again."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._check())
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 _NEW = object()  # a dict field's default: _bind gives each value made without one its own {}
 
 
@@ -92,7 +77,8 @@ class Frozen:
     ``T.__init__`` checks, then binds the fields; none can be set or deleted after.  Equality,
     hash and repr are a frozen dataclass's.  ``_replace``, pickle and deepcopy go through
     ``T.__init__``, so they check again.  A field read is a slot read: about 17 ns, a named
-    tuple's 33, so the five types resolve reads on every call are ``Frozen``, not named tuples.
+    tuple's 33.  Every gridrd value whose constructor checks its fields is a ``Frozen``; a
+    named tuple is a plain record that checks nothing.
     """
 
     __slots__ = ()

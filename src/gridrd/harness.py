@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from . import stats
 from .config import Config, ConfigError
-from .domain import Checked, as_tuple, check_field
+from .domain import Frozen, as_tuple, check_field
 from .scenarios import ConfigMismatch, ScenarioConfig, ScenarioKind, mean_times
 from .simkern import mix64
 from .stats import MeanDifferenceTest, unpaired_t_test
@@ -53,41 +53,36 @@ class GridMismatch(HarnessError):
     pass
 
 
-class _SweepFields(NamedTuple):
-    points: tuple[tuple[int, int], ...] = tuple((d, d) for d in range(20, 101, 20))
-    replications: int = 10
-    base_seed: int = 0
-    scenarios: tuple[ScenarioKind, ...] = (
-        ScenarioKind.BASELINE,
-        ScenarioKind.DIRECT,
-        ScenarioKind.CENTRALIZED,
-    )
+# A sweep's default points, the paper's diagonal, and its default scenarios; the CLI reads both.
+DIAGONAL_POINTS = tuple((d, d) for d in range(20, 101, 20))
+PAPER_SCENARIOS = (ScenarioKind.BASELINE, ScenarioKind.DIRECT, ScenarioKind.CENTRALIZED)
 
 
-class SweepSpec(Checked, _SweepFields):
+class SweepSpec(Frozen):
     """A sweep: every (users, resources) point of ``points``, run ``replications`` times per scenario.
 
     ``points`` is stored as a tuple of (users, resources) tuples and ``scenarios`` as a
     tuple of ScenarioKind members, so specs hash.
     """
 
-    __slots__ = ()
+    __slots__ = ("points", "replications", "base_seed", "scenarios")
 
-    def _check(self) -> tuple:
-        points = as_tuple("points", self.points, "(users, resources) pairs", ConfigError)
+    def __init__(self, points: tuple[tuple[int, int], ...] = DIAGONAL_POINTS, replications: int = 10,
+                 base_seed: int = 0, scenarios: tuple[ScenarioKind, ...] = PAPER_SCENARIOS) -> None:
+        points = as_tuple("points", points, "(users, resources) pairs", ConfigError)
         points = tuple(map(_grid_point, points))
         if not points:
             raise ConfigError("sweep needs at least one grid point")
-        for name in ("replications", "base_seed"):
-            check_field(name, getattr(self, name), "an integer", ConfigError)
-        if self.replications < 1:
+        for name, value in (("replications", replications), ("base_seed", base_seed)):
+            check_field(name, value, "an integer", ConfigError)
+        if replications < 1:
             raise ConfigError("replications must be >= 1")
-        scenarios = as_tuple("scenarios", self.scenarios, "a list of scenarios", ConfigError)
+        scenarios = as_tuple("scenarios", scenarios, "a list of scenarios", ConfigError)
         if not scenarios:
             raise ConfigError("sweep needs at least one scenario")
         if not all(isinstance(kind, ScenarioKind) for kind in scenarios):
             raise ConfigError(f"scenarios must be ScenarioKind members, got {scenarios!r}")
-        return points, self.replications, self.base_seed, scenarios
+        self._bind(points, replications, base_seed, scenarios)
 
 
 def _grid_point(point) -> tuple[int, int]:
@@ -111,11 +106,6 @@ class AnalysisRow(NamedTuple):
     resources: int
     pair: str
     test: MeanDifferenceTest
-
-
-def cell_seed(base_seed: int, scenario: ScenarioKind, users: int, resources: int,
-              replication: int) -> int:
-    return mix64(base_seed, scenario.ordinal, users, resources, replication)
 
 
 def scenario_config(config: Config, kind: ScenarioKind, users: int, resources: int,

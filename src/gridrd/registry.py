@@ -53,7 +53,7 @@ import functools
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .domain import (Checked, FinderRecord, Frozen, ResourceQuery, as_tuple, check_field, check_zone,
+from .domain import (FinderRecord, Frozen, ResourceQuery, as_tuple, check_field, check_zone,
                      summary_may_satisfy)
 
 
@@ -97,13 +97,7 @@ class ResolutionResult(NamedTuple):
     caches_populated: tuple[str, ...]
 
 
-class _TopologyFields(NamedTuple):
-    depth: int | None = None
-    branching: int | None = None
-    zones: tuple[str, ...] | None = None
-
-
-class TopologySpec(Checked, _TopologyFields):
+class TopologySpec(Frozen):
     """How to build a repository tree.
 
     Either a uniform tree (``depth`` levels, ``branching`` children per
@@ -116,24 +110,26 @@ class TopologySpec(Checked, _TopologyFields):
     build_topology then reuses.
     """
 
-    __slots__ = ()
+    __slots__ = ("depth", "branching", "zones")
 
-    def _check(self) -> tuple:
-        if self.zones is not None:
-            zones = as_tuple("zones", self.zones, "a list of zone names", MalformedTopology)
-            if self.depth is not None or self.branching is not None:
+    def __init__(self, depth: int | None = None, branching: int | None = None,
+                 zones: tuple[str, ...] | None = None) -> None:
+        if zones is not None:
+            zones = as_tuple("zones", zones, "a list of zone names", MalformedTopology)
+            if depth is not None or branching is not None:
                 raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
-            _tree_shape(tuple.__new__(TopologySpec, (None, None, zones)))
-            return None, None, zones
-        if self.depth is None:
+            self._bind(None, None, zones)
+            _tree_shape(self)
+            return
+        if depth is None:
             raise MalformedTopology("topology spec needs a depth or a zone list")
-        branching = 1 if self.branching is None else self.branching
-        for name, value in (("depth", self.depth), ("branching", branching)):
+        fanout = 1 if branching is None else branching
+        for name, value in (("depth", depth), ("branching", fanout)):
             check_field(name, value, "an integer", MalformedTopology)
             if value < 1:
                 raise MalformedTopology(f"{name} must be >= 1, got {value}")
-        check_tree_size(self.depth, branching)
-        return self
+        check_tree_size(depth, fanout)
+        self._bind(depth, branching, None)
 
 
 class TreeShape(Frozen):

@@ -35,8 +35,8 @@ from .domain import (
     ATTR_MIPS_PER_PE,
     ATTR_OS,
     ATTR_PE_COUNT,
-    Checked,
     FinderRecord,
+    Frozen,
     MetadataSummary,
     ResourceQuery,
     as_tuple,
@@ -73,41 +73,32 @@ class ScenarioKind(str, Enum):
 _ORDINALS = {kind: ordinal for ordinal, kind in enumerate(ScenarioKind)}  # the definition order
 
 
-class _ScenarioFields(NamedTuple):
-    kind: ScenarioKind
-    n_users: int
-    n_resources: int
-    latency: LatencyModel = LatencyModel()
-    seed: int = 0
-    topology: TopologySpec | None = None
-    query: ResourceQuery = ResourceQuery()
-    finder_zones: tuple[str, ...] | None = None
-    policy: ResolutionPolicy = ResolutionPolicy()
-
-
-class ScenarioConfig(Checked, _ScenarioFields):
+class ScenarioConfig(Frozen):
     """One run's settings; ``finder_zones`` given as any iterable but a string is stored as a tuple."""
 
-    __slots__ = ()
+    __slots__ = ("kind", "n_users", "n_resources", "latency", "seed", "topology", "query", "finder_zones",
+                 "policy")
 
-    def _check(self) -> tuple:
-        if not isinstance(self.kind, ScenarioKind):
-            raise ConfigMismatch(f"unknown scenario kind {self.kind!r}")
-        for name in ("n_users", "n_resources", "seed"):
-            check_field(name, getattr(self, name), "an integer", ConfigMismatch)
-        if self.n_users < 1 or self.n_resources < 1:
+    def __init__(self, kind: ScenarioKind, n_users: int, n_resources: int,
+                 latency: LatencyModel = LatencyModel(), seed: int = 0, topology: TopologySpec | None = None,
+                 query: ResourceQuery = ResourceQuery(), finder_zones: tuple[str, ...] | None = None,
+                 policy: ResolutionPolicy = ResolutionPolicy()) -> None:
+        if not isinstance(kind, ScenarioKind):
+            raise ConfigMismatch(f"unknown scenario kind {kind!r}")
+        for name, value in (("n_users", n_users), ("n_resources", n_resources), ("seed", seed)):
+            check_field(name, value, "an integer", ConfigMismatch)
+        if n_users < 1 or n_resources < 1:
             raise ConfigMismatch("a run needs at least one user and one resource")
-        for name in ("n_users", "n_resources"):  # a run's times are floats of both counts
+        for name, value in (("n_users", n_users), ("n_resources", n_resources)):  # times are floats of both
             try:
-                float(getattr(self, name))
+                float(value)
             except OverflowError:
                 raise ConfigMismatch(f"{name} is too large to convert to a float") from None
-        if self.n_users > MAX_USERS:
-            raise ConfigMismatch(f"n_users must be at most {MAX_USERS}, got {self.n_users}")
-        if self.finder_zones is None:
-            return self
-        zones = as_tuple("finder_zones", self.finder_zones, "a list of zone names", ConfigMismatch)
-        return (*self[:7], zones, self.policy)
+        if n_users > MAX_USERS:
+            raise ConfigMismatch(f"n_users must be at most {MAX_USERS}, got {n_users}")
+        if finder_zones is not None:
+            finder_zones = as_tuple("finder_zones", finder_zones, "a list of zone names", ConfigMismatch)
+        self._bind(kind, n_users, n_resources, latency, seed, topology, query, finder_zones, policy)
 
 
 class RunResult(NamedTuple):

@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from typing import NamedTuple
 
-from .domain import Checked, check_field
+from .domain import Frozen, check_field
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,19 +50,7 @@ def mix64(*parts: int, prefix: int = 0) -> int:
     return h
 
 
-class _LatencyFields(NamedTuple):
-    t_reg: float = 0.06006
-    t_user: float = 0.06006
-    t_ws: float = 1.890
-    t_registry: float = 1.716
-    t_hop: float = 0.5
-    t_base: float = 0.0
-    jitter_sigma0: float = 0.5
-    jitter_gamma: float = 1.07
-    jitter_enabled: bool = True
-
-
-class LatencyModel(Checked, _LatencyFields):
+class LatencyModel(Frozen):
     """Per-entity timing parameters, all in virtual seconds.
 
     A discovery takes ``t_base + t_reg*n_resources + t_user*n_users``
@@ -74,13 +61,17 @@ class LatencyModel(Checked, _LatencyFields):
     type or out of range raises ValueError naming it.
     """
 
-    __slots__ = ()
+    __slots__ = ("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base", "jitter_sigma0", "jitter_gamma",
+                 "jitter_enabled")
 
-    def _check(self) -> tuple:
-        for name, value in zip(self._fields[:8], self):  # the eight numbers
+    def __init__(self, t_reg: float = 0.06006, t_user: float = 0.06006, t_ws: float = 1.890,
+                 t_registry: float = 1.716, t_hop: float = 0.5, t_base: float = 0.0,
+                 jitter_sigma0: float = 0.5, jitter_gamma: float = 1.07, jitter_enabled: bool = True) -> None:
+        numbers = (t_reg, t_user, t_ws, t_registry, t_hop, t_base, jitter_sigma0, jitter_gamma)
+        for name, value in zip(self.__slots__, numbers):
             check_field(name, value, "a finite number >= 0")
-        check_field("jitter_enabled", self.jitter_enabled, "True or False")
-        return self
+        check_field("jitter_enabled", jitter_enabled, "True or False")
+        self._bind(*numbers, jitter_enabled)
 
     def without_jitter(self) -> "LatencyModel":
         return self._replace(jitter_enabled=False)

@@ -349,7 +349,7 @@ def test_every_field_check_has_its_exact_message(make, kwargs, error, message):
     assert str(info.value) == message
 
 
-# -- checked named tuples: the value types that resolve never reads -------------
+# -- the checked value types that resolve never reads --------------------------
 
 _CHECKED_CHANGES = [
     (LatencyModel(), {"t_ws": -1.0}, ValueError, "t_ws must be a finite number >= 0, got -1.0"),
@@ -380,7 +380,8 @@ def test_pickle_and_deepcopy_give_an_equal_value_and_check_again(value):
     for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(clone) is type(value) and clone == value
     name, bad = _BAD_FIELD[type(value)]
-    unchecked = tuple.__new__(type(value), (bad if key == name else v for key, v in zip(value._fields, value)))
+    unchecked = object.__new__(type(value))  # a value with a field its check rejects, made without the check
+    domain.Frozen._bind(unchecked, *(bad if key == name else getattr(value, key) for key in value.__slots__))
     for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
         with pytest.raises((ValueError, ConfigMismatch, ConfigError, MalformedTopology), match=name):
             round_trip(unchecked)
@@ -388,7 +389,7 @@ def test_pickle_and_deepcopy_give_an_equal_value_and_check_again(value):
 
 @pytest.mark.parametrize("value", _CHECKED, ids=_NAMES)
 def test_a_field_cannot_be_set(value):
-    for name in value._fields:
+    for name in value.__slots__:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
     with pytest.raises(AttributeError):
@@ -413,18 +414,18 @@ def test_a_list_is_stored_as_the_tuple_form():
 
 def test_no_gridrd_class_is_a_dataclass():
     # Making a frozen dataclass generates and compiles its methods at import, about 0.9 ms per
-    # class (Python 3.11), and importing dataclasses pulls in inspect, ast and tokenize. A named
-    # tuple costs 0.12 ms and a Frozen class only its own body, and a Frozen field read is a
-    # slot read, so the five types that resolve reads on every call are Frozen.
+    # class (Python 3.11), and importing dataclasses pulls in inspect, ast and tokenize. A Frozen
+    # class costs only its own body. Every type that checks its fields is Frozen; a named tuple is
+    # a plain record that checks nothing.
     modules = (cli, config, domain, harness, registry, scenarios, simkern, special, stats)
     classes = {cls for module in modules for name, cls in vars(module).items()
                if isinstance(cls, type) and cls.__module__ == module.__name__ and not name.startswith("_")}
     assert [cls.__name__ for cls in classes if is_dataclass(cls)] == []
     assert {cls.__name__ for cls in classes if issubclass(cls, domain.Frozen) and cls.__slots__} == {
-        "FinderRecord", "MetadataSummary", "ResourceQuery", "ResolutionPolicy", "TreeShape"}
-    for cls in (config.Config, scenarios.RunResult, harness.AnalysisRow, stats.MeanDifferenceTest,
-                *map(type, _CHECKED)):
-        assert issubclass(cls, tuple) and cls._fields
+        "FinderRecord", "MetadataSummary", "ResourceQuery", "ResolutionPolicy", "TreeShape",
+        "LatencyModel", "TopologySpec", "ScenarioConfig", "SweepSpec"}
+    assert {cls.__name__ for cls in classes if issubclass(cls, tuple) and hasattr(cls, "_fields")} == {
+        "Config", "RunResult", "ResolutionResult", "ObservationRow", "AnalysisRow", "MeanDifferenceTest"}
     src = str(Path(domain.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, gridrd.cli; print('dataclasses' in sys.modules)"

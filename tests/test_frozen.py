@@ -1,22 +1,24 @@
-"""The five Frozen value types against the frozen dataclasses they replaced.
+"""The Frozen value types against the declarations they replaced.
 
 Each reference below is the type's old declaration, with the same name and
-fields, so a repr made by either must be the same bytes.  The Frozen type
-must behave as its reference does: equality, hash, repr, no assignment or
-deletion, and fresh default dicts.  Unlike a dataclass it also checks again
-on ``_replace``, pickle and deepcopy.
+fields, so a repr made by either must be the same bytes.  Five types were
+frozen dataclasses: the Frozen type must behave as its reference does, in
+equality, hash, repr, no assignment or deletion, and fresh default dicts.
+Unlike a dataclass it also checks again on ``_replace``, pickle and deepcopy.
+Four were checked named tuples: the Frozen type keeps their repr and hash,
+but equals only a value of its own class, never a plain tuple.
 """
 
 import copy
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridrd import domain, registry
+from gridrd import domain, harness, registry, scenarios, simkern
 
 
 @dataclass(frozen=True)
@@ -151,3 +153,102 @@ def test_each_value_gets_its_own_default_dicts(new, old):
     explicit = new(None, None)
     assert repr(explicit) == repr(old(None, None))
     assert [getattr(explicit, name) for name in new.__slots__[:2]] == [None, None]
+
+
+_Kind = scenarios.ScenarioKind
+
+
+class LatencyModel(NamedTuple):
+    t_reg: float = 0.06006
+    t_user: float = 0.06006
+    t_ws: float = 1.890
+    t_registry: float = 1.716
+    t_hop: float = 0.5
+    t_base: float = 0.0
+    jitter_sigma0: float = 0.5
+    jitter_gamma: float = 1.07
+    jitter_enabled: bool = True
+
+
+class TopologySpec(NamedTuple):
+    depth: int | None = None
+    branching: int | None = None
+    zones: tuple[str, ...] | None = None
+
+
+class ScenarioConfig(NamedTuple):
+    kind: _Kind
+    n_users: int
+    n_resources: int
+    latency: simkern.LatencyModel = simkern.LatencyModel()
+    seed: int = 0
+    topology: registry.TopologySpec | None = None
+    query: domain.ResourceQuery = domain.ResourceQuery()
+    finder_zones: tuple[str, ...] | None = None
+    policy: registry.ResolutionPolicy = registry.ResolutionPolicy()
+
+
+class SweepSpec(NamedTuple):
+    points: tuple[tuple[int, int], ...] = tuple((d, d) for d in range(20, 101, 20))
+    replications: int = 10
+    base_seed: int = 0
+    scenarios: tuple[_Kind, ...] = (_Kind.BASELINE, _Kind.DIRECT, _Kind.CENTRALIZED)
+
+
+def _or_default(old, name, values):
+    """A field's value: its default, the very object, or one of ``values``."""
+    return st.just(old._field_defaults[name]) | values
+
+
+# Few distinct values, so that two drawn values are often equal.
+_NUMBER = st.sampled_from([0, 0.0, 0.5, 1.89, 3]) | st.floats(0, 1e6)
+_ZONES = st.sampled_from([(), ("ca",), ("west.ca", "ca"), ("ca", "us", "west.ca")])
+_KIND = st.sampled_from(list(_Kind))
+_LATENCY_VALUES = st.tuples(*(_or_default(LatencyModel, name, _NUMBER) for name in LatencyModel._fields[:8]),
+                            _or_default(LatencyModel, "jitter_enabled", st.booleans()))
+# every field's value of a valid value, the defaults among them
+_VALUES = {
+    LatencyModel: _LATENCY_VALUES,
+    TopologySpec: st.tuples(st.integers(1, 3), st.none() | st.integers(1, 3), st.none())
+    | st.tuples(st.none(), st.none(), _ZONES),
+    ScenarioConfig: st.tuples(
+        _KIND, st.integers(1, 3), st.integers(1, 3),
+        _or_default(ScenarioConfig, "latency", _LATENCY_VALUES.map(lambda v: simkern.LatencyModel(*v))),
+        _or_default(ScenarioConfig, "seed", st.integers(-2, 2) | st.integers(-2**70, 2**70)),
+        _or_default(ScenarioConfig, "topology", st.just(registry.TopologySpec(depth=2))),
+        _or_default(ScenarioConfig, "query", st.just(domain.ResourceQuery({"pe_count": 2}))),
+        _or_default(ScenarioConfig, "finder_zones", _ZONES),
+        _or_default(ScenarioConfig, "policy", st.integers(0, 2).map(registry.ResolutionPolicy))),
+    SweepSpec: st.tuples(
+        _or_default(SweepSpec, "points", st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
+                                                  min_size=1, max_size=2).map(tuple)),
+        _or_default(SweepSpec, "replications", st.integers(1, 2)),
+        _or_default(SweepSpec, "base_seed", st.integers(-1, 1)),
+        _or_default(SweepSpec, "scenarios", st.lists(_KIND, min_size=1, max_size=2).map(tuple))),
+}
+_REQUIRED = object()  # the default of a field that has none
+# (Frozen type, the named tuple it was)
+_CHECKED = [(simkern.LatencyModel, LatencyModel), (registry.TopologySpec, TopologySpec),
+            (scenarios.ScenarioConfig, ScenarioConfig), (harness.SweepSpec, SweepSpec)]
+
+
+@pytest.mark.parametrize("new, old", _CHECKED, ids=[new.__name__ for new, _ in _CHECKED])
+@given(data=st.data())
+def test_a_checked_type_keeps_its_named_tuple_repr_and_hash_and_equals_only_its_class(new, old, data):
+    assert new.__slots__ == old._fields
+    made = []
+    for _ in range(2):
+        values = data.draw(_VALUES[old])
+        by_position = data.draw(st.integers(0, len(values)))
+        # a field whose value is its default object is left out, so the default is used
+        kwargs = {name: value for name, value in zip(old._fields[by_position:], values[by_position:])
+                  if value is not old._field_defaults.get(name, _REQUIRED)}
+        made.append((new(*values[:by_position], **kwargs), old(*values[:by_position], **kwargs)))
+    (a, old_a), (b, old_b) = made
+    assert repr(a) == repr(old_a) and repr(b) == repr(old_b)
+    assert _hash(a) == _hash(old_a) and _hash(b) == _hash(old_b)
+    assert (a == b, a != b) == (old_a == old_b, old_a != old_b)
+    # the change: a named tuple equals a plain tuple of its values, a Frozen value only its own class
+    assert old_a == tuple(old_a)
+    for other in (tuple(old_a), old_a):
+        assert (a == other, a != other) == (False, True)
