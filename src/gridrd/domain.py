@@ -21,9 +21,17 @@ _LABEL_RE = re.compile(r"[a-z0-9-]+")
 _KINDS = {
     "an integer": lambda v: isinstance(v, int),
     "True or False": lambda v: False,
-    "a finite number >= 0": lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0,
+    "a finite number >= 0": lambda v: isinstance(v, numbers.Real) and _finite(v) and v >= 0,
     "None or an integer >= 0": lambda v: v is None or isinstance(v, int) and v >= 0,
 }
+
+
+def _finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
 
 # Canonical attribute keys used by the synthetic resource pools. The maps
 # are open: any attribute name works, these are just the conventional ones.

@@ -16,7 +16,9 @@ order.
 
 File formats (fixed; the test suite pins them with golden files):
 
-* observations CSV, header ``scenario,users,resources,replication,seed,discovery_time_s``
+* observations CSV, header ``scenario,users,resources,replication,seed,discovery_time_s``;
+  a file with several bad lines is rejected naming the first, and each line is
+  checked in this order: field count, values, counts, finiteness, duplicate
 * analysis CSV, header ``users,resources,pair,mean_diff,se,ci_low,ci_high,p_value,verdict``
 * plot series: two whitespace-separated columns, one ``x mean`` point per line
 """
@@ -26,6 +28,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import groupby, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -168,6 +172,7 @@ def write_observations(rows: list[ObservationRow], path: str | Path) -> None:
 
 
 def parse_observations(text: str, source: str = "<string>") -> list[ObservationRow]:
+    """An observations CSV's rows, checked a column at a time; ``_raise_first_fault`` names a bad file's fault."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -175,34 +180,55 @@ def parse_observations(text: str, source: str = "<string>") -> list[ObservationR
         raise ParseError(f"{source}:1: empty observations file") from None
     if header != OBSERVATION_HEADER.split(","):
         raise ParseError(f"{source}:1: bad header {','.join(header)!r}")
-    rows = []
+    try:
+        fields = [record for record in reader if record]
+        if set(map(len, fields)) != {6}:
+            raise ValueError
+        kinds, users, resources, replications, seeds, times = zip(*fields)
+        kinds = tuple(map(_SCENARIO_OF.__getitem__, kinds))
+        users, resources, replications, seeds = (tuple(map(int, column))
+                                                 for column in (users, resources, replications, seeds))
+        times = tuple(map(float, times))
+        keys = set(zip(kinds, users, resources, replications))
+        if (min(users) < 1 or min(resources) < 1 or min(replications) < 0
+                or not all(map(math.isfinite, times)) or len(keys) != len(fields)):
+            raise ValueError
+    except (csv.Error, KeyError, ValueError):
+        _raise_first_fault(text, source)
+        raise ParseError(f"{source}: no observation rows") from None
+    columns = zip(kinds, users, resources, replications, seeds, times)
+    return list(map(tuple.__new__, repeat(ObservationRow), columns))
+
+
+def _raise_first_fault(text: str, source: str) -> None:
+    """Raise the ParseError of the file's first bad line, each line checked in the documented order.
+
+    Returns only when no line is bad: then the file holds no rows.
+    """
+    reader = csv.reader(io.StringIO(text))
+    next(reader)  # the header, already checked
     first_seen: dict[tuple, int] = {}
     for lineno, record in enumerate(reader, start=2):
         if not record:
             continue
         if len(record) != 6:
             raise ParseError(f"{source}:{lineno}: expected 6 fields, got {len(record)}")
-        try:
-            row = ObservationRow(  # ScenarioKind() raises the error that names a bad scenario
-                _SCENARIO_OF.get(record[0]) or ScenarioKind(record[0]),
-                int(record[1]), int(record[2]), int(record[3]), int(record[4]), float(record[5]),
-            )
+        try:  # ScenarioKind() raises the error that names a bad scenario
+            kind = _SCENARIO_OF.get(record[0]) or ScenarioKind(record[0])
+            users, resources, replication, _ = map(int, record[1:5])
+            time_s = float(record[5])
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
-        if row.users < 1 or row.resources < 1 or row.replication < 0:
-            name = "users" if row.users < 1 else "resources" if row.resources < 1 else "replication"
-            least = 0 if name == "replication" else 1
-            raise ParseError(f"{source}:{lineno}: {name} must be >= {least}, got {getattr(row, name)}")
-        if not math.isfinite(row.discovery_time_s):
+        for name, value, least in (("users", users, 1), ("resources", resources, 1),
+                                   ("replication", replication, 0)):
+            if value < least:
+                raise ParseError(f"{source}:{lineno}: {name} must be >= {least}, got {value}")
+        if not math.isfinite(time_s):
             raise ParseError(f"{source}:{lineno}: discovery_time_s {record[5]!r} is not finite")
-        key = (row.scenario, row.users, row.resources, row.replication)
+        key = (kind, users, resources, replication)
         if key in first_seen:
             raise ParseError(f"{source}:{lineno}: duplicate of the row on line {first_seen[key]}")
         first_seen[key] = lineno
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{source}: no observation rows")
-    return rows
 
 
 def read_observations(path: str | Path) -> list[ObservationRow]:
@@ -217,19 +243,19 @@ def read_observations(path: str | Path) -> list[ObservationRow]:
 
 
 def _single_scenario(rows: list[ObservationRow], source: str) -> ScenarioKind:
-    kinds = {r.scenario for r in rows}
+    kinds = set(map(itemgetter(0), rows))
     if len(kinds) != 1:
         names = ", ".join(sorted(k.value for k in kinds))
         raise GridMismatch(f"{source} mixes scenarios ({names}); analyze one per side")
     return kinds.pop()
 
 
-def _by_point(rows: list[ObservationRow]) -> dict[tuple[int, int], list[ObservationRow]]:
-    grouped: dict[tuple[int, int], list[ObservationRow]] = {}
-    for row in rows:
-        grouped.setdefault((row.users, row.resources), []).append(row)
-    for cell in grouped.values():
-        cell.sort(key=lambda r: r.replication)
+def _by_point(rows: list[ObservationRow]) -> dict[tuple[int, int], tuple[list[int], list[float]]]:
+    """Each (users, resources) point's replications and times, in replication order; points sorted."""
+    grouped = {}
+    for point, cell in groupby(sorted(rows, key=itemgetter(1, 2, 3)), key=itemgetter(1, 2)):
+        cell = list(cell)
+        grouped[point] = list(map(itemgetter(3), cell)), list(map(itemgetter(5), cell))
     return grouped
 
 
@@ -243,24 +269,18 @@ def analyze(rows_a: list[ObservationRow], rows_b: list[ObservationRow],
     kind_a = _single_scenario(rows_a, "first input")
     kind_b = _single_scenario(rows_b, "second input")
     grid_a, grid_b = _by_point(rows_a), _by_point(rows_b)
-    if set(grid_a) != set(grid_b):
-        only_a = sorted(set(grid_a) - set(grid_b))
-        only_b = sorted(set(grid_b) - set(grid_a))
+    if grid_a.keys() != grid_b.keys():
+        only_a = sorted(grid_a.keys() - grid_b.keys())
+        only_b = sorted(grid_b.keys() - grid_a.keys())
         raise GridMismatch(f"grids differ: only in first {only_a}, only in second {only_b}")
     pair = f"{kind_a.value}-vs-{kind_b.value}"
     out = []
-    for point in sorted(grid_a):
-        cell_a, cell_b = grid_a[point], grid_b[point]
-        reps_a = [r.replication for r in cell_a]
-        reps_b = [r.replication for r in cell_b]
+    for point, (reps_a, times_a) in grid_a.items():
+        reps_b, times_b = grid_b[point]
         if reps_a != reps_b:
             raise GridMismatch(f"replication sets differ at point {point}")
         try:
-            test = unpaired_t_test(
-                [r.discovery_time_s for r in cell_a],
-                [r.discovery_time_s for r in cell_b],
-                alpha=alpha,
-            )
+            test = unpaired_t_test(times_a, times_b, alpha=alpha)
         except stats.InvalidAlpha:
             raise
         except stats.StatsError as exc:

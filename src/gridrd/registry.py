@@ -116,6 +116,9 @@ class TopologySpec(Frozen):
                  zones: tuple[str, ...] | None = None) -> None:
         if zones is not None:
             zones = as_tuple("zones", zones, "a list of zone names", MalformedTopology)
+            for item in zones:
+                if not isinstance(item, str):
+                    raise MalformedTopology(f"zones must be a list of zone names, got the item {item!r}")
             if depth is not None or branching is not None:
                 raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
             self._bind(None, None, zones)

@@ -338,6 +338,11 @@ _FIELD_MESSAGES = [
     (SweepSpec, {"points": 5}, ConfigError, "points must be (users, resources) pairs, not 5"),
     (SweepSpec, {"scenarios": 5}, ConfigError, "scenarios must be a list of scenarios, not 5"),
     (SweepSpec, {"scenarios": None}, ConfigError, "scenarios must be a list of scenarios, not None"),
+    # an integer too large for a float is not finite
+    pytest.param(LatencyModel, {"t_hop": 10**400}, ValueError,
+                 f"t_hop must be a finite number >= 0, got {10**400!r}", id="t_hop-10**400"),
+    pytest.param(LatencyModel, {"jitter_sigma0": -10**400}, ValueError,
+                 f"jitter_sigma0 must be a finite number >= 0, got {-10**400!r}", id="jitter_sigma0--10**400"),
 ]
 
 

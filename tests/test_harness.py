@@ -1,13 +1,19 @@
+import csv
+import io
 import math
 import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gridrd import stats
 from gridrd.config import Config, ConfigError, parse_config
 from gridrd.harness import (
+    OBSERVATION_HEADER,
+    _SCENARIO_OF,
     GridMismatch,
     ObservationRow,
     ParseError,
@@ -241,6 +247,142 @@ class TestObservationCsv:
                 "baseline,20,twenty,1,1,1.5\n")
         with pytest.raises(ParseError, match=":3:"):
             parse_observations(text)
+
+
+# The row-wise parser that the column-wise parse_observations replaced: the reference it must agree with.
+def reference_parse(text: str, source: str = "<string>") -> list[ObservationRow]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{source}:1: empty observations file") from None
+    if header != OBSERVATION_HEADER.split(","):
+        raise ParseError(f"{source}:1: bad header {','.join(header)!r}")
+    rows = []
+    first_seen: dict[tuple, int] = {}
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != 6:
+            raise ParseError(f"{source}:{lineno}: expected 6 fields, got {len(record)}")
+        try:
+            row = ObservationRow(  # ScenarioKind() raises the error that names a bad scenario
+                _SCENARIO_OF.get(record[0]) or ScenarioKind(record[0]),
+                int(record[1]), int(record[2]), int(record[3]), int(record[4]), float(record[5]),
+            )
+        except ValueError as exc:
+            raise ParseError(f"{source}:{lineno}: {exc}") from None
+        if row.users < 1 or row.resources < 1 or row.replication < 0:
+            name = "users" if row.users < 1 else "resources" if row.resources < 1 else "replication"
+            least = 0 if name == "replication" else 1
+            raise ParseError(f"{source}:{lineno}: {name} must be >= {least}, got {getattr(row, name)}")
+        if not math.isfinite(row.discovery_time_s):
+            raise ParseError(f"{source}:{lineno}: discovery_time_s {record[5]!r} is not finite")
+        key = (row.scenario, row.users, row.resources, row.replication)
+        if key in first_seen:
+            raise ParseError(f"{source}:{lineno}: duplicate of the row on line {first_seen[key]}")
+        first_seen[key] = lineno
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{source}: no observation rows")
+    return rows
+
+
+_OBSERVATIONS = st.lists(
+    st.builds(ObservationRow, st.sampled_from(ScenarioKind), st.integers(1, 10**6), st.integers(1, 10**6),
+              st.integers(0, 10**6), st.integers(0, 2**64 - 1), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=10, unique_by=lambda row: row[:4])
+
+
+def _set(index: int, values: list[str]):
+    """A fault that puts one of ``values`` into field ``index`` of a line that has it."""
+    def fault(draw, fields):
+        if index < len(fields):
+            fields[index] = draw(st.sampled_from(values))
+        return [",".join(fields)]
+    return fault
+
+
+# Each fault turns one line's fields into the lines that replace it.
+_FAULTS = {
+    "short row": lambda draw, fields: [",".join(fields[:-1])],
+    "long row": lambda draw, fields: [",".join(fields + [draw(st.sampled_from(["", "7", "x"]))])],
+    "bad users": _set(1, ["x", "1.5", "", "2e3", "0x10"]),
+    "bad seed": _set(4, ["-", "one", " "]),
+    "bad time": _set(5, ["x", "", "1.2.3", "--1", "1e"]),
+    "unknown scenario": _set(0, ["quantum", "BASELINE", " baseline", ""]),
+    "non-finite time": _set(5, ["nan", "inf", "-inf", "NaN", "Infinity"]),
+    "users out of range": _set(1, ["0", "-3"]),
+    "resources out of range": _set(2, ["0", "-1"]),
+    "replication out of range": _set(3, ["-1", "-20"]),
+    "duplicate": lambda draw, fields: [",".join(fields)] * 2,
+    "duplicate, other values": lambda draw, fields: [",".join(fields), ",".join(fields[:4] + ["1", "2.5"])],
+    "blank lines": lambda draw, fields: [",".join(fields), *[""] * draw(st.integers(1, 2))],
+}
+# What every parser must read as it is: the csv quoting rules and int()'s and float()'s spellings.
+_ACCEPTED = {
+    "quoted field": lambda draw, fields: [",".join(f'"{field}"' for field in fields)],
+    "padded count": _set(2, [" 7", "+7", "0_7", "7 "]),
+    "spelled time": _set(5, ["1e3", " 2.5", "-0.0", "1_0.5", ".5"]),
+}
+
+
+@st.composite
+def _faulty_files(draw) -> str:
+    """A file format_observations wrote, with one to three faults put into its rows."""
+    lines = format_observations(draw(_OBSERVATIONS)).splitlines()
+    for name in draw(st.lists(st.sampled_from(sorted(_FAULTS)), min_size=1, max_size=3)):
+        event(name)
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at:at + 1] = _FAULTS[name](draw, lines[at].split(","))
+    for name in draw(st.lists(st.sampled_from(sorted(_ACCEPTED)), max_size=2)):
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at:at + 1] = _ACCEPTED[name](draw, lines[at].split(","))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text: str):
+    """The parser's rows, or the type and text of what it raised."""
+    try:
+        rows = parse(text, source="obs.csv")
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert all(type(row) is ObservationRow and type(row.scenario) is ScenarioKind for row in rows)
+    return rows
+
+
+class TestParseIsTheRowWiseReference:
+    """parse_observations accepts what the row-wise reference accepts and raises what it raises."""
+
+    @given(_OBSERVATIONS)
+    def test_a_written_file_reads_back_as_its_rows(self, rows):
+        text = format_observations(rows)
+        assert _outcome(parse_observations, text) == _outcome(reference_parse, text) == rows
+
+    @settings(max_examples=600)
+    @given(_faulty_files())
+    def test_a_faulty_file_fails_as_the_reference_does(self, text):
+        expected = _outcome(reference_parse, text)
+        event("rejected" if isinstance(expected, tuple) else "accepted")
+        assert _outcome(parse_observations, text) == expected
+
+    def test_the_first_bad_line_is_named(self):
+        text = (f"{OBSERVATION_HEADER}\n"
+                "baseline,20,20,0,1,1.5\n"
+                "baseline,20,twenty,1,1,1.5\n"
+                "baseline,20,20,2,1,1.5\n"
+                "baseline,20,20,3,1\n")
+        expected = "obs.csv:3: invalid literal for int() with base 10: 'twenty'"
+        assert _outcome(parse_observations, text) == _outcome(reference_parse, text) == (ParseError, expected)
+
+    @pytest.mark.parametrize("line_2, error", [("baseline,20,20,0,1,1.5", csv.Error),
+                                               ("baseline,20,20,0,1,nan", ParseError)])
+    def test_a_field_over_the_csv_limit_fails_where_the_reference_fails(self, line_2, error):
+        # csv.reader raises csv.Error on such a field; a bad line before it is still named first
+        text = f"{OBSERVATION_HEADER}\n{line_2}\nbaseline,20,20,1,1,1.5\nbaseline,20,20,2,1,{'1' * 140_000}\n"
+        expected = _outcome(reference_parse, text)
+        assert expected[0] is error
+        assert _outcome(parse_observations, text) == expected
 
 
 class TestAnalyze:

@@ -369,6 +369,15 @@ class TestBuildTopology:
         with pytest.raises(MalformedTopology, match=f"^zones must be a list of zone names, not {zones!r}$"):
             TopologySpec(zones=zones)
 
+    @pytest.mark.parametrize("zones, item", [([(20, 20)], "(20, 20)"), ([[3, 4]], "[3, 4]"), ([5], "5"),
+                                             (["a", None], "None"), (("a", b"b"), "b'b'")])
+    def test_a_zone_that_is_not_a_string_is_named(self, zones, item):
+        # checked before the spec is hashed, which a list item would break
+        with pytest.raises(MalformedTopology) as info:
+            TopologySpec(zones=zones)
+        assert type(info.value) is MalformedTopology
+        assert str(info.value) == f"zones must be a list of zone names, got the item {item}"
+
     def test_a_build_checks_each_label_of_a_zone_list_once(self, monkeypatch):
         # a uniform tree's generated labels are valid by construction
         label_re, checked = domain._LABEL_RE, []
