@@ -70,6 +70,15 @@ def as_tuple(name: str, items, what: str, error: type[Exception]) -> tuple:
     return tuple(iterator)
 
 
+def as_zone_names(name: str, items, error: type[Exception]) -> tuple[str, ...]:
+    """The field ``name``'s zone names as a tuple, by ``as_tuple``; an item that is not a str raises ``error``."""
+    names = as_tuple(name, items, "a list of zone names", error)
+    for item in names:
+        if not isinstance(item, str):
+            raise error(f"{name} must be a list of zone names, got the item {item!r}")
+    return names
+
+
 def check_field(name: str, value, what: str, error: type[Exception] = ValueError) -> None:
     """Raise ``error`` naming the field ``name`` unless ``value`` is ``what``, one of the four ``_KINDS``."""
     if not (what == "True or False" if isinstance(value, bool) else _KINDS[what](value)):

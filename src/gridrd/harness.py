@@ -178,6 +178,8 @@ def parse_observations(text: str, source: str = "<string>") -> list[ObservationR
         header = next(reader)
     except StopIteration:
         raise ParseError(f"{source}:1: empty observations file") from None
+    except csv.Error as exc:
+        raise ParseError(f"{source}:1: {exc}") from None
     if header != OBSERVATION_HEADER.split(","):
         raise ParseError(f"{source}:1: bad header {','.join(header)!r}")
     try:
@@ -208,27 +210,31 @@ def _raise_first_fault(text: str, source: str) -> None:
     reader = csv.reader(io.StringIO(text))
     next(reader)  # the header, already checked
     first_seen: dict[tuple, int] = {}
-    for lineno, record in enumerate(reader, start=2):
-        if not record:
-            continue
-        if len(record) != 6:
-            raise ParseError(f"{source}:{lineno}: expected 6 fields, got {len(record)}")
-        try:  # ScenarioKind() raises the error that names a bad scenario
-            kind = _SCENARIO_OF.get(record[0]) or ScenarioKind(record[0])
-            users, resources, replication, _ = map(int, record[1:5])
-            time_s = float(record[5])
-        except ValueError as exc:
-            raise ParseError(f"{source}:{lineno}: {exc}") from None
-        for name, value, least in (("users", users, 1), ("resources", resources, 1),
-                                   ("replication", replication, 0)):
-            if value < least:
-                raise ParseError(f"{source}:{lineno}: {name} must be >= {least}, got {value}")
-        if not math.isfinite(time_s):
-            raise ParseError(f"{source}:{lineno}: discovery_time_s {record[5]!r} is not finite")
-        key = (kind, users, resources, replication)
-        if key in first_seen:
-            raise ParseError(f"{source}:{lineno}: duplicate of the row on line {first_seen[key]}")
-        first_seen[key] = lineno
+    lineno = 1
+    try:
+        for lineno, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != 6:
+                raise ParseError(f"{source}:{lineno}: expected 6 fields, got {len(record)}")
+            try:  # ScenarioKind() raises the error that names a bad scenario
+                kind = _SCENARIO_OF.get(record[0]) or ScenarioKind(record[0])
+                users, resources, replication, _ = map(int, record[1:5])
+                time_s = float(record[5])
+            except ValueError as exc:
+                raise ParseError(f"{source}:{lineno}: {exc}") from None
+            for name, value, least in (("users", users, 1), ("resources", resources, 1),
+                                       ("replication", replication, 0)):
+                if value < least:
+                    raise ParseError(f"{source}:{lineno}: {name} must be >= {least}, got {value}")
+            if not math.isfinite(time_s):
+                raise ParseError(f"{source}:{lineno}: discovery_time_s {record[5]!r} is not finite")
+            key = (kind, users, resources, replication)
+            if key in first_seen:
+                raise ParseError(f"{source}:{lineno}: duplicate of the row on line {first_seen[key]}")
+            first_seen[key] = lineno
+    except csv.Error as exc:  # raised by the reader, so at the line after the last one read
+        raise ParseError(f"{source}:{lineno + 1}: {exc}") from None
 
 
 def read_observations(path: str | Path) -> list[ObservationRow]:

@@ -26,18 +26,18 @@ the path still lists every repository contacted.  The answer populates every
 repository on the path but those holding an authoritative record of its
 finder id; each such repository is marked, so the search notes its index in
 the path, and populating needs no second pass over the path.  As a DNS
-resolver answers from local information first (RFC 1034 §5.3.3), ``resolve``
-looks the origin up first, and once: the search starts after it.  A write
-that would change nothing is skipped: an origin hit whose entry is its
-cache's newest, in a cache within the cap.
+resolver answers from local information first (RFC 1034 §5.3.3), the
+search's first repository is the origin itself, the first index of its own
+range, so every answer takes the one path.
 
 A distributed run resolves all its users in one ``hop_counts`` call, which
 ends with the caches a ``resolve`` per origin leaves.  An origin holding no
-records and one cache entry that may satisfy the query answers itself with
-no write unless the cap is 0, as ``resolve`` would, so the call counts it
-without a ``resolve``; every other origin is resolved.  The call's query is
-fixed and records are frozen, so a record's verdict cannot change within
-the call and is taken once per record.
+records and one cache entry that may satisfy the query answers itself, and
+unless the cap is 0 leaves the caches as a ``resolve`` would, whose write
+would change nothing, so the call counts it without a ``resolve``; every
+other origin is resolved.  The call's query is fixed and records are frozen,
+so a record's verdict cannot change within the call and is taken once per
+record.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -53,7 +53,7 @@ import functools
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .domain import (FinderRecord, Frozen, ResourceQuery, as_tuple, check_field, check_zone,
+from .domain import (FinderRecord, Frozen, ResourceQuery, as_zone_names, check_field, check_zone,
                      summary_may_satisfy)
 
 
@@ -115,10 +115,7 @@ class TopologySpec(Frozen):
     def __init__(self, depth: int | None = None, branching: int | None = None,
                  zones: tuple[str, ...] | None = None) -> None:
         if zones is not None:
-            zones = as_tuple("zones", zones, "a list of zone names", MalformedTopology)
-            for item in zones:
-                if not isinstance(item, str):
-                    raise MalformedTopology(f"zones must be a list of zone names, got the item {item!r}")
+            zones = as_zone_names("zones", zones, MalformedTopology)
             if depth is not None or branching is not None:
                 raise MalformedTopology("give either depth/branching or an explicit zone list, not both")
             self._bind(None, None, zones)
@@ -199,27 +196,13 @@ class Topology:
         policy = policy or ResolutionPolicy()
         if origin_node_id not in self.shape.span:
             raise UnknownNode(f"no repository named {origin_node_id!r}")
-
-        # The origin answers from its own data first (RFC 1034 §5.3.3), looked up once.
-        held, cap = origin_node_id in self.records, policy.cache_capacity
-        record = self._first_hit(origin_node_id, query) if held or origin_node_id in self.caches else None
-        if record is not None:
-            path = (origin_node_id,)
-            if held and record.finder_id in self.records[origin_node_id]:  # its own record: nothing to cache
-                return tuple.__new__(ResolutionResult, (record, path, 1, False, ()))
-            cache = self.caches[origin_node_id]
-            if next(reversed(cache)) == record.finder_id and (cap is None or len(cache) <= cap):
-                # the entry is already as a write would leave it
-                return tuple.__new__(ResolutionResult, (record, path, 1, True, path))
-            from_cache, homes = True, ()
-        else:
-            record, from_cache, path, homes = self._search(origin_node_id, query, held)
-            if record is None:
-                raise NotFound(f"no finder satisfies the query (searched {len(path)} repositories)")
+        record, from_cache, path, homes = self._search(origin_node_id, query)
+        if record is None:
+            raise NotFound(f"no finder satisfies the query (searched {len(path)} repositories)")
 
         # Only a repository holding the finder's own record is not populated, and
         # homes indexes every record-holding one in the path, in path order.
-        path, records, finder_id = tuple(path), self.records, record.finder_id
+        path, records, finder_id, cap = tuple(path), self.records, record.finder_id, policy.cache_capacity
         populated, start = (), 0
         for k in homes:
             if finder_id in records[path[k]]:
@@ -239,10 +222,10 @@ class Topology:
 
         The caches and marks end as a ``resolve`` call per origin leaves them, and
         an unknown origin raises UnknownNode at the same point.  An origin that
-        holds no records and one cache entry that may satisfy the query answers
-        with no write unless the cap is 0, as ``resolve`` would: it counts 1 and
-        costs no call.  The query is fixed for the call and a record is frozen, so
-        each record's verdict is taken once.
+        holds no records and one cache entry that may satisfy the query, unless
+        the cap is 0, leaves the caches as a ``resolve`` would, whose write would
+        change nothing: it counts 1 and costs no call.  The query is fixed for the
+        call and a record is frozen, so each record's verdict is taken once.
         """
         records, resolve = self.records, self.resolve
         # under a cap of 0 resolve empties an origin's cache, a write, so no origin answers here
@@ -301,21 +284,20 @@ class Topology:
                 return record
         return None
 
-    def _search(self, origin: str, query: ResourceQuery, held: bool) -> tuple:
+    def _search(self, origin: str, query: ResourceQuery) -> tuple:
         """(record or None, from_cache, path, homes) of one search in the documented
         order; homes holds the index in path of every repository with records.
 
-        ``resolve`` has already looked the origin up and found nothing, so the origin
-        starts the path (and homes, if ``held``: it holds records) and the scan starts
-        after it.  Each ancestor's range starts at the ancestor itself.
+        Every range starts at the repository it belongs to, so the origin is looked
+        up first.
         """
         records, caches, marks = self.records, self.caches, self.marks
         order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
-        path, homes = [origin], [0] if held else []
+        path, homes = [], []
         came_from, current = None, origin
         while current is not None:
             first, last = span[current]
-            ranges = ((first + 1, last),) if came_from is None else (
+            ranges = ((first, last),) if came_from is None else (
                 (first, span[came_from][0]), (span[came_from][1], last))
             for i, stop in ranges:
                 while (j := marks.find(1, i, stop)) >= 0:

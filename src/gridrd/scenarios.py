@@ -39,7 +39,7 @@ from .domain import (
     Frozen,
     MetadataSummary,
     ResourceQuery,
-    as_tuple,
+    as_zone_names,
     check_field,
 )
 from .registry import ResolutionPolicy, Topology, TopologySpec, build_topology
@@ -97,7 +97,7 @@ class ScenarioConfig(Frozen):
         if n_users > MAX_USERS:
             raise ConfigMismatch(f"n_users must be at most {MAX_USERS}, got {n_users}")
         if finder_zones is not None:
-            finder_zones = as_tuple("finder_zones", finder_zones, "a list of zone names", ConfigMismatch)
+            finder_zones = as_zone_names("finder_zones", finder_zones, ConfigMismatch)
         self._bind(kind, n_users, n_resources, latency, seed, topology, query, finder_zones, policy)
 
 

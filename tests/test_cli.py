@@ -429,6 +429,20 @@ def test_observations_that_are_not_utf8_exit_three_naming_the_file(tmp_path, cap
     assert capsys.readouterr().err.startswith(f"gridrd: error: cannot read {bad}: 'utf-8' codec")
 
 
+@pytest.mark.parametrize("lines, lineno", [
+    (["scenario,users,resources,replication,seed,discovery_time_s", "baseline,20,20,0,1,1.5",
+      "baseline,20,20,1,1,1.5", f"baseline,20,20,2,1,{'1' * 140_000}"], 4),
+    ([f"scenario,users,resources,replication,seed,{'x' * 140_000}", "baseline,20,20,0,1,1.5"], 1),
+], ids=["row", "header"])
+def test_a_field_over_the_csv_limit_exits_three_naming_its_line(tmp_path, capsys, lines, lineno):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", str(bad), str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"gridrd: error: {bad}:{lineno}: field larger than field limit (131072)\n"
+    assert captured.out == ""
+
+
 def test_distributed_run_via_config(tmp_path, capsys):
     cfg = tmp_path / "dist.cfg"
     cfg.write_text("topology.depth = 2\ntopology.branching = 2\n", encoding="utf-8")

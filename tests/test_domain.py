@@ -343,6 +343,11 @@ _FIELD_MESSAGES = [
                  f"t_hop must be a finite number >= 0, got {10**400!r}", id="t_hop-10**400"),
     pytest.param(LatencyModel, {"jitter_sigma0": -10**400}, ValueError,
                  f"jitter_sigma0 must be a finite number >= 0, got {-10**400!r}", id="jitter_sigma0--10**400"),
+    # a finder zone that is not a string fails where the config is made, not at run time
+    pytest.param(ScenarioConfig, {"kind": _K, "n_users": 3, "n_resources": 3, "finder_zones": [5]}, ConfigMismatch,
+                 "finder_zones must be a list of zone names, got the item 5", id="finder_zones-[5]"),
+    pytest.param(ScenarioConfig, {"kind": _K, "n_users": 3, "n_resources": 3, "finder_zones": [[3]]}, ConfigMismatch,
+                 "finder_zones must be a list of zone names, got the item [3]", id="finder_zones-[[3]]"),
 ]
 
 

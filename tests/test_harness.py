@@ -378,10 +378,14 @@ class TestParseIsTheRowWiseReference:
     @pytest.mark.parametrize("line_2, error", [("baseline,20,20,0,1,1.5", csv.Error),
                                                ("baseline,20,20,0,1,nan", ParseError)])
     def test_a_field_over_the_csv_limit_fails_where_the_reference_fails(self, line_2, error):
-        # csv.reader raises csv.Error on such a field; a bad line before it is still named first
+        # csv.reader raises csv.Error on such a field, which names the file and line as a
+        # ParseError; a bad line before it is still named first
         text = f"{OBSERVATION_HEADER}\n{line_2}\nbaseline,20,20,1,1,1.5\nbaseline,20,20,2,1,{'1' * 140_000}\n"
         expected = _outcome(reference_parse, text)
         assert expected[0] is error
+        if error is csv.Error:
+            assert expected[1] == "field larger than field limit (131072)"
+            expected = (ParseError, "obs.csv:4: field larger than field limit (131072)")
         assert _outcome(parse_observations, text) == expected
 
 

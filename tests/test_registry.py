@@ -563,6 +563,37 @@ class TestSearchOracle:
         ResolutionPolicy(),
         [(("a",), 8.0, {})],
     ))
+    # The origin answers from its own data, as the first repository of its range:
+    # its own authoritative record, which populates nothing;
+    @example(case=(
+        [(), ("a",)], [FinderRecord("f0", "svc://a", "a", _summary(16.0))], [], ResolutionPolicy(),
+        [(("a",), 8.0, {})],
+    ))
+    # a cached answer behind records that fail the query;
+    @example(case=(
+        [(), ("a",)], [FinderRecord("f0", "svc://a", "a", _summary(4.0))],
+        [("a", FinderRecord("c0", "svc://c", ".", _summary(16.0)))], ResolutionPolicy(),
+        [(("a",), 8.0, {})],
+    ))
+    # a cached answer that is not its cache's newest entry, so it moves to the end;
+    @example(case=(
+        [(), ("a",)], [],
+        [("a", FinderRecord("c0", "svc://c", ".", _summary(16.0))),
+         ("a", FinderRecord("c1", "svc://c", ".", _summary(4.0)))], ResolutionPolicy(),
+        [(("a",), 8.0, {})],
+    ))
+    # the newest entry of a cache over the cap, which evicts the older one;
+    @example(case=(
+        [(), ("a",)], [],
+        [("a", FinderRecord("c1", "svc://c", ".", _summary(4.0))),
+         ("a", FinderRecord("c0", "svc://c", ".", _summary(16.0)))], ResolutionPolicy(cache_capacity=1),
+        [(("a",), 8.0, {})],
+    ))
+    # and a cap of 0 on a cache filled under no cap, which empties it.
+    @example(case=(
+        [(), ("a",)], [], [("a", FinderRecord("c0", "svc://c", ".", _summary(16.0)))],
+        ResolutionPolicy(cache_capacity=0), [(("a",), 8.0, {}), (("a",), 8.0, {})],
+    ))
     def test_resolve_matches_a_recursive_reference(self, case):
         zones, authoritative, cached, policy, steps = case
         topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
@@ -640,7 +671,7 @@ class TestMarks:
         with pytest.raises(NotFound, match=r"\(searched 13 repositories\)"):
             topo.resolve(origin, ResourceQuery())
         zones = {labels(node_id) for node_id in topo.shape.order}
-        path = topo._search(origin, ResourceQuery(), False)[2]
+        path = topo._search(origin, ResourceQuery())[2]
         assert path == [name_of(zone) for zone in reference_order(zones, labels(origin))]
         assert topo.records == {} and topo.caches == {}
 
