@@ -205,14 +205,16 @@ def parse_observations(text: str, source: str = "<string>") -> list[ObservationR
 def _raise_first_fault(text: str, source: str) -> None:
     """Raise the ParseError of the file's first bad line, each line checked in the documented order.
 
+    A row is named by the line it starts on; a quoted field may span lines.
     Returns only when no line is bad: then the file holds no rows.
     """
     reader = csv.reader(io.StringIO(text))
     next(reader)  # the header, already checked
     first_seen: dict[tuple, int] = {}
-    lineno = 1
+    next_line = reader.line_num + 1
     try:
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
+            lineno, next_line = next_line, reader.line_num + 1
             if not record:
                 continue
             if len(record) != 6:
@@ -233,8 +235,8 @@ def _raise_first_fault(text: str, source: str) -> None:
             if key in first_seen:
                 raise ParseError(f"{source}:{lineno}: duplicate of the row on line {first_seen[key]}")
             first_seen[key] = lineno
-    except csv.Error as exc:  # raised by the reader, so at the line after the last one read
-        raise ParseError(f"{source}:{lineno + 1}: {exc}") from None
+    except csv.Error as exc:  # raised by the reader, in the row after the last one read
+        raise ParseError(f"{source}:{next_line}: {exc}") from None
 
 
 def read_observations(path: str | Path) -> list[ObservationRow]:

@@ -21,23 +21,24 @@ index ranges: the origin's own, then each ancestor's around the subtree just
 ascended from; no tree is too deep for Python's recursion limit.  As in DNS,
 a search skips no repository: it ends at the first answer or the end of the
 tree.  A run marks the only repositories where a search can find anything,
-and the scan jumps over each run of unmarked ones in one ``bytearray.find``;
-the path still lists every repository contacted.  The answer populates every
-repository on the path but those holding an authoritative record of its
-finder id; each such repository is marked, so the search notes its index in
-the path, and populating needs no second pass over the path.  As a DNS
-resolver answers from local information first (RFC 1034 §5.3.3), the
-search's first repository is the origin itself, the first index of its own
-range, so every answer takes the one path.
+and the scan jumps over each run of unmarked ones in one ``bytearray.find``,
+counting every repository contacted.  As a DNS resolver answers from local
+information first (RFC 1034 §5.3.3), the search's first repository is the
+origin itself, the first index of its own range, so every answer takes the
+one path.  As a name's data sits in one zone (RFC 1034 §4.2; RFC 2181 §6), a
+finder id is authoritative at one repository, and registering it at another
+raises DuplicateFinder.  The answer populates every repository on the path
+but that home: derived from the count, as ``resolve``'s path in search order,
+and for a write as at most two preorder ranges, whose order it does not need.
 
 A distributed run resolves all its users in one ``hop_counts`` call, which
 ends with the caches a ``resolve`` per origin leaves.  An origin holding no
 records and one cache entry that may satisfy the query answers itself, and
-unless the cap is 0 leaves the caches as a ``resolve`` would, whose write
-would change nothing, so the call counts it without a ``resolve``; every
-other origin is resolved.  The call's query is fixed and records are frozen,
-so a record's verdict cannot change within the call and is taken once per
-record.
+unless the cap is 0 leaves the caches as a ``resolve`` would, so the call
+counts it without a search.  The call's query is fixed and records are
+frozen, so a record's verdict is taken once; a failed search writes nothing,
+so every later origin fails too; and once nothing is written (a cap of 0 and
+no caches), each distinct origin is searched once.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -71,6 +72,10 @@ class NotFound(RegistryError):
 
 class MalformedTopology(RegistryError):
     pass
+
+
+class DuplicateFinder(RegistryError):
+    """A finder id registered at a second repository: a finder has one home."""
 
 
 class ResolutionPolicy(Frozen):
@@ -158,18 +163,20 @@ class Topology:
 
     ``records`` maps a node id to its authoritative records by finder id,
     and ``caches`` maps it to its cached records by finder id, oldest first.
-    A node gets an entry on its first write and never holds an empty one.
-    ``marks`` holds a byte per index of ``shape.order``: 1 at every
-    repository that holds records or has held a cache.  The search looks
-    only at marked ones, so records and caches are written only through
-    ``register_finder`` and ``resolve``; ``hop_counts`` resolves many origins
-    for one query, writing only through ``resolve``.  Driven single-threaded.
+    A node gets an entry on its first write and never holds an empty one;
+    ``home_of`` maps a finder id to the node of its record.  ``marks`` holds a
+    byte per index of ``shape.order``: 1 at every repository that holds
+    records or has held a cache.  The search looks only at marked ones, so
+    records and caches are written only through ``register_finder`` and
+    ``_write``, which ``resolve`` and ``hop_counts`` share.  Driven
+    single-threaded.
     """
 
     def __init__(self, shape: TreeShape):
         self.shape = shape
         self.records: dict[str, dict[str, FinderRecord]] = {}
         self.caches: dict[str, dict[str, FinderRecord]] = {}
+        self.home_of: dict[str, str] = {}
         self.marks = bytearray(len(shape.order))
 
     def leaves(self) -> tuple[str, ...]:
@@ -177,10 +184,13 @@ class Topology:
         return self.shape.leaves
 
     def register_finder(self, record: FinderRecord) -> None:
-        """Install (or replace) an authoritative record at the repository of its home zone."""
+        """Install (or replace) an authoritative record at the repository of its home zone;
+        a finder id authoritative at another repository raises DuplicateFinder."""
         node_id = record.home_zone
         if node_id not in self.shape.span:
             raise UnknownNode(f"no repository named {node_id!r}")
+        if (home := self.home_of.setdefault(record.finder_id, node_id)) != node_id:
+            raise DuplicateFinder(f"finder {record.finder_id!r} is already authoritative at {home!r}")
         self.records.setdefault(node_id, {})[record.finder_id] = record
         self.marks[self.shape.span[node_id][0]] = 1
 
@@ -193,47 +203,38 @@ class Topology:
         query; the search has then contacted every repository once.  A failed
         resolution never touches any cache.
         """
-        policy = policy or ResolutionPolicy()
         if origin_node_id not in self.shape.span:
             raise UnknownNode(f"no repository named {origin_node_id!r}")
-        record, from_cache, path, homes = self._search(origin_node_id, query)
+        record, from_cache, hops = self._search(origin_node_id, query)
         if record is None:
-            raise NotFound(f"no finder satisfies the query (searched {len(path)} repositories)")
-
-        # Only a repository holding the finder's own record is not populated, and
-        # homes indexes every record-holding one in the path, in path order.
-        path, records, finder_id, cap = tuple(path), self.records, record.finder_id, policy.cache_capacity
-        populated, start = (), 0
-        for k in homes:
-            if finder_id in records[path[k]]:
-                populated += path[start:k]
-                start = k + 1
-        populated = populated + path[start:] if start else path
-        if cap != 0:  # the record is frozen, so every populated repository can hold it
-            self._cache_insert(populated, record, cap)
-        elif self.caches:  # stores nothing, but empties a cache filled under a larger cap
-            for node_id in populated:
-                self.caches.pop(node_id, None)
-        return tuple.__new__(ResolutionResult, (record, path, len(path), from_cache, populated))
+            raise NotFound(f"no finder satisfies the query (searched {hops} repositories)")
+        order, cap = self.shape.order, None if policy is None else policy.cache_capacity
+        path = tuple(node_id for start, stop in self._contacted(origin_node_id, hops)
+                     for node_id in order[start:stop])
+        self._write(self._reached(origin_node_id, hops), record, cap)
+        home = self.home_of.get(record.finder_id)  # populated are the path but the finder's home
+        populated = tuple(node_id for node_id in path if node_id != home) if home in path else path
+        return tuple.__new__(ResolutionResult, (record, path, hops, from_cache, populated))
 
     def hop_counts(self, origins: Iterable[str], query: ResourceQuery,
                    policy: ResolutionPolicy | None = None) -> list[int]:
         """Resolve the query from each origin in turn: each one's ``hop_count``, 0 for NotFound.
 
         The caches and marks end as a ``resolve`` call per origin leaves them, and
-        an unknown origin raises UnknownNode at the same point.  An origin that
-        holds no records and one cache entry that may satisfy the query, unless
-        the cap is 0, leaves the caches as a ``resolve`` would, whose write would
-        change nothing: it counts 1 and costs no call.  The query is fixed for the
-        call and a record is frozen, so each record's verdict is taken once.
+        an unknown origin raises UnknownNode at the same point.  An origin costs at
+        most one search, whose repositories are derived only to write; the module
+        docstring says which origins cost none.
         """
-        records, resolve = self.records, self.resolve
+        records, span, caches = self.records, self.shape.span, self.caches
+        cap = None if policy is None else policy.cache_capacity
         # under a cap of 0 resolve empties an origin's cache, a write, so no origin answers here
-        caches = {} if policy is not None and policy.cache_capacity == 0 else self.caches
+        answering = {} if cap == 0 else caches
         verdicts: dict[int, tuple[FinderRecord, bool]] = {}  # id -> (record, verdict); held, an id is not reused
+        known: dict[str, int] = {}  # origin -> count, once no search writes
         counts: list[int] = []
+        failed = False  # a failed search wrote nothing, so every later one fails too
         for origin in origins:
-            cache = caches.get(origin, ())
+            cache = answering.get(origin, ())
             if len(cache) == 1 and origin not in records:
                 (record,) = cache.values()
                 verdict = verdicts.get(id(record))
@@ -242,29 +243,47 @@ class Topology:
                 if verdict[1]:
                     counts.append(1)
                     continue
-            try:
-                counts.append(resolve(origin, query, policy).hop_count)
-            except NotFound:
-                counts.append(0)
+            if origin not in span:
+                raise UnknownNode(f"no repository named {origin!r}")
+            hops = known.get(origin, 0 if failed else None)
+            if hops is None:
+                record, _, hops = self._search(origin, query)
+                if record is None:
+                    failed, hops = True, 0
+                elif cap != 0 or caches:
+                    self._write(self._reached(origin, hops), record, cap)
+                else:
+                    known[origin] = hops
+            counts.append(hops)
         return counts
 
     # -- internals ---------------------------------------------------------
 
-    def _cache_insert(self, node_ids: Iterable[str], record: FinderRecord, cap: int | None) -> None:
-        """At each repository, make the record its finder's only entry and the newest,
-        keeping the newest ``cap`` (None: all).  A repository's first cache marks
-        it for the search to look at.
+    def _write(self, ranges: Iterable[tuple[int, int]], record: FinderRecord, cap: int | None) -> None:
+        """At each repository of the preorder index ranges but the home of the record's
+        finder, make the record its finder's only entry and the newest, keeping the
+        newest ``cap`` (None: all); a cap of 0 empties the cache.  A repository's
+        first cache marks it for the search.
         """
-        caches, finder_id = self.caches, record.finder_id
-        for node_id in node_ids:
-            cache = caches.get(node_id)
-            if cache is None:
-                cache = caches[node_id] = {}
-                self.marks[self.shape.span[node_id][0]] = 1
-            cache.pop(finder_id, None)
-            cache[finder_id] = record
-            while cap is not None and len(cache) > cap:
-                del cache[next(iter(cache))]
+        caches, order, finder_id = self.caches, self.shape.order, record.finder_id
+        home = self.home_of.get(finder_id)
+        for start, stop in ranges:
+            if cap == 0:
+                for node_id in order[start:stop] if caches else ():
+                    if node_id != home:
+                        caches.pop(node_id, None)
+                continue
+            self.marks[start:stop] = b"\x01" * (stop - start)  # the home holds records, so is marked
+            for node_id in order[start:stop]:
+                if node_id == home:
+                    continue
+                cache = caches.get(node_id)
+                if cache is None:
+                    cache = caches[node_id] = {}
+                cache.pop(finder_id, None)
+                cache[finder_id] = record
+                while cap is not None and len(cache) > cap:
+                    del cache[next(iter(cache))]
 
     def _first_hit(self, node_id: str, query: ResourceQuery) -> FinderRecord | None:
         """A repository's first record that may satisfy the query, or None.
@@ -285,36 +304,58 @@ class Topology:
         return None
 
     def _search(self, origin: str, query: ResourceQuery) -> tuple:
-        """(record or None, from_cache, path, homes) of one search in the documented
-        order; homes holds the index in path of every repository with records.
-
-        Every range starts at the repository it belongs to, so the origin is looked
-        up first.
-        """
-        records, caches, marks = self.records, self.caches, self.marks
-        order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
-        path, homes = [], []
-        came_from, current = None, origin
+        """(record or None, from_cache, hops): hops counts the repositories contacted."""
+        records, caches, marks, order = self.records, self.caches, self.marks, self.shape.order
+        span, parent_of = self.shape.span, self.shape.parent
+        hops, came_from, current = 0, None, origin
         while current is not None:
             first, last = span[current]
             ranges = ((first, last),) if came_from is None else (
                 (first, span[came_from][0]), (span[came_from][1], last))
-            for i, stop in ranges:
-                while (j := marks.find(1, i, stop)) >= 0:
-                    path += order[i:j + 1]  # every one contacted, but only the marked last can hold anything
+            for start, stop in ranges:
+                i = start
+                while (j := marks.find(1, i, stop)) >= 0:  # only a marked repository can hold anything
                     node_id = order[j]
                     held = node_id in records
-                    if held:
-                        homes.append(len(path) - 1)
                     if held or node_id in caches:
                         record = self._first_hit(node_id, query)
                         if record is not None:
                             from_cache = not held or record.finder_id not in records[node_id]
-                            return record, from_cache, path, homes
+                            return record, from_cache, hops + j + 1 - start
                     i = j + 1
-                path += order[i:stop]
+                hops += stop - start
             came_from, current = current, parent_of[current]
-        return None, False, path, homes
+        return None, False, hops
+
+    def _contacted(self, origin: str, hops: int) -> list[tuple[int, int]]:
+        """The preorder index ranges of the first ``hops`` repositories a search from
+        origin contacts, in order: the path, from the search's count."""
+        span, parent_of = self.shape.span, self.shape.parent
+        ranges, came_from, current = [], None, origin
+        while hops:
+            first, last = span[current]
+            for start, stop in ((first, last),) if came_from is None else (
+                    (first, span[came_from][0]), (span[came_from][1], last)):
+                ranges.append((start, min(stop, start + hops)))
+                hops -= ranges[-1][1] - start
+            came_from, current = current, parent_of[current]
+        return ranges
+
+    def _reached(self, origin: str, hops: int) -> tuple[tuple[int, int], ...]:
+        """The repositories of ``_contacted`` as at most two preorder ranges, all a write
+        needs: the search ends in the first ``current`` whose subtree holds ``hops``,
+        having contacted the child subtree ``came_from`` and then ``current``'s range."""
+        span, parent_of = self.shape.span, self.shape.parent
+        came_from, current = None, origin
+        while span[current][1] - span[current][0] < hops:
+            came_from, current = current, parent_of[current]
+        first = span[current][0]
+        if came_from is not None:
+            inner_first, inner_last = span[came_from]
+            rest = hops - (inner_last - inner_first)
+            if rest <= inner_first - first:  # ended before the child subtree's range
+                return (first, first + rest), (inner_first, inner_last)
+        return ((first, first + hops),)
 
 
 # Largest uniform tree build_topology will allocate.

@@ -324,6 +324,16 @@ def test_rejected_observations_exit_three(tmp_path, capsys, bad_row, message):
     assert captured.out == ""
 
 
+def test_a_rejected_row_is_named_by_the_line_it_starts_on(tmp_path, capsys):
+    # line 2's quoted time ends on line 3, so the bad value is on line 4
+    obs = tmp_path / "obs.csv"
+    obs.write_text(HEADER + 'baseline,20,20,0,1,"1.5\n"\nbaseline,20,20,1,1,x\n', encoding="utf-8")
+    assert main(["analyze", str(obs), str(obs)]) == 3
+    captured = capsys.readouterr()
+    assert f"{obs}:4: could not convert string to float: 'x'" in captured.err
+    assert captured.out == ""
+
+
 def _run_main(argv: list[str]) -> tuple[int, str]:
     """``gridrd argv`` in-process: (exit code, stdout); stderr is dropped."""
     out = io.StringIO()

@@ -260,7 +260,9 @@ def reference_parse(text: str, source: str = "<string>") -> list[ObservationRow]
         raise ParseError(f"{source}:1: bad header {','.join(header)!r}")
     rows = []
     first_seen: dict[tuple, int] = {}
-    for lineno, record in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for record in reader:  # a row is named by the line it starts on
+        lineno, next_line = next_line, reader.line_num + 1
         if not record:
             continue
         if len(record) != 6:
@@ -324,6 +326,9 @@ _ACCEPTED = {
     "quoted field": lambda draw, fields: [",".join(f'"{field}"' for field in fields)],
     "padded count": _set(2, [" 7", "+7", "0_7", "7 "]),
     "spelled time": _set(5, ["1e3", " 2.5", "-0.0", "1_0.5", ".5"]),
+    # a quoted last field that ends on the next line, so later rows start a line further on
+    "line break in a field": lambda draw, fields: (
+        [",".join(fields)] if '"' in ",".join(fields) else [",".join(fields[:-1] + ['"' + fields[-1]]), '"']),
 }
 
 
@@ -373,6 +378,12 @@ class TestParseIsTheRowWiseReference:
                 "baseline,20,20,2,1,1.5\n"
                 "baseline,20,20,3,1\n")
         expected = "obs.csv:3: invalid literal for int() with base 10: 'twenty'"
+        assert _outcome(parse_observations, text) == _outcome(reference_parse, text) == (ParseError, expected)
+
+    def test_a_row_is_named_by_the_line_it_starts_on(self):
+        # line 2's quoted time ends on line 3, so the bad value is on line 4, in the third record
+        text = f'{OBSERVATION_HEADER}\nbaseline,20,20,0,1,"1.5\n"\nbaseline,20,20,1,1,x\n'
+        expected = "obs.csv:4: could not convert string to float: 'x'"
         assert _outcome(parse_observations, text) == _outcome(reference_parse, text) == (ParseError, expected)
 
     @pytest.mark.parametrize("line_2, error", [("baseline,20,20,0,1,1.5", csv.Error),

@@ -15,6 +15,7 @@ from gridrd import domain, registry
 from gridrd.domain import FinderRecord, MetadataSummary, ResourceQuery, summary_may_satisfy
 from gridrd.registry import (
     MAX_REPOSITORIES,
+    DuplicateFinder,
     MalformedTopology,
     NotFound,
     ResolutionPolicy,
@@ -80,6 +81,18 @@ def random_query(rng: random.Random) -> ResourceQuery:
 
 def brute_force_candidates(records, query) -> list[str]:
     return sorted(r.finder_id for r in records if summary_may_satisfy(query, r.summary))
+
+
+def cache_at(topo: Topology, node_id: str, record: FinderRecord, cap: int | None = None) -> None:
+    """Write the record into one repository's cache, through the search's write routine."""
+    start = topo.shape.span[node_id][0]
+    topo._write(((start, start + 1),), record, cap)
+
+
+def contacted(topo: Topology, origin: str, hops: int) -> list[str]:
+    """The first ``hops`` repositories a search from origin contacts, in order."""
+    order = topo.shape.order
+    return [node_id for start, stop in topo._contacted(origin, hops) for node_id in order[start:stop]]
 
 
 def cache_snapshot(topo: Topology):
@@ -212,6 +225,15 @@ class TestBuildTopology:
         assert len(leaves) == 4
         for leaf in leaves:
             assert len(labels(leaf)) == 2
+
+    @pytest.mark.parametrize("branching, first, last", [(1, "z00", "z00"), (11, "z00", "z10"),
+                                                        (100, "z00", "z99"), (101, "z000", "z100")])
+    def test_uniform_zones_are_numbered_labels_most_specific_first(self, branching, first, last):
+        # labels are z and the child's index, zero-padded to max(2, digits of branching - 1)
+        leaves = build_topology(TopologySpec(depth=2, branching=branching)).leaves()
+        assert (len(leaves), leaves[0], leaves[-1]) == (branching, first, last)
+        assert build_topology(TopologySpec(depth=3, branching=2)).shape.order == (
+            ".", "z00", "z00.z00", "z01.z00", "z01", "z00.z01", "z01.z01")
 
     def test_every_edge_satisfies_the_suffix_property(self):
         rng = random.Random(5)
@@ -500,7 +522,7 @@ class TestFirstHit:
             node_id = name_of(data.draw(st.sampled_from(zones)))
             record = FinderRecord(data.draw(st.sampled_from(ids)), "svc://c", "far",
                                   data.draw(summaries()))
-            topo._cache_insert((node_id,), record, None)
+            cache_at(topo, node_id, record)
         tags = data.draw(st.sampled_from(({}, {"os": "linux"})))
         query = ResourceQuery({"pe_count": data.draw(st.sampled_from((0.0, 2.0, 8.0)))}, tags)
         for node_id in topo.shape.parent:
@@ -600,7 +622,7 @@ class TestSearchOracle:
         for record in authoritative:
             topo.register_finder(record)
         for at, record in cached:
-            topo._cache_insert((at,), record, None)
+            cache_at(topo, at, record)
         reference = copy.deepcopy(topo)
         for origin, need, tags in steps:
             origin = name_of(origin)
@@ -646,6 +668,10 @@ class TestMarks:
                 if step[0] == "register":
                     _, fid, home, summary = step
                     record = FinderRecord(fid, "svc://a", name_of(home), summary)
+                    if topo.home_of.get(fid, record.home_zone) != record.home_zone:
+                        with pytest.raises(DuplicateFinder):
+                            topo.register_finder(record)
+                        continue
                     for tree in (topo, reference):
                         tree.register_finder(record)
                 else:
@@ -671,9 +697,22 @@ class TestMarks:
         with pytest.raises(NotFound, match=r"\(searched 13 repositories\)"):
             topo.resolve(origin, ResourceQuery())
         zones = {labels(node_id) for node_id in topo.shape.order}
-        path = topo._search(origin, ResourceQuery())[2]
-        assert path == [name_of(zone) for zone in reference_order(zones, labels(origin))]
+        record, _, hops = topo._search(origin, ResourceQuery())
+        assert record is None and hops == 13
+        expected = [name_of(zone) for zone in reference_order(zones, labels(origin))]
+        assert contacted(topo, origin, hops) == expected
         assert topo.records == {} and topo.caches == {}
+
+    @given(zones=zone_trees(), data=st.data())
+    def test_a_write_covers_the_path_in_at_most_two_ranges(self, zones, data):
+        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
+        origin, order = data.draw(st.sampled_from(zones)), topo.shape.order
+        path = [name_of(zone) for zone in reference_order(set(zones), origin)]
+        for hops in range(1, len(path) + 1):
+            assert contacted(topo, name_of(origin), hops) == path[:hops]
+            ranges = topo._reached(name_of(origin), hops)
+            reached = [node_id for start, stop in ranges for node_id in order[start:stop]]
+            assert len(ranges) <= 2 and sorted(reached) == sorted(path[:hops])
 
 
 # -- resolve --------------------------------------------------------------------
@@ -962,8 +1001,7 @@ class TestResolve:
 
 
 class TestCachesPopulated:
-    """caches_populated is the path minus every repository holding a record
-    of the answer's finder id."""
+    """caches_populated is the path minus the home of the answer's finder id."""
 
     def _register(self, topo, finder_id, zone, pe):
         cat = MetadataCatalog(finder_id, (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
@@ -994,15 +1032,45 @@ class TestCachesPopulated:
         self._check(topo, result, result.path)
         assert result.caches_populated is result.path
 
-    def test_every_home_of_the_finder_id_is_left_out(self):
-        # f is registered at a and at c; only the copy at c satisfies
+    def test_the_home_is_left_out_when_a_cached_copy_answers(self):
+        # f's record at b shrinks after the root cached it, so from b the root's copy answers
         topo = build_topology(TopologySpec(zones=("a", "b", "c")))
-        self._register(topo, "f", "a", 2.0)
-        self._register(topo, "f", "c", 32.0)
-        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}))
-        assert result.path == ("a", ".", "b", "c") and result.record is topo.records["c"]["f"]
-        self._check(topo, result, (".", "b"))
-        assert "a" not in topo.caches and "c" not in topo.caches
+        self._register(topo, "f", "b", 32.0)
+        query = ResourceQuery(numeric_mins={"pe_count": 16})
+        assert topo.resolve("a", query).caches_populated == ("a", ".")
+        self._register(topo, "f", "b", 2.0)
+        result = topo.resolve("b", query)
+        assert result.path == ("b", ".") and result.cache_hit
+        self._check(topo, result, (".",))
+        assert "b" not in topo.caches
+
+
+class TestOneHome:
+    """A finder id is authoritative at one repository."""
+
+    def test_a_second_home_is_rejected_and_changes_nothing(self):
+        topo = build_topology(TopologySpec(zones=("a", "b", "c")))
+        first = FinderRecord("f", "svc://a", "a", _summary(2.0))
+        topo.register_finder(first)
+        before = (copy.deepcopy(topo.records), dict(topo.home_of), bytes(topo.marks))
+        with pytest.raises(DuplicateFinder, match="^finder 'f' is already authoritative at 'a'$"):
+            topo.register_finder(FinderRecord("f", "svc://c", "c", _summary(32.0)))
+        assert (topo.records, topo.home_of, bytes(topo.marks)) == before
+        assert topo.records["a"]["f"] is first
+
+    def test_registering_at_the_same_home_replaces_the_record(self):
+        topo = build_topology(TopologySpec(zones=("a", "b")))
+        topo.register_finder(FinderRecord("f", "svc://a", "a", _summary(2.0)))
+        second = FinderRecord("f", "svc://a2", "a", _summary(32.0))
+        topo.register_finder(second)
+        assert topo.records == {"a": {"f": second}} and topo.home_of == {"f": "a"}
+
+    def test_an_unknown_home_is_rejected_before_the_finder_is_homed(self):
+        topo = build_topology(TopologySpec(zones=("a",)))
+        with pytest.raises(UnknownNode):
+            topo.register_finder(FinderRecord("f", "svc://x", "x", _summary(2.0)))
+        topo.register_finder(FinderRecord("f", "svc://a", "a", _summary(2.0)))
+        assert topo.home_of == {"f": "a"}
 
 
 class TestCacheCapacity:
@@ -1102,12 +1170,12 @@ class TestCacheRefresh:
         topo = self._two_finders()
         cap = ResolutionPolicy().cache_capacity
         stored = topo.records["b"]["f-b"]
-        topo._cache_insert(("a",), stored, cap)
+        cache_at(topo, "a", stored, cap)
         twin = stored._replace()
         assert twin == stored and twin is not stored
-        topo._cache_insert(("a",), twin, cap)
+        cache_at(topo, "a", twin, cap)
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin
-        topo._cache_insert(("a",), twin, cap)
+        cache_at(topo, "a", twin, cap)
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin
 
 
@@ -1124,8 +1192,8 @@ def batch_cases(draw):
 
     Finders sit at any zone, inner ones too, and some summaries fail the query.  The
     warm-up resolves under other queries and caps, so caches hold several entries and
-    a lone entry may fail the query; late finders, registered after it, may re-home a
-    finder where a copy of it is cached.  The origins repeat, may outnumber the
+    a lone entry may fail the query; late finders, registered after it at a finder's
+    one home, may replace a record whose copies are cached.  The origins repeat, may outnumber the
     leaves, come in any order and may name a repository that is not in the tree.
     """
     if draw(st.booleans(), label="uniform"):
@@ -1136,8 +1204,11 @@ def batch_cases(draw):
     zones = st.sampled_from(shape.order)
     finders = [FinderRecord(f"f{i}", "svc://f", draw(zones), draw(summaries()))
                for i in range(draw(st.integers(0, 4), label="finders"))]
-    late = draw(st.lists(st.builds(FinderRecord, st.sampled_from(("f0", "f1", "f9")), st.just("svc://l"),
-                                   zones, summaries()), max_size=2), label="late")
+    homes = {record.finder_id: record.home_zone for record in finders}
+    late = [record._replace(home_zone=homes.setdefault(record.finder_id, record.home_zone))
+            for record in draw(st.lists(st.builds(FinderRecord, st.sampled_from(("f0", "f1", "f9")),
+                                                  st.just("svc://l"), zones, summaries()),
+                                        max_size=2), label="late")]
     queries = st.builds(lambda need, tags: ResourceQuery({"pe_count": need}, tags),
                         st.sampled_from(_QUERY_NEEDS), st.sampled_from(({}, {"os": "linux"})))
     caps = st.sampled_from((None, 0, 1, 2, 5))
@@ -1168,9 +1239,10 @@ class TestHopCounts:
                     FinderRecord("f-c", "svc://c", "c", _summary(32.0))],
                    [("a", _linux(1.0), None), ("a", _linux(16.0), None)], [], _linux(1.0), ResolutionPolicy(),
                    ["a", "a"]))
-    # f re-homed at a, where its cached copy answers but its own record does not: a searches
+    # f's record at b shrinks after a and the root cached it: a's lone stale copy answers
+    # there, and b, whose own record fails, searches on to the root's copy
     @example(case=(TopologySpec(zones=("a", "b")), [FinderRecord("f", "svc://b", "b", _summary(8.0))],
-                   [("a", _linux(2.0), None)], [FinderRecord("f", "svc://a", "a", _summary(1.0))],
+                   [("a", _linux(2.0), None)], [FinderRecord("f", "svc://b", "b", _summary(1.0))],
                    _linux(2.0), ResolutionPolicy(), ["a", "b", "a"]))
     # an unknown origin mid-list, after writes and in-loop answers, under a cap of 1
     @example(case=(TopologySpec(depth=3, branching=2),
@@ -1202,8 +1274,8 @@ class TestHopCounts:
             except UnknownNode:
                 unknown = True
                 break
-        resolved = []
-        batch.resolve = lambda *args: resolved.append(args[0]) or Topology.resolve(batch, *args)
+        searched = []
+        batch._search = lambda *args: searched.append(args[0]) or Topology._search(batch, *args)
         if unknown:
             with pytest.raises(UnknownNode, match="^no repository named 'nowhere'$"):
                 batch.hop_counts(origins, query, policy)
@@ -1211,12 +1283,14 @@ class TestHopCounts:
         else:
             assert batch.hop_counts(origins, query, policy) == expected
             event("not found" if 0 in expected else "every origin answered")
-        event("answered in the loop" if len(resolved) < len(expected) + unknown else "every origin resolved")
+        if 0 in expected:  # no search follows the first failed one
+            assert searched[-1] == origins[expected.index(0)] and len(searched) <= expected.index(0) + 1
+        event("answered without a search" if len(searched) < len(expected) + unknown else "each origin searched")
         assert {n: list(c.items()) for n, c in batch.caches.items()} == {
             n: list(c.items()) for n, c in loop.caches.items()}
         assert batch.marks == loop.marks and batch.records == loop.records
 
-    def test_an_origin_holding_the_answer_costs_no_resolve_and_one_verdict(self, monkeypatch):
+    def test_an_origin_holding_the_answer_costs_no_search_and_one_verdict(self, monkeypatch):
         topo = build_topology(TopologySpec(depth=3, branching=3))
         leaves, query = topo.leaves(), ResourceQuery()
         home = leaves[4]
@@ -1225,24 +1299,46 @@ class TestHopCounts:
         # each search populates every repository it contacts
         assert topo.hop_counts(leaves, query, ResolutionPolicy(1)) == [8, 1, 5, 1, 1, 1, 1, 2, 1]
         assert all(list(topo.caches[leaf]) == ["f"] for leaf in leaves if leaf != home)
-        verdicts, resolved = [], []
+        verdicts, searched = [], []
         monkeypatch.setattr(registry, "summary_may_satisfy",
                             lambda q, s: verdicts.append(s) or summary_may_satisfy(q, s))
-        topo.resolve = lambda *args: resolved.append(args[0]) or Topology.resolve(topo, *args)
+        topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
         before = cache_snapshot(topo)
         assert topo.hop_counts(leaves * 3, query) == [1] * 27
-        # the home holds records, so it alone is resolved; the cached record's verdict is taken once
-        assert resolved == [home] * 3
+        # the home holds records, so it alone is searched; the cached record's verdict is taken once
+        assert searched == [home] * 3
         assert len(verdicts) == 1 + 3
         assert cache_snapshot(topo) == before
 
-    def test_a_cap_of_zero_resolves_every_origin(self):
+    def test_a_cap_of_zero_searches_an_origin_until_no_cache_is_left(self):
         topo = build_topology(TopologySpec(depth=2, branching=2))
         topo.register_finder(FinderRecord("f", "svc://f", "z00", _summary(8.0)))
         topo.hop_counts(["z01"], ResourceQuery())
-        assert list(topo.caches) == ["z01", "."]
-        resolved = []
-        topo.resolve = lambda *args: resolved.append(args[0]) or Topology.resolve(topo, *args)
-        # a warm lone entry at z01 does not answer in the loop: resolve empties the cache
-        assert topo.hop_counts(["z01", "z01"], ResourceQuery(), ResolutionPolicy(0)) == [1, 2]
-        assert resolved == ["z01", "z01"] and not topo.caches
+        assert sorted(topo.caches) == [".", "z01"]
+        searched = []
+        topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
+        # a warm lone entry at z01 does not answer in the loop: the search's write empties the
+        # cache; the next search empties the root's, and from then on z01's count is known
+        assert topo.hop_counts(["z01"] * 4, ResourceQuery(), ResolutionPolicy(0)) == [1, 2, 3, 3]
+        assert searched == ["z01"] * 3 and not topo.caches
+
+    def test_a_cap_of_zero_with_no_caches_searches_each_distinct_origin_once(self):
+        topo = build_topology(TopologySpec(depth=3, branching=2))
+        topo.register_finder(FinderRecord("f", "svc://f", "z01.z01", _summary(8.0)))
+        searched = []
+        topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
+        leaves = topo.leaves()
+        assert topo.hop_counts(leaves * 3, ResourceQuery(), ResolutionPolicy(0)) == [7, 3, 7, 1] * 3
+        assert searched == list(leaves) and not topo.caches
+
+    def test_no_origin_is_searched_after_a_failed_search(self):
+        topo = build_topology(TopologySpec(depth=3, branching=2))
+        topo.register_finder(FinderRecord("f", "svc://f", "z01.z01", _summary(8.0)))
+        searched = []
+        topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
+        origins = ["z00.z00", ".", "z01.z01", "z00.z00"]
+        assert topo.hop_counts(origins, _linux(100.0)) == [0] * 4
+        assert searched == ["z00.z00"] and not topo.caches
+        # an unknown origin still raises where it stands
+        with pytest.raises(UnknownNode, match="'nowhere'"):
+            topo.hop_counts(origins + ["nowhere"], _linux(100.0))

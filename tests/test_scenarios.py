@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridrd import scenarios, stats
 from gridrd.domain import ResourceQuery
-from gridrd.registry import ResolutionPolicy, TopologySpec, UnknownNode, build_topology
+from gridrd.registry import ResolutionPolicy, Topology, TopologySpec, UnknownNode, build_topology
 from gridrd.scenarios import (
     MAX_USERS,
     ConfigMismatch,
@@ -392,6 +392,28 @@ class TestDistributedGolden:
     def test_run_matches_golden(self, name):
         golden = json.loads((Path(__file__).parent / "golden" / "distributed_runs.json").read_text())
         assert golden_record(run_scenario(GOLDEN_RUNS[name])) == golden[name]
+
+
+class TestSearchesPerRun:
+    """A run's users share one query, so some searches tell what others would find."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        origins, search = [], Topology._search
+        monkeypatch.setattr(Topology, "_search",
+                            lambda self, origin, query: origins.append(origin) or search(self, origin, query))
+        return origins
+
+    def test_a_run_nothing_satisfies_searches_once(self, searched):
+        cfg = GOLDEN_RUNS["unsatisfiable"]
+        assert run_scenario(cfg).failed_users == tuple(range(cfg.n_users))
+        assert len(searched) == 1
+
+    @pytest.mark.parametrize("users", [12, 48, 100])
+    def test_a_capacity_zero_run_searches_each_distinct_leaf_once(self, searched, users):
+        cfg = GOLDEN_RUNS["cap-0"]._replace(n_users=users)  # 27 leaves
+        run_scenario(cfg)
+        assert len(searched) == len(set(searched)) == min(users, 27)
 
 
 # -- the resolution knobs a run can feel ----------------------------------------

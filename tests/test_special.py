@@ -48,6 +48,11 @@ class TestBetainc:
         with pytest.raises(ValueError):
             betainc(0.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -0.5)])
+    def test_rejects_one_nonpositive_shape(self, a, b):
+        with pytest.raises(ValueError, match="betainc needs a, b > 0"):
+            betainc(a, b, 0.5)
+
 
 class TestTCdf:
     def test_zero_is_half(self):

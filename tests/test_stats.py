@@ -259,6 +259,12 @@ class TestFromSummary:
         with pytest.raises(InvalidAlpha):
             test_from_summary(1.0, 1.0, 18, alpha=0.0)
 
+    def test_one_degree_of_freedom_is_the_least_accepted(self):
+        # t with df = 1 is the Cauchy distribution: P(|T| >= 1) = 1/2
+        assert test_from_summary(1.0, 1.0, 1).p_value == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(InsufficientData, match="degrees of freedom must be >= 1"):
+            test_from_summary(1.0, 1.0, math.nextafter(1.0, 0.0))
+
 
 class TestCriticalValue:
     # Pooled dfs are integers; test_from_summary also takes fractional dfs.
