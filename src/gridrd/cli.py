@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="diagonal points (users = resources)")
     p_sweep.add_argument("--replications", type=_count("replication count"), default=10)
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed")
-    p_sweep.add_argument("--workers", type=_count("worker count"), default=1)
     p_sweep.add_argument("--out", type=Path, required=True, help="observations CSV path")
     p_sweep.set_defaults(grid=lambda args: _sweep_points(p_sweep, args))
 
@@ -176,7 +175,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         scenarios=args.scenario or PAPER_SCENARIOS,
     )
-    rows = run_sweep(spec, cfg, workers=args.workers)
+    rows = run_sweep(spec, cfg)
     write_observations(rows, args.out)
     print(f"wrote {len(rows)} observations to {args.out}")
     return 0

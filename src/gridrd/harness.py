@@ -10,9 +10,9 @@ point by point: the cells of one (scenario, point) differ only in their
 seed, so the point's run is configured once, its seed-free work (a
 distributed run's resolution) is done once, and the seed prefix
 ``mix64(base_seed, scenario_ordinal, users, resources)`` is folded once and
-then once more per replication.  Points may run in parallel without changing
-the output: rows are assembled in deterministic row order, never completion
-order.
+then once more per replication.  A sweep runs its points one after another,
+in row order.  A row depends only on its own scenario, point and seed, so the
+per-scenario sweeps of a spec, concatenated, are its one sweep.
 
 File formats (fixed; the test suite pins them with golden files):
 
@@ -124,15 +124,14 @@ def scenario_config(config: Config, kind: ScenarioKind, users: int, resources: i
         raise ConfigError(str(exc)) from None
 
 
-def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[ObservationRow]:
+def run_sweep(spec: SweepSpec, config: Config) -> list[ObservationRow]:
     """Run every distinct (scenario, point, replication) cell of the sweep once.
 
     Rows come in row order: scenario ordinal, then (users, resources), then
     replication, so a repeated scenario or point adds no duplicate row.  The
-    run is configured per point, every point before any runs; cells of a point
-    share its resolution and differ only in their seed (see
-    ``scenarios.mean_times``).  ``workers > 1`` runs points on a thread pool;
-    points share no state, and rows come back in row order either way.
+    run is configured per point, every point before any runs, so a config
+    error raises before any simulation; cells of a point share its resolution
+    and differ only in their seed (see ``scenarios.mean_times``).
     """
     points = [  # each configured with seed 0: mean_times takes the cells' seeds instead
         (scenario_config(config, kind, users, resources, 0),
@@ -140,18 +139,12 @@ def run_sweep(spec: SweepSpec, config: Config, workers: int = 1) -> list[Observa
         for kind in sorted(set(spec.scenarios), key=lambda s: s.ordinal)
         for (users, resources) in sorted(set(spec.points))
     ]
-
-    def run_point(point: tuple[ScenarioConfig, int]) -> list[ObservationRow]:
-        cfg, prefix = point
+    rows = []
+    for cfg, prefix in points:
         seeds = [mix64(rep, prefix=prefix) for rep in range(spec.replications)]
-        return [ObservationRow(cfg.kind, cfg.n_users, cfg.n_resources, rep, seed, mean)
-                for rep, (seed, mean) in enumerate(zip(seeds, mean_times(cfg, seeds)))]
-
-    if workers <= 1:
-        return [row for point in points for row in run_point(point)]
-    from concurrent.futures import ThreadPoolExecutor  # with logging: slow to import
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(run_point, points) for row in rows]
+        rows += [ObservationRow(cfg.kind, cfg.n_users, cfg.n_resources, rep, seed, mean)
+                 for rep, (seed, mean) in enumerate(zip(seeds, mean_times(cfg, seeds)))]
+    return rows
 
 
 # -- observation CSV ---------------------------------------------------------

@@ -288,8 +288,7 @@ class Topology:
     def _first_hit(self, node_id: str, query: ResourceQuery) -> FinderRecord | None:
         """A repository's first record that may satisfy the query, or None.
 
-        Authoritative records, then cached ones, each by finder_id; a cached
-        copy of a finder with an authoritative record here is skipped.
+        Authoritative records, then cached ones, each by finder_id.
         """
         authoritative = self.records.get(node_id, ())
         for finder_id in sorted(authoritative) if len(authoritative) > 1 else authoritative:
@@ -299,7 +298,7 @@ class Topology:
         cache = self.caches.get(node_id, ())
         for finder_id in sorted(cache) if len(cache) > 1 else cache:
             record = cache[finder_id]
-            if finder_id not in authoritative and summary_may_satisfy(query, record.summary):
+            if summary_may_satisfy(query, record.summary):
                 return record
         return None
 

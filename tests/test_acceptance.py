@@ -2,8 +2,11 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from gridrd.config import Config
 from gridrd.domain import ResourceQuery
@@ -13,6 +16,7 @@ from gridrd.scenarios import ScenarioConfig, ScenarioKind, run_scenario
 from gridrd.simkern import LatencyModel
 from gridrd.special import t_cdf, t_quantile
 from gridrd.stats import Verdict, test_from_summary
+from tests.test_cli import cli_env
 from tests.test_registry import (
     brute_force_candidates,
     cache_snapshot,
@@ -196,16 +200,28 @@ def test_criterion_7_special_function_accuracy():
                 assert abs(t_cdf(t_quantile(p, df), df) - p) <= 1e-9
 
 
-def test_criterion_8_byte_identical_sweeps():
+def test_criterion_8_byte_identical_sweeps(tmp_path):
     with criterion("criterion 8: byte-identical sweeps, serial and parallel"):
-        spec = SweepSpec(
-            points=((20, 20), (40, 40), (60, 60)),
-            replications=5,
-            base_seed=123,
-            scenarios=(ScenarioKind.BASELINE, ScenarioKind.DIRECT, ScenarioKind.CENTRALIZED),
-        )
-        config = Config()
-        first = format_observations(run_sweep(spec, config, workers=1))
-        second = format_observations(run_sweep(spec, config, workers=1))
-        parallel = format_observations(run_sweep(spec, config, workers=6))
-        assert first == second == parallel
+        scenarios = (ScenarioKind.BASELINE, ScenarioKind.DIRECT, ScenarioKind.CENTRALIZED)
+        spec = SweepSpec(points=((20, 20), (40, 40), (60, 60)), replications=5, base_seed=123,
+                         scenarios=scenarios)
+        first = format_observations(run_sweep(spec, Config())).encode()
+        second = format_observations(run_sweep(spec, Config())).encode()
+        sweep = [sys.executable, "-m", "gridrd.cli", "sweep", "--points", "20", "40", "60",
+                 "--replications", "5", "--seed", "123"]
+        every = [arg for kind in scenarios for arg in ("--scenario", kind.value)]
+
+        def start(args: list[str], out: Path, **env: str) -> subprocess.Popen:
+            return subprocess.Popen([*sweep, *args, "--out", str(out)], env=cli_env(**env),
+                                    stdout=subprocess.DEVNULL)
+
+        # two fresh processes whose sets iterate in different orders (str enums hash as strings),
+        # then one process per scenario, all three running at once
+        for hash_seed in ("0", "3"):
+            assert start(every, tmp_path / f"hash-{hash_seed}.csv", PYTHONHASHSEED=hash_seed).wait(120) == 0
+        shards = [start(["--scenario", kind.value], tmp_path / f"{kind.value}.csv") for kind in scenarios]
+        assert [shard.wait(120) for shard in shards] == [0, 0, 0]
+        files = [(tmp_path / f"{kind.value}.csv").read_bytes() for kind in scenarios]
+        sharded = files[0] + b"".join(file.split(b"\n", 1)[1] for file in files[1:])
+        fresh = [(tmp_path / f"hash-{seed}.csv").read_bytes() for seed in ("0", "3")]
+        assert first == second == fresh[0] == fresh[1] == sharded

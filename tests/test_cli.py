@@ -20,6 +20,13 @@ from gridrd.harness import read_observations
 from gridrd.scenarios import MAX_USERS, ScenarioKind
 
 
+def cli_env(**extra: str) -> dict[str, str]:
+    """The environment of a fresh ``python -m gridrd.cli`` process that imports this gridrd."""
+    src = str(Path(gridrd.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **extra}
+
+
 def test_run_prints_summary(capsys):
     assert main(["run", "--scenario", "baseline", "--users", "100",
                  "--resources", "100", "--no-jitter"]) == 0
@@ -61,20 +68,24 @@ def test_sweep_then_analyze_then_plot(tmp_path, capsys):
 
 
 def test_sweep_determinism_across_invocations(tmp_path):
+    # this process and a fresh one under another hash seed write the same bytes
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--points", "20", "--replications", "5", "--seed", "3"]
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--workers", "4"]) == 0
+    hash_seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    subprocess.run([sys.executable, "-m", "gridrd.cli", *args, "--out", str(b)],
+                   env=cli_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True, timeout=60)
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("workers", ["0", "-1", "-7", "two"])
+@pytest.mark.parametrize("workers", ["2", "0", "-1", "-7", "two"])
 def test_bad_worker_count_is_usage_error(tmp_path, capsys, workers):
+    # a sweep is one serial loop and has no --workers: every count is an unrecognised argument
     out = tmp_path / "obs.csv"
     with pytest.raises(SystemExit) as exc_info:
         main(["sweep", "--points", "20", "--workers", workers, "--out", str(out)])
     assert exc_info.value.code == 1
-    assert "worker count" in capsys.readouterr().err
+    assert f"unrecognized arguments: --workers {workers}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -158,12 +169,9 @@ def test_sweep_kinds_expand_to_their_frozen_grids(tmp_path, capsys, argv, grid, 
 
 
 def test_cli_import_leaves_the_thread_pool_out():
-    # only sweep --workers 2 or more needs concurrent.futures (and logging)
-    src = str(Path(gridrd.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    # no command runs a pool, so the CLI loads neither concurrent.futures nor the logging it imports
     code = "import sys, gridrd.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
 
@@ -172,9 +180,7 @@ def test_cli_import_leaves_the_thread_pool_out():
 def test_a_closed_stdout_exits_quietly_as_sigpipe_would(unbuffered):
     # the reader has gone before gridrd writes, as `gridrd run | head -1` can leave it; a buffered
     # stdout fails at the flush, an unbuffered one (PYTHONUNBUFFERED) at the first print
-    src = str(Path(gridrd.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-           "PYTHONUNBUFFERED": unbuffered}
+    env = cli_env(PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -460,6 +466,22 @@ def test_distributed_run_via_config(tmp_path, capsys):
                  "--config", str(cfg), "--no-jitter"]) == 0
     out = capsys.readouterr().out
     assert "events.registry_lookup = 4" in out
+
+
+def test_every_sweep_row_replays_with_run(tmp_path, capsys):
+    # a row's seed column is its run's seed: `gridrd run` prints the row's time, text for text
+    cfg, obs = tmp_path / "tree.cfg", tmp_path / "obs.csv"
+    cfg.write_text("topology.depth = 3\ntopology.branching = 2\n", encoding="utf-8")
+    scenarios = ["--scenario", "baseline", "--scenario", "centralized", "--scenario", "distributed"]
+    assert main(["sweep", *scenarios, "--points", "6", "12", "--replications", "3", "--config", str(cfg),
+                 "--out", str(obs)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in obs.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 3 * 2 * 3
+    for scenario, users, resources, _, seed, time_s in rows:
+        assert main(["run", "--scenario", scenario, "--users", users, "--resources", resources,
+                     "--seed", seed, "--config", str(cfg)]) == 0
+        assert f"\nmean_time_s = {time_s}\n" in capsys.readouterr().out
 
 
 def test_distributed_run_over_a_deep_zone_chain(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import math
@@ -469,13 +470,6 @@ class TestNodeOperations:
         with pytest.raises(UnknownNode, match=r"^no repository named 'nowhere'$"):
             topo.resolve("nowhere", ResourceQuery())
         assert topo.records == {} and not any(topo.marks)
-
-    def test_a_cached_copy_of_a_local_authoritative_finder_is_skipped(self):
-        topo = self._one_node()
-        topo.register_finder(FinderRecord("f1", "svc://1", ".", _summary(1.0)))
-        # a cached copy of f1 that would satisfy the query where the authoritative one does not
-        topo.caches["."] = {"f1": FinderRecord("f1", "svc://1", ".", _summary(16.0))}
-        assert local_lookup(topo, ".", ResourceQuery({"pe_count": 8.0})) == []
 
     def test_lookup_equals_brute_force_over_auth_and_fresh_cache(self):
         rng = random.Random(23)
@@ -1071,6 +1065,32 @@ class TestOneHome:
             topo.register_finder(FinderRecord("f", "svc://x", "x", _summary(2.0)))
         topo.register_finder(FinderRecord("f", "svc://a", "a", _summary(2.0)))
         assert topo.home_of == {"f": "a"}
+
+    @settings(max_examples=150)
+    @given(case=st.deferred(lambda: batch_cases()))
+    def test_no_repository_caches_a_finder_homed_there(self, case):
+        # registrations, resolves and hop_counts in any order: a finder's home holds its
+        # record, and no write copies it into that home's cache
+        spec, finders, warm, late, query, policy, origins = case
+        topo = build_topology(spec)
+
+        def check():
+            for node_id, cache in topo.caches.items():
+                assert not [finder_id for finder_id in cache if topo.home_of[finder_id] == node_id]
+            assert {f: n for n, held in topo.records.items() for f in held} == topo.home_of
+
+        for record in finders:
+            topo.register_finder(record)
+        for origin, warm_query, cap in warm:
+            with contextlib.suppress(NotFound):
+                topo.resolve(origin, warm_query, ResolutionPolicy(cap))
+            check()
+        for record in late:
+            topo.register_finder(record)
+            check()
+        with contextlib.suppress(UnknownNode):
+            topo.hop_counts(origins, query, policy)
+        check()
 
 
 class TestCacheCapacity:
