@@ -31,14 +31,16 @@ raises DuplicateFinder.  The answer populates every repository on the path
 but that home: derived from the count, as ``resolve``'s path in search order,
 and for a write as at most two preorder ranges, whose order it does not need.
 
-A distributed run resolves all its users in one ``hop_counts`` call, which
-ends with the caches a ``resolve`` per origin leaves.  An origin holding no
-records and one cache entry that may satisfy the query answers itself, and
-unless the cap is 0 leaves the caches as a ``resolve`` would, so the call
-counts it without a search.  The call's query is fixed and records are
-frozen, so a record's verdict is taken once; a failed search writes nothing,
-so every later origin fails too; and once nothing is written (a cap of 0 and
-no caches), each distinct origin is searched once.
+A tree's cache cap is set when it is built, as a DNS cache's size is set on
+the resolver that holds it, and the search caches its answer along the path
+unless the cap is 0, so such a tree never holds a cache.  A distributed run
+resolves all its users in one ``hop_counts`` call, which ends with the caches
+a ``resolve`` per origin leaves.  An origin holding no records and one cache
+entry that may satisfy the query answers itself, and leaves the caches as a
+``resolve`` would, so the call counts it without a search.  The call's query
+is fixed and records are frozen, so a record's verdict is taken once; a
+failed search writes nothing, so every later origin fails too; and under a
+cap of 0 nothing is written, so each distinct origin is searched once.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -79,7 +81,7 @@ class DuplicateFinder(RegistryError):
 
 
 class ResolutionPolicy(Frozen):
-    """The knob for resolve: an optional cache cap.
+    """A tree's cache cap, fixed when ``build_topology`` makes the tree.
 
     ``cache_capacity`` of None means unbounded; otherwise the entries least
     recently inserted or replaced are evicted first once a node's cache
@@ -165,15 +167,16 @@ class Topology:
     and ``caches`` maps it to its cached records by finder id, oldest first.
     A node gets an entry on its first write and never holds an empty one;
     ``home_of`` maps a finder id to the node of its record.  ``marks`` holds a
-    byte per index of ``shape.order``: 1 at every repository that holds
-    records or has held a cache.  The search looks only at marked ones, so
-    records and caches are written only through ``register_finder`` and
-    ``_write``, which ``resolve`` and ``hop_counts`` share.  Driven
-    single-threaded.
+    byte per index of ``shape.order``: 1 exactly at every repository that
+    holds records or a cache.  ``cap`` is the policy's ``cache_capacity``
+    (None: unbounded).  The search looks only at marked ones, so records and
+    caches are written only through ``register_finder`` and ``_write``, which
+    only the search calls.  Driven single-threaded.
     """
 
-    def __init__(self, shape: TreeShape):
+    def __init__(self, shape: TreeShape, policy: ResolutionPolicy | None = None):
         self.shape = shape
+        self.cap = None if policy is None else policy.cache_capacity
         self.records: dict[str, dict[str, FinderRecord]] = {}
         self.caches: dict[str, dict[str, FinderRecord]] = {}
         self.home_of: dict[str, str] = {}
@@ -194,8 +197,7 @@ class Topology:
         self.records.setdefault(node_id, {})[record.finder_id] = record
         self.marks[self.shape.span[node_id][0]] = 1
 
-    def resolve(self, origin_node_id: str, query: ResourceQuery,
-                policy: ResolutionPolicy | None = None) -> ResolutionResult:
+    def resolve(self, origin_node_id: str, query: ResourceQuery) -> ResolutionResult:
         """Find a finder for the query, caching the answer along the path.
 
         Raises NotFound only when no repository in the whole tree holds a
@@ -208,16 +210,14 @@ class Topology:
         record, from_cache, hops = self._search(origin_node_id, query)
         if record is None:
             raise NotFound(f"no finder satisfies the query (searched {hops} repositories)")
-        order, cap = self.shape.order, None if policy is None else policy.cache_capacity
+        order = self.shape.order
         path = tuple(node_id for start, stop in self._contacted(origin_node_id, hops)
                      for node_id in order[start:stop])
-        self._write(self._reached(origin_node_id, hops), record, cap)
         home = self.home_of.get(record.finder_id)  # populated are the path but the finder's home
         populated = tuple(node_id for node_id in path if node_id != home) if home in path else path
         return tuple.__new__(ResolutionResult, (record, path, hops, from_cache, populated))
 
-    def hop_counts(self, origins: Iterable[str], query: ResourceQuery,
-                   policy: ResolutionPolicy | None = None) -> list[int]:
+    def hop_counts(self, origins: Iterable[str], query: ResourceQuery) -> list[int]:
         """Resolve the query from each origin in turn: each one's ``hop_count``, 0 for NotFound.
 
         The caches and marks end as a ``resolve`` call per origin leaves them, and
@@ -226,15 +226,12 @@ class Topology:
         docstring says which origins cost none.
         """
         records, span, caches = self.records, self.shape.span, self.caches
-        cap = None if policy is None else policy.cache_capacity
-        # under a cap of 0 resolve empties an origin's cache, a write, so no origin answers here
-        answering = {} if cap == 0 else caches
         verdicts: dict[int, tuple[FinderRecord, bool]] = {}  # id -> (record, verdict); held, an id is not reused
-        known: dict[str, int] = {}  # origin -> count, once no search writes
+        known: dict[str, int] = {}  # origin -> count, under a cap of 0, where no search writes
         counts: list[int] = []
         failed = False  # a failed search wrote nothing, so every later one fails too
         for origin in origins:
-            cache = answering.get(origin, ())
+            cache = caches.get(origin, ())
             if len(cache) == 1 and origin not in records:
                 (record,) = cache.values()
                 verdict = verdicts.get(id(record))
@@ -250,29 +247,22 @@ class Topology:
                 record, _, hops = self._search(origin, query)
                 if record is None:
                     failed, hops = True, 0
-                elif cap != 0 or caches:
-                    self._write(self._reached(origin, hops), record, cap)
-                else:
+                elif self.cap == 0:
                     known[origin] = hops
             counts.append(hops)
         return counts
 
     # -- internals ---------------------------------------------------------
 
-    def _write(self, ranges: Iterable[tuple[int, int]], record: FinderRecord, cap: int | None) -> None:
+    def _write(self, ranges: Iterable[tuple[int, int]], record: FinderRecord) -> None:
         """At each repository of the preorder index ranges but the home of the record's
         finder, make the record its finder's only entry and the newest, keeping the
-        newest ``cap`` (None: all); a cap of 0 empties the cache.  A repository's
-        first cache marks it for the search.
+        newest ``cap`` (None: all), which is not 0.  A repository's first cache marks
+        it for the search.
         """
-        caches, order, finder_id = self.caches, self.shape.order, record.finder_id
+        caches, order, finder_id, cap = self.caches, self.shape.order, record.finder_id, self.cap
         home = self.home_of.get(finder_id)
         for start, stop in ranges:
-            if cap == 0:
-                for node_id in order[start:stop] if caches else ():
-                    if node_id != home:
-                        caches.pop(node_id, None)
-                continue
             self.marks[start:stop] = b"\x01" * (stop - start)  # the home holds records, so is marked
             for node_id in order[start:stop]:
                 if node_id == home:
@@ -282,7 +272,7 @@ class Topology:
                     cache = caches[node_id] = {}
                 cache.pop(finder_id, None)
                 cache[finder_id] = record
-                while cap is not None and len(cache) > cap:
+                if cap is not None and len(cache) > cap:  # it was within the cap before this entry
                     del cache[next(iter(cache))]
 
     def _first_hit(self, node_id: str, query: ResourceQuery) -> FinderRecord | None:
@@ -303,8 +293,9 @@ class Topology:
         return None
 
     def _search(self, origin: str, query: ResourceQuery) -> tuple:
-        """(record or None, from_cache, hops): hops counts the repositories contacted."""
-        records, caches, marks, order = self.records, self.caches, self.marks, self.shape.order
+        """(record or None, from_cache, hops), hops counting the repositories contacted;
+        unless the cap is 0, an answer is cached along the path."""
+        records, marks, order = self.records, self.marks, self.shape.order
         span, parent_of = self.shape.span, self.shape.parent
         hops, came_from, current = 0, None, origin
         while current is not None:
@@ -315,12 +306,12 @@ class Topology:
                 i = start
                 while (j := marks.find(1, i, stop)) >= 0:  # only a marked repository can hold anything
                     node_id = order[j]
-                    held = node_id in records
-                    if held or node_id in caches:
-                        record = self._first_hit(node_id, query)
-                        if record is not None:
-                            from_cache = not held or record.finder_id not in records[node_id]
-                            return record, from_cache, hops + j + 1 - start
+                    record = self._first_hit(node_id, query)
+                    if record is not None:
+                        hops += j + 1 - start
+                        if self.cap != 0:
+                            self._write(self._reached(origin, hops), record)
+                        return record, record.finder_id not in records.get(node_id, ()), hops
                     i = j + 1
                 hops += stop - start
             came_from, current = current, parent_of[current]
@@ -383,15 +374,15 @@ def check_tree_size(depth: int, branching: int) -> None:
         )
 
 
-def build_topology(spec: TopologySpec) -> Topology:
-    """Construct a repository tree from a TopologySpec.
+def build_topology(spec: TopologySpec, policy: ResolutionPolicy | None = None) -> Topology:
+    """Construct a repository tree from a TopologySpec, with the policy's cache cap.
 
     Node ids are the zone names themselves (the root is ``"."``), so a
     given spec always yields the same ids.  Every tree of one spec shares
     the shape from ``_tree_shape``; its records and caches start empty, so
     no state passes from one tree to the next.
     """
-    return Topology(_tree_shape(spec))
+    return Topology(_tree_shape(spec), policy)
 
 
 @functools.lru_cache(maxsize=4)

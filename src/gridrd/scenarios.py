@@ -98,6 +98,8 @@ class ScenarioConfig(Frozen):
             raise ConfigMismatch(f"n_users must be at most {MAX_USERS}, got {n_users}")
         if finder_zones is not None:
             finder_zones = as_zone_names("finder_zones", finder_zones, ConfigMismatch)
+            if len(set(finder_zones)) < len(finder_zones):  # one finder per site
+                raise ConfigMismatch("duplicate zone in finder_zones")
         self._bind(kind, n_users, n_resources, latency, seed, topology, query, finder_zones, policy)
 
 
@@ -195,10 +197,10 @@ def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
     """
     if cfg.topology is None:
         raise ConfigMismatch("distributed runs need a topology spec")
-    topology = build_topology(cfg.topology)
+    topology = build_topology(cfg.topology, cfg.policy)
     _populate_finders(topology, cfg)
     origins = itertools.islice(itertools.cycle(topology.leaves()), cfg.n_users)
-    counts, t_hop = topology.hop_counts(origins, cfg.query, cfg.policy), cfg.latency.t_hop
+    counts, t_hop = topology.hop_counts(origins, cfg.query), cfg.latency.t_hop
     # a failed user's count is 0; adding 0.0 leaves a (non-negative) time unchanged
     hops = [t_hop * (count - 1) if count else 0.0 for count in counts]
     return hops, tuple(user for user, count in enumerate(counts) if not count)
@@ -225,17 +227,7 @@ def _populate_finders(topology: Topology, cfg: ScenarioConfig) -> None:
     if not sites:
         raise ConfigMismatch("distributed runs need at least one finder site")
     rounds, extra = divmod(cfg.n_resources, len(sites))
-    sizes = dict.fromkeys(sites, 0)
     for i, site in enumerate(sites):
-        sizes[site] += rounds + (i < extra)
-    for site in sites:
-        finder_id = f"fnd-{site}"
-        summary = (_POOL_SUMMARY._replace(entry_count=sizes[site]) if sizes[site]
-                   else MetadataSummary())
-        record = FinderRecord(
-            finder_id=finder_id,
-            endpoint=f"svc://{site}/finder",
-            home_zone=site,
-            summary=summary,
-        )
-        topology.register_finder(record)
+        size = rounds + (i < extra)
+        summary = _POOL_SUMMARY._replace(entry_count=size) if size else MetadataSummary()
+        topology.register_finder(FinderRecord(f"fnd-{site}", f"svc://{site}/finder", site, summary))

@@ -11,7 +11,7 @@ from pathlib import Path
 from gridrd.config import Config
 from gridrd.domain import ResourceQuery
 from gridrd.harness import SweepSpec, analyze, format_observations, run_sweep
-from gridrd.registry import NotFound, ResolutionPolicy, TopologySpec
+from gridrd.registry import NotFound, TopologySpec
 from gridrd.scenarios import ScenarioConfig, ScenarioKind, run_scenario
 from gridrd.simkern import LatencyModel
 from gridrd.special import t_cdf, t_quantile
@@ -136,7 +136,6 @@ def test_criterion_4_significance_pattern():
 def test_criterion_5_resolver_against_brute_force():
     with criterion("criterion 5: resolver vs whole-tree oracle, 1000 topologies"):
         rng = random.Random(0xD15C0)
-        policy = ResolutionPolicy()
         found = notfound = 0
         for _ in range(1000):
             topo, records = random_topology(rng, max_nodes=50)
@@ -145,7 +144,7 @@ def test_criterion_5_resolver_against_brute_force():
             candidates = brute_force_candidates(records, query)
             before = cache_snapshot(topo)
             try:
-                res = topo.resolve(origin, query, policy=policy)
+                res = topo.resolve(origin, query)
             except NotFound:
                 notfound += 1
                 assert candidates == [], "resolver missed an existing candidate"
@@ -153,7 +152,7 @@ def test_criterion_5_resolver_against_brute_force():
                 continue
             found += 1
             assert res.record.finder_id in candidates
-            again = topo.resolve(origin, query, policy=policy)
+            again = topo.resolve(origin, query)
             assert again.hop_count == 1
             if res.record.finder_id not in topo.records.get(origin, {}):
                 assert again.cache_hit

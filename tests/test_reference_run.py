@@ -109,7 +109,7 @@ def runs(draw):
         return ScenarioConfig(kind, draw(st.integers(1, 40)), n_resources, latency, seed)
     tree = draw(trees())
     shape = build_topology(tree).shape
-    sites = draw(st.none() | st.lists(st.sampled_from(shape.order), min_size=1, max_size=4))
+    sites = draw(st.none() | st.lists(st.sampled_from(shape.order), min_size=1, max_size=4, unique=True))
     return ScenarioConfig(kind, draw(st.integers(1, 3 * len(shape.leaves) + 5)), n_resources, latency,
                           seed, topology=tree, query=draw(st.sampled_from(QUERIES)),
                           finder_zones=sites, policy=ResolutionPolicy(draw(st.sampled_from((None, 0, 1, 2)))))

@@ -84,10 +84,11 @@ def brute_force_candidates(records, query) -> list[str]:
     return sorted(r.finder_id for r in records if summary_may_satisfy(query, r.summary))
 
 
-def cache_at(topo: Topology, node_id: str, record: FinderRecord, cap: int | None = None) -> None:
-    """Write the record into one repository's cache, through the search's write routine."""
+def cache_at(topo: Topology, node_id: str, record: FinderRecord) -> None:
+    """Write the record into one repository's cache, through the search's write routine,
+    under the tree's cap, which is not 0."""
     start = topo.shape.span[node_id][0]
-    topo._write(((start, start + 1),), record, cap)
+    topo._write(((start, start + 1),), record)
 
 
 def contacted(topo: Topology, origin: str, hops: int) -> list[str]:
@@ -151,9 +152,9 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, policy:
 
     Returns (record, path, cache_hit, caches_populated), or None where
     resolve raises NotFound, and applies the cache updates to ``topo``'s
-    caches: every populated repository drops its entry for the finder, adds
-    the record as its newest and keeps its newest ``cache_capacity``, holding
-    no cache at all when that leaves it empty.
+    caches: unless ``cache_capacity`` is 0, which caches nothing, every
+    populated repository drops its entry for the finder, adds the record as
+    its newest and keeps its newest ``cache_capacity``.
     """
     shape, path = topo.shape, []
     children = children_of(shape)
@@ -177,13 +178,10 @@ def reference_resolve(topo: Topology, origin: str, query: ResourceQuery, policy:
     record, cache_hit = found
     populated = [n for n in path if record.finder_id not in topo.records.get(n, {})]
     cap = policy.cache_capacity
-    for node_id in populated:
+    for node_id in populated if cap != 0 else ():
         entries = [(f, e) for f, e in topo.caches.get(node_id, {}).items() if f != record.finder_id]
         entries.append((record.finder_id, record))
-        if cap == 0:
-            topo.caches.pop(node_id, None)
-        else:
-            topo.caches[node_id] = dict(entries if cap is None else entries[len(entries) - cap:])
+        topo.caches[node_id] = dict(entries if cap is None else entries[len(entries) - cap:])
     return record, tuple(path), cache_hit, tuple(populated)
 
 
@@ -540,23 +538,24 @@ def oracle_cases(draw):
     """(zones, authoritative, cached, policy, steps) for the search oracle.
 
     Authoritative records and pre-filled caches about any subtree (siblings
-    too), so that a search passes caches that cannot answer.
+    too), so that a search passes caches that cannot answer; none under a cap
+    of 0, whose tree never holds a cache.
     """
     zones = draw(zone_trees())
+    policy = ResolutionPolicy(cache_capacity=draw(st.sampled_from((None, 0, 1, 2))))
     ids = ("f0", "f1", "f2", "f3", "f4")
     authoritative = []
     for fid in draw(st.lists(st.sampled_from(ids), unique=True, max_size=5), label="auth"):
         zone = name_of(draw(st.sampled_from(zones)))
         authoritative.append(FinderRecord(fid, "svc://a", zone, draw(summaries())))
     cached = []
-    for _ in range(draw(st.integers(0, 12), label="cached")):
+    for _ in range(draw(st.integers(0, 0 if policy.cache_capacity == 0 else 12), label="cached")):
         home = draw(st.sampled_from(zones))
         # at an ancestor of the record's home, or at any repository
         at = draw(st.one_of(st.integers(0, len(home)).map(lambda k: home[k:]), st.sampled_from(zones)))
         record = FinderRecord(draw(st.sampled_from(ids + ("c0", "c1"))), "svc://c", name_of(home),
                               draw(summaries()))
         cached.append((name_of(at), record))
-    policy = ResolutionPolicy(cache_capacity=draw(st.sampled_from((None, 0, 1, 2))))
     steps = draw(st.lists(st.tuples(st.sampled_from(zones),
                                     st.sampled_from((0.0, 2.0, 8.0)),
                                     st.sampled_from(({}, {"os": "linux"}))),
@@ -598,21 +597,20 @@ class TestSearchOracle:
          ("a", FinderRecord("c1", "svc://c", ".", _summary(4.0)))], ResolutionPolicy(),
         [(("a",), 8.0, {})],
     ))
-    # the newest entry of a cache over the cap, which evicts the older one;
+    # an answer written into a full cache, which evicts its oldest entry;
     @example(case=(
-        [(), ("a",)], [],
-        [("a", FinderRecord("c1", "svc://c", ".", _summary(4.0))),
-         ("a", FinderRecord("c0", "svc://c", ".", _summary(16.0)))], ResolutionPolicy(cache_capacity=1),
+        [(), ("a",)], [FinderRecord("f0", "svc://a", ".", _summary(16.0))],
+        [("a", FinderRecord("c0", "svc://c", ".", _summary(4.0)))], ResolutionPolicy(cache_capacity=1),
         [(("a",), 8.0, {})],
     ))
-    # and a cap of 0 on a cache filled under no cap, which empties it.
+    # and a cap of 0, under which the same search runs again, as nothing is cached.
     @example(case=(
-        [(), ("a",)], [], [("a", FinderRecord("c0", "svc://c", ".", _summary(16.0)))],
+        [(), ("a",)], [FinderRecord("f0", "svc://a", ".", _summary(16.0))], [],
         ResolutionPolicy(cache_capacity=0), [(("a",), 8.0, {}), (("a",), 8.0, {})],
     ))
     def test_resolve_matches_a_recursive_reference(self, case):
         zones, authoritative, cached, policy, steps = case
-        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
+        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])), policy)
         for record in authoritative:
             topo.register_finder(record)
         for at, record in cached:
@@ -624,10 +622,10 @@ class TestSearchOracle:
             expected = reference_resolve(reference, origin, query, policy)
             if expected is None:
                 with pytest.raises(NotFound):
-                    topo.resolve(origin, query, policy)
+                    topo.resolve(origin, query)
                 event("not found")
             else:
-                result = topo.resolve(origin, query, policy)
+                result = topo.resolve(origin, query)
                 record, path, cache_hit, populated = expected
                 assert result.record == record
                 assert (result.path, result.cache_hit, result.caches_populated) == (
@@ -640,50 +638,68 @@ class TestSearchOracle:
             assert topo.caches.keys() == reference.caches.keys() and all(topo.caches.values())
 
 
-def assert_marks_cover_the_search(topo: Topology, cached: set[str]) -> None:
-    """The marked repositories are exactly those holding records or that have
-    held a cache (``cached``), the only ones where a search can find anything."""
+def assert_marks_cover_the_search(topo: Topology) -> None:
+    """The marked repositories are exactly those holding records or a cache, the
+    only ones where a search can find anything; and no cache is empty or over the cap."""
     marked = {n for n in topo.shape.order if topo.marks[topo.shape.span[n][0]]}
-    assert marked == set(topo.records) | cached
+    assert marked == set(topo.records) | set(topo.caches) and all(topo.caches.values())
+    assert topo.cap is None or all(len(cache) <= topo.cap for cache in topo.caches.values())
+
+
+@st.composite
+def mark_cases(draw):
+    """(zones, policy, steps): registrations, resolves and hop_counts calls in any order."""
+    zones = draw(zone_trees())
+    policy = ResolutionPolicy(cache_capacity=draw(st.sampled_from((None, 1, 0)), label="cap"))
+    registers = st.tuples(st.just("register"), st.sampled_from(("f0", "f1", "f2", "f3")),
+                          st.sampled_from(zones), summaries())
+    needs = st.sampled_from((0.0, 2.0, 8.0))
+    resolves = st.tuples(st.just("resolve"), st.sampled_from(zones), needs)
+    batches = st.tuples(st.just("hop_counts"), st.lists(st.sampled_from(zones), max_size=4), needs)
+    return zones, policy, draw(st.lists(st.one_of(registers, resolves, batches), max_size=12), label="steps")
 
 
 class TestMarks:
-    @given(zones=zone_trees(), data=st.data())
-    def test_marks_cover_the_search_as_capacity_changes(self, zones, data):
-        # one topology, written only through register_finder and resolve, while
-        # the capacity goes None -> 1 -> 0 (popping caches) -> None (making them again)
-        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
-        reference, cached = copy.deepcopy(topo), set()
-        registers = st.tuples(st.just("register"), st.sampled_from(("f0", "f1", "f2", "f3")),
-                              st.sampled_from(zones), summaries())
-        resolves = st.tuples(st.just("resolve"), st.sampled_from(zones), st.sampled_from((0.0, 2.0, 8.0)))
-        for cap in (None, 1, 0, None):
-            for step in data.draw(st.lists(st.one_of(registers, resolves), max_size=6), label=f"cap {cap}"):
-                if step[0] == "register":
-                    _, fid, home, summary = step
-                    record = FinderRecord(fid, "svc://a", name_of(home), summary)
-                    if topo.home_of.get(fid, record.home_zone) != record.home_zone:
-                        with pytest.raises(DuplicateFinder):
-                            topo.register_finder(record)
-                        continue
-                    for tree in (topo, reference):
-                        tree.register_finder(record)
+    @given(case=mark_cases())
+    # a's cache takes f0, then f1, which evicts f0 under the cap of 1
+    @example(case=([(), ("a",), ("b",)], ResolutionPolicy(cache_capacity=1), [
+        ("register", "f0", (), _summary(4.0)), ("register", "f1", ("b",), _summary(16.0)),
+        ("resolve", ("a",), 2.0), ("hop_counts", [("a",), ("a",)], 8.0)]))
+    def test_marks_cover_the_search_as_capacity_changes(self, case):
+        # one topology per cap, written only through register_finder, resolve and hop_counts
+        zones, policy, steps = case
+        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])), policy)
+        reference = copy.deepcopy(topo)
+        for step in steps:
+            if step[0] == "register":
+                _, fid, home, summary = step
+                record = FinderRecord(fid, "svc://a", name_of(home), summary)
+                if topo.home_of.get(fid, record.home_zone) != record.home_zone:
+                    with pytest.raises(DuplicateFinder):
+                        topo.register_finder(record)
+                    continue
+                for tree in (topo, reference):
+                    tree.register_finder(record)
+            elif step[0] == "resolve":
+                _, origin, need = step
+                query = ResourceQuery({"pe_count": need})
+                expected = reference_resolve(reference, name_of(origin), query, policy)
+                if expected is None:
+                    with pytest.raises(NotFound):
+                        topo.resolve(name_of(origin), query)
                 else:
-                    _, origin, need = step
-                    query = ResourceQuery({"pe_count": need})
-                    policy = ResolutionPolicy(cache_capacity=cap)
-                    expected = reference_resolve(reference, name_of(origin), query, policy)
-                    if expected is None:
-                        with pytest.raises(NotFound):
-                            topo.resolve(name_of(origin), query, policy)
-                    else:
-                        result = topo.resolve(name_of(origin), query, policy)
-                        record, path, cache_hit, populated = expected
-                        assert (result.record, result.path, result.cache_hit, result.caches_populated) == (
-                            record, path, cache_hit, populated)
-                cached |= set(topo.caches)  # a resolve makes caches or pops them, never both
-                assert_marks_cover_the_search(topo, cached)
-                assert cache_snapshot(topo) == cache_snapshot(reference)
+                    result = topo.resolve(name_of(origin), query)
+                    record, path, cache_hit, populated = expected
+                    assert (result.record, result.path, result.cache_hit, result.caches_populated) == (
+                        record, path, cache_hit, populated)
+            else:
+                _, origins, need = step
+                query = ResourceQuery({"pe_count": need})
+                found = [reference_resolve(reference, name_of(origin), query, policy) for origin in origins]
+                assert topo.hop_counts([name_of(origin) for origin in origins], query) == [
+                    0 if answer is None else len(answer[1]) for answer in found]
+            assert_marks_cover_the_search(topo)
+            assert cache_snapshot(topo) == cache_snapshot(reference)
 
     @pytest.mark.parametrize("origin", ["z00.z01", "z02", "."])
     def test_a_search_of_an_unwritten_tree_contacts_every_repository(self, origin):
@@ -979,18 +995,17 @@ class TestResolve:
             topo.resolve("z00.z00", ResourceQuery(numeric_mins={"pe_count": 64}))
 
     def test_cache_capacity_evicts_oldest_first(self):
-        topo = build_topology(TopologySpec(zones=("a", "b", "c")))
-        policy = ResolutionPolicy(cache_capacity=1)
+        topo = build_topology(TopologySpec(zones=("a", "b", "c")), ResolutionPolicy(cache_capacity=1))
         for node_id, pe in (("b", 2.0), ("c", 32.0)):
             zone = node_id
             cat = MetadataCatalog(
                 f"f-{node_id}", (ResourceSpec(f"r-{node_id}", {"pe_count": pe}, {}, zone),)
             )
             topo.register_finder(FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
-        topo.resolve("a", ResourceQuery(required_tags={}), policy=policy)
+        topo.resolve("a", ResourceQuery(required_tags={}))
         assert list(topo.caches["a"]) == ["f-b"]
         # f-b was cached; a query only f-c satisfies passes it, re-resolves and evicts it
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}), policy=policy)
+        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}))
         assert list(topo.caches["a"]) == ["f-c"]
 
 
@@ -1072,7 +1087,7 @@ class TestOneHome:
         # registrations, resolves and hop_counts in any order: a finder's home holds its
         # record, and no write copies it into that home's cache
         spec, finders, warm, late, query, policy, origins = case
-        topo = build_topology(spec)
+        topo = build_topology(spec, policy)
 
         def check():
             for node_id, cache in topo.caches.items():
@@ -1081,15 +1096,15 @@ class TestOneHome:
 
         for record in finders:
             topo.register_finder(record)
-        for origin, warm_query, cap in warm:
+        for origin, warm_query in warm:
             with contextlib.suppress(NotFound):
-                topo.resolve(origin, warm_query, ResolutionPolicy(cap))
+                topo.resolve(origin, warm_query)
             check()
         for record in late:
             topo.register_finder(record)
             check()
         with contextlib.suppress(UnknownNode):
-            topo.hop_counts(origins, query, policy)
+            topo.hop_counts(origins, query)
         check()
 
 
@@ -1099,8 +1114,7 @@ class TestCacheCapacity:
         # a model of every node's cache, replayed from caches_populated:
         # a re-insert moves the finder to the newest end, the oldest go first
         cap = data.draw(st.sampled_from((0, 1, 2, None)), label="cap")
-        policy = ResolutionPolicy(cache_capacity=cap)
-        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
+        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])), ResolutionPolicy(cap))
         homes = data.draw(st.lists(st.sampled_from(zones), min_size=1, max_size=4), label="homes")
         for i, home in enumerate(homes):
             zone = name_of(home)
@@ -1112,7 +1126,7 @@ class TestCacheCapacity:
                                    min_size=1, max_size=12), label="steps")
         for origin, need in steps:
             try:
-                result = topo.resolve(name_of(origin), ResourceQuery(numeric_mins={"pe_count": need}), policy)
+                result = topo.resolve(name_of(origin), ResourceQuery(numeric_mins={"pe_count": need}))
             except NotFound:
                 pass
             else:
@@ -1130,18 +1144,6 @@ class TestCacheCapacity:
                 assert ids == list(cache) == model[node_id]
                 assert node_id not in topo.caches or cache
 
-    def test_capacity_zero_empties_a_warm_cache(self):
-        topo = build_topology(TopologySpec(zones=("a", "b")))
-        zone = "b"
-        cat = MetadataCatalog("f1", (ResourceSpec("r", {"pe_count": 8.0}, {}, zone),))
-        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat)))
-        assert topo.resolve("a", ResourceQuery()).caches_populated == ("a", ".")
-        assert topo.caches.get("a") and topo.caches.get(".")
-        result = topo.resolve("a", ResourceQuery(), policy=ResolutionPolicy(cache_capacity=0))
-        assert result.cache_hit and result.caches_populated == ("a",)
-        assert "a" not in topo.caches and topo.caches.get(".")
-
-
 
 class TestCacheRefresh:
     """Re-inserting a finder replaces its one entry, which becomes the newest."""
@@ -1154,17 +1156,6 @@ class TestCacheRefresh:
             cat = MetadataCatalog(f"f-{node_id}", (ResourceSpec("r", {"pe_count": pe}, {}, zone),))
             topo.register_finder(FinderRecord(f"f-{node_id}", "svc://x", zone, summarize(cat)))
         return topo
-
-    def test_reinsert_trims_a_cache_over_a_lowered_capacity(self):
-        topo = self._two_finders()
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 1}))
-        topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}))
-        assert list(topo.caches["a"]) == ["f-b", "f-c"]
-        # f-c is already the newest entry at a
-        result = topo.resolve("a", ResourceQuery(numeric_mins={"pe_count": 16}),
-                              policy=ResolutionPolicy(cache_capacity=1))
-        assert result.cache_hit and result.caches_populated == ("a",)
-        assert list(topo.caches["a"]) == ["f-c"]
 
     def test_a_repeat_origin_hit_with_an_identical_entry_writes_nothing(self):
         topo = self._two_finders()
@@ -1188,14 +1179,13 @@ class TestCacheRefresh:
 
     def test_equal_but_distinct_record_replaces_the_stored_one(self):
         topo = self._two_finders()
-        cap = ResolutionPolicy().cache_capacity
         stored = topo.records["b"]["f-b"]
-        cache_at(topo, "a", stored, cap)
+        cache_at(topo, "a", stored)
         twin = stored._replace()
         assert twin == stored and twin is not stored
-        cache_at(topo, "a", twin, cap)
+        cache_at(topo, "a", twin)
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin
-        cache_at(topo, "a", twin, cap)
+        cache_at(topo, "a", twin)
         assert len(topo.caches["a"]) == 1 and topo.caches["a"]["f-b"] is twin
 
 
@@ -1208,10 +1198,10 @@ _QUERY_NEEDS = (0.0, 2.0, 8.0, 100.0)  # no summary's pe_count reaches 100
 @st.composite
 def batch_cases(draw):
     """(spec, finders, warm-up, late finders, query, policy, origins) for hop_counts
-    against a resolve loop.
+    against a resolve loop, on trees built with the policy.
 
     Finders sit at any zone, inner ones too, and some summaries fail the query.  The
-    warm-up resolves under other queries and caps, so caches hold several entries and
+    warm-up resolves under other queries, so caches hold several entries and
     a lone entry may fail the query; late finders, registered after it at a finder's
     one home, may replace a record whose copies are cached.  The origins repeat, may outnumber the
     leaves, come in any order and may name a repository that is not in the tree.
@@ -1231,13 +1221,12 @@ def batch_cases(draw):
                                         max_size=2), label="late")]
     queries = st.builds(lambda need, tags: ResourceQuery({"pe_count": need}, tags),
                         st.sampled_from(_QUERY_NEEDS), st.sampled_from(({}, {"os": "linux"})))
-    caps = st.sampled_from((None, 0, 1, 2, 5))
-    warm = draw(st.lists(st.tuples(zones, queries, caps), max_size=6), label="warm")
+    warm = draw(st.lists(st.tuples(zones, queries), max_size=6), label="warm")
     origins = list(shape.leaves) * draw(st.integers(0, 3)) + draw(st.lists(zones, max_size=6))
     origins = draw(st.permutations(origins))
     if draw(st.booleans(), label="unknown origin"):
         origins.insert(draw(st.integers(0, len(origins))), "nowhere")
-    policy = draw(st.one_of(st.none(), caps.map(ResolutionPolicy)), label="policy")
+    policy = draw(st.one_of(st.none(), st.sampled_from((None, 0, 1, 2, 5)).map(ResolutionPolicy)), label="policy")
     return spec, finders, warm, late, draw(queries), policy, origins
 
 
@@ -1252,17 +1241,17 @@ class TestHopCounts:
     @example(case=(TopologySpec(zones=("a", "b", "c")),
                    [FinderRecord("f-b", "svc://b", "b", _summary(2.0)),
                     FinderRecord("f-c", "svc://c", "c", _summary(32.0))],
-                   [("a", _linux(1.0), None)], [], _linux(16.0), ResolutionPolicy(), ["a", "a", "b", "a", "c"]))
+                   [("a", _linux(1.0))], [], _linux(16.0), ResolutionPolicy(), ["a", "a", "b", "a", "c"]))
     # a holds f-b then f-c; its oldest entry f-b answers, and the hit moves it to the newest end
     @example(case=(TopologySpec(zones=("a", "b", "c")),
                    [FinderRecord("f-b", "svc://b", "b", _summary(2.0)),
                     FinderRecord("f-c", "svc://c", "c", _summary(32.0))],
-                   [("a", _linux(1.0), None), ("a", _linux(16.0), None)], [], _linux(1.0), ResolutionPolicy(),
+                   [("a", _linux(1.0)), ("a", _linux(16.0))], [], _linux(1.0), ResolutionPolicy(),
                    ["a", "a"]))
     # f's record at b shrinks after a and the root cached it: a's lone stale copy answers
     # there, and b, whose own record fails, searches on to the root's copy
     @example(case=(TopologySpec(zones=("a", "b")), [FinderRecord("f", "svc://b", "b", _summary(8.0))],
-                   [("a", _linux(2.0), None)], [FinderRecord("f", "svc://b", "b", _summary(1.0))],
+                   [("a", _linux(2.0))], [FinderRecord("f", "svc://b", "b", _summary(1.0))],
                    _linux(2.0), ResolutionPolicy(), ["a", "b", "a"]))
     # an unknown origin mid-list, after writes and in-loop answers, under a cap of 1
     @example(case=(TopologySpec(depth=3, branching=2),
@@ -1270,17 +1259,17 @@ class TestHopCounts:
                    _linux(2.0), ResolutionPolicy(1), ["z00.z01", "z00.z00", "z01.z00", "nowhere", "z00.z01"]))
     # a query nothing satisfies, from an inner zone and the leaves, with no cap
     @example(case=(TopologySpec(depth=2, branching=3),
-                   [FinderRecord("f", "svc://f", ".", _summary(8.0))], [("z01", _linux(2.0), None)], [],
+                   [FinderRecord("f", "svc://f", ".", _summary(8.0))], [("z01", _linux(2.0))], [],
                    _linux(100.0), None, ["z00", ".", "z01", "z02", "z01"]))
     def test_hop_counts_match_a_resolve_loop(self, case):
         spec, finders, warm, late, query, policy, origins = case
-        batch, loop = build_topology(spec), build_topology(spec)
+        batch, loop = build_topology(spec, policy), build_topology(spec, policy)
         for topo in (batch, loop):
             for record in finders:
                 topo.register_finder(record)
-            for origin, warm_query, cap in warm:
+            for origin, warm_query in warm:
                 try:
-                    topo.resolve(origin, warm_query, ResolutionPolicy(cap))
+                    topo.resolve(origin, warm_query)
                 except NotFound:
                     pass
             for record in late:
@@ -1288,7 +1277,7 @@ class TestHopCounts:
         expected, unknown = [], False
         for origin in origins:
             try:
-                expected.append(loop.resolve(origin, query, policy).hop_count)
+                expected.append(loop.resolve(origin, query).hop_count)
             except NotFound:
                 expected.append(0)
             except UnknownNode:
@@ -1298,10 +1287,10 @@ class TestHopCounts:
         batch._search = lambda *args: searched.append(args[0]) or Topology._search(batch, *args)
         if unknown:
             with pytest.raises(UnknownNode, match="^no repository named 'nowhere'$"):
-                batch.hop_counts(origins, query, policy)
+                batch.hop_counts(origins, query)
             event("unknown origin")
         else:
-            assert batch.hop_counts(origins, query, policy) == expected
+            assert batch.hop_counts(origins, query) == expected
             event("not found" if 0 in expected else "every origin answered")
         if 0 in expected:  # no search follows the first failed one
             assert searched[-1] == origins[expected.index(0)] and len(searched) <= expected.index(0) + 1
@@ -1311,13 +1300,13 @@ class TestHopCounts:
         assert batch.marks == loop.marks and batch.records == loop.records
 
     def test_an_origin_holding_the_answer_costs_no_search_and_one_verdict(self, monkeypatch):
-        topo = build_topology(TopologySpec(depth=3, branching=3))
+        topo = build_topology(TopologySpec(depth=3, branching=3), ResolutionPolicy(1))
         leaves, query = topo.leaves(), ResourceQuery()
         home = leaves[4]
         topo.register_finder(FinderRecord("f", "svc://f", home, _summary(8.0)))
         # the first pass leaves every leaf but the home one cache entry, the answer:
         # each search populates every repository it contacts
-        assert topo.hop_counts(leaves, query, ResolutionPolicy(1)) == [8, 1, 5, 1, 1, 1, 1, 2, 1]
+        assert topo.hop_counts(leaves, query) == [8, 1, 5, 1, 1, 1, 1, 2, 1]
         assert all(list(topo.caches[leaf]) == ["f"] for leaf in leaves if leaf != home)
         verdicts, searched = [], []
         monkeypatch.setattr(registry, "summary_may_satisfy",
@@ -1330,25 +1319,13 @@ class TestHopCounts:
         assert len(verdicts) == 1 + 3
         assert cache_snapshot(topo) == before
 
-    def test_a_cap_of_zero_searches_an_origin_until_no_cache_is_left(self):
-        topo = build_topology(TopologySpec(depth=2, branching=2))
-        topo.register_finder(FinderRecord("f", "svc://f", "z00", _summary(8.0)))
-        topo.hop_counts(["z01"], ResourceQuery())
-        assert sorted(topo.caches) == [".", "z01"]
-        searched = []
-        topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
-        # a warm lone entry at z01 does not answer in the loop: the search's write empties the
-        # cache; the next search empties the root's, and from then on z01's count is known
-        assert topo.hop_counts(["z01"] * 4, ResourceQuery(), ResolutionPolicy(0)) == [1, 2, 3, 3]
-        assert searched == ["z01"] * 3 and not topo.caches
-
     def test_a_cap_of_zero_with_no_caches_searches_each_distinct_origin_once(self):
-        topo = build_topology(TopologySpec(depth=3, branching=2))
+        topo = build_topology(TopologySpec(depth=3, branching=2), ResolutionPolicy(0))
         topo.register_finder(FinderRecord("f", "svc://f", "z01.z01", _summary(8.0)))
         searched = []
         topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
         leaves = topo.leaves()
-        assert topo.hop_counts(leaves * 3, ResourceQuery(), ResolutionPolicy(0)) == [7, 3, 7, 1] * 3
+        assert topo.hop_counts(leaves * 3, ResourceQuery()) == [7, 3, 7, 1] * 3
         assert searched == list(leaves) and not topo.caches
 
     def test_no_origin_is_searched_after_a_failed_search(self):

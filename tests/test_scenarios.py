@@ -277,7 +277,7 @@ class TestFinderSummaries:
 
     @pytest.mark.parametrize("resources", [1, 4, 9, 10, 23])
     @pytest.mark.parametrize("sites", [None, ("z00", "z01.z02", "z02.z02", "z01"),
-                                       ("z00.z00", "z01", "z00.z00")])
+                                       ("z00.z00", "z01", "z02.z01")])
     def test_summaries_equal_those_of_the_full_catalogs(self, resources, sites):
         cfg = _cfg(ScenarioKind.DISTRIBUTED, 3, resources, topology=self.TREE,
                    query=ResourceQuery(), finder_zones=sites)
@@ -319,6 +319,19 @@ class TestFinderSummaries:
         assert cfg.finder_zones == ("z01", "z00.z02")
         assert run_scenario(cfg) == run_scenario(_cfg(ScenarioKind.DISTRIBUTED, 3, 3, topology=self.TREE,
                                                       finder_zones=("z01", "z00.z02")))
+
+    @pytest.mark.parametrize("kind", [ScenarioKind.BASELINE, ScenarioKind.DISTRIBUTED])
+    def test_a_duplicate_finder_zone_is_rejected(self, kind):
+        # one finder per site: a repeated site would take a second turn in the deal, and
+        # this run would read 4.71636 where its sites without the repeat read 4.59136
+        tree, sites = TopologySpec(depth=3, branching=2), ("z00.z00", "z00.z00", "z01.z00")
+        with pytest.raises(ConfigMismatch, match="^duplicate zone in finder_zones$"):
+            _cfg(kind, 4, 2, QUIET, topology=tree, finder_zones=sites)
+        distinct = _cfg(kind, 4, 2, QUIET, topology=tree, finder_zones=sites[1:])
+        if kind is ScenarioKind.DISTRIBUTED:
+            assert run_scenario(distinct).mean_time == 4.59136
+        with pytest.raises(ConfigMismatch, match="^duplicate zone in finder_zones$"):
+            distinct._replace(finder_zones=list(sites))
 
 
 # Distributed runs whose exact bytes are frozen in golden/distributed_runs.json:
