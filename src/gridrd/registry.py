@@ -28,8 +28,10 @@ origin itself, the first index of its own range, so every answer takes the
 one path.  As a name's data sits in one zone (RFC 1034 §4.2; RFC 2181 §6), a
 finder id is authoritative at one repository, and registering it at another
 raises DuplicateFinder.  The answer populates every repository on the path
-but that home: derived from the count, as ``resolve``'s path in search order,
-and for a write as at most two preorder ranges, whose order it does not need.
+but that home.  At the hit the search holds the path as at most two preorder
+ranges, the child subtree it ascended from and its current range through the
+hit, and writes those; ``resolve`` derives the path in search order from the
+count.
 
 A tree's cache cap is set when it is built, as a DNS cache's size is set on
 the resolver that holds it, and the search caches its answer along the path
@@ -171,7 +173,8 @@ class Topology:
     holds records or a cache.  ``cap`` is the policy's ``cache_capacity``
     (None: unbounded).  The search looks only at marked ones, so records and
     caches are written only through ``register_finder`` and ``_write``, which
-    only the search calls.  Driven single-threaded.
+    only the search calls, with the ranges it holds at a hit.  Driven
+    single-threaded.
     """
 
     def __init__(self, shape: TreeShape, policy: ResolutionPolicy | None = None):
@@ -255,7 +258,7 @@ class Topology:
     # -- internals ---------------------------------------------------------
 
     def _write(self, ranges: Iterable[tuple[int, int]], record: FinderRecord) -> None:
-        """At each repository of the preorder index ranges but the home of the record's
+        """At each repository of the search's preorder index ranges but the home of the record's
         finder, make the record its finder's only entry and the newest, keeping the
         newest ``cap`` (None: all), which is not 0.  A repository's first cache marks
         it for the search.
@@ -293,8 +296,12 @@ class Topology:
         return None
 
     def _search(self, origin: str, query: ResourceQuery) -> tuple:
-        """(record or None, from_cache, hops), hops counting the repositories contacted;
-        unless the cap is 0, an answer is cached along the path."""
+        """(record or None, from_cache, hops), hops counting the repositories contacted.
+
+        Unless the cap is 0, an answer is cached along the path: a hit at index j
+        of ``current``'s range has contacted ``came_from``'s subtree and the range
+        from ``first`` through j, which holds that subtree unless j comes before it.
+        """
         records, marks, order = self.records, self.marks, self.shape.order
         span, parent_of = self.shape.span, self.shape.parent
         hops, came_from, current = 0, None, origin
@@ -310,7 +317,9 @@ class Topology:
                     if record is not None:
                         hops += j + 1 - start
                         if self.cap != 0:
-                            self._write(self._reached(origin, hops), record)
+                            self._write(((first, j + 1), span[came_from])
+                                        if came_from is not None and j < span[came_from][0]
+                                        else ((first, j + 1),), record)
                         return record, record.finder_id not in records.get(node_id, ()), hops
                     i = j + 1
                 hops += stop - start
@@ -330,22 +339,6 @@ class Topology:
                 hops -= ranges[-1][1] - start
             came_from, current = current, parent_of[current]
         return ranges
-
-    def _reached(self, origin: str, hops: int) -> tuple[tuple[int, int], ...]:
-        """The repositories of ``_contacted`` as at most two preorder ranges, all a write
-        needs: the search ends in the first ``current`` whose subtree holds ``hops``,
-        having contacted the child subtree ``came_from`` and then ``current``'s range."""
-        span, parent_of = self.shape.span, self.shape.parent
-        came_from, current = None, origin
-        while span[current][1] - span[current][0] < hops:
-            came_from, current = current, parent_of[current]
-        first = span[current][0]
-        if came_from is not None:
-            inner_first, inner_last = span[came_from]
-            rest = hops - (inner_last - inner_first)
-            if rest <= inner_first - first:  # ended before the child subtree's range
-                return (first, first + rest), (inner_first, inner_last)
-        return ((first, first + hops),)
 
 
 # Largest uniform tree build_topology will allocate.

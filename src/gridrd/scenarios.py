@@ -111,9 +111,9 @@ class RunResult(NamedTuple):
     failed_users: tuple[int, ...] = ()
 
 
-# The overheads each user pays on top of the jittered base time, added in
-# this order (float addition is not associative); each overhead is one
-# traced event per discovery.
+# The overheads each user pays on top of the jittered base time, which
+# ``_times`` adds in this order (float addition is not associative); each
+# overhead is one traced event per discovery.
 _OVERHEADS: dict[ScenarioKind, tuple[str, ...]] = {
     ScenarioKind.BASELINE: (),
     ScenarioKind.DIRECT: ("t_ws",),
@@ -160,17 +160,20 @@ def mean_times(cfg: ScenarioConfig, seeds: Iterable[int]) -> list[float]:
 
 
 def _times(cfg: ScenarioConfig, seed: int, hops: list[float] | None) -> list[float]:
-    """Each user's time under ``seed``: ``((base*j + t_ws) + t_registry) + hop``, as the kind has them."""
+    """Each user's time under ``seed``: ``((base*j + t_ws) + t_registry) + hop``.
+
+    A term the kind does not pay, and every hop of a run that resolves
+    nothing, is ``-0.0``, the identity of float addition: ``x + -0.0`` is
+    ``x`` for every ``x``, ``-0.0`` included, where ``+ 0.0`` would turn
+    ``-0.0`` into ``0.0``.
+    """
     lat = cfg.latency
     base = lat.t_base + lat.t_reg * cfg.n_resources + lat.t_user * cfg.n_users
     jitter = jitter_vector(mix64(seed, _JITTER_STREAM), lat, cfg.n_users, cfg.n_resources)
-    times = [base * j for j in jitter]
-    for name in _OVERHEADS[cfg.kind]:
-        term = getattr(lat, name)
-        times = [t + term for t in times]
-    if hops is not None:
-        times = [t + hop for t, hop in zip(times, hops)]
-    return times
+    t_ws, t_registry = (getattr(lat, name) if name in _OVERHEADS[cfg.kind] else -0.0
+                        for name in ("t_ws", "t_registry"))
+    return [((base * j + t_ws) + t_registry) + hop
+            for j, hop in zip(jitter, itertools.repeat(-0.0) if hops is None else hops)]
 
 
 def _mean_time(cfg: ScenarioConfig, times: Sequence[float]) -> float:
@@ -201,8 +204,8 @@ def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
     _populate_finders(topology, cfg)
     origins = itertools.islice(itertools.cycle(topology.leaves()), cfg.n_users)
     counts, t_hop = topology.hop_counts(origins, cfg.query), cfg.latency.t_hop
-    # a failed user's count is 0; adding 0.0 leaves a (non-negative) time unchanged
-    hops = [t_hop * (count - 1) if count else 0.0 for count in counts]
+    # a failed user's count is 0, and its hop -0.0 leaves its time unchanged, -0.0 included
+    hops = [t_hop * (count - 1) if count else -0.0 for count in counts]
     return hops, tuple(user for user, count in enumerate(counts) if not count)
 
 

@@ -44,6 +44,19 @@ def test_run_writes_per_user_csv(tmp_path, capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("scenario, zeros", [
+    ("baseline", ("t_base", "t_reg", "t_user")),
+    ("centralized", ("t_base", "t_reg", "t_user", "t_ws", "t_registry")),
+])
+def test_a_run_of_negative_zero_latencies_writes_negative_zero_times(tmp_path, capsys, scenario, zeros):
+    # every term a user pays is -0.0, and -0.0 + -0.0 is -0.0 where -0.0 + 0.0 is 0.0
+    cfg, out = tmp_path / "zero.cfg", tmp_path / "users.csv"
+    cfg.write_text("".join(f"{key} = -0\n" for key in zeros))
+    assert main(["run", "--scenario", scenario, "--no-jitter", "--users", "2", "--resources", "2",
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["user,discovery_time_s", "0,-0.0", "1,-0.0"]
+
+
 def test_sweep_then_analyze_then_plot(tmp_path, capsys):
     base_csv = tmp_path / "base.csv"
     direct_csv = tmp_path / "direct.csv"

@@ -10,7 +10,7 @@ and ``run_sweep`` must match it bit for bit.
 
 import math
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gridrd import scenarios
@@ -77,14 +77,17 @@ def assert_matches_reference(cfg: ScenarioConfig) -> None:
         event("all failed" if failed else "some hop" if hopped else "no hop")
 
 
-# Overhead terms whose sums round differently when added in another order.
-TERMS = st.floats(0.0, 50.0) | st.sampled_from((1.890, 1.716, 0.5, 1e-9, 3e5))
+# Overhead terms whose sums round differently when added in another order, and -0.0,
+# which a sum keeps only if every term it adds is -0.0.
+TERMS = st.floats(0.0, 50.0) | st.sampled_from((1.890, 1.716, 0.5, 1e-9, 3e5, -0.0))
 
 
 @st.composite
 def latencies(draw):
     return LatencyModel(t_ws=draw(TERMS), t_registry=draw(TERMS), t_hop=draw(TERMS),
-                        t_base=draw(st.sampled_from((0.0, 0.25))), jitter_enabled=draw(st.booleans()))
+                        t_base=draw(st.sampled_from((0.0, 0.25, -0.0))),
+                        t_reg=draw(st.sampled_from((0.06006, -0.0))), t_user=draw(st.sampled_from((0.06006, -0.0))),
+                        jitter_enabled=draw(st.booleans()))
 
 
 @st.composite
@@ -115,8 +118,15 @@ def runs(draw):
                           finder_zones=sites, policy=ResolutionPolicy(draw(st.sampled_from((None, 0, 1, 2)))))
 
 
+# every latency -0.0: both users fail, and a failed user's time stays -0.0
+ZEROS = LatencyModel(**dict.fromkeys(("t_reg", "t_user", "t_ws", "t_registry", "t_hop", "t_base"), -0.0),
+                     jitter_enabled=False)
+
+
 @settings(max_examples=300)
 @given(cfg=runs())
+@example(cfg=ScenarioConfig(ScenarioKind.DISTRIBUTED, 2, 2, ZEROS, topology=TopologySpec(depth=2, branching=2),
+                            query=ResourceQuery(numeric_mins={"pe_count": 8.0})))
 def test_a_run_matches_the_reference_model(cfg):
     assert_matches_reference(cfg)
 

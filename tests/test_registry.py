@@ -713,16 +713,22 @@ class TestMarks:
         assert contacted(topo, origin, hops) == expected
         assert topo.records == {} and topo.caches == {}
 
-    @given(zones=zone_trees(), data=st.data())
-    def test_a_write_covers_the_path_in_at_most_two_ranges(self, zones, data):
-        topo = build_topology(TopologySpec(zones=tuple(name_of(z) for z in zones[1:])))
-        origin, order = data.draw(st.sampled_from(zones)), topo.shape.order
-        path = [name_of(zone) for zone in reference_order(set(zones), origin)]
-        for hops in range(1, len(path) + 1):
-            assert contacted(topo, name_of(origin), hops) == path[:hops]
-            ranges = topo._reached(name_of(origin), hops)
-            reached = [node_id for start, stop in ranges for node_id in order[start:stop]]
-            assert len(ranges) <= 2 and sorted(reached) == sorted(path[:hops])
+    @given(zones=zone_trees())
+    @example(zones=[(), ("a",), ("b",)])  # from b, the hits at the root and at a come before b's subtree
+    def test_a_write_covers_the_path_in_at_most_two_ranges(self, zones):
+        # a finder homed at the path's last repository: the search writes the rest of the path
+        spec, query = TopologySpec(zones=tuple(name_of(z) for z in zones[1:])), ResourceQuery({"pe_count": 2.0})
+        for origin in zones:
+            path = [name_of(zone) for zone in reference_order(set(zones), origin)]
+            for hops in range(1, len(path) + 1):
+                topo, writes = build_topology(spec), []
+                assert contacted(topo, name_of(origin), hops) == path[:hops]
+                topo.register_finder(FinderRecord("f0", "svc://f0", path[hops - 1], _summary(4.0)))
+                topo._write = lambda ranges, record: writes.append(ranges) or Topology._write(topo, ranges, record)
+                assert topo.resolve(name_of(origin), query).hop_count == hops
+                assert set(topo.caches) == set(path[:hops]) - {path[hops - 1]}
+                assert len(writes) == 1 and len(writes[0]) <= 2
+                assert_marks_cover_the_search(topo)
 
 
 # -- resolve --------------------------------------------------------------------
