@@ -26,23 +26,23 @@ counting every repository contacted.  As a DNS resolver answers from local
 information first (RFC 1034 §5.3.3), the search's first repository is the
 origin itself, the first index of its own range, so every answer takes the
 one path.  As a name's data sits in one zone (RFC 1034 §4.2; RFC 2181 §6), a
-finder id is authoritative at one repository, and registering it at another
-raises DuplicateFinder.  The answer populates every repository on the path
-but that home.  At the hit the search holds the path as at most two preorder
-ranges, the child subtree it ascended from and its current range through the
-hit, and writes those; ``resolve`` derives the path in search order from the
-count.
+finder id is authoritative at one repository and registers once (again, it
+raises DuplicateFinder), so every cached copy is its finder's one record.  The
+answer populates every repository on the path but that home.  At the hit the
+search holds the path as at most two preorder ranges, the child subtree it
+ascended from and its current range through the hit, and ``resolve`` writes
+those; it derives the path in search order from the count.
 
 A tree's cache cap is set when it is built, as a DNS cache's size is set on
-the resolver that holds it, and the search caches its answer along the path
+the resolver that holds it, and ``resolve`` caches its answer along the path
 unless the cap is 0, so such a tree never holds a cache.  A distributed run
-resolves all its users in one ``hop_counts`` call, which ends with the caches
-a ``resolve`` per origin leaves.  An origin holding no records and one cache
-entry that may satisfy the query answers itself, and leaves the caches as a
-``resolve`` would, so the call counts it without a search.  The call's query
-is fixed and records are frozen, so a record's verdict is taken once; a
-failed search writes nothing, so every later origin fails too; and under a
-cap of 0 nothing is written, so each distinct origin is searched once.
+counts all its users' hops in one ``hop_counts`` call, which changes nothing.
+Its query is fixed, so a repository that answers keeps answering, and a write
+only makes the repositories of its path answer: the call takes each marked
+repository's lookup once, into an answer set, and adds each search's path to
+it.  An origin in the set counts 1, and every origin 0 if the set is empty,
+with no search; under a cap of 0 the set never changes, so each other
+distinct origin is searched once.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -79,7 +79,7 @@ class MalformedTopology(RegistryError):
 
 
 class DuplicateFinder(RegistryError):
-    """A finder id registered at a second repository: a finder has one home."""
+    """A finder id registered a second time: a finder registers once, at its one home."""
 
 
 class ResolutionPolicy(Frozen):
@@ -173,8 +173,8 @@ class Topology:
     holds records or a cache.  ``cap`` is the policy's ``cache_capacity``
     (None: unbounded).  The search looks only at marked ones, so records and
     caches are written only through ``register_finder`` and ``_write``, which
-    only the search calls, with the ranges it holds at a hit.  Driven
-    single-threaded.
+    only ``resolve`` calls, with the ranges its search holds at the hit.
+    Driven single-threaded.
     """
 
     def __init__(self, shape: TreeShape, policy: ResolutionPolicy | None = None):
@@ -190,13 +190,14 @@ class Topology:
         return self.shape.leaves
 
     def register_finder(self, record: FinderRecord) -> None:
-        """Install (or replace) an authoritative record at the repository of its home zone;
-        a finder id authoritative at another repository raises DuplicateFinder."""
+        """Install an authoritative record at the repository of its home zone; a finder id
+        already registered raises DuplicateFinder, so every cached copy is its finder's record."""
         node_id = record.home_zone
         if node_id not in self.shape.span:
             raise UnknownNode(f"no repository named {node_id!r}")
-        if (home := self.home_of.setdefault(record.finder_id, node_id)) != node_id:
+        if (home := self.home_of.get(record.finder_id)) is not None:
             raise DuplicateFinder(f"finder {record.finder_id!r} is already authoritative at {home!r}")
+        self.home_of[record.finder_id] = node_id
         self.records.setdefault(node_id, {})[record.finder_id] = record
         self.marks[self.shape.span[node_id][0]] = 1
 
@@ -210,48 +211,48 @@ class Topology:
         """
         if origin_node_id not in self.shape.span:
             raise UnknownNode(f"no repository named {origin_node_id!r}")
-        record, from_cache, hops = self._search(origin_node_id, query)
+        record, hops, ranges = self._search(origin_node_id, self.marks, query)
         if record is None:
             raise NotFound(f"no finder satisfies the query (searched {hops} repositories)")
+        if self.cap != 0:
+            self._write(ranges, record)
         order = self.shape.order
         path = tuple(node_id for start, stop in self._contacted(origin_node_id, hops)
                      for node_id in order[start:stop])
+        from_cache = record.finder_id not in self.records.get(path[-1], ())
         home = self.home_of.get(record.finder_id)  # populated are the path but the finder's home
         populated = tuple(node_id for node_id in path if node_id != home) if home in path else path
         return tuple.__new__(ResolutionResult, (record, path, hops, from_cache, populated))
 
     def hop_counts(self, origins: Iterable[str], query: ResourceQuery) -> list[int]:
-        """Resolve the query from each origin in turn: each one's ``hop_count``, 0 for NotFound.
+        """Each origin's ``hop_count`` in turn, 0 for NotFound, as a ``resolve`` per origin
+        on a copy of the tree gives; an unknown origin raises UnknownNode at the same point.
 
-        The caches and marks end as a ``resolve`` call per origin leaves them, and
-        an unknown origin raises UnknownNode at the same point.  An origin costs at
-        most one search, whose repositories are derived only to write; the module
-        docstring says which origins cost none.
+        The tree is left unchanged: the call counts on an answer set, a byte per index of
+        ``shape.order``, set at each marked repository whose lookup finds a record and,
+        unless the cap is 0, at the ranges each search holds at its hit, which a
+        ``resolve`` would populate.  The module docstring says which origins cost no search.
         """
-        records, span, caches = self.records, self.shape.span, self.caches
-        verdicts: dict[int, tuple[FinderRecord, bool]] = {}  # id -> (record, verdict); held, an id is not reused
-        known: dict[str, int] = {}  # origin -> count, under a cap of 0, where no search writes
+        order, span = self.shape.order, self.shape.span
+        answers, marks, i = bytearray(len(order)), self.marks, 0
+        while (j := marks.find(1, i)) >= 0:
+            if self._first_hit(order[j], query) is not None:
+                answers[j] = 1
+            i = j + 1
+        found = 1 in answers  # else every search covers the tree and fails
+        known: dict[str, int] = {}  # origin -> count of its search
         counts: list[int] = []
-        failed = False  # a failed search wrote nothing, so every later one fails too
         for origin in origins:
-            cache = caches.get(origin, ())
-            if len(cache) == 1 and origin not in records:
-                (record,) = cache.values()
-                verdict = verdicts.get(id(record))
-                if verdict is None:
-                    verdict = verdicts[id(record)] = (record, summary_may_satisfy(query, record.summary))
-                if verdict[1]:
-                    counts.append(1)
-                    continue
-            if origin not in span:
+            where = span.get(origin)
+            if where is None:
                 raise UnknownNode(f"no repository named {origin!r}")
-            hops = known.get(origin, 0 if failed else None)
+            hops = answers[where[0]] or (known.get(origin) if found else 0)  # 1: the origin answers
             if hops is None:
-                record, _, hops = self._search(origin, query)
-                if record is None:
-                    failed, hops = True, 0
-                elif self.cap == 0:
-                    known[origin] = hops
+                _, hops, ranges = self._search(origin, answers)
+                known[origin] = hops  # read only under a cap of 0, as a search sets its origin
+                if self.cap != 0:
+                    for start, stop in ranges:
+                        answers[start:stop] = b"\x01" * (stop - start)
             counts.append(hops)
         return counts
 
@@ -295,15 +296,15 @@ class Topology:
                 return record
         return None
 
-    def _search(self, origin: str, query: ResourceQuery) -> tuple:
-        """(record or None, from_cache, hops), hops counting the repositories contacted.
+    def _search(self, origin: str, marked: bytearray, query: ResourceQuery | None = None) -> tuple:
+        """(hit or None, hops, ranges): a search's first hit among the repositories ``marked``
+        sets, the count it contacted, and the at most two preorder index ranges holding them.
 
-        Unless the cap is 0, an answer is cached along the path: a hit at index j
-        of ``current``'s range has contacted ``came_from``'s subtree and the range
-        from ``first`` through j, which holds that subtree unless j comes before it.
+        With a query, a hit is a repository's first record that may satisfy it; with none,
+        its index.  A hit at index j of ``current``'s range has contacted ``came_from``'s
+        subtree and the range from ``first`` through j, which holds it unless j comes before it.
         """
-        records, marks, order = self.records, self.marks, self.shape.order
-        span, parent_of = self.shape.span, self.shape.parent
+        order, span, parent_of = self.shape.order, self.shape.span, self.shape.parent
         hops, came_from, current = 0, None, origin
         while current is not None:
             first, last = span[current]
@@ -311,20 +312,16 @@ class Topology:
                 (first, span[came_from][0]), (span[came_from][1], last))
             for start, stop in ranges:
                 i = start
-                while (j := marks.find(1, i, stop)) >= 0:  # only a marked repository can hold anything
-                    node_id = order[j]
-                    record = self._first_hit(node_id, query)
-                    if record is not None:
-                        hops += j + 1 - start
-                        if self.cap != 0:
-                            self._write(((first, j + 1), span[came_from])
-                                        if came_from is not None and j < span[came_from][0]
-                                        else ((first, j + 1),), record)
-                        return record, record.finder_id not in records.get(node_id, ()), hops
+                while (j := marked.find(1, i, stop)) >= 0:
+                    hit = j if query is None else self._first_hit(order[j], query)
+                    if hit is not None:
+                        return hit, hops + j + 1 - start, (((first, j + 1), span[came_from])
+                                                           if came_from is not None and j < span[came_from][0]
+                                                           else ((first, j + 1),))
                     i = j + 1
                 hops += stop - start
             came_from, current = current, parent_of[current]
-        return None, False, hops
+        return None, hops, ()
 
     def _contacted(self, origin: str, hops: int) -> list[tuple[int, int]]:
         """The preorder index ranges of the first ``hops`` repositories a search from

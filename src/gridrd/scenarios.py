@@ -190,10 +190,11 @@ def _mean_time(cfg: ScenarioConfig, times: Sequence[float]) -> float:
 def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
     """Tree-wide resolution for a distributed run: each user's hop cost.
 
-    Users are dealt round-robin onto leaf repositories; their queries
-    resolve live in user order, in one ``Topology.hop_counts`` call, at the
-    instant all resources are registered, so earlier resolutions warm the
-    caches later users hit.  A user's hop cost is ``t_hop`` per repository
+    Users are dealt round-robin onto leaf repositories; their hops are
+    counted in user order, in one ``Topology.hop_counts`` call, at the
+    instant all resources are registered, as a ``resolve`` per user would
+    count them: an earlier user's path answers later users, though the call
+    writes no cache.  A user's hop cost is ``t_hop`` per repository
     contacted beyond the first.  A user whose query nothing in the tree
     satisfies is listed as failed and pays no hop cost, only the centralized
     one.

@@ -451,15 +451,18 @@ class TestNodeOperations:
         hits = local_lookup(topo, ".", ResourceQuery())
         assert [h.finder_id for h in hits] == (["f1"] if rec.summary.entry_count else [])
 
-    def test_reregistration_replaces(self):
+    def test_reregistration_raises(self):
+        # a finder registers once: a second record of the id, at the same home, changes nothing
         topo = self._one_node()
         zone = "."
         cat1 = MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 2.0}, {}, zone),))
         cat2 = MetadataCatalog("f1", (ResourceSpec("a", {"pe_count": 16.0}, {}, zone),))
-        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat1)))
-        topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat2)))
-        hits = local_lookup(topo, ".", ResourceQuery(numeric_mins={"pe_count": 8}))
-        assert [h.finder_id for h in hits] == ["f1"]
+        first = FinderRecord("f1", "svc://1", zone, summarize(cat1))
+        topo.register_finder(first)
+        with pytest.raises(DuplicateFinder, match=r"^finder 'f1' is already authoritative at '\.'$"):
+            topo.register_finder(FinderRecord("f1", "svc://1", zone, summarize(cat2)))
+        assert topo.records == {".": {"f1": first}} and topo.home_of == {"f1": "."}
+        assert local_lookup(topo, ".", ResourceQuery(numeric_mins={"pe_count": 8})) == []
 
     def test_unknown_node(self):
         topo = self._one_node()
@@ -674,7 +677,7 @@ class TestMarks:
             if step[0] == "register":
                 _, fid, home, summary = step
                 record = FinderRecord(fid, "svc://a", name_of(home), summary)
-                if topo.home_of.get(fid, record.home_zone) != record.home_zone:
+                if fid in topo.home_of:  # a finder registers once
                     with pytest.raises(DuplicateFinder):
                         topo.register_finder(record)
                     continue
@@ -693,11 +696,12 @@ class TestMarks:
                     assert (result.record, result.path, result.cache_hit, result.caches_populated) == (
                         record, path, cache_hit, populated)
             else:
+                # the counts a resolve loop on a copy gives, and neither tree changes
                 _, origins, need = step
-                query = ResourceQuery({"pe_count": need})
-                found = [reference_resolve(reference, name_of(origin), query, policy) for origin in origins]
-                assert topo.hop_counts([name_of(origin) for origin in origins], query) == [
-                    0 if answer is None else len(answer[1]) for answer in found]
+                query, origins = ResourceQuery({"pe_count": need}), [name_of(origin) for origin in origins]
+                loop, before = copy.deepcopy(topo), (cache_snapshot(topo), bytes(topo.marks))
+                assert topo.hop_counts(origins, query) == resolve_loop(loop, origins, query)
+                assert (cache_snapshot(topo), bytes(topo.marks)) == before
             assert_marks_cover_the_search(topo)
             assert cache_snapshot(topo) == cache_snapshot(reference)
 
@@ -707,8 +711,8 @@ class TestMarks:
         with pytest.raises(NotFound, match=r"\(searched 13 repositories\)"):
             topo.resolve(origin, ResourceQuery())
         zones = {labels(node_id) for node_id in topo.shape.order}
-        record, _, hops = topo._search(origin, ResourceQuery())
-        assert record is None and hops == 13
+        record, hops, ranges = topo._search(origin, topo.marks, ResourceQuery())
+        assert record is None and hops == 13 and ranges == ()
         expected = [name_of(zone) for zone in reference_order(zones, labels(origin))]
         assert contacted(topo, origin, hops) == expected
         assert topo.records == {} and topo.caches == {}
@@ -1048,12 +1052,13 @@ class TestCachesPopulated:
         assert result.caches_populated is result.path
 
     def test_the_home_is_left_out_when_a_cached_copy_answers(self):
-        # f's record at b shrinks after the root cached it, so from b the root's copy answers
+        # the root's cache holds a copy of f that b's record is not (a finder registers
+        # once, so only the write routine can put it there): from b the root's copy answers
         topo = build_topology(TopologySpec(zones=("a", "b", "c")))
-        self._register(topo, "f", "b", 32.0)
-        query = ResourceQuery(numeric_mins={"pe_count": 16})
-        assert topo.resolve("a", query).caches_populated == ("a", ".")
         self._register(topo, "f", "b", 2.0)
+        query = ResourceQuery(numeric_mins={"pe_count": 16})
+        cat = MetadataCatalog("f", (ResourceSpec("r", {"pe_count": 32.0}, {}, "b"),))
+        cache_at(topo, ".", FinderRecord("f", "svc://f", "b", summarize(cat)))
         result = topo.resolve("b", query)
         assert result.path == ("b", ".") and result.cache_hit
         self._check(topo, result, (".",))
@@ -1073,12 +1078,20 @@ class TestOneHome:
         assert (topo.records, topo.home_of, bytes(topo.marks)) == before
         assert topo.records["a"]["f"] is first
 
-    def test_registering_at_the_same_home_replaces_the_record(self):
+    def test_registering_at_the_same_home_raises(self):
+        # a and the root cache f's record; a new record of f at b would leave those copies
+        # answering a query it fails (from a, b, b a resolve loop counts 1, 2, 2 and the
+        # answer set 1, 2, 1), so a second registration raises and changes nothing
         topo = build_topology(TopologySpec(zones=("a", "b")))
-        topo.register_finder(FinderRecord("f", "svc://a", "a", _summary(2.0)))
-        second = FinderRecord("f", "svc://a2", "a", _summary(32.0))
-        topo.register_finder(second)
-        assert topo.records == {"a": {"f": second}} and topo.home_of == {"f": "a"}
+        first = FinderRecord("f", "svc://b", "b", _summary(8.0))
+        topo.register_finder(first)
+        topo.resolve("a", _linux(2.0))
+        before = (copy.deepcopy(topo.records), cache_snapshot(topo), dict(topo.home_of), bytes(topo.marks))
+        for again in (first, FinderRecord("f", "svc://b", "b", _summary(1.0))):
+            with pytest.raises(DuplicateFinder, match="^finder 'f' is already authoritative at 'b'$"):
+                topo.register_finder(again)
+        assert (topo.records, cache_snapshot(topo), topo.home_of, bytes(topo.marks)) == before
+        assert topo.hop_counts(["a", "b", "b"], _linux(2.0)) == [1, 1, 1]
 
     def test_an_unknown_home_is_rejected_before_the_finder_is_homed(self):
         topo = build_topology(TopologySpec(zones=("a",)))
@@ -1208,9 +1221,9 @@ def batch_cases(draw):
 
     Finders sit at any zone, inner ones too, and some summaries fail the query.  The
     warm-up resolves under other queries, so caches hold several entries and
-    a lone entry may fail the query; late finders, registered after it at a finder's
-    one home, may replace a record whose copies are cached.  The origins repeat, may outnumber the
-    leaves, come in any order and may name a repository that is not in the tree.
+    a lone entry may fail the query; late finders, of ids never registered before,
+    are registered after it, where caches are warm.  The origins repeat, may outnumber
+    the leaves, come in any order and may name a repository that is not in the tree.
     """
     if draw(st.booleans(), label="uniform"):
         spec = TopologySpec(depth=draw(st.integers(1, 4)), branching=draw(st.integers(1, 3)))
@@ -1220,11 +1233,9 @@ def batch_cases(draw):
     zones = st.sampled_from(shape.order)
     finders = [FinderRecord(f"f{i}", "svc://f", draw(zones), draw(summaries()))
                for i in range(draw(st.integers(0, 4), label="finders"))]
-    homes = {record.finder_id: record.home_zone for record in finders}
-    late = [record._replace(home_zone=homes.setdefault(record.finder_id, record.home_zone))
-            for record in draw(st.lists(st.builds(FinderRecord, st.sampled_from(("f0", "f1", "f9")),
-                                                  st.just("svc://l"), zones, summaries()),
-                                        max_size=2), label="late")]
+    late = draw(st.lists(st.builds(FinderRecord, st.sampled_from(("f7", "f8", "f9")), st.just("svc://l"),
+                                   zones, summaries()),
+                         max_size=2, unique_by=lambda record: record.finder_id), label="late")
     queries = st.builds(lambda need, tags: ResourceQuery({"pe_count": need}, tags),
                         st.sampled_from(_QUERY_NEEDS), st.sampled_from(({}, {"os": "linux"})))
     warm = draw(st.lists(st.tuples(zones, queries), max_size=6), label="warm")
@@ -1234,6 +1245,18 @@ def batch_cases(draw):
         origins.insert(draw(st.integers(0, len(origins))), "nowhere")
     policy = draw(st.one_of(st.none(), st.sampled_from((None, 0, 1, 2, 5)).map(ResolutionPolicy)), label="policy")
     return spec, finders, warm, late, draw(queries), policy, origins
+
+
+def resolve_loop(topo: Topology, origins, query: ResourceQuery) -> list[int]:
+    """A ``resolve`` per origin in turn on ``topo``: each hop count, 0 for NotFound;
+    an unknown origin raises UnknownNode."""
+    counts = []
+    for origin in origins:
+        try:
+            counts.append(topo.resolve(origin, query).hop_count)
+        except NotFound:
+            counts.append(0)
+    return counts
 
 
 def _linux(need: float) -> ResourceQuery:
@@ -1254,11 +1277,6 @@ class TestHopCounts:
                     FinderRecord("f-c", "svc://c", "c", _summary(32.0))],
                    [("a", _linux(1.0)), ("a", _linux(16.0))], [], _linux(1.0), ResolutionPolicy(),
                    ["a", "a"]))
-    # f's record at b shrinks after a and the root cached it: a's lone stale copy answers
-    # there, and b, whose own record fails, searches on to the root's copy
-    @example(case=(TopologySpec(zones=("a", "b")), [FinderRecord("f", "svc://b", "b", _summary(8.0))],
-                   [("a", _linux(2.0))], [FinderRecord("f", "svc://b", "b", _summary(1.0))],
-                   _linux(2.0), ResolutionPolicy(), ["a", "b", "a"]))
     # an unknown origin mid-list, after writes and in-loop answers, under a cap of 1
     @example(case=(TopologySpec(depth=3, branching=2),
                    [FinderRecord("f", "svc://f", "z01.z00", _summary(8.0))], [], [],
@@ -1269,26 +1287,19 @@ class TestHopCounts:
                    _linux(100.0), None, ["z00", ".", "z01", "z02", "z01"]))
     def test_hop_counts_match_a_resolve_loop(self, case):
         spec, finders, warm, late, query, policy, origins = case
-        batch, loop = build_topology(spec, policy), build_topology(spec, policy)
-        for topo in (batch, loop):
-            for record in finders:
-                topo.register_finder(record)
-            for origin, warm_query in warm:
-                try:
-                    topo.resolve(origin, warm_query)
-                except NotFound:
-                    pass
-            for record in late:
-                topo.register_finder(record)
-        expected, unknown = [], False
-        for origin in origins:
-            try:
-                expected.append(loop.resolve(origin, query).hop_count)
-            except NotFound:
-                expected.append(0)
-            except UnknownNode:
-                unknown = True
-                break
+        batch = build_topology(spec, policy)
+        for record in finders:
+            batch.register_finder(record)
+        for origin, warm_query in warm:
+            with contextlib.suppress(NotFound):
+                batch.resolve(origin, warm_query)
+        for record in late:
+            batch.register_finder(record)
+        loop = copy.deepcopy(batch)
+        before = (copy.deepcopy(batch.records), cache_snapshot(batch), bytes(batch.marks), dict(batch.home_of))
+        unknown = "nowhere" in origins
+        known = origins[:origins.index("nowhere")] if unknown else origins
+        expected = resolve_loop(loop, known, query)
         searched = []
         batch._search = lambda *args: searched.append(args[0]) or Topology._search(batch, *args)
         if unknown:
@@ -1298,31 +1309,32 @@ class TestHopCounts:
         else:
             assert batch.hop_counts(origins, query) == expected
             event("not found" if 0 in expected else "every origin answered")
-        if 0 in expected:  # no search follows the first failed one
-            assert searched[-1] == origins[expected.index(0)] and len(searched) <= expected.index(0) + 1
-        event("answered without a search" if len(searched) < len(expected) + unknown else "each origin searched")
-        assert {n: list(c.items()) for n, c in batch.caches.items()} == {
-            n: list(c.items()) for n, c in loop.caches.items()}
-        assert batch.marks == loop.marks and batch.records == loop.records
+        if 0 in expected:  # nothing answers, so every origin fails and none is searched
+            assert set(expected) == {0} and searched == []
+        assert len(searched) == len(set(searched))  # at most one search per origin
+        event("answered without a search" if len(searched) < len(known) else "each origin searched")
+        # the call leaves the tree as it found it
+        assert (batch.records, cache_snapshot(batch), bytes(batch.marks), batch.home_of) == before
 
     def test_an_origin_holding_the_answer_costs_no_search_and_one_verdict(self, monkeypatch):
         topo = build_topology(TopologySpec(depth=3, branching=3), ResolutionPolicy(1))
         leaves, query = topo.leaves(), ResourceQuery()
         home = leaves[4]
         topo.register_finder(FinderRecord("f", "svc://f", home, _summary(8.0)))
-        # the first pass leaves every leaf but the home one cache entry, the answer:
-        # each search populates every repository it contacts
-        assert topo.hop_counts(leaves, query) == [8, 1, 5, 1, 1, 1, 1, 2, 1]
+        # warm: each resolve caches the answer at every repository it contacts but the
+        # home, so every leaf but the home then holds one cache entry, the answer
+        assert resolve_loop(topo, leaves, query) == [8, 1, 5, 1, 1, 1, 1, 2, 1]
         assert all(list(topo.caches[leaf]) == ["f"] for leaf in leaves if leaf != home)
         verdicts, searched = [], []
         monkeypatch.setattr(registry, "summary_may_satisfy",
                             lambda q, s: verdicts.append(s) or summary_may_satisfy(q, s))
         topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
         before = cache_snapshot(topo)
-        assert topo.hop_counts(leaves * 3, query) == [1] * 27
-        # the home holds records, so it alone is searched; the cached record's verdict is taken once
-        assert searched == [home] * 3
-        assert len(verdicts) == 1 + 3
+        for calls in (1, 2):
+            assert topo.hop_counts(leaves * 3, query) == [1] * 27
+            # every leaf is in the answer set, so none is searched; and each marked
+            # repository, whose one record answers, is looked up once per call
+            assert searched == [] and len(verdicts) == calls * topo.marks.count(1)
         assert cache_snapshot(topo) == before
 
     def test_a_cap_of_zero_with_no_caches_searches_each_distinct_origin_once(self):
@@ -1332,16 +1344,21 @@ class TestHopCounts:
         topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
         leaves = topo.leaves()
         assert topo.hop_counts(leaves * 3, ResourceQuery()) == [7, 3, 7, 1] * 3
-        assert searched == list(leaves) and not topo.caches
+        # the home z01.z01 answers itself, with no search
+        assert searched == list(leaves[:3]) and not topo.caches
 
-    def test_no_origin_is_searched_after_a_failed_search(self):
+    def test_nothing_answers_so_nothing_is_searched(self):
+        # an empty answer set: a search would contact the whole tree and fail
         topo = build_topology(TopologySpec(depth=3, branching=2))
         topo.register_finder(FinderRecord("f", "svc://f", "z01.z01", _summary(8.0)))
         searched = []
         topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
         origins = ["z00.z00", ".", "z01.z01", "z00.z00"]
         assert topo.hop_counts(origins, _linux(100.0)) == [0] * 4
-        assert searched == ["z00.z00"] and not topo.caches
-        # an unknown origin still raises where it stands
+        assert searched == [] and not topo.caches
+        # an unknown origin still raises where it stands, ahead of the origins after it
+        got = []
         with pytest.raises(UnknownNode, match="'nowhere'"):
-            topo.hop_counts(origins + ["nowhere"], _linux(100.0))
+            topo.hop_counts((got.append(origin) or origin for origin in origins[:2] + ["nowhere", "x"]),
+                            _linux(100.0))
+        assert got == origins[:2] + ["nowhere"]

@@ -414,19 +414,31 @@ class TestSearchesPerRun:
     def searched(self, monkeypatch):
         origins, search = [], Topology._search
         monkeypatch.setattr(Topology, "_search",
-                            lambda self, origin, query: origins.append(origin) or search(self, origin, query))
+                            lambda self, origin, *args: origins.append(origin) or search(self, origin, *args))
         return origins
 
-    def test_a_run_nothing_satisfies_searches_once(self, searched):
+    def test_a_run_nothing_satisfies_searches_nothing(self, searched):
         cfg = GOLDEN_RUNS["unsatisfiable"]
         assert run_scenario(cfg).failed_users == tuple(range(cfg.n_users))
-        assert len(searched) == 1
+        assert searched == []
 
     @pytest.mark.parametrize("users", [12, 48, 100])
     def test_a_capacity_zero_run_searches_each_distinct_leaf_once(self, searched, users):
-        cfg = GOLDEN_RUNS["cap-0"]._replace(n_users=users)  # 27 leaves
+        # 27 leaves, two of them finder sites, which answer themselves with no search
+        cfg = GOLDEN_RUNS["cap-0"]._replace(n_users=users)
         run_scenario(cfg)
-        assert len(searched) == len(set(searched)) == min(users, 27)
+        origins = set(build_topology(cfg.topology).leaves()[:users])  # min(users, 27) of them
+        assert sorted(searched) == sorted(origins - set(cfg.finder_zones))
+
+    @pytest.mark.parametrize("cfg", [GOLDEN_RUNS["every-leaf-unpruned"],  # 20 users on 4 leaves
+                                     GOLDEN_RUNS["cap-none"]._replace(finder_zones=None, n_users=100),
+                                     GOLDEN_RUNS["cap-0"]._replace(finder_zones=None, n_users=100)],
+                             ids=["regions", "cap-none", "cap-0"])
+    def test_a_run_with_a_finder_at_every_leaf_searches_nothing(self, searched, cfg):
+        # every leaf's own finder has a non-empty pool and answers, so every user counts 1
+        assert cfg.n_users > len(build_topology(cfg.topology).leaves()) and cfg.finder_zones is None
+        hops, failed = scenarios._resolve_users(cfg)
+        assert searched == [] and not failed and set(hops) == {0.0}
 
 
 # -- the resolution knobs a run can feel ----------------------------------------
