@@ -9,6 +9,7 @@ has closed it, as ``gridrd run | head -1`` can.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -75,7 +76,10 @@ def _range(text: str) -> tuple[int, int, int]:
     return start, stop, step
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first ``main`` call: parsing leaves no
+    state on it, and help reads the terminal width only when it is printed."""
     parser = _Parser(prog="gridrd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -206,8 +210,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit

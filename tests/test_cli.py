@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import gridrd
 import gridrd.stats
-from gridrd.cli import CLOSED_PIPE_EXIT, main
+from gridrd.cli import CLOSED_PIPE_EXIT, _parser, main
 from gridrd.harness import read_observations
 from gridrd.scenarios import MAX_USERS, ScenarioKind
 
@@ -89,6 +89,74 @@ def test_sweep_determinism_across_invocations(tmp_path):
     subprocess.run([sys.executable, "-m", "gridrd.cli", *args, "--out", str(b)],
                    env=cli_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True, timeout=60)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _captured(argv: list[str]) -> tuple[int, str, str]:
+    """``gridrd argv`` in-process: (exit code, stdout, stderr), a usage error's exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh(argv: list[str], cwd: Path, **env: str) -> tuple[int, str, str]:
+    """``gridrd argv`` as the one call of a fresh interpreter: (exit code, stdout, stderr)."""
+    done = subprocess.run([sys.executable, "-m", "gridrd.cli", *argv], env=cli_env(**env), cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_reused_parser_parses_each_call_as_a_fresh_process_would(tmp_path, monkeypatch):
+    # main builds its parser once per process, so no call may leave state on it for the next:
+    # each call here, in one process, prints and writes what it does as a fresh process's first
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    golden = (Path(__file__).parent / "golden" / "observations.csv").read_text().splitlines(keepends=True)
+    for folder in (fresh, reused):
+        folder.mkdir()
+        for kind in ("direct", "baseline"):
+            (folder / f"{kind}.csv").write_text("".join(
+                line for line in golden if line.startswith(("scenario,", f"{kind},"))))
+    sweep = ["sweep", "--points", "6", "--replications", "2", "--no-jitter"]
+    calls = [
+        sweep + ["--scenario", "direct", "--scenario", "baseline", "--out", "two.csv"],
+        sweep + ["--out", "default.csv"],
+        ["run", "--users", "0"],
+        ["run", "--users", "3", "--resources", "3", "--no-jitter", "--out", "users.csv"],
+        ["analyze", "direct.csv", "baseline.csv", "--alpha", "0.01", "--out", "strict.csv"],
+        ["analyze", "direct.csv", "baseline.csv", "--out", "analysis.csv"],
+    ]
+    monkeypatch.chdir(reused)
+    _parser.cache_clear()
+    results = []
+    for argv in calls:
+        results.append(_captured(argv))
+        assert results[-1] == _fresh(argv, fresh), argv
+        assert ({p.name: p.read_bytes() for p in reused.iterdir()}
+                == {p.name: p.read_bytes() for p in fresh.iterdir()}), argv
+    assert _parser.cache_info().misses == 1
+    assert {r.scenario.value for r in read_observations(reused / "default.csv")} == {
+        "baseline", "direct", "centralized"}
+    assert results[2][0] == 1 and "argument --users:" in results[2][2] and results[3][0] == 0
+    assert "Confidence Interval 99%" in results[4][1] and "Confidence Interval 95%" in results[5][1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=" ".join)
+def test_help_follows_the_terminal_width_it_is_printed_at(tmp_path, monkeypatch, argv):
+    # the parser is built under one width; help printed later reads the width of its own call
+    monkeypatch.setenv("COLUMNS", "100")
+    _parser.cache_clear()
+    assert _captured(["run", "--users", "0"])[0] == 1
+    printed = {}
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        printed[columns] = _captured(argv)
+        assert printed[columns] == _fresh(argv, tmp_path, COLUMNS=columns)
+        assert printed[columns][0] == 0
+    assert printed["60"][1] != printed["200"][1]
+    assert _parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("workers", ["2", "0", "-1", "-7", "two"])
@@ -353,14 +421,6 @@ def test_a_rejected_row_is_named_by_the_line_it_starts_on(tmp_path, capsys):
     assert captured.out == ""
 
 
-def _run_main(argv: list[str]) -> tuple[int, str]:
-    """``gridrd argv`` in-process: (exit code, stdout); stderr is dropped."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
-
-
 _NUMBERS = st.sampled_from(["0", "1", "0.5", "-1", "2.5e-3", "1e6", "1e200", "1e308", "nan",
                             "inf", "-inf", "x", ""])
 _INTS = st.sampled_from(["-1", "0", "1", "2", "3", "30", "1000001", "none", "2.5", ""])
@@ -385,8 +445,8 @@ def test_fuzzed_config_ends_in_a_documented_exit(lines, scenario, users, resourc
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp, "fuzz.cfg")
         cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, out = _run_main(["run", "--config", str(cfg), "--scenario", scenario,
-                               "--users", str(users), "--resources", str(resources)])
+        code, out, _ = _captured(["run", "--config", str(cfg), "--scenario", scenario,
+                                  "--users", str(users), "--resources", str(resources)])
     event(f"exit {code}")
     assert code in (0, 2, 3)
     assert "nan" not in out and "inf" not in out
@@ -423,7 +483,7 @@ def test_fuzzed_observations_end_in_a_documented_exit(points, reps, times, kinds
         for path, rows in zip(paths, (rows_a, rows_b)):
             path.write_text(header + "".join(",".join(map(str, row)) + "\n" for row in rows),
                             encoding="utf-8")
-        code, out = _run_main(["analyze", *map(str, paths), "--alpha", alpha])
+        code, out, _ = _captured(["analyze", *map(str, paths), "--alpha", alpha])
     event(f"exit {code}")
     assert code in (0, 3)
     assert "nan" not in out

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gridrd import scenarios, stats
@@ -464,3 +464,28 @@ def test_a_run_feels_only_whether_the_cache_capacity_is_zero(cfg, zero_cap):
     caps = (0,) if zero_cap else (None, 1, 2, 5)
     times = {run_scenario(cfg._replace(policy=ResolutionPolicy(cap))).per_user_times for cap in caps}
     assert len(times) == 1
+
+
+# Users are dealt round-robin onto the leaves, and a search that answers adds its own
+# origin to the answer set, so after the first round of leaves every user's origin
+# answers itself under a cap but 0, and under cap 0 the first round's searches repeat.
+@settings(max_examples=100)
+@given(cfg=_knob_runs(), cap=st.just(0) | st.sampled_from([None, 1, 3]),
+       query=st.sampled_from([ResourceQuery(), ResourceQuery(numeric_mins={"pe_count": 1e9})]))
+def test_after_the_first_round_of_leaves_the_hops_repeat_or_cost_nothing(cfg, cap, query):
+    n_leaves = len(build_topology(cfg.topology).leaves())
+    cfg = cfg._replace(n_users=n_leaves + cfg.n_users - 1, query=query, policy=ResolutionPolicy(cap))
+    hops, failed = scenarios._resolve_users(cfg)
+    got = [hop.hex() for hop in hops]
+    if set(failed) >= set(range(n_leaves)):  # no first-round user was answered
+        event("nothing answers")
+        assert failed == tuple(range(cfg.n_users))
+        assert got == [(-0.0).hex()] * cfg.n_users
+        return
+    assert failed == ()  # a search that fails covers the whole tree, so one fails only if all do
+    if cap == 0:
+        event("cap 0")
+        assert got == [got[user % n_leaves] for user in range(cfg.n_users)]
+    else:
+        event("a cap but 0")
+        assert got[n_leaves:] == [(0.0).hex()] * (cfg.n_users - n_leaves)
