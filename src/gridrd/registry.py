@@ -42,7 +42,7 @@ only makes the repositories of its path answer: the call takes each marked
 repository's lookup once, into an answer set, and adds each search's path to
 it.  An origin in the set counts 1, and every origin 0 if the set is empty,
 with no search; under a cap of 0 the set never changes, so each other
-distinct origin is searched once.
+origin is searched every time it comes, to the same count.
 
 A repository is its zone: its id is the zone's name (``"ca.grid"``, the root
 ``"."``), and a finder registers at the repository named by its home zone.
@@ -231,7 +231,7 @@ class Topology:
         The tree is left unchanged: the call counts on an answer set, a byte per index of
         ``shape.order``, set at each marked repository whose lookup finds a record and,
         unless the cap is 0, at the ranges each search holds at its hit, which a
-        ``resolve`` would populate.  The module docstring says which origins cost no search.
+        ``resolve`` would populate: so under a cap of 0 an origin not in the set is searched each time.
         """
         order, span = self.shape.order, self.shape.span
         answers, marks, i = bytearray(len(order)), self.marks, 0
@@ -240,16 +240,14 @@ class Topology:
                 answers[j] = 1
             i = j + 1
         found = 1 in answers  # else every search covers the tree and fails
-        known: dict[str, int] = {}  # origin -> count of its search
         counts: list[int] = []
         for origin in origins:
             where = span.get(origin)
             if where is None:
                 raise UnknownNode(f"no repository named {origin!r}")
-            hops = answers[where[0]] or (known.get(origin) if found else 0)  # 1: the origin answers
-            if hops is None:
+            hops = answers[where[0]]  # 1: the origin answers
+            if not hops and found:
                 _, hops, ranges = self._search(origin, answers)
-                known[origin] = hops  # read only under a cap of 0, as a search sets its origin
                 if self.cap != 0:
                     for start, stop in ranges:
                         answers[start:stop] = b"\x01" * (stop - start)

@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from . import stats
 from .domain import (
     ATTR_ARCH,
     ATTR_MIPS_PER_PE,
@@ -121,6 +120,8 @@ _OVERHEADS: dict[ScenarioKind, tuple[str, ...]] = {
     ScenarioKind.DISTRIBUTED: ("t_ws", "t_registry"),
 }
 _EVENT_OF = {"t_ws": "service_call", "t_registry": "registry_lookup"}
+_Hops = tuple[tuple[float, ...], tuple[float, ...]]  # a first round's hops, then hops repeating in turn
+_NO_HOPS: _Hops = ((), (-0.0,))  # no hop to pay: -0.0, the identity of addition, for every user
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -134,8 +135,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     makes no service call.  Event kinds with a zero count are left out.
     Latencies so large that the times overflow raise ScenarioError.
     """
-    hops, failed = (_resolve_users(cfg) if cfg.kind is ScenarioKind.DISTRIBUTED
-                    else (None, ()))
+    hops, failed = _resolve_users(cfg) if cfg.kind is ScenarioKind.DISTRIBUTED else (_NO_HOPS, range(0))
     times = tuple(_times(cfg, cfg.seed, hops))
     counts = {"resource_register": cfg.n_resources, "user_query": cfg.n_users}
     for name in _OVERHEADS[cfg.kind]:
@@ -145,7 +145,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         per_user_times=times,
         mean_time=_mean_time(cfg, times),
         trace_summary={kind: n for kind, n in sorted(counts.items()) if n},
-        failed_users=failed,
+        failed_users=tuple(failed),
     )
 
 
@@ -153,33 +153,33 @@ def mean_times(cfg: ScenarioConfig, seeds: Iterable[int]) -> list[float]:
     """The ``mean_time`` of ``cfg``'s run under each seed in turn, ``cfg.seed`` unread.
 
     A distributed run's resolution reads no seed, so it is done once for all
-    of them; each seed costs a jitter draw and the mean.
+    of them; each seed costs a jitter draw and a sum of times as they come.
     """
-    hops = _resolve_users(cfg)[0] if cfg.kind is ScenarioKind.DISTRIBUTED else None
+    hops = _resolve_users(cfg)[0] if cfg.kind is ScenarioKind.DISTRIBUTED else _NO_HOPS
     return [_mean_time(cfg, _times(cfg, seed, hops)) for seed in seeds]
 
 
-def _times(cfg: ScenarioConfig, seed: int, hops: list[float] | None) -> list[float]:
+def _times(cfg: ScenarioConfig, seed: int, hops: _Hops) -> Iterator[float]:
     """Each user's time under ``seed``: ``((base*j + t_ws) + t_registry) + hop``.
 
-    A term the kind does not pay, and every hop of a run that resolves
-    nothing, is ``-0.0``, the identity of float addition: ``x + -0.0`` is
-    ``x`` for every ``x``, ``-0.0`` included, where ``+ 0.0`` would turn
-    ``-0.0`` into ``0.0``.
+    A generator, so a sum holds no list.  A term the kind does not pay, and
+    every hop of a run that resolves nothing, is ``-0.0``, the identity of
+    float addition: ``x + -0.0`` is ``x`` for every ``x``, ``-0.0``
+    included, where ``+ 0.0`` would turn ``-0.0`` into ``0.0``.
     """
     lat = cfg.latency
     base = lat.t_base + lat.t_reg * cfg.n_resources + lat.t_user * cfg.n_users
     jitter = jitter_vector(mix64(seed, _JITTER_STREAM), lat, cfg.n_users, cfg.n_resources)
     t_ws, t_registry = (getattr(lat, name) if name in _OVERHEADS[cfg.kind] else -0.0
                         for name in ("t_ws", "t_registry"))
-    return [((base * j + t_ws) + t_registry) + hop
-            for j, hop in zip(jitter, itertools.repeat(-0.0) if hops is None else hops)]
+    return (((base * j + t_ws) + t_registry) + hop
+            for j, hop in zip(jitter, itertools.chain(hops[0], itertools.cycle(hops[1]))))
 
 
-def _mean_time(cfg: ScenarioConfig, times: Sequence[float]) -> float:
+def _mean_time(cfg: ScenarioConfig, times: Iterable[float]) -> float:
     try:
-        mean_time = stats.mean(times)
-    except stats.StatsError:  # the sum overflowed
+        mean_time = math.fsum(times) / cfg.n_users
+    except OverflowError:
         mean_time = math.inf
     if not math.isfinite(mean_time):
         raise ScenarioError(f"latency overflows: the discovery times of {cfg.n_users} users "
@@ -187,27 +187,27 @@ def _mean_time(cfg: ScenarioConfig, times: Sequence[float]) -> float:
     return mean_time
 
 
-def _resolve_users(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
-    """Tree-wide resolution for a distributed run: each user's hop cost.
+def _resolve_users(cfg: ScenarioConfig) -> tuple[_Hops, range]:
+    """Tree-wide resolution for a distributed run: ``(hops, failed users)``.
 
-    Users are dealt round-robin onto leaf repositories; their hops are
-    counted in user order, in one ``Topology.hop_counts`` call, at the
-    instant all resources are registered, as a ``resolve`` per user would
-    count them: an earlier user's path answers later users, though the call
-    writes no cache.  A user's hop cost is ``t_hop`` per repository
-    contacted beyond the first.  A user whose query nothing in the tree
-    satisfies is listed as failed and pays no hop cost, only the centralized
-    one.
+    Users are dealt round-robin onto leaf repositories, and their hops are
+    counted as a ``resolve`` per user in user order would, at the instant all
+    resources are registered: an earlier user's path answers later users.  A
+    search that answers adds its own origin, so one ``Topology.hop_counts``
+    call counts the first round of leaves; then each user pays ``t_hop * 0``,
+    or under a cap of 0, which adds nothing, the round's hops recur.  A hop is
+    ``t_hop`` per repository contacted beyond the first.  A failed search
+    contacts the whole tree, so users fail all or none; they pay no hop cost.
     """
     if cfg.topology is None:
         raise ConfigMismatch("distributed runs need a topology spec")
     topology = build_topology(cfg.topology, cfg.policy)
     _populate_finders(topology, cfg)
-    origins = itertools.islice(itertools.cycle(topology.leaves()), cfg.n_users)
-    counts, t_hop = topology.hop_counts(origins, cfg.query), cfg.latency.t_hop
-    # a failed user's count is 0, and its hop -0.0 leaves its time unchanged, -0.0 included
-    hops = [t_hop * (count - 1) if count else -0.0 for count in counts]
-    return hops, tuple(user for user, count in enumerate(counts) if not count)
+    counts, t_hop = topology.hop_counts(topology.leaves()[:cfg.n_users], cfg.query), cfg.latency.t_hop
+    if counts[0] == 0:
+        return _NO_HOPS, range(cfg.n_users)
+    first_round = tuple(t_hop * (count - 1) for count in counts)
+    return (first_round, first_round if topology.cap == 0 else (t_hop * 0,)), range(0)
 
 
 # The summary of one pool resource: 4 PEs of 1000 MIPS, x86, linux.

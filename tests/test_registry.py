@@ -1285,6 +1285,11 @@ class TestHopCounts:
     @example(case=(TopologySpec(depth=2, branching=3),
                    [FinderRecord("f", "svc://f", ".", _summary(8.0))], [("z01", _linux(2.0))], [],
                    _linux(100.0), None, ["z00", ".", "z01", "z02", "z01"]))
+    # a cap of 0: two rounds of leaves and the root, each origin but the home searched each time
+    @example(case=(TopologySpec(depth=3, branching=2),
+                   [FinderRecord("f", "svc://f", "z01.z01", _summary(8.0))], [("z00.z00", _linux(2.0))], [],
+                   _linux(2.0), ResolutionPolicy(0),
+                   ["z00.z00", "z00.z01", "z01.z00", "z01.z01", ".", "z00.z00", "z00.z01", "z01.z00", "z01.z01"]))
     def test_hop_counts_match_a_resolve_loop(self, case):
         spec, finders, warm, late, query, policy, origins = case
         batch = build_topology(spec, policy)
@@ -1311,7 +1316,13 @@ class TestHopCounts:
             event("not found" if 0 in expected else "every origin answered")
         if 0 in expected:  # nothing answers, so every origin fails and none is searched
             assert set(expected) == {0} and searched == []
-        assert len(searched) == len(set(searched))  # at most one search per origin
+        elif batch.cap == 0:
+            # the answer set never changes, so exactly the origins outside it are searched,
+            # in order, each time they come; an origin is in it iff its own lookup answers
+            assert searched == [origin for origin in known if batch._first_hit(origin, query) is None]
+            event("cap 0 searched an origin again" if len(searched) > len(set(searched)) else "cap 0")
+        else:
+            assert len(searched) == len(set(searched))  # at most one search per origin
         event("answered without a search" if len(searched) < len(known) else "each origin searched")
         # the call leaves the tree as it found it
         assert (batch.records, cache_snapshot(batch), bytes(batch.marks), batch.home_of) == before
@@ -1337,15 +1348,16 @@ class TestHopCounts:
             assert searched == [] and len(verdicts) == calls * topo.marks.count(1)
         assert cache_snapshot(topo) == before
 
-    def test_a_cap_of_zero_with_no_caches_searches_each_distinct_origin_once(self):
+    def test_a_cap_of_zero_searches_a_repeated_origin_again_to_the_same_count(self):
         topo = build_topology(TopologySpec(depth=3, branching=2), ResolutionPolicy(0))
         topo.register_finder(FinderRecord("f", "svc://f", "z01.z01", _summary(8.0)))
         searched = []
         topo._search = lambda *args: searched.append(args[0]) or Topology._search(topo, *args)
         leaves = topo.leaves()
         assert topo.hop_counts(leaves * 3, ResourceQuery()) == [7, 3, 7, 1] * 3
-        # the home z01.z01 answers itself, with no search
-        assert searched == list(leaves[:3]) and not topo.caches
+        # nothing is written, so each round searches the same origins again; the home
+        # z01.z01 answers itself, with no search
+        assert searched == list(leaves[:3]) * 3 and not topo.caches
 
     def test_nothing_answers_so_nothing_is_searched(self):
         # an empty answer set: a search would contact the whole tree and fail

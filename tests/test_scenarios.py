@@ -1,6 +1,8 @@
 
+import itertools
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from gridrd.scenarios import (
     ScenarioKind,
     run_scenario,
 )
-from gridrd.simkern import LatencyModel
+from gridrd.simkern import LatencyModel, jitter_vector, mix64
 from tests.test_domain import MetadataCatalog, ResourceSpec, summarize
 
 QUIET = LatencyModel(jitter_enabled=False)
@@ -394,8 +396,8 @@ class TestDistributedGolden:
         # in every replication: the premise of resolving once per sweep point
         cfg = GOLDEN_RUNS[name]
         other = cfg._replace(seed=cfg.seed + 1000)
-        hops, failed = scenarios._resolve_users(cfg)
-        assert (hops, failed) == scenarios._resolve_users(other)
+        assert scenarios._resolve_users(cfg) == scenarios._resolve_users(other)
+        hops, failed = _user_hops(cfg)
         assert len(hops) == cfg.n_users
         assert any(hops) if not failed else failed == tuple(range(cfg.n_users))
         if cfg.latency.jitter_enabled:  # the seed still moves the jitter
@@ -437,8 +439,21 @@ class TestSearchesPerRun:
     def test_a_run_with_a_finder_at_every_leaf_searches_nothing(self, searched, cfg):
         # every leaf's own finder has a non-empty pool and answers, so every user counts 1
         assert cfg.n_users > len(build_topology(cfg.topology).leaves()) and cfg.finder_zones is None
-        hops, failed = scenarios._resolve_users(cfg)
+        hops, failed = _user_hops(cfg)
         assert searched == [] and not failed and set(hops) == {0.0}
+
+    @pytest.mark.parametrize("users", [1, 12, 27, 48, 100])
+    def test_a_run_counts_one_round_of_leaves_in_one_call(self, monkeypatch, users):
+        # users are dealt round-robin onto the 27 leaves, so a run or a sweep point
+        # passes each leaf a user starts at once, in one hop_counts call
+        calls, hop_counts = [], Topology.hop_counts
+        monkeypatch.setattr(Topology, "hop_counts", lambda self, origins, query:
+                            calls.append(list(origins)) or hop_counts(self, calls[-1], query))
+        cfg = GOLDEN_RUNS["cap-0"]._replace(n_users=users)
+        leaves = build_topology(cfg.topology).leaves()
+        run_scenario(cfg)
+        scenarios.mean_times(cfg, [1, 2])
+        assert calls == [list(leaves[:min(users, len(leaves))])] * 2
 
 
 # -- the resolution knobs a run can feel ----------------------------------------
@@ -466,26 +481,75 @@ def test_a_run_feels_only_whether_the_cache_capacity_is_zero(cfg, zero_cap):
     assert len(times) == 1
 
 
+def _user_hops(cfg: ScenarioConfig) -> tuple[list[float], tuple[int, ...]]:
+    """Each user's hop and the failed users, from ``_resolve_users``' first round and the hops after it."""
+    (first_round, after), failed = scenarios._resolve_users(cfg)
+    hops = itertools.chain(first_round, itertools.cycle(after))
+    return list(itertools.islice(hops, cfg.n_users)), tuple(failed)
+
+
 # Users are dealt round-robin onto the leaves, and a search that answers adds its own
 # origin to the answer set, so after the first round of leaves every user's origin
-# answers itself under a cap but 0, and under cap 0 the first round's searches repeat.
-@settings(max_examples=100)
-@given(cfg=_knob_runs(), cap=st.just(0) | st.sampled_from([None, 1, 3]),
-       query=st.sampled_from([ResourceQuery(), ResourceQuery(numeric_mins={"pe_count": 1e9})]))
-def test_after_the_first_round_of_leaves_the_hops_repeat_or_cost_nothing(cfg, cap, query):
+# answers itself under a cap but 0, and under cap 0 the first round's searches repeat:
+# one round of leaves gives every user's hop that a walk over all the users gives.
+@settings(max_examples=150)
+@given(cfg=_knob_runs(), cap=st.sampled_from([None, 0, 1, 3]),
+       query=st.sampled_from([ResourceQuery(), ResourceQuery(numeric_mins={"pe_count": 1e9})]),
+       rounds=st.sampled_from([0.4, 1, 2.5, 4]), t_hop=st.sampled_from([0.5, 0.0, -0.0]))
+def test_one_round_of_leaves_gives_each_users_hop_as_a_walk_over_every_user_does(cfg, cap, query, rounds, t_hop):
+    # a t_hop of -0.0 makes a counted hop -0.0, where a constant 0.0 would differ
     n_leaves = len(build_topology(cfg.topology).leaves())
-    cfg = cfg._replace(n_users=n_leaves + cfg.n_users - 1, query=query, policy=ResolutionPolicy(cap))
-    hops, failed = scenarios._resolve_users(cfg)
-    got = [hop.hex() for hop in hops]
-    if set(failed) >= set(range(n_leaves)):  # no first-round user was answered
-        event("nothing answers")
-        assert failed == tuple(range(cfg.n_users))
-        assert got == [(-0.0).hex()] * cfg.n_users
-        return
-    assert failed == ()  # a search that fails covers the whole tree, so one fails only if all do
-    if cap == 0:
-        event("cap 0")
-        assert got == [got[user % n_leaves] for user in range(cfg.n_users)]
-    else:
-        event("a cap but 0")
-        assert got[n_leaves:] == [(0.0).hex()] * (cfg.n_users - n_leaves)
+    cfg = cfg._replace(n_users=max(1, round(rounds * n_leaves)), query=query, policy=ResolutionPolicy(cap),
+                       latency=LatencyModel(t_hop=t_hop))
+    hops, failed = _user_hops(cfg)
+    # the walk: every user's origin in turn through one hop_counts call
+    topology = build_topology(cfg.topology, cfg.policy)
+    scenarios._populate_finders(topology, cfg)
+    counts = topology.hop_counts(itertools.islice(itertools.cycle(topology.leaves()), cfg.n_users), query)
+    assert [hop.hex() for hop in hops] == [(t_hop * (count - 1) if count else -0.0).hex() for count in counts]
+    assert failed == tuple(user for user, count in enumerate(counts) if not count)
+    event("nothing answers" if failed else "cap 0" if cap == 0 else "a cap but 0")
+    event("several rounds" if cfg.n_users > n_leaves else "one round or less")
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_knob_runs(), cap=st.sampled_from([None, 0, 1]), jitter=st.booleans(),
+       seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+def test_mean_times_are_the_mean_time_of_a_run_under_each_seed(cfg, cap, jitter, seeds):
+    n_leaves = len(build_topology(cfg.topology).leaves())
+    cfg = cfg._replace(n_users=n_leaves + cfg.n_users, policy=ResolutionPolicy(cap),
+                       latency=LatencyModel(jitter_enabled=jitter))
+    assert [mean.hex() for mean in scenarios.mean_times(cfg, seeds)] == [
+        run_scenario(cfg._replace(seed=seed)).mean_time.hex() for seed in seeds]
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+@pytest.mark.parametrize("latency, resources", [
+    (LatencyModel(t_reg=1e307), 30),
+    (LatencyModel(t_reg=1e307, jitter_enabled=False), 10),
+], ids=["inf-time", "sum-overflow"])
+def test_mean_times_reject_an_overflowing_latency_as_a_run_does(kind, latency, resources):
+    cfg = _cfg(kind, 30, resources, latency, topology=TopologySpec(depth=2, branching=3))
+    with pytest.raises(ScenarioError, match="latency overflows"):
+        run_scenario(cfg)
+    with pytest.raises(ScenarioError, match="latency overflows"):
+        scenarios.mean_times(cfg, [0, 1])
+
+
+def test_a_sweep_point_holds_no_per_user_list():
+    # a 200,000-user cap-0 point on 256 leaves: its one seed's peak is the jitter draw's,
+    # with no list of times or hops next to it
+    cfg = _cfg(ScenarioKind.DISTRIBUTED, 200_000, 100, LatencyModel(), topology=TopologySpec(depth=5, branching=4),
+               finder_zones=("z00.z00", "z01.z02.z03", "z03"), policy=ResolutionPolicy(0))
+    build_topology(cfg.topology)  # the shape is built once per process, outside the traced calls
+
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    draw = peak(lambda: jitter_vector(mix64(1, scenarios._JITTER_STREAM), cfg.latency, cfg.n_users, cfg.n_resources))
+    assert peak(lambda: scenarios.mean_times(cfg, [1])) < 1.5 * draw
